@@ -11,12 +11,14 @@ from idcurv import (
     EventKind,
     FlowKind,
     FlowSpec,
+    Geometry,
     Integrator,
     IntegrationError,
     PackingMetric,
     angle_deficits,
     average_curvature,
     check_evolution_identity,
+    csaszar_torus,
     curvature,
     flow_rhs,
     run_flow,
@@ -93,6 +95,64 @@ def test_spec_validation(tetra_euc, tetra_hyp):
         )
     with pytest.raises(ValueError, match="must be positive"):
         FlowSpec(kind=FlowKind.NORMALIZED_EUCLIDEAN, step=0.0)
+
+
+# kind -> (pinned geometry, target policy, rate c, uses the alpha power)
+FLOW_CONTRACT = {
+    FlowKind.NORMALIZED_EUCLIDEAN: (Geometry.EUCLIDEAN, "average", 1.0, False),
+    FlowKind.MODIFIED_EUCLIDEAN: (Geometry.EUCLIDEAN, "prescribed", 1.0, False),
+    FlowKind.EXTENDED_EUCLIDEAN: (Geometry.EUCLIDEAN, "either", 1.0, False),
+    FlowKind.MODIFIED_HYPERBOLIC: (Geometry.HYPERBOLIC, "prescribed", 1.0, False),
+    FlowKind.EXTENDED_HYPERBOLIC: (Geometry.HYPERBOLIC, "prescribed", 1.0, False),
+    FlowKind.ALPHA_NORMALIZED: (Geometry.EUCLIDEAN, "average", 2.0, True),
+    FlowKind.ALPHA_MODIFIED: (None, "prescribed", 2.0, True),
+    FlowKind.ALPHA_EXTENDED: (None, "either", 2.0, True),
+}
+CONTRACT_TARGETS = {
+    "none": None,
+    "scalar": -1.0,
+    "per-vertex": np.full(7, -0.5),
+    "wrong-length": np.full(8, -0.5),
+}
+
+
+@pytest.mark.parametrize("target_id", list(CONTRACT_TARGETS))
+@pytest.mark.parametrize(
+    "geom", [Geometry.EUCLIDEAN, Geometry.HYPERBOLIC], ids=lambda g: g.value
+)
+@pytest.mark.parametrize("kind", list(FlowKind), ids=lambda k: k.value)
+def test_flow_kind_contract(kind, geom, target_id):
+    # every kind is du/dt = c (T - K / s^alpha) in u = ln s^2, i.e.
+    # dr/dt = 0.5 c (T - K / s^alpha) (r or sinh r); the kind fixes the rest
+    pin, policy, c, uses_alpha = FLOW_CONTRACT[kind]
+    target = CONTRACT_TARGETS[target_id]
+    tri = csaszar_torus(geometry=geom)
+    r = np.exp(np.linspace(-0.2, 0.2, 7))
+    if geom is Geometry.HYPERBOLIC:
+        r = 0.5 * r
+    spec = FlowSpec(kind=kind, alpha=1.5, target=target)
+
+    if pin is not None and pin is not geom:
+        reason = f"needs a {pin.value} surface"
+    elif target is None and (policy == "prescribed" or geom is Geometry.HYPERBOLIC):
+        reason = "requires a target curvature"
+    elif target is not None and policy == "average":
+        reason = "compute their own average target"
+    elif target_id == "wrong-length":
+        reason = "target length does not match"
+    else:
+        reason = None
+    if reason is not None:
+        with pytest.raises(ValueError, match=reason):
+            flow_rhs(tri, r, spec)
+        return
+
+    alpha = 1.5 if uses_alpha else 2.0
+    s = geometry.s_of_r(r, geom)
+    T = average_curvature(tri, r, alpha) if target is None else target
+    factor = r if geom is Geometry.EUCLIDEAN else np.sinh(r)
+    expected = 0.5 * c * (T - angle_deficits(tri, r) / s**alpha) * factor
+    np.testing.assert_allclose(flow_rhs(tri, r, spec), expected, rtol=1e-13, atol=1e-15)
 
 
 def test_initial_radii_validation(tetra_euc):
@@ -344,10 +404,12 @@ def test_evolution_identity_normalized(csaszar_euc, tetra_euc, rng):
     assert check_evolution_identity(csaszar_euc, r, spec) < 1e-8
     # at a constant-curvature metric both sides vanish identically
     assert check_evolution_identity(tetra_euc, np.ones(4), spec) < 1e-12
-    with pytest.raises(ValueError, match="normalized kinds"):
-        check_evolution_identity(
-            tetra_euc, np.ones(4), FlowSpec(kind=FlowKind.MODIFIED_EUCLIDEAN, target=np.zeros(4))
-        )
+    normalized = (FlowKind.NORMALIZED_EUCLIDEAN, FlowKind.ALPHA_NORMALIZED)
+    for kind in set(FlowKind) - set(normalized):
+        with pytest.raises(ValueError, match="normalized kinds"):
+            check_evolution_identity(
+                tetra_euc, np.ones(4), FlowSpec(kind=kind, target=np.zeros(4))
+            )
 
 
 def test_curvature_derivative_matches_flow(csaszar_euc, rng):
