@@ -12,7 +12,6 @@ from .curvature import (
     CurvatureJacobian,
     angle_deficits,
     average_curvature,
-    classical_curvature,
     curvature,
     curvature_jacobian,
     gauss_bonnet_residual,
@@ -48,11 +47,8 @@ from .geometry import (
     corner_angles,
     edge_length,
     edge_lengths,
-    extended_angles,
-    face_admissible,
+    face_angles,
     face_lengths,
-    hyperbolic_triangle_area,
-    inner_angles,
     r_of_u,
     s_of_r,
     total_area,

@@ -189,9 +189,7 @@ def cmd_solve(args) -> int:
         # natural default for Euclidean solves; hyperbolic needs --target
         target = average_curvature(tri, r0, alpha=args.alpha)
     metric = newton_solve(tri, r0, target, alpha=args.alpha, tol=args.tol)
-    query = PotentialQuery(
-        u0=metric.u, u=metric.u, target=target, alpha=args.alpha, geometry=tri.geometry
-    )
+    query = PotentialQuery(u0=metric.u, u=metric.u, target=target, alpha=args.alpha)
     grad = potential_gradient(tri, metric.u, query)
     print("r = " + " ".join(_fmt(v) for v in metric.radii))
     print(f"grad_norm = {_fmt(float(np.max(np.abs(grad))))}")

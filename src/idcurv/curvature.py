@@ -66,11 +66,6 @@ def curvature(tri, r, alpha=2.0, use_extension=False) -> CurvatureField:
     )
 
 
-def classical_curvature(tri, r, use_extension=False) -> CurvatureField:
-    """Angle deficits only (alpha = 0, so R_alpha coincides with K)."""
-    return curvature(tri, r, alpha=0.0, use_extension=use_extension)
-
-
 def average_curvature(tri, r, alpha=2.0) -> float:
     """2 pi chi / sum(r^alpha) (alpha != 0) or 2 pi chi / N (alpha = 0).
 

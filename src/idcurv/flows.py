@@ -1,15 +1,30 @@
-"""Combinatorial Ricci flows: normalized, modified, extended, and alpha kinds.
+"""Combinatorial Ricci flows: one family of equations, eight kinds.
 
-All flows are integrated in the radii directly. The defining equations act on
-g = s^2 or on s; converting gives, per vertex,
+Every flow here is
 
-    dr/dt = (target - R) * r / 2         Euclidean, R-flows (g = r^2)
-    dr/dt = (target - R) * sinh(r) / 2   hyperbolic, R-flows (g = tanh^2(r/2))
-    dr/dt = (target - R_alpha) * r       Euclidean alpha-flows (on s = r)
-    dr/dt = (target - R_alpha) * sinh(r) hyperbolic alpha-flows (on s = tanh(r/2))
+    du_i/dt = c (T_i - K_i / s_i^alpha),    u_i = ln s_i^2,
 
-Normalized kinds aim at the average curvature, recomputed each evaluation;
-modified kinds aim at a prescribed target; extended kinds run through
+integrated in the radii directly, where it reads
+
+    dr/dt = (c/2) (T - K / s^alpha) r          Euclidean (s = r)
+    dr/dt = (c/2) (T - K / s^alpha) sinh(r)    hyperbolic (s = tanh(r/2))
+
+The kind fixes the rest (the attributes of FlowKind):
+
+    kind                  target      extended  c  geometry
+    normalized-euclidean  average     no        1  euclidean
+    modified-euclidean    prescribed  no        1  euclidean
+    extended-euclidean    either      yes       1  euclidean
+    modified-hyperbolic   prescribed  no        1  hyperbolic
+    extended-hyperbolic   prescribed  yes       1  hyperbolic
+    alpha-normalized      average     no        2  euclidean
+    alpha-modified        prescribed  no        2  either
+    alpha-extended        either      yes       2  either
+
+R-flows (c = 1) take alpha = 2; alpha-flows (c = 2) take the spec's alpha.
+The average target is the running average curvature, recomputed each
+evaluation; it exists only on Euclidean surfaces, so every kind needs a
+prescribed target on a hyperbolic one. Extended kinds run through
 admissibility failures using the constant angle extension.
 
 The stepper is fixed-step RK4 (or Euler) with automatic step halving when a
@@ -42,30 +57,31 @@ MAX_HALVINGS = 20
 
 
 class FlowKind(enum.Enum):
-    NORMALIZED_EUCLIDEAN = "normalized-euclidean"
-    MODIFIED_EUCLIDEAN = "modified-euclidean"
-    EXTENDED_EUCLIDEAN = "extended-euclidean"
-    MODIFIED_HYPERBOLIC = "modified-hyperbolic"
-    EXTENDED_HYPERBOLIC = "extended-hyperbolic"
-    ALPHA_NORMALIZED = "alpha-normalized"
-    ALPHA_MODIFIED = "alpha-modified"
-    ALPHA_EXTENDED = "alpha-extended"
+    """A kind of flow; the value is its CLI name.
 
+    The attributes are the columns of the module docstring's table: `target`
+    is "average", "prescribed" or "either", `extended` turns on the angle
+    extension, `rate` is c (2 marks the alpha-flows) and `geometry` is the
+    geometry the kind is pinned to, or None.
+    """
 
-EXTENDED_KINDS = frozenset(
-    {FlowKind.EXTENDED_EUCLIDEAN, FlowKind.EXTENDED_HYPERBOLIC, FlowKind.ALPHA_EXTENDED}
-)
-ALPHA_KINDS = frozenset(
-    {FlowKind.ALPHA_NORMALIZED, FlowKind.ALPHA_MODIFIED, FlowKind.ALPHA_EXTENDED}
-)
-_KIND_GEOMETRY = {
-    FlowKind.NORMALIZED_EUCLIDEAN: Geometry.EUCLIDEAN,
-    FlowKind.MODIFIED_EUCLIDEAN: Geometry.EUCLIDEAN,
-    FlowKind.EXTENDED_EUCLIDEAN: Geometry.EUCLIDEAN,
-    FlowKind.MODIFIED_HYPERBOLIC: Geometry.HYPERBOLIC,
-    FlowKind.EXTENDED_HYPERBOLIC: Geometry.HYPERBOLIC,
-    FlowKind.ALPHA_NORMALIZED: Geometry.EUCLIDEAN,
-}
+    NORMALIZED_EUCLIDEAN = ("normalized-euclidean", "average", False, 1.0, Geometry.EUCLIDEAN)
+    MODIFIED_EUCLIDEAN = ("modified-euclidean", "prescribed", False, 1.0, Geometry.EUCLIDEAN)
+    EXTENDED_EUCLIDEAN = ("extended-euclidean", "either", True, 1.0, Geometry.EUCLIDEAN)
+    MODIFIED_HYPERBOLIC = ("modified-hyperbolic", "prescribed", False, 1.0, Geometry.HYPERBOLIC)
+    EXTENDED_HYPERBOLIC = ("extended-hyperbolic", "prescribed", True, 1.0, Geometry.HYPERBOLIC)
+    ALPHA_NORMALIZED = ("alpha-normalized", "average", False, 2.0, Geometry.EUCLIDEAN)
+    ALPHA_MODIFIED = ("alpha-modified", "prescribed", False, 2.0, None)
+    ALPHA_EXTENDED = ("alpha-extended", "either", True, 2.0, None)
+
+    def __new__(cls, value, target, extended, rate, geometry):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.target = target
+        member.extended = extended
+        member.rate = rate
+        member.geometry = geometry
+        return member
 
 
 class Integrator(enum.Enum):
@@ -121,7 +137,7 @@ class FlowSpec:
 
     @property
     def effective_alpha(self):
-        return float(self.alpha) if self.kind in ALPHA_KINDS else 2.0
+        return float(self.alpha) if self.kind.rate == 2.0 else 2.0
 
 
 @dataclasses.dataclass
@@ -164,36 +180,26 @@ class FlowTrace:
 # -- right-hand side ---------------------------------------------------------------
 
 
-def _needs_target(kind, geom):
-    if kind in (FlowKind.MODIFIED_EUCLIDEAN, FlowKind.MODIFIED_HYPERBOLIC,
-                FlowKind.EXTENDED_HYPERBOLIC, FlowKind.ALPHA_MODIFIED):
-        return True
-    if kind is FlowKind.ALPHA_EXTENDED and geom is Geometry.HYPERBOLIC:
-        return True
-    return False
-
-
 def _check_spec(tri, spec):
-    need = _KIND_GEOMETRY.get(spec.kind)
-    if need is not None and tri.geometry is not need:
+    kind = spec.kind
+    if kind.geometry is not None and tri.geometry is not kind.geometry:
         raise ValueError(
-            f"{spec.kind.value} flow needs a {need.value} surface, got {tri.geometry.value}"
+            f"{kind.value} flow needs a {kind.geometry.value} surface, got {tri.geometry.value}"
         )
-    if _needs_target(spec.kind, tri.geometry):
-        if spec.target is None:
-            raise ValueError(f"{spec.kind.value} flow requires a target curvature")
-    if spec.kind in (FlowKind.NORMALIZED_EUCLIDEAN, FlowKind.ALPHA_NORMALIZED):
-        if spec.target is not None:
-            raise ValueError("normalized flows compute their own average target")
+    if spec.target is None:
+        # the running average exists only on Euclidean surfaces
+        if kind.target == "prescribed" or tri.geometry is Geometry.HYPERBOLIC:
+            raise ValueError(f"{kind.value} flow requires a target curvature")
+    elif kind.target == "average":
+        raise ValueError("normalized flows compute their own average target")
     if spec.target is not None and spec.target.ndim > 0 and spec.target.shape != (tri.vertex_count,):
         raise ValueError("target length does not match the vertex count")
 
 
 def _deviation(tri, r, spec):
-    """target - R (componentwise), using extended curvature for extended kinds."""
-    extended = spec.kind in EXTENDED_KINDS
+    """T - K / s^alpha (componentwise), with extended angles for extended kinds."""
     alpha = spec.effective_alpha
-    K = angle_deficits(tri, r, extended=extended)
+    K = angle_deficits(tri, r, extended=spec.kind.extended)
     s = geometry.s_of_r(r, tri.geometry)
     R = K / s**alpha
     if spec.target is not None:
@@ -219,8 +225,7 @@ def _rhs_unchecked(tri, r, spec):
         # and the driver halts with a step-size report, which is the intent
         with np.errstate(over="ignore"):
             factor = np.sinh(r)
-    scale = 1.0 if spec.kind in ALPHA_KINDS else 0.5
-    return scale * dev * factor
+    return 0.5 * spec.kind.rate * dev * factor
 
 
 # -- driver ------------------------------------------------------------------------
@@ -272,13 +277,12 @@ def run_flow(tri, r0, spec: FlowSpec):
         raise ValueError("initial radii must be positive and finite")
     _check_spec(tri, spec)
 
-    genuine = spec.kind not in EXTENDED_KINDS
-    if genuine:
-        ok, bad = geometry.admissible(tri, r)
-        if not ok:
-            raise AdmissibilityError(
-                f"genuine flow started outside the admissible cone (faces {bad})"
-            )
+    genuine = not spec.kind.extended
+    inside, bad = geometry.admissible(tri, r)
+    if genuine and not inside:
+        raise AdmissibilityError(
+            f"genuine flow started outside the admissible cone (faces {bad})"
+        )
 
     times, radii, errs, measures, ext_flags = [], [], [], [], []
     events: list[FlowEvent] = []
@@ -314,9 +318,7 @@ def run_flow(tri, r0, spec: FlowSpec):
                 FlowEvent(0.0, EventKind.TARGET_SIGN_WARNING, int(offenders[0]))
             )
 
-    inside = geometry.admissible(tri, r)[0]
-    if not genuine and not inside:
-        bad = geometry.admissible(tri, r)[1]
+    if not inside:
         events.append(FlowEvent(0.0, EventKind.LEFT_ADMISSIBLE, int(bad[0])))
 
     dev = _deviation(tri, r, spec)
@@ -372,12 +374,11 @@ def run_flow(tri, r0, spec: FlowSpec):
         err = float(np.max(np.abs(dev)))
 
         if not genuine:
-            now_inside = geometry.admissible(tri, r)[0]
+            now_inside, bad = geometry.admissible(tri, r)
             if now_inside != inside:
                 if now_inside:
                     events.append(FlowEvent(t, EventKind.REENTERED_ADMISSIBLE, None))
                 else:
-                    bad = geometry.admissible(tri, r)[1]
                     events.append(FlowEvent(t, EventKind.LEFT_ADMISSIBLE, int(bad[0])))
                 record(t, r, err, now_inside)
                 inside = now_inside
@@ -444,18 +445,19 @@ def _classify_stall(tri, r, candidate, k1, h, genuine):
 def check_evolution_identity(tri, r, spec: FlowSpec) -> float:
     """Residual between the two sides of the curvature evolution identity.
 
-    For the normalized Euclidean flow (u = ln r^2):
-        dR_i/dt = Delta R_i + R_i (R_i - R_av),
-    the left side computed by chaining dR/du through the curvature Jacobian
-    along the flow direction. The alpha-normalized variant uses u = ln r
-    (Jacobian 2L) and reads
-        dR_alpha/dt = Delta_alpha R_alpha + alpha R_alpha (R_alpha - R_av).
+    For a normalized kind with rate c and power alpha (R = K / s^alpha),
+        dR_i/dt = c Delta R_i + (c alpha / 2) R_i (R_i - R_av),
+    with Delta R = -(L R) / s^alpha. The left side is computed by chaining
+    dR/du = c L / s^alpha - (c alpha / 2) diag(R) through the flow direction
+    R_av - R, where L is the curvature Jacobian in u = ln s^2 and the factor
+    c converts it to the flow's own coordinate u = ln s^(2/c).
     """
-    if spec.kind not in (FlowKind.NORMALIZED_EUCLIDEAN, FlowKind.ALPHA_NORMALIZED):
+    if spec.kind.target != "average":
         raise ValueError("the evolution identity applies to normalized kinds")
     if tri.geometry is not Geometry.EUCLIDEAN:
         raise ValueError("the evolution identity is stated for Euclidean surfaces")
     r = np.asarray(r, dtype=float)
+    c = spec.kind.rate
     alpha = spec.effective_alpha
     K = angle_deficits(tri, r)
     s = geometry.s_of_r(r, tri.geometry)
@@ -464,14 +466,7 @@ def check_evolution_identity(tri, r, spec: FlowSpec) -> float:
     L = curvature_jacobian(tri, r).matrix
     u_dot = R_av - R
 
-    if spec.kind is FlowKind.NORMALIZED_EUCLIDEAN:
-        # dR_i/du_j = L_ij / r_i^2 - R_i delta_ij in the ln r^2 convention
-        jac = L / s[:, None] ** 2 - np.diag(R)
-        lhs = jac @ u_dot
-        rhs = -(L @ R) / s**2 + R * (R - R_av)
-    else:
-        # ln r convention: the Jacobian doubles and d(s^-alpha)/du = -alpha s^-alpha
-        jac = 2.0 * L / s[:, None] ** alpha - alpha * np.diag(R)
-        lhs = jac @ u_dot
-        rhs = -(2.0 * L @ R) / s**alpha + alpha * R * (R - R_av)
+    jac = c * L / s[:, None] ** alpha - (0.5 * c * alpha) * np.diag(R)
+    lhs = jac @ u_dot
+    rhs = -(c * L @ R) / s**alpha + (0.5 * c * alpha) * R * (R - R_av)
     return float(np.max(np.abs(lhs - rhs)))

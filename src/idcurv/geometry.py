@@ -167,16 +167,13 @@ def face_lengths(tri, r):
 # -- admissibility ----------------------------------------------------------------
 
 
-def face_admissible(lengths) -> bool:
-    """Strict triangle inequalities for one length triple."""
-    a, b, c = (float(v) for v in lengths)
-    return (a < b + c) and (b < a + c) and (c < a + b)
-
-
 def _degenerate_mask(fl):
-    """Faces where some length is >= the sum of the other two (non-strict)."""
+    """Faces where some length is >= the sum of the other two (non-strict).
+
+    Rows holding NaN count as degenerate, since no strict inequality holds.
+    """
     total = fl.sum(axis=1)
-    return (2.0 * fl.max(axis=1)) >= total
+    return ~(2.0 * fl.max(axis=1) < total)
 
 
 def triangle_slack(lengths):
@@ -258,18 +255,21 @@ def _extension_constants(fl, rows):
     sub = fl[rows]
     total = sub.sum(axis=1)
     dominating = (2.0 * sub) >= total[:, None]
-    if np.any(dominating.sum(axis=1) > 1):
-        raise DomainError("two edges dominate one face; lengths are not positive")
+    if np.any(dominating.sum(axis=1) != 1):
+        raise DomainError(
+            "no single edge dominates a degenerate face; lengths are not positive and finite"
+        )
     return np.where(dominating, np.pi, 0.0)
 
 
-def corner_angles(tri, r, extended=False) -> CornerAngles:
-    """All corner angles of the surface at radii r.
+def face_angles(lengths, geometry, extended=False) -> CornerAngles:
+    """Corner angles of each row of a (F, 3) length array.
 
-    Without `extended`, every face must be strictly admissible; with it,
-    degenerate faces receive the constant extension.
+    Angle c of a row sits at the corner opposite length c. Without
+    `extended`, every row must be strictly admissible; with it, degenerate
+    rows receive the constant extension.
     """
-    fl = face_lengths(tri, r)
+    fl = np.asarray(lengths, dtype=float)
     degenerate = _degenerate_mask(fl)
     if np.any(degenerate) and not extended:
         bad = np.nonzero(degenerate)[0].tolist()
@@ -278,7 +278,7 @@ def corner_angles(tri, r, extended=False) -> CornerAngles:
     angles = np.empty_like(fl)
     good = ~degenerate
     if np.any(good):
-        if tri.geometry is Geometry.EUCLIDEAN:
+        if geometry is Geometry.EUCLIDEAN:
             angles[good] = _euclidean_face_angles(fl[good])
         else:
             angles[good] = _hyperbolic_face_angles(fl[good])
@@ -287,33 +287,12 @@ def corner_angles(tri, r, extended=False) -> CornerAngles:
     return CornerAngles(angles=angles, degenerate=degenerate)
 
 
-def inner_angles(lengths, geometry):
-    """Angles of one admissible face; angle k is at the corner opposite lengths[k]."""
-    fl = np.asarray(lengths, dtype=float).reshape(1, 3)
-    if not face_admissible(fl[0]):
-        raise AdmissibilityError(f"lengths {tuple(lengths)} violate a triangle inequality")
-    if geometry is Geometry.EUCLIDEAN:
-        ang = _euclidean_face_angles(fl)
-    else:
-        ang = _hyperbolic_face_angles(fl)
-    return tuple(float(v) for v in ang[0])
-
-
-def extended_angles(lengths, geometry):
-    """Angles of one face, extending by constants past admissibility."""
-    fl = np.asarray(lengths, dtype=float).reshape(1, 3)
-    if _degenerate_mask(fl)[0]:
-        return tuple(float(v) for v in _extension_constants(fl, np.array([0]))[0])
-    return inner_angles(lengths, geometry)
+def corner_angles(tri, r, extended=False) -> CornerAngles:
+    """All corner angles of the surface at radii r (see face_angles)."""
+    return face_angles(face_lengths(tri, r), tri.geometry, extended)
 
 
 # -- areas ------------------------------------------------------------------------
-
-
-def hyperbolic_triangle_area(angles):
-    """Angle deficit pi - sum(angles); zero for faces under the extension."""
-    angles = np.asarray(angles, dtype=float)
-    return float(np.pi - angles.sum())
 
 
 def total_area(tri, r, extended=False):

@@ -46,7 +46,6 @@ class PotentialQuery:
     u: np.ndarray
     target: object = 0.0
     alpha: float = 2.0
-    geometry: Geometry = Geometry.EUCLIDEAN
 
     def __post_init__(self):
         self.u0 = np.asarray(self.u0, dtype=float)
@@ -117,8 +116,6 @@ def potential_value(tri, query: PotentialQuery, extended=False, via=()) -> float
     Non-extended evaluation fails if any quadrature node leaves the admissible
     region; extended evaluation only needs the coordinates to stay in range.
     """
-    if query.geometry is not tri.geometry:
-        raise ValueError("query geometry does not match the surface")
     if not extended:
         r0 = geometry.r_of_u(query.u0, tri.geometry)
         ok, bad = geometry.admissible(tri, r0)

@@ -31,10 +31,9 @@ from idcurv import (
     curvature_jacobian,
     curvature_residual,
     edge_length,
-    extended_angles,
+    face_angles,
     find_second_root,
     gauss_bonnet_residual,
-    inner_angles,
     newton_solve,
     potential_gradient,
     potential_value,
@@ -323,8 +322,8 @@ def test_09_hyperbolic_length_and_angle_limits():
             edge_length(50.0, r_j, w, HYP),
         ]
     )
-    theta = inner_angles(lengths, HYP)[0]
-    theta_ext = extended_angles(lengths, HYP)[0]
+    theta = face_angles(lengths[None], HYP).angles[0, 0]
+    theta_ext = face_angles(lengths[None], HYP, extended=True).angles[0, 0]
     assert 0.0 <= theta < 1e-3
     assert 0.0 <= theta_ext < 1e-3
     _ok(9, f"20 triples pass the threshold test, far-vertex angle {theta:.1e}")

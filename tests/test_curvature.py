@@ -8,7 +8,6 @@ from idcurv import (
     Geometry,
     angle_deficits,
     average_curvature,
-    classical_curvature,
     csaszar_torus,
     curvature,
     curvature_jacobian,
@@ -40,12 +39,11 @@ def test_unit_csaszar_is_flat(csaszar_euc):
     np.testing.assert_allclose(field.K, 0.0, atol=1e-14)
 
 
-def test_classical_curvature_is_alpha_zero(csaszar_euc, rng):
+def test_alpha_zero_curvature_is_angle_deficit(csaszar_euc, rng):
     r = sample_admissible(csaszar_euc, rng)
-    a = classical_curvature(csaszar_euc, r)
-    b = curvature(csaszar_euc, r, alpha=0.0)
-    np.testing.assert_array_equal(a.K, b.K)
-    np.testing.assert_array_equal(a.R_alpha, b.K)
+    a = curvature(csaszar_euc, r, alpha=0.0)
+    np.testing.assert_array_equal(a.K, angle_deficits(csaszar_euc, r))
+    np.testing.assert_array_equal(a.R_alpha, a.K)
     assert a.alpha == 0.0
 
 

@@ -11,13 +11,11 @@ from idcurv import (
     Geometry,
     PackingMetric,
     admissible,
+    angle_deficits,
     corner_angles,
     edge_length,
-    extended_angles,
-    face_admissible,
+    face_angles,
     face_lengths,
-    hyperbolic_triangle_area,
-    inner_angles,
     r_of_u,
     s_of_r,
     tetrahedron,
@@ -32,6 +30,11 @@ HYP = Geometry.HYPERBOLIC
 
 radii_st = st.floats(min_value=0.05, max_value=20.0, allow_nan=False)
 weight_st = st.floats(min_value=0.0, max_value=5.0, allow_nan=False)
+
+
+def row_angles(lengths, geometry, extended=False):
+    """Angles of a single face through the (F, 3) path."""
+    return face_angles(np.asarray(lengths, dtype=float)[None], geometry, extended).angles[0]
 
 
 # -- edge lengths ---------------------------------------------------------------
@@ -115,10 +118,10 @@ def test_mixed_scalar_array_lengths():
 # -- admissibility ----------------------------------------------------------------
 
 
-def test_face_admissible_strictness():
-    assert face_admissible(np.array([3.0, 4.0, 5.0]))
-    assert not face_admissible(np.array([1.0, 2.0, 3.0]))  # degenerate boundary
-    assert not face_admissible(np.array([1.0, 1.0, 3.0]))
+def test_strict_admissibility_of_one_face():
+    assert triangle_slack(np.array([3.0, 4.0, 5.0])) > 0
+    assert triangle_slack(np.array([1.0, 2.0, 3.0])) <= 0  # degenerate boundary
+    assert triangle_slack(np.array([1.0, 1.0, 3.0])) <= 0
 
 
 def test_triangle_slack_values():
@@ -151,20 +154,32 @@ def test_corner_angles_raise_outside_admissible_cone():
     assert ca.degenerate.sum() == 3
 
 
+def test_nan_radius_is_not_admissible(csaszar_euc):
+    # a NaN length satisfies no strict inequality, so its faces are degenerate
+    # and no single edge dominates them for the extension
+    r = np.array([np.nan, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+    ok, bad = admissible(csaszar_euc, r)
+    assert not ok and bad
+    with pytest.raises(AdmissibilityError):
+        angle_deficits(csaszar_euc, r)
+    with pytest.raises(DomainError):
+        angle_deficits(csaszar_euc, r, extended=True)
+
+
 # -- angles -----------------------------------------------------------------------
 
 
 def test_equilateral_angles():
     np.testing.assert_allclose(
-        inner_angles(np.array([2.0, 2.0, 2.0]), EUC), np.pi / 3.0, rtol=1e-15
+        row_angles(np.array([2.0, 2.0, 2.0]), EUC), np.pi / 3.0, rtol=1e-15
     )
-    hyp = np.array(inner_angles(np.array([2.0, 2.0, 2.0]), HYP))
+    hyp = np.array(row_angles(np.array([2.0, 2.0, 2.0]), HYP))
     assert np.all(hyp < np.pi / 3.0)
     np.testing.assert_allclose(hyp, hyp[0])
 
 
 def test_right_triangle_angle():
-    ang = inner_angles(np.array([5.0, 4.0, 3.0]), EUC)
+    ang = row_angles(np.array([5.0, 4.0, 3.0]), EUC)
     assert ang[0] == pytest.approx(np.pi / 2.0, abs=1e-15)
     assert ang[1] == pytest.approx(math.asin(4.0 / 5.0), abs=1e-15)
 
@@ -172,7 +187,7 @@ def test_right_triangle_angle():
 def test_isoceles_apex_angle_formula():
     # apex angle opposite the base b between equal legs a: 2 asin(b / 2a)
     a, b = 3.0, 4.5
-    ang = inner_angles(np.array([b, a, a]), EUC)
+    ang = row_angles(np.array([b, a, a]), EUC)
     assert ang[0] == pytest.approx(2.0 * math.asin(b / (2.0 * a)), rel=1e-14)
 
 
@@ -180,25 +195,25 @@ def test_euclidean_angles_sum_to_pi():
     rng = np.random.default_rng(5)
     for _ in range(50):
         raw = rng.uniform(0.5, 3.0, 3)
-        if not face_admissible(raw):
+        if triangle_slack(raw) <= 0:
             continue
-        assert sum(inner_angles(raw, EUC)) == pytest.approx(np.pi, abs=1e-12)
+        assert sum(row_angles(raw, EUC)) == pytest.approx(np.pi, abs=1e-12)
 
 
 def test_hyperbolic_angles_sum_below_pi():
     rng = np.random.default_rng(6)
     for _ in range(50):
         raw = rng.uniform(0.5, 3.0, 3)
-        if not face_admissible(raw):
+        if triangle_slack(raw) <= 0:
             continue
-        assert sum(inner_angles(raw, HYP)) < np.pi
+        assert sum(row_angles(raw, HYP)) < np.pi
 
 
 def test_near_degenerate_face_still_evaluates():
     # epsilon inside the boundary: the arccos argument may graze -1 and is
     # clamped rather than rejected
     eps = 1e-14
-    ang = inner_angles(np.array([2.0 - eps, 1.0, 1.0]), EUC)
+    ang = row_angles(np.array([2.0 - eps, 1.0, 1.0]), EUC)
     assert np.isfinite(ang).all()
     assert ang[0] == pytest.approx(np.pi, abs=1e-6)
 
@@ -207,35 +222,37 @@ def test_inadmissible_face_rejected():
     from idcurv.errors import AdmissibilityError
 
     with pytest.raises(AdmissibilityError):
-        inner_angles(np.array([2.5, 1.0, 1.0]), EUC)
+        row_angles(np.array([2.5, 1.0, 1.0]), EUC)
 
 
-def test_extended_angles_constant_outside():
-    ext = extended_angles(np.array([3.0, 1.0, 1.0]), EUC)
+def test_extension_constant_outside():
+    ext = row_angles(np.array([3.0, 1.0, 1.0]), EUC, extended=True)
     np.testing.assert_array_equal(ext, [np.pi, 0.0, 0.0])
-    ext = extended_angles(np.array([1.0, 1.0, 3.5]), HYP)
+    ext = row_angles(np.array([1.0, 1.0, 3.5]), HYP, extended=True)
     np.testing.assert_array_equal(ext, [0.0, 0.0, np.pi])
     # inside the admissible cone the extension is the plain angle
     inside = np.array([2.0, 2.0, 2.0])
-    np.testing.assert_allclose(extended_angles(inside, EUC), inner_angles(inside, EUC))
+    np.testing.assert_allclose(
+        row_angles(inside, EUC, extended=True), row_angles(inside, EUC)
+    )
 
 
-def test_extended_angles_continuous_at_boundary():
+def test_extension_continuous_at_boundary():
     # approach the degenerate triple (2, 1, 1) from the admissible side:
     # the apex cosine is -1 + O(eps), so the apex angle is pi - O(sqrt(eps))
     for geom in (EUC, HYP):
         for eps in (1e-4, 1e-6, 1e-8):
-            ang = extended_angles(np.array([2.0 - eps, 1.0, 1.0]), geom)
+            ang = row_angles(np.array([2.0 - eps, 1.0, 1.0]), geom, extended=True)
             assert abs(ang[0] - np.pi) < 4.0 * math.sqrt(eps)
             assert ang[1] < 4.0 * math.sqrt(eps)
-        at = extended_angles(np.array([2.0, 1.0, 1.0]), geom)
+        at = row_angles(np.array([2.0, 1.0, 1.0]), geom, extended=True)
         np.testing.assert_array_equal(at, [np.pi, 0.0, 0.0])
 
 
 def test_exact_degeneracy_uses_the_extension():
     # 2*max == perimeter counts as degenerate (the admissible cone is open)
     np.testing.assert_array_equal(
-        extended_angles(np.array([3.0, 2.0, 1.0]), EUC), [np.pi, 0.0, 0.0]
+        row_angles(np.array([3.0, 2.0, 1.0]), EUC, extended=True), [np.pi, 0.0, 0.0]
     )
 
 
@@ -251,9 +268,9 @@ def test_hyperbolic_angle_vanishes_at_large_radius():
         ]
     )
     # the true angle is ~e^{-2 r_i}, far below double resolution of arccos
-    theta = inner_angles(lengths, HYP)[0]
+    theta = row_angles(lengths, HYP)[0]
     assert 0.0 <= theta < 1e-3
-    assert extended_angles(lengths, HYP)[0] < 1e-3
+    assert row_angles(lengths, HYP, extended=True)[0] < 1e-3
 
 
 # -- areas ------------------------------------------------------------------------
@@ -265,14 +282,14 @@ def test_hyperbolic_area_of_equilateral():
         math.sinh(side) * math.sinh(side)
     )
     expect = np.pi - 3.0 * math.acos(cos_angle)
-    got = hyperbolic_triangle_area(inner_angles(np.full(3, side), HYP))
+    got = np.pi - row_angles(np.full(3, side), HYP).sum()
     assert got == pytest.approx(expect, rel=1e-14)
 
 
 def test_total_area_accumulates_faces(csaszar_hyp):
     r = np.full(7, 0.4)
     fl = face_lengths(csaszar_hyp, r)
-    per_face = [hyperbolic_triangle_area(inner_angles(fl[f], HYP)) for f in range(14)]
+    per_face = [np.pi - row_angles(fl[f], HYP).sum() for f in range(14)]
     assert total_area(csaszar_hyp, r) == pytest.approx(sum(per_face), rel=1e-13)
 
 

@@ -28,7 +28,6 @@ def query(tri, r0, r, **kw):
     return PotentialQuery(
         u0=u_of_r(np.asarray(r0, float), tri.geometry),
         u=u_of_r(np.asarray(r, float), tri.geometry),
-        geometry=tri.geometry,
         **kw,
     )
 
@@ -58,15 +57,10 @@ def test_translation_invariance_average_target(csaszar_euc, rng):
     r0 = np.full(7, 1.0)
     r = sample_admissible(csaszar_euc, rng, spread=0.3)
     u = u_of_r(r, csaszar_euc.geometry)
-    base = PotentialQuery(
-        u0=u_of_r(r0, csaszar_euc.geometry), u=u, target="average",
-        geometry=csaszar_euc.geometry,
-    )
+    base = PotentialQuery(u0=u_of_r(r0, csaszar_euc.geometry), u=u, target="average")
     ref = potential_value(csaszar_euc, base, extended=True)
     for t in (-1.0, 0.5, 2.0):
-        shifted = PotentialQuery(
-            u0=base.u0, u=u + t, target="average", geometry=csaszar_euc.geometry
-        )
+        shifted = PotentialQuery(u0=base.u0, u=u + t, target="average")
         val = potential_value(csaszar_euc, shifted, extended=True)
         assert abs(val - ref) < 1e-8
 
@@ -78,14 +72,6 @@ def test_segment_must_stay_admissible_without_extension(tetra_euc):
     # the extension integrates through the degenerate region
     val = potential_value(tetra_euc, q, extended=True)
     assert np.isfinite(val)
-
-
-def test_geometry_mismatch_rejected(tetra_euc):
-    from idcurv import Geometry
-
-    q = PotentialQuery(u0=-np.ones(4), u=-np.ones(4), geometry=Geometry.HYPERBOLIC)
-    with pytest.raises(ValueError, match="geometry"):
-        potential_value(tetra_euc, q)
 
 
 # -- gradient ------------------------------------------------------------------------
@@ -110,8 +96,8 @@ def test_gradient_matches_finite_differences(csaszar_euc, rng):
     for i in range(7):
         e = np.zeros(7)
         e[i] = step
-        plus = PotentialQuery(u0=q.u0, u=u + e, target=-0.3, geometry=q.geometry)
-        minus = PotentialQuery(u0=q.u0, u=u - e, target=-0.3, geometry=q.geometry)
+        plus = PotentialQuery(u0=q.u0, u=u + e, target=-0.3)
+        minus = PotentialQuery(u0=q.u0, u=u - e, target=-0.3)
         fd = (
             potential_value(csaszar_euc, plus) - potential_value(csaszar_euc, minus)
         ) / (2.0 * step)
@@ -221,9 +207,7 @@ def test_potential_monotone_along_extended_flow(csaszar_i2):
     us = [u_of_r(row, csaszar_i2.geometry) for row in trace.radii]
     values = [0.0]
     for ua, ub in zip(us[:-1], us[1:]):
-        q = PotentialQuery(
-            u0=ua, u=ub, target="average", geometry=csaszar_i2.geometry
-        )
+        q = PotentialQuery(u0=ua, u=ub, target="average")
         values.append(values[-1] + potential_value(csaszar_i2, q, extended=True))
     diffs = np.diff(values)
     assert np.all(diffs <= 1e-8)
