@@ -5,9 +5,11 @@ angles; R_i = K_i / s_i^2; the alpha variant divides by s_i^alpha instead.
 
 The Jacobian L = dK/du is taken in u_i = ln s_i^2 coordinates, in which it is
 symmetric: positive semidefinite with kernel spanned by the all-ones vector in
-the Euclidean case, positive definite in the hyperbolic case. The alpha flow
-material uses u_i = ln s_i instead, which doubles the matrix; operations that
-care accept a `convention` argument.
+the Euclidean case, positive definite in the hyperbolic case. It is assembled
+as a sparse CSR matrix from one 3x3 block per face (about 7N stored entries);
+only the full Laplacian spectrum densifies it. The alpha flow material uses
+u_i = ln s_i instead, which doubles the matrix; operations that care accept a
+`convention` argument.
 """
 
 from __future__ import annotations
@@ -40,8 +42,19 @@ class CurvatureField:
 
 @dataclasses.dataclass(frozen=True)
 class CurvatureJacobian:
-    matrix: np.ndarray
+    """L = dK/du as a `scipy.sparse.csr_array` with one 3x3 block per face summed in.
+
+    `matrix` is a dense copy of `sparse`, O(N^2) in time and memory, meant for
+    small meshes and tests.
+    """
+
+    sparse: object  # scipy.sparse.csr_array
     geometry: Geometry
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense N x N copy of `sparse`; O(N^2), for small meshes and tests."""
+        return self.sparse.toarray()
 
 
 def angle_deficits(tri, r, extended=False):
@@ -139,7 +152,14 @@ def _length_u_derivatives(tri, r, fl, hyperbolic):
 
 
 def curvature_jacobian(tri, r) -> CurvatureJacobian:
-    """L = dK/du assembled analytically face by face (u = ln s^2)."""
+    """L = dK/du assembled analytically face by face (u = ln s^2), as sparse CSR.
+
+    Raises ConditioningError when a face is within JACOBIAN_SLACK of
+    degeneracy or when a face block is not finite.
+    """
+    # imported here, not at module top: it adds ~2.3 MB RSS to flow-only CLI runs
+    import scipy.sparse
+
     r = np.asarray(r, dtype=float)
     fl = geometry.face_lengths(tri, r)
     slack = geometry.triangle_slack(fl)
@@ -151,17 +171,25 @@ def curvature_jacobian(tri, r) -> CurvatureJacobian:
         )
     hyperbolic = tri.geometry is Geometry.HYPERBOLIC
     theta = geometry.corner_angles(tri, r).angles
-    D = _angle_length_derivatives(fl, theta, hyperbolic)
-    E = _length_u_derivatives(tri, r, fl, hyperbolic)
-    per_face = np.einsum("fae,fev->fav", D, E)
+    with np.errstate(all="ignore"):
+        D = _angle_length_derivatives(fl, theta, hyperbolic)
+        E = _length_u_derivatives(tri, r, fl, hyperbolic)
+        per_face = np.einsum("fae,fev->fav", D, E)
+    finite = np.isfinite(per_face).all(axis=(1, 2))
+    if not finite.all():
+        worst = int(np.argmin(finite))
+        raise ConditioningError(
+            f"face {worst} has a non-finite angle derivative; its angles or "
+            "hyperbolic side terms underflow or overflow at these radii"
+        )
 
     N = tri.vertex_count
-    L = np.zeros((N, N))
     F = len(tri.faces)
     rows = np.broadcast_to(tri.faces[:, :, None], (F, 3, 3)).ravel()
     cols = np.broadcast_to(tri.faces[:, None, :], (F, 3, 3)).ravel()
-    np.add.at(L, (rows, cols), -per_face.ravel())
-    return CurvatureJacobian(matrix=L, geometry=tri.geometry)
+    # COO -> CSR sums the duplicate (row, col) pairs of neighbouring faces
+    L = scipy.sparse.coo_array((-per_face.ravel(), (rows, cols)), shape=(N, N)).tocsr()
+    return CurvatureJacobian(sparse=L, geometry=tri.geometry)
 
 
 # -- Laplacian --------------------------------------------------------------------
@@ -184,9 +212,9 @@ def laplacian_apply(tri, r, f, alpha=2.0, convention="log_s2"):
         raise ValueError("the Laplacian here is defined for Euclidean surfaces only")
     r = np.asarray(r, dtype=float)
     f = np.asarray(f, dtype=float)
-    L = curvature_jacobian(tri, r).matrix * _convention_factor(convention)
+    L = curvature_jacobian(tri, r).sparse
     s = geometry.s_of_r(r, tri.geometry)
-    return -(L @ f) / s**alpha
+    return -_convention_factor(convention) * (L @ f) / s**alpha
 
 
 def laplacian_spectrum(tri, r, return_vectors=False):
@@ -197,11 +225,15 @@ def laplacian_spectrum(tri, r, return_vectors=False):
     """
     if tri.geometry is not Geometry.EUCLIDEAN:
         raise ValueError("the Laplacian spectrum here is Euclidean only")
+    import scipy.sparse
+
     r = np.asarray(r, dtype=float)
-    L = curvature_jacobian(tri, r).matrix
+    L = curvature_jacobian(tri, r).sparse
     s = geometry.s_of_r(r, tri.geometry)
-    lam = L / np.outer(s, s)
-    sym = 0.5 * (lam + lam.T)
+    scale = scipy.sparse.diags_array(1.0 / s)
+    lam = scale @ L @ scale
+    # the full spectrum is the contract, so the one dense copy is made here
+    sym = (0.5 * (lam + lam.T)).toarray()
     if return_vectors:
         values, vectors = scipy.linalg.eigh(sym)
         return values, vectors

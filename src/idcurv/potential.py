@@ -14,6 +14,7 @@ L - (alpha/2) diag(T s^alpha).
 from __future__ import annotations
 
 import dataclasses
+import logging
 import warnings
 
 import numpy as np
@@ -32,6 +33,8 @@ GRAD_TOL = 1e-11
 MAX_NEWTON_ITERATIONS = 200
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+log = logging.getLogger("idcurv.potential")
 
 
 @dataclasses.dataclass
@@ -137,21 +140,30 @@ def potential_gradient(tri, u, query: PotentialQuery, extended=False):
 
 
 def _hessian(tri, r, target, alpha):
-    """Hessian of the potential at r for a fixed target: L - (alpha/2) diag(T s^alpha)."""
-    L = curvature_jacobian(tri, r).matrix
+    """Sparse Hessian of the potential at r for a fixed target: L - (alpha/2) diag(T s^alpha)."""
+    import scipy.sparse  # lazy, as in curvature_jacobian
+
+    L = curvature_jacobian(tri, r).sparse
     s = geometry.s_of_r(r, tri.geometry)
     T = np.broadcast_to(np.asarray(target, dtype=float), (tri.vertex_count,))
-    return L - 0.5 * alpha * np.diag(T * s**alpha)
+    return L - scipy.sparse.diags_array(0.5 * alpha * T * s**alpha)
 
 
 def newton_solve(tri, r_init, target, alpha=2.0, tol=GRAD_TOL,
                  max_iterations=MAX_NEWTON_ITERATIONS) -> PackingMetric:
     """Solve K_i = T_i s_i^alpha by damped Newton descent in u-coordinates.
 
-    The Euclidean problem with alpha * target identically zero has the scale
-    direction in the Hessian kernel; those solves are gauge-fixed on the slice
-    sum(u) = const by a rank-one regularization plus projection of each step.
+    Each step solves with a sparse LU factorization (`splu`) of the sparse
+    Hessian. The Euclidean problem with alpha * target identically zero has
+    the scale direction in the Hessian kernel; those steps are gauge-fixed on
+    the slice sum(u) = const by bordering the system with the all-ones
+    constraint, [[H, 1], [1^T, 0]]. Every accepted step is logged at DEBUG
+    level to "idcurv.potential".
     """
+    # imported here, not at module top, as in curvature_jacobian
+    import scipy.sparse
+    import scipy.sparse.linalg
+
     target = np.broadcast_to(np.asarray(target, dtype=float), (tri.vertex_count,)).copy()
     alpha = float(alpha)
     if np.any(alpha * target > 0.0):
@@ -172,26 +184,33 @@ def newton_solve(tri, r_init, target, alpha=2.0, tol=GRAD_TOL,
         return _one_form(tri, u_pt, target, alpha, extended=False)
 
     g = gradient(u)
-    for _ in range(max_iterations):
+    for iteration in range(max_iterations):
         norm = float(np.max(np.abs(g)))
         if norm < tol:
             return PackingMetric(geometry.r_of_u(u, tri.geometry), tri.geometry)
         H = _hessian(tri, geometry.r_of_u(u, tri.geometry), target, alpha)
+        rhs = -g
         if singular:
             # kernel is the all-ones direction; pin the scale slice sum(u) = const
-            gauge = max(1.0, float(np.trace(H)) / n)
-            H = H + (gauge / n) * np.ones((n, n))
+            ones = np.ones((n, 1))
+            H = scipy.sparse.block_array([[H, ones], [ones.T, None]])
+            rhs = np.append(rhs, 0.0)
         try:
-            delta = np.linalg.solve(H, -g)
-        except np.linalg.LinAlgError as exc:
+            # threshold pivoting (not partial, 1.0) keeps the fill-reducing order on
+            # the bordered system; partial pivoting gives 3.6x the fill at N = 10^4
+            lu = scipy.sparse.linalg.splu(
+                H.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1
+            )
+        except RuntimeError as exc:  # "Factor is exactly singular"
             raise SolverError(f"singular Hessian: {exc}") from exc
-        if singular:
-            delta = delta - delta.mean()
+        delta = lu.solve(rhs)[:n]
 
         phi = float(g @ g)
         lam = 1.0
+        trials = 0
         accepted = False
         while lam >= 2.0**-60:
+            trials += 1
             u_try = u + lam * delta
             try:
                 r_try = geometry.r_of_u(u_try, tri.geometry)
@@ -209,6 +228,10 @@ def newton_solve(tri, r_init, target, alpha=2.0, tol=GRAD_TOL,
                 f"line search stalled at gradient norm {norm:.3e}; "
                 "the iterate is pinned near the admissibility boundary"
             )
+        log.debug(
+            "newton iteration %d: max|g| %.3e, step %.3g after %d line-search trials",
+            iteration, norm, lam, trials,
+        )
     raise SolverError(
         f"no convergence in {max_iterations} iterations "
         f"(gradient norm {float(np.max(np.abs(g))):.3e})"
@@ -228,7 +251,7 @@ class ConvexityReport:
 def convexity_report(tri, r, target, alpha=2.0) -> ConvexityReport:
     """Eigen-structure of the potential Hessian at r for a fixed target."""
     r = np.asarray(r, dtype=float)
-    H = _hessian(tri, r, target, alpha)
+    H = _hessian(tri, r, target, alpha).toarray()
     H = 0.5 * (H + H.T)
     values, vectors = scipy.linalg.eigh(H)
     scale = max(1.0, float(np.max(np.abs(values))))

@@ -1,4 +1,6 @@
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,13 +16,17 @@ from idcurv import (
     gauss_bonnet_residual,
     laplacian_apply,
     laplacian_spectrum,
+    load_surface,
     s_of_r,
     tetrahedron,
 )
+from idcurv.curvature import _angle_length_derivatives, _length_u_derivatives
+from idcurv.geometry import corner_angles, face_lengths
 
 from conftest import fd_jacobian, sample_admissible
 
 TWO_PI = 2.0 * np.pi
+MESHES = Path(__file__).resolve().parent.parent / "meshes"
 
 
 # -- curvature values ---------------------------------------------------------------
@@ -155,6 +161,50 @@ def test_hyperbolic_jacobian_positive_definite(tetra_hyp, csaszar_hyp, rng):
             L = curvature_jacobian(tri, r).matrix
             w = np.linalg.eigvalsh(0.5 * (L + L.T))
             assert w.min() > 0.0
+
+
+def dense_reference_jacobian(tri, r):
+    """L = dK/du scattered face by face into a dense N x N array with np.add.at."""
+    fl = face_lengths(tri, r)
+    hyperbolic = tri.geometry is Geometry.HYPERBOLIC
+    D = _angle_length_derivatives(fl, corner_angles(tri, r).angles, hyperbolic)
+    E = _length_u_derivatives(tri, r, fl, hyperbolic)
+    per_face = np.einsum("fae,fev->fav", D, E)
+    N = tri.vertex_count
+    F = len(tri.faces)
+    L = np.zeros((N, N))
+    rows = np.broadcast_to(tri.faces[:, :, None], (F, 3, 3)).ravel()
+    cols = np.broadcast_to(tri.faces[:, None, :], (F, 3, 3)).ravel()
+    np.add.at(L, (rows, cols), -per_face.ravel())
+    return L
+
+
+def test_sparse_jacobian_matches_dense_assembly(
+    tetra_euc, csaszar_euc, csaszar_i2, csaszar_hyp, rng
+):
+    for tri in (tetra_euc, csaszar_euc, csaszar_i2, csaszar_hyp):
+        scale = 1.0 if tri.geometry is Geometry.EUCLIDEAN else 0.6
+        for _ in range(5):
+            r = sample_admissible(tri, rng, spread=0.3, scale=scale)
+            jac = curvature_jacobian(tri, r)
+            dense = jac.sparse.toarray()
+            np.testing.assert_allclose(
+                dense, dense_reference_jacobian(tri, r), rtol=0.0, atol=1e-14
+            )
+            np.testing.assert_array_equal(jac.matrix, dense)
+
+
+@pytest.mark.parametrize("radius", [30.0, 300.0])
+def test_jacobian_refuses_non_finite_blocks(radius):
+    # the deficits are finite (2 pi) here, but the corner angles round to 0
+    # and, at r = 300, the sinh products overflow
+    tri = load_surface(MESHES / "csaszar_hyperbolic.json")
+    r = np.full(7, radius)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_allclose(angle_deficits(tri, r), TWO_PI)
+        with pytest.raises(ConditioningError, match="face 0 has a non-finite"):
+            curvature_jacobian(tri, r)
 
 
 def test_jacobian_refuses_near_degenerate_assembly(tetra_euc):

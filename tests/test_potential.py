@@ -1,9 +1,12 @@
 """Ricci potential: exactness, invariance, Newton solves, convexity."""
 
+import importlib
+import logging
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from conftest import sample_admissible
 
@@ -12,10 +15,14 @@ from idcurv import (
     EventKind,
     FlowKind,
     FlowSpec,
+    Geometry,
     PotentialQuery,
     SolverError,
+    WeightedTriangulation,
+    angle_deficits,
     convexity_report,
     curvature,
+    laplacian_spectrum,
     newton_solve,
     potential_gradient,
     potential_value,
@@ -162,6 +169,57 @@ def test_newton_agrees_with_flow(csaszar_euc, csaszar_hyp):
     assert np.max(np.abs(via_flow.radii - via_newton.radii)) < 1e-7
 
 
+def grid_torus(n, m, geometry):
+    """The n x m grid torus (N = n m, every weight 1), each square cut along a diagonal."""
+    i, j = np.meshgrid(np.arange(n), np.arange(m), indexing="ij")
+    a = i * m + j
+    b = ((i + 1) % n) * m + j
+    c = ((i + 1) % n) * m + (j + 1) % m
+    d = i * m + (j + 1) % m
+    faces = np.concatenate(
+        [np.stack([a, b, c], axis=-1).reshape(-1, 3), np.stack([a, c, d], axis=-1).reshape(-1, 3)]
+    )
+    return WeightedTriangulation(n * m, faces, 1.0, geometry)
+
+
+def test_newton_on_a_144_vertex_torus():
+    rng = np.random.default_rng(144)
+    tri = grid_torus(12, 12, Geometry.EUCLIDEAN)
+    r0 = np.exp(rng.uniform(-0.3, 0.3, tri.vertex_count))
+    flat = newton_solve(tri, r0, target=0.0)
+    assert np.max(np.abs(angle_deficits(tri, flat.radii))) < 1e-9
+    u0, u1 = u_of_r(r0, tri.geometry), u_of_r(flat.radii, tri.geometry)
+    assert abs(u1.sum() - u0.sum()) < 1e-9
+    values = laplacian_spectrum(tri, flat.radii)
+    assert abs(values[0]) < 1e-9
+    assert values[1] > 0.0
+
+    htri = grid_torus(12, 12, Geometry.HYPERBOLIC)
+    packing = 0.5 * np.exp(rng.uniform(-0.3, 0.3, htri.vertex_count))
+    target = angle_deficits(htri, packing)
+    hyp = newton_solve(htri, np.full(htri.vertex_count, 0.5), target, alpha=0.0)
+    assert np.max(np.abs(hyp.radii - packing)) < 1e-8
+
+
+def test_newton_logs_each_iteration(csaszar_euc, caplog):
+    r0 = np.array([1.3, 0.8, 1.1, 1.0, 0.9, 1.2, 0.95])
+    with caplog.at_level(logging.DEBUG, logger="idcurv.potential"):
+        newton_solve(csaszar_euc, r0, target=0.0)
+    records = [rec for rec in caplog.records if rec.name == "idcurv.potential"]
+    assert len(records) >= 2
+    norms = []
+    for k, rec in enumerate(records):
+        assert rec.levelno == logging.DEBUG
+        iteration, norm, step, trials = rec.args
+        assert iteration == k
+        assert 0.0 < step <= 1.0 and trials >= 1
+        assert step == 2.0 ** (1 - trials)
+        norms.append(norm)
+        assert f"newton iteration {k}" in rec.getMessage()
+    assert norms[0] == pytest.approx(np.max(np.abs(angle_deficits(csaszar_euc, r0))))
+    assert norms[-1] < norms[0]
+
+
 def test_newton_iteration_budget(csaszar_euc):
     with pytest.raises(SolverError, match="no convergence in 1"):
         newton_solve(
@@ -170,6 +228,15 @@ def test_newton_iteration_budget(csaszar_euc):
             target=0.0,
             max_iterations=1,
         )
+
+
+def test_newton_singular_hessian_is_a_solver_error(csaszar_hyp, monkeypatch):
+    potential = importlib.import_module("idcurv.potential")
+    monkeypatch.setattr(
+        potential, "_hessian", lambda tri, r, target, alpha: scipy.sparse.csr_array(np.ones((7, 7)))
+    )
+    with pytest.raises(SolverError, match="singular Hessian: Factor is exactly singular"):
+        newton_solve(csaszar_hyp, np.full(7, 0.3), target=0.0, alpha=0.0)
 
 
 def test_newton_rejects_inadmissible_start(tetra_euc):
