@@ -27,10 +27,15 @@ evaluation; it exists only on Euclidean surfaces, so every kind needs a
 prescribed target on a hyperbolic one. Extended kinds run through
 admissibility failures using the constant angle extension.
 
-The stepper is fixed-step RK4 (or Euler) with automatic step halving when a
-step would leave the legal region, plus singularity classification: a radius
-collapsing to zero is an essential singularity, a face degenerating at
-bounded radii is a removable one (genuine kinds only).
+The stepper is fixed-step RK4 (or Euler). Curvature is evaluated once per
+accepted state: the deviation that gives the state's error also seeds the
+next step's first stage, so an RK4 step costs four curvature evaluations.
+When a candidate would leave the legal region the step h halves, with no
+budget, until a legal candidate is found or h would fall below MIN_STEP.
+Then a stall classifier decides what stopped the flow: a radius collapsing
+to zero is an essential singularity, a face degenerating at bounded radii is
+a removable one (genuine kinds only). Removable singularities are also caught
+after each accepted step by the triangle slack.
 """
 
 from __future__ import annotations
@@ -53,7 +58,6 @@ EPS_RADIUS = 1e-8
 RADIUS_CAP = 1e8
 EPS_TRI = 1e-12  # relative slack below which a face counts as degenerate
 MIN_STEP = 1e-14
-MAX_HALVINGS = 20
 
 
 class FlowKind(enum.Enum):
@@ -129,6 +133,8 @@ class FlowSpec:
     def __post_init__(self):
         if self.step <= 0.0 or self.t_max <= 0.0 or self.tol <= 0.0:
             raise ValueError("step, t_max and tol must be positive")
+        if not math.isfinite(self.alpha):
+            raise ValueError("alpha must be finite")
         if self.target is not None:
             target = np.asarray(self.target, dtype=float)
             if not np.all(np.isfinite(target)):
@@ -213,11 +219,11 @@ def flow_rhs(tri, r, spec: FlowSpec):
     """Time derivative of the radii under the requested flow."""
     r = np.asarray(r, dtype=float)
     _check_spec(tri, spec)
-    return _rhs_unchecked(tri, r, spec)
+    return _velocity(tri, r, _deviation(tri, r, spec), spec)
 
 
-def _rhs_unchecked(tri, r, spec):
-    dev = _deviation(tri, r, spec)
+def _velocity(tri, r, dev, spec):
+    """dr/dt from the deviation dev = T - K / s^alpha at r."""
     if tri.geometry is Geometry.EUCLIDEAN:
         factor = r
     else:
@@ -257,7 +263,7 @@ def _propose(tri, r, k1, h, spec):
 def _stage_rhs(tri, r, spec):
     if not np.all(np.isfinite(r)) or np.any(r <= 0.0):
         raise AdmissibilityError("stage radii left the positive cone")
-    return _rhs_unchecked(tri, r, spec)
+    return _velocity(tri, r, _deviation(tri, r, spec), spec)
 
 
 def run_flow(tri, r0, spec: FlowSpec):
@@ -288,7 +294,7 @@ def run_flow(tri, r0, spec: FlowSpec):
     events: list[FlowEvent] = []
 
     def record(t, rr, err, inside):
-        if times and math.isclose(times[-1], t, rel_tol=0.0, abs_tol=1e-300):
+        if times and times[-1] == t:
             return
         times.append(t)
         radii.append(rr.copy())
@@ -310,6 +316,11 @@ def run_flow(tri, r0, spec: FlowSpec):
         )
         return trace, PackingMetric(final_r, tri.geometry)
 
+    def stop(event):
+        record(t, r, err, inside)
+        events.append(event)
+        return finish(r)
+
     if spec.target is not None:
         sign = np.atleast_1d(spec.effective_alpha * spec.target)
         offenders = np.nonzero(sign > 0.0)[0]
@@ -321,50 +332,34 @@ def run_flow(tri, r0, spec: FlowSpec):
     if not inside:
         events.append(FlowEvent(0.0, EventKind.LEFT_ADMISSIBLE, int(bad[0])))
 
+    t = 0.0
     dev = _deviation(tri, r, spec)
     err = float(np.max(np.abs(dev)))
-    record(0.0, r, err, inside)
     if err < spec.tol:
-        events.append(FlowEvent(0.0, EventKind.CONVERGED, None))
-        return finish(r)
+        return stop(FlowEvent(t, EventKind.CONVERGED, None))
+    record(t, r, err, inside)
 
     sample_every = max(1, math.floor(0.1 / spec.step))
-    t = 0.0
     steps = 0
     h_next = spec.step
     while t < spec.t_max * (1.0 - 1e-15):
-        k1 = _rhs_unchecked(tri, r, spec)
+        k1 = _velocity(tri, r, dev, spec)
         h = min(h_next, spec.t_max - t)
-        candidate = None
-        accepted = False
-        floored = False
-        for _ in range(MAX_HALVINGS + 1):
+        while True:
             candidate = _propose(tri, r, k1, h, spec)
             if candidate is not None and _legal(tri, candidate, genuine):
-                accepted = True
                 break
             if h * 0.5 < MIN_STEP:
-                floored = True
-                break
+                event = _classify_stall(tri, r, candidate, k1, h, genuine)
+                if event is None:
+                    record(t, r, err, inside)
+                    trace, _ = finish(r)
+                    raise IntegrationError(
+                        f"step size underflow at t={t:.6g} without a singularity signature",
+                        trace=trace,
+                    )
+                return stop(dataclasses.replace(event, t=t))
             h *= 0.5
-
-        if not accepted:
-            if not floored:
-                # halving budget spent but the floor not reached: keep the
-                # reduced step and retry, so the state can creep up to a wall
-                h_next = h * 0.5
-                continue
-            event = _classify_stall(tri, r, candidate, k1, h, genuine)
-            if event is None:
-                record(t, r, err, inside)
-                trace, _ = finish(r)
-                raise IntegrationError(
-                    f"step size underflow at t={t:.6g} without a singularity signature",
-                    trace=trace,
-                )
-            record(t, r, err, inside)
-            events.append(dataclasses.replace(event, t=t))
-            return finish(r)
 
         h_next = min(spec.step, 2.0 * h)
         r = candidate
@@ -383,30 +378,19 @@ def run_flow(tri, r0, spec: FlowSpec):
                 record(t, r, err, now_inside)
                 inside = now_inside
 
-        if np.min(r) < EPS_RADIUS:
-            record(t, r, err, inside)
-            events.append(
-                FlowEvent(t, EventKind.ESSENTIAL_SINGULARITY, int(np.argmin(r)))
-            )
-            return finish(r)
+        # _legal refused radii below EPS_RADIUS, so a collapsing radius is
+        # reported by _classify_stall, never here
         if genuine:
             slack = geometry.triangle_slack(geometry.face_lengths(tri, r))
             if float(np.min(slack)) < EPS_TRI:
-                record(t, r, err, inside)
-                events.append(
-                    FlowEvent(t, EventKind.REMOVABLE_SINGULARITY, int(np.argmin(slack)))
-                )
-                return finish(r)
+                face = int(np.argmin(slack))
+                return stop(FlowEvent(t, EventKind.REMOVABLE_SINGULARITY, face))
         if err < spec.tol:
-            record(t, r, err, inside)
-            events.append(FlowEvent(t, EventKind.CONVERGED, None))
-            return finish(r)
+            return stop(FlowEvent(t, EventKind.CONVERGED, None))
         if steps % sample_every == 0:
             record(t, r, err, inside)
 
-    record(t, r, err, inside)
-    events.append(FlowEvent(t, EventKind.HORIZON_REACHED, None))
-    return finish(r)
+    return stop(FlowEvent(t, EventKind.HORIZON_REACHED, None))
 
 
 def _classify_stall(tri, r, candidate, k1, h, genuine):
@@ -463,10 +447,9 @@ def check_evolution_identity(tri, r, spec: FlowSpec) -> float:
     s = geometry.s_of_r(r, tri.geometry)
     R = K / s**alpha
     R_av = average_curvature(tri, r, alpha)
-    L = curvature_jacobian(tri, r).matrix
+    L = curvature_jacobian(tri, r).sparse
     u_dot = R_av - R
 
-    jac = c * L / s[:, None] ** alpha - (0.5 * c * alpha) * np.diag(R)
-    lhs = jac @ u_dot
-    rhs = -(c * L @ R) / s**alpha + (0.5 * c * alpha) * R * (R - R_av)
+    lhs = c * (L @ u_dot) / s**alpha - (0.5 * c * alpha) * R * u_dot
+    rhs = -c * (L @ R) / s**alpha + (0.5 * c * alpha) * R * (R - R_av)
     return float(np.max(np.abs(lhs - rhs)))

@@ -166,6 +166,8 @@ def newton_solve(tri, r_init, target, alpha=2.0, tol=GRAD_TOL,
 
     target = np.broadcast_to(np.asarray(target, dtype=float), (tri.vertex_count,)).copy()
     alpha = float(alpha)
+    if not (np.all(np.isfinite(target)) and np.isfinite(alpha)):
+        raise ValueError("target and alpha must be finite")
     if np.any(alpha * target > 0.0):
         warnings.warn(
             "alpha * target is positive somewhere; the potential need not be convex "

@@ -237,6 +237,12 @@ def test_solve_hyperbolic_requires_target(tmp_path, capsys):
     assert np.max(np.abs(np.asarray(values) - 0.3)) < 1e-6
 
 
+def test_solve_nan_target_is_invalid_input(tmp_path, capsys):
+    radii = radii_file(tmp_path, [1.0] * 7)
+    assert main(["solve", CSASZAR, "--radii", radii, "--target", "nan"]) == 2
+    assert "target and alpha must be finite" in capsys.readouterr().err
+
+
 # -- spectrum ------------------------------------------------------------------------
 
 

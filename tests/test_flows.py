@@ -1,5 +1,6 @@
 """Flow integration: right-hand sides, convergence, singularities, traces."""
 
+import importlib
 import json
 import math
 
@@ -95,6 +96,12 @@ def test_spec_validation(tetra_euc, tetra_hyp):
         )
     with pytest.raises(ValueError, match="must be positive"):
         FlowSpec(kind=FlowKind.NORMALIZED_EUCLIDEAN, step=0.0)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_non_finite_alpha_is_refused(alpha):
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        FlowSpec(kind=FlowKind.ALPHA_NORMALIZED, alpha=alpha)
 
 
 # kind -> (pinned geometry, target policy, rate c, uses the alpha power)
@@ -349,6 +356,31 @@ def test_euler_converges_more_slowly(csaszar_euc):
     drift_fast = np.max(np.abs(fast.measure - r0 @ r0))
     drift_slow = np.max(np.abs(slow.measure - r0 @ r0))
     assert drift_fast < drift_slow
+
+
+def test_one_curvature_evaluation_per_state(csaszar_euc, monkeypatch):
+    # the accepted state's deviation seeds the next step's first RK4 stage, so
+    # a step costs three stage evaluations plus the one at the new state
+    flows = importlib.import_module("idcurv.flows")
+    counts = {"evaluations": 0, "accepted": 0}
+    deficits, legal = flows.angle_deficits, flows._legal
+
+    def counting_deficits(*args, **kwargs):
+        counts["evaluations"] += 1
+        return deficits(*args, **kwargs)
+
+    def counting_legal(*args):
+        ok = legal(*args)
+        counts["accepted"] += ok
+        return ok
+
+    monkeypatch.setattr(flows, "angle_deficits", counting_deficits)
+    monkeypatch.setattr(flows, "_legal", counting_legal)
+    r0 = np.array([1.3, 0.8, 1.1, 1.0, 0.9, 1.2, 0.95])
+    trace, _ = run_flow(csaszar_euc, r0, FlowSpec(kind=FlowKind.NORMALIZED_EUCLIDEAN))
+    assert terminal(trace).kind is EventKind.CONVERGED
+    assert counts["accepted"] > 0
+    assert counts["evaluations"] == 4 * counts["accepted"] + 1
 
 
 def test_packing_metric_input(tetra_euc):

@@ -239,6 +239,14 @@ def test_newton_singular_hessian_is_a_solver_error(csaszar_hyp, monkeypatch):
         newton_solve(csaszar_hyp, np.full(7, 0.3), target=0.0, alpha=0.0)
 
 
+@pytest.mark.parametrize(
+    "target, alpha", [(math.nan, 2.0), (math.inf, 2.0), (0.0, math.nan)]
+)
+def test_newton_refuses_non_finite_input(csaszar_euc, target, alpha):
+    with pytest.raises(ValueError, match="target and alpha must be finite"):
+        newton_solve(csaszar_euc, np.ones(7), target, alpha=alpha)
+
+
 def test_newton_rejects_inadmissible_start(tetra_euc):
     with pytest.raises(AdmissibilityError, match="inadmissible"):
         newton_solve(tetra_euc, np.array([1.0, 10.0, 10.0, 10.0]), target=-1.0)
