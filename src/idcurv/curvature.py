@@ -7,9 +7,7 @@ The Jacobian L = dK/du is taken in u_i = ln s_i^2 coordinates, in which it is
 symmetric: positive semidefinite with kernel spanned by the all-ones vector in
 the Euclidean case, positive definite in the hyperbolic case. It is assembled
 as a sparse CSR matrix from one 3x3 block per face (about 7N stored entries);
-only the full Laplacian spectrum densifies it. The alpha flow material uses
-u_i = ln s_i instead, which doubles the matrix; operations that care accept a
-`convention` argument.
+only the full Laplacian spectrum densifies it.
 """
 
 from __future__ import annotations
@@ -25,8 +23,6 @@ from .surface import Geometry, euler_characteristic
 
 TWO_PI = 2.0 * np.pi
 JACOBIAN_SLACK = 1e-10  # minimum relative triangle slack for derivative assembly
-
-CONVENTIONS = ("log_s2", "log_s")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -195,18 +191,10 @@ def curvature_jacobian(tri, r) -> CurvatureJacobian:
 # -- Laplacian --------------------------------------------------------------------
 
 
-def _convention_factor(convention):
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}; use one of {CONVENTIONS}")
-    return 1.0 if convention == "log_s2" else 2.0
+def laplacian_apply(tri, r, f, alpha=2.0):
+    """(Delta f)_i = (1 / s_i^alpha) sum_j (-L_ij) f_j.
 
-
-def laplacian_apply(tri, r, f, alpha=2.0, convention="log_s2"):
-    """(Delta f)_i = (1 / s_i^alpha) sum_j (-L'_ij) f_j.
-
-    L' is the curvature Jacobian in the requested coordinate convention:
-    ln s^2 (default) or ln s (the alpha-flow convention, giving 2L).
-    Euclidean surfaces only.
+    L is the curvature Jacobian in u = ln s^2. Euclidean surfaces only.
     """
     if tri.geometry is not Geometry.EUCLIDEAN:
         raise ValueError("the Laplacian here is defined for Euclidean surfaces only")
@@ -214,7 +202,7 @@ def laplacian_apply(tri, r, f, alpha=2.0, convention="log_s2"):
     f = np.asarray(f, dtype=float)
     L = curvature_jacobian(tri, r).sparse
     s = geometry.s_of_r(r, tri.geometry)
-    return -_convention_factor(convention) * (L @ f) / s**alpha
+    return -(L @ f) / s**alpha
 
 
 def laplacian_spectrum(tri, r, return_vectors=False):

@@ -10,7 +10,7 @@ class TopologyError(ValueError):
 
 
 class WeightError(ValueError):
-    """Edge weights are missing, duplicated, or attached to non-edges."""
+    """Edge weights are missing, duplicated, non-finite, or attached to non-edges."""
 
 
 class AdmissibilityError(ValueError):

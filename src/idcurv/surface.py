@@ -1,8 +1,9 @@
 """Weighted closed triangulations: data model, file ingestion, validation.
 
 A surface is a closed triangulated 2-manifold given purely combinatorially
-(faces as vertex triples), an inversive distance per edge, and a background
-geometry tag. Edges are derived from faces, never listed by the caller.
+(faces as vertex triples), a finite inversive distance per edge, and a
+background geometry tag. Edges are derived from faces, never listed by the
+caller, as one sorted array of keys min(i, j) * N + max(i, j).
 """
 
 from __future__ import annotations
@@ -48,76 +49,92 @@ class WeightReport:
 class WeightedTriangulation:
     """Closed triangulated surface with an inversive distance per edge.
 
-    Validation happens at construction: every edge must lie in exactly two
-    faces, faces must not repeat vertices or each other, the surface must be
-    connected, and every edge must carry a weight.
+    Validation happens at construction: faces must be integer vertex triples
+    that repeat neither a vertex nor each other, every edge must lie in exactly
+    two faces, the surface must be connected, and every weight must be finite.
+    Edge (i, j), i < j, has the key i * N + j; `edges` is the sorted key array
+    split back into pairs, and edge lookups search that array.
     """
 
     def __init__(self, vertex_count, faces, weights, geometry=Geometry.EUCLIDEAN):
         self.vertex_count = int(vertex_count)
         self.geometry = geometry
-        self.faces = np.asarray(faces, dtype=np.int64)
+        faces = np.asarray(faces)
         if self.vertex_count <= 0:
             raise TopologyError("vertex_count must be positive")
-        if self.faces.ndim != 2 or self.faces.shape[1] != 3 or len(self.faces) == 0:
+        if faces.ndim != 2 or faces.shape[1] != 3 or len(faces) == 0:
             raise TopologyError("faces must be a nonempty list of vertex triples")
+        if faces.dtype.kind == "f" and not np.all(np.isfinite(faces) & (faces == np.trunc(faces))):
+            raise TopologyError("face vertex indices must be integers")
+        self.faces = np.asarray(faces, dtype=np.int64)
         if self.faces.min() < 0 or self.faces.max() >= self.vertex_count:
             raise TopologyError("face vertex index out of range")
 
-        self.edges, self.face_edges = self._derive_edges()
+        self._edge_keys, self.edges, self.face_edges = self._derive_edges()
         self.weights = self._resolve_weights(weights)
         self._check_connected()
 
     # -- construction helpers -------------------------------------------------
 
     def _derive_edges(self):
-        seen_faces = set()
-        edge_faces: dict[tuple[int, int], int] = {}
-        for f, (i, j, k) in enumerate(self.faces):
-            if i == j or j == k or i == k:
-                raise TopologyError(f"face {f} repeats a vertex")
-            key = tuple(sorted((int(i), int(j), int(k))))
-            if key in seen_faces:
-                raise TopologyError(f"duplicate face {key}")
-            seen_faces.add(key)
-            for a, b in ((j, k), (i, k), (i, j)):
-                e = (min(int(a), int(b)), max(int(a), int(b)))
-                edge_faces[e] = edge_faces.get(e, 0) + 1
+        n, faces = self.vertex_count, self.faces
+        ordered = np.sort(faces, axis=1)
+        repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+        # a face is a duplicate where it is not the first occurrence of its row
+        _, first, inverse = np.unique(ordered, axis=0, return_index=True, return_inverse=True)
+        bad = np.flatnonzero(repeats | (first[inverse.ravel()] != np.arange(len(faces))))
+        if len(bad):
+            if repeats[bad[0]]:
+                raise TopologyError(f"face {bad[0]} repeats a vertex")
+            raise TopologyError(f"duplicate face {tuple(ordered[bad[0]].tolist())}")
 
-        bad = [e for e, n in edge_faces.items() if n != 2]
-        if bad:
-            e, n = bad[0], edge_faces[bad[0]]
+        # the edge opposite corner c of face (i, j, k): (j, k), (i, k), (i, j)
+        a, b = faces[:, [1, 0, 0]], faces[:, [2, 2, 1]]
+        keys, first, inverse, counts = np.unique(
+            (np.minimum(a, b) * n + np.maximum(a, b)).ravel(),
+            return_index=True, return_inverse=True, return_counts=True,
+        )
+        bad = np.flatnonzero(counts != 2)
+        if len(bad):
+            e = bad[np.argmin(first[bad])]  # first in order of appearance
             raise TopologyError(
-                f"edge {e} lies in {n} face(s); a closed surface needs exactly 2"
+                f"edge {divmod(int(keys[e]), n)} lies in {counts[e]} face(s); "
+                "a closed surface needs exactly 2"
             )
+        return keys, np.stack(np.divmod(keys, n), axis=1), inverse.reshape(faces.shape)
 
-        edges = np.array(sorted(edge_faces), dtype=np.int64)
-        self.edge_index = {tuple(e): idx for idx, e in enumerate(map(tuple, edges.tolist()))}
-        # face_edges[f, c] = index of the edge opposite corner c of face f
-        face_edges = np.empty_like(self.faces)
-        for f, (i, j, k) in enumerate(self.faces.tolist()):
-            face_edges[f, 0] = self.edge_index[(min(j, k), max(j, k))]
-            face_edges[f, 1] = self.edge_index[(min(i, k), max(i, k))]
-            face_edges[f, 2] = self.edge_index[(min(i, j), max(i, j))]
-        return edges, face_edges
+    def _edge_ids(self, a, b):
+        """Index of the edge {a, b} for each pair, or -1 where it is not an edge."""
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        keys = lo * self.vertex_count + hi
+        ids = np.minimum(np.searchsorted(self._edge_keys, keys), len(self._edge_keys) - 1)
+        found = (self._edge_keys[ids] == keys) & (lo >= 0) & (hi < self.vertex_count)
+        return np.where(found, ids, -1)
 
     def _resolve_weights(self, weights):
         if np.isscalar(weights):
-            return np.full(len(self.edges), float(weights))
-        w = np.full(len(self.edges), np.nan)
-        for key, value in dict(weights).items():
-            a, b = int(key[0]), int(key[1])
-            e = (min(a, b), max(a, b))
-            if e not in self.edge_index:
-                raise WeightError(f"weight given for non-edge {e}")
-            idx = self.edge_index[e]
-            if not np.isnan(w[idx]):
+            w = np.full(len(self.edges), float(weights))
+        else:
+            weights = dict(weights)
+            pairs = np.array(list(weights), dtype=np.int64).reshape(-1, 2)
+            ids = self._edge_ids(pairs[:, 0], pairs[:, 1])
+            _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+            bad = np.flatnonzero((ids < 0) | (first[inverse] != np.arange(len(ids))))
+            if len(bad):
+                e = tuple(sorted(pairs[bad[0]].tolist()))
+                if ids[bad[0]] < 0:
+                    raise WeightError(f"weight given for non-edge {e}")
                 raise WeightError(f"duplicate weight for edge {e}")
-            w[idx] = float(value)
-        missing = np.nonzero(np.isnan(w))[0]
-        if len(missing):
-            e = tuple(self.edges[missing[0]])
-            raise WeightError(f"missing weight for edge {e}")
+            missing = np.setdiff1d(np.arange(len(self.edges)), ids)
+            if len(missing):
+                e = tuple(self.edges[missing[0]].tolist())
+                raise WeightError(f"missing weight for edge {e}")
+            w = np.empty(len(self.edges))
+            w[ids] = np.array(list(weights.values()), dtype=float)
+        if not np.isfinite(w).all():
+            e = np.argmin(np.isfinite(w))
+            i, j = self.edges[e].tolist()
+            raise WeightError(f"weight {w[e]} for edge {(i, j)} is not finite")
         return w
 
     def _check_connected(self):
@@ -148,7 +165,10 @@ class WeightedTriangulation:
         return len(self.faces)
 
     def weight_of(self, i, j):
-        return float(self.weights[self.edge_index[(min(i, j), max(i, j))]])
+        e = self._edge_ids(i, j)
+        if e < 0:
+            raise KeyError((min(i, j), max(i, j)))
+        return float(self.weights[e])
 
     def face_weights(self):
         """Per-face weights aligned with face_edges: column c is the weight of
@@ -174,27 +194,19 @@ def validate_weights(tri: WeightedTriangulation, regime=WeightRegime.NONNEGATIVE
     SIGNED: every I_ij > -1, and on every face (i,j,k) the three combinations
     I_ij + I_ik*I_jk, I_ik + I_ij*I_jk, I_jk + I_ij*I_ik are all >= 0.
     """
-    failures = []
+    edges, w = list(map(tuple, tri.edges.tolist())), tri.weights
     if regime is WeightRegime.NONNEGATIVE:
-        for e, w in zip(tri.edges.tolist(), tri.weights):
-            if not w >= 0.0:
-                failures.append(f"edge {tuple(e)}: weight {w} < 0")
+        failures = [f"edge {edges[e]}: weight {w[e]} < 0" for e in np.flatnonzero(~(w >= 0))]
     elif regime is WeightRegime.SIGNED:
-        for e, w in zip(tri.edges.tolist(), tri.weights):
-            if not w > -1.0:
-                failures.append(f"edge {tuple(e)}: weight {w} <= -1")
+        failures = [f"edge {edges[e]}: weight {w[e]} <= -1" for e in np.flatnonzero(~(w > -1))]
         fw = tri.face_weights()
-        for f in range(tri.face_count):
-            w0, w1, w2 = fw[f]
-            for combo, label in (
-                (w0 + w1 * w2, "I_jk + I_ik*I_ij"),
-                (w1 + w0 * w2, "I_ik + I_jk*I_ij"),
-                (w2 + w0 * w1, "I_ij + I_jk*I_ik"),
-            ):
-                if not combo >= 0.0:
-                    failures.append(
-                        f"face {tuple(tri.faces[f].tolist())}: {label} = {combo} < 0"
-                    )
+        # column c: the weight opposite corner c plus the product of the other two
+        combos = fw + fw[:, [1, 0, 0]] * fw[:, [2, 2, 1]]
+        labels = ("I_jk + I_ik*I_ij", "I_ik + I_jk*I_ij", "I_ij + I_jk*I_ik")
+        failures += [
+            f"face {tuple(tri.faces[f].tolist())}: {labels[c]} = {combos[f, c]} < 0"
+            for f, c in zip(*np.nonzero(~(combos >= 0.0)))
+        ]
     else:
         raise ValueError(f"unknown regime {regime!r}")
     return WeightReport(regime=regime, passed=not failures, failures=tuple(failures))

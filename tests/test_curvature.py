@@ -257,16 +257,6 @@ def test_laplacian_against_finite_differences(tetra_euc):
     np.testing.assert_allclose(got, expect, atol=1e-9)
 
 
-def test_laplacian_convention_factor(csaszar_euc, rng):
-    r = sample_admissible(csaszar_euc, rng)
-    f = rng.standard_normal(7)
-    base = laplacian_apply(csaszar_euc, r, f, convention="log_s2")
-    doubled = laplacian_apply(csaszar_euc, r, f, convention="log_s")
-    np.testing.assert_allclose(doubled, 2.0 * base, rtol=1e-13)
-    with pytest.raises(ValueError):
-        laplacian_apply(csaszar_euc, r, f, convention="bogus")
-
-
 def test_laplacian_requires_euclidean(csaszar_hyp):
     with pytest.raises(ValueError):
         laplacian_apply(csaszar_hyp, np.full(7, 0.5), np.ones(7))

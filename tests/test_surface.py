@@ -231,3 +231,163 @@ def test_construction_is_deterministic():
     b = csaszar_torus()
     np.testing.assert_array_equal(a.edges, b.edges)
     np.testing.assert_array_equal(a.face_edges, b.face_edges)
+
+
+# -- the sorted-key builder against the loop derivation it replaced -------------
+
+
+def reference_derivation(vertex_count, faces, weights):
+    """edges, face_edges and weights by the original per-face loops."""
+    edge_faces = {}
+    for i, j, k in faces:
+        for a, b in ((j, k), (i, k), (i, j)):
+            e = (min(a, b), max(a, b))
+            edge_faces[e] = edge_faces.get(e, 0) + 1
+    assert all(n == 2 for n in edge_faces.values())
+    edges = np.array(sorted(edge_faces), dtype=np.int64)
+    edge_index = {e: idx for idx, e in enumerate(map(tuple, edges.tolist()))}
+    face_edges = np.empty((len(faces), 3), dtype=np.int64)
+    for f, (i, j, k) in enumerate(faces):
+        face_edges[f, 0] = edge_index[(min(j, k), max(j, k))]
+        face_edges[f, 1] = edge_index[(min(i, k), max(i, k))]
+        face_edges[f, 2] = edge_index[(min(i, j), max(i, j))]
+    if np.isscalar(weights):
+        w = np.full(len(edges), float(weights))
+    else:
+        w = np.full(len(edges), np.nan)
+        for (a, b), value in weights.items():
+            w[edge_index[(min(a, b), max(a, b))]] = float(value)
+    return edges, face_edges, w
+
+
+def grid_torus_faces(n, m):
+    """The n x m grid torus, each square split along one diagonal."""
+    faces = []
+    for i in range(n):
+        for j in range(m):
+            a, b = i * m + j, ((i + 1) % n) * m + j
+            c, d = ((i + 1) % n) * m + (j + 1) % m, i * m + (j + 1) % m
+            faces += [(a, b, c), (a, c, d)]
+    return faces
+
+
+def per_edge_weights(vertex_count, faces):
+    """Distinct weights on every edge, every third key given as (j, i)."""
+    edges = reference_derivation(vertex_count, faces, 0.0)[0]
+    return {
+        (j, i) if idx % 3 == 0 else (i, j): 0.5 + 0.01 * idx
+        for idx, (i, j) in enumerate(edges.tolist())
+    }
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "meshes/tetrahedron.json",
+        "meshes/csaszar.json",
+        "meshes/csaszar_i2.json",
+        "meshes/csaszar_hyperbolic.json",
+        (3, 3),
+        (4, 4),
+        (5, 9),
+        (9, 4),
+        "per-edge",
+    ],
+    ids=str,
+)
+def test_edges_match_loop_derivation(case):
+    if isinstance(case, tuple):
+        n, m = case
+        vertex_count, faces, weights = n * m, grid_torus_faces(n, m), 1.0
+    elif case == "per-edge":
+        vertex_count, faces = 30, grid_torus_faces(5, 6)
+        weights = per_edge_weights(vertex_count, faces)
+    else:
+        with open(case, encoding="utf-8") as fh:
+            data = json.load(fh)
+        vertex_count, faces = data["vertex_count"], [tuple(f) for f in data["faces"]]
+        weights = data["weights"]["uniform"]
+    tri = WeightedTriangulation(vertex_count, faces, weights)
+    edges, face_edges, w = reference_derivation(vertex_count, faces, weights)
+    for got, want in ((tri.edges, edges), (tri.face_edges, face_edges), (tri.weights, w)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
+TETRA_WEIGHTS = {(i, j): 1.0 for i in range(4) for j in range(i + 1, 4)}
+# two tetrahedra glued along the edge (0, 1) only: that edge lies in 4 faces
+DOUBLE_TETRA = list(idcurv.TETRA_FACES) + [(0, 1, 4), (0, 1, 5), (0, 4, 5), (1, 4, 5)]
+
+
+@pytest.mark.parametrize(
+    "vertex_count, faces, weights, error, message",
+    [
+        (4, [(0, 1, 2), (0, 1, 1), (2, 3, 3)], 1.0, TopologyError, "face 1 repeats a vertex"),
+        (4, [(0, 1, 2), (0, 1, 3), (2, 1, 0), (1, 1, 3)], 1.0, TopologyError,
+         "duplicate face (0, 1, 2)"),
+        (3, [(0, 1, 2)], 1.0, TopologyError,
+         "edge (1, 2) lies in 1 face(s); a closed surface needs exactly 2"),
+        (6, DOUBLE_TETRA, 1.0, TopologyError,
+         "edge (0, 1) lies in 4 face(s); a closed surface needs exactly 2"),
+        # key 0 * 4 + 7 is the key of the edge (1, 3)
+        (4, idcurv.TETRA_FACES, {**TETRA_WEIGHTS, (7, 0): 1.0, (1, 1): 1.0}, WeightError,
+         "weight given for non-edge (0, 7)"),
+        (4, idcurv.TETRA_FACES, {**TETRA_WEIGHTS, (3, 2): 1.0, (1, 0): 1.0}, WeightError,
+         "duplicate weight for edge (2, 3)"),
+        (4, idcurv.TETRA_FACES, {(2, 3): 1.0, (0, 2): 1.0}, WeightError,
+         "missing weight for edge (0, 1)"),
+        (4, idcurv.TETRA_FACES, float("nan"), WeightError,
+         "weight nan for edge (0, 1) is not finite"),
+        (4, idcurv.TETRA_FACES, float("-inf"), WeightError,
+         "weight -inf for edge (0, 1) is not finite"),
+        (4, idcurv.TETRA_FACES, {**TETRA_WEIGHTS, (1, 3): float("inf")}, WeightError,
+         "weight inf for edge (1, 3) is not finite"),
+        (4, [(0, 1, 2), (0, 1, 3), (0, 2, 3.0), (1, 2, 2.7)], 1.0, TopologyError,
+         "face vertex indices must be integers"),
+        (4, [(0, 1, 2), (0, 1, float("nan")), (0, 2, 3), (1, 2, 3)], 1.0, TopologyError,
+         "face vertex indices must be integers"),
+    ],
+)
+def test_construction_error_messages(vertex_count, faces, weights, error, message):
+    with pytest.raises(error) as info:
+        WeightedTriangulation(vertex_count, faces, weights)
+    assert str(info.value) == message
+
+
+def tetra_mesh_data(weights):
+    return {
+        "geometry": "euclidean",
+        "vertex_count": 4,
+        "faces": [list(f) for f in idcurv.TETRA_FACES],
+        "weights": weights,
+    }
+
+
+def test_mesh_file_nonfinite_weight_rejected(tmp_path):
+    # json writes and reads NaN, so a mesh file can carry one
+    path = tmp_path / "mesh.json"
+    path.write_text(json.dumps(tetra_mesh_data({"uniform": float("nan")})))
+    with pytest.raises(WeightError, match=r"edge \(0, 1\) is not finite"):
+        load_surface(path)
+    entries = [{"edge": [j, i], "value": w} for (i, j), w in TETRA_WEIGHTS.items()]
+    entries[2]["value"] = float("nan")
+    path.write_text(json.dumps(tetra_mesh_data(entries)))
+    with pytest.raises(WeightError, match=r"edge \(0, 3\) is not finite"):
+        load_surface(path)
+
+
+def test_mesh_file_fractional_face_rejected(tmp_path):
+    path = tmp_path / "mesh.json"
+    data = tetra_mesh_data({"uniform": 1.0})
+    data["faces"][3] = [1, 2, 2.7]
+    path.write_text(json.dumps(data))
+    with pytest.raises(TopologyError, match="face vertex indices must be integers"):
+        load_surface(path)
+
+
+def test_weight_of_nonedge_raises_key_error():
+    tri = WeightedTriangulation(4, idcurv.TETRA_FACES, TETRA_WEIGHTS)
+    # keys -1 * 4 + 5 and 0 * 4 + 7 are those of the edges (0, 1) and (1, 3)
+    for i, j in ((0, 0), (-1, 5), (0, 7)):
+        with pytest.raises(KeyError):
+            tri.weight_of(i, j)
