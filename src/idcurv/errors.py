@@ -18,7 +18,7 @@ class AdmissibilityError(ValueError):
 
 
 class DomainError(ValueError):
-    """A trig argument left its domain by more than the clamping tolerance."""
+    """An input lies outside the domain of a formula (a weight below -1, say)."""
 
 
 class ConditioningError(ArithmeticError):

@@ -1,9 +1,11 @@
 """Per-face metric geometry for circle packing metrics.
 
 Radii induce edge lengths through the background geometry; faces carry inner
-angles through the laws of cosines. Everything here is a pure function of its
-arguments. Angles admit a constant extension past triangle-inequality failure:
-pi at the vertex opposite the dominating edge, zero at the other two.
+angles through the tangent half-angle law on the gaps p - l, p the
+semi-perimeter (Kahan, "Miscalculating Area and Angles of a Needle-like
+Triangle"). Everything here is a pure function of its arguments. Angles admit
+a constant extension past triangle-inequality failure: pi at the vertex
+opposite the dominating edge, zero at the other two.
 
 Coordinates: s_i = r_i (Euclidean) or tanh(r_i/2) (hyperbolic); g_i = s_i^2;
 u_i = ln s_i^2. These are always derived from radii, never stored.
@@ -18,8 +20,7 @@ import numpy as np
 from .errors import AdmissibilityError, DomainError
 from .surface import Geometry
 
-CLAMP_TOL = 1e-12  # trig arguments may be clamped only this close to the boundary
-BIG_RADIUS = 350.0  # beyond this, hyperbolic lengths/angles switch to stable forms
+BIG_RADIUS = 350.0  # beyond this, hyperbolic lengths switch to a log-sum-exp form
 
 
 @dataclasses.dataclass(frozen=True)
@@ -100,8 +101,9 @@ def edge_length(r_i, r_j, weight, geometry):
     """Length of one edge. Scalar in, scalar out; arrays broadcast.
 
     Euclidean: sqrt(r_i^2 + r_j^2 + 2 r_i r_j I).
-    Hyperbolic: arccosh(cosh r_i cosh r_j + I sinh r_i sinh r_j), with a
-    log-sum-exp form once either radius exceeds BIG_RADIUS.
+    Hyperbolic: cosh l = cosh r_i cosh r_j + I sinh r_i sinh r_j, evaluated as
+    l = 2 asinh(sqrt(sinh^2((r_i - r_j)/2) + ((1+I)/2) sinh r_i sinh r_j)), and
+    in a log-sum-exp form once either radius exceeds BIG_RADIUS.
     """
     r_i = np.asarray(r_i, dtype=float)
     r_j = np.asarray(r_j, dtype=float)
@@ -126,23 +128,18 @@ def edge_length(r_i, r_j, weight, geometry):
 
 
 def _hyp_length_direct(r_i, r_j, weight):
-    arg = np.cosh(r_i) * np.cosh(r_j) + weight * np.sinh(r_i) * np.sinh(r_j)
-    low = arg < 1.0
-    if np.any(low):
-        if np.any(arg < 1.0 - CLAMP_TOL):
-            raise DomainError(
-                f"arccosh argument {float(np.min(arg))} < 1; "
-                "weights below -1 cannot induce a hyperbolic length"
-            )
-        arg = np.maximum(arg, 1.0)
-    return np.arccosh(arg)
+    # both terms of sinh^2(l/2) are >= 0 whenever I >= -1, so nothing cancels
+    half = np.sinh((r_i - r_j) / 2.0) ** 2 + (0.5 + 0.5 * weight) * np.sinh(r_i) * np.sinh(r_j)
+    if np.any(half < 0.0):
+        raise DomainError("weights below -1 cannot induce a hyperbolic length")
+    return 2.0 * np.arcsinh(np.sqrt(half))
 
 
 def _hyp_length_stable(r_i, r_j, weight):
     # cosh r_i cosh r_j + I sinh r_i sinh r_j
     #   = ((1+I)/4) e^{r_i+r_j} (1 + c (e^{-2 r_i} + e^{-2 r_j}) + e^{-2(r_i+r_j)})
     # with c = (1-I)/(1+I); the bracket is >= (1-e^{-2 r_i})(1-e^{-2 r_j}) > 0.
-    # At these magnitudes arccosh(A) = ln(2A) to double precision.
+    # At these magnitudes acosh(A) = ln(2A) to double precision.
     if np.any(weight <= -1.0):
         raise DomainError("weights must exceed -1 for hyperbolic lengths")
     c = (1.0 - weight) / (1.0 + weight)
@@ -167,13 +164,21 @@ def face_lengths(tri, r):
 # -- admissibility ----------------------------------------------------------------
 
 
-def _degenerate_mask(fl):
-    """Faces where some length is >= the sum of the other two (non-strict).
+def _gaps(fl):
+    """(F, 3) gaps p - l, each to a few ulps and with the exact sign of its
+    triangle inequality: when a gap can be small, the larger other length is
+    within a factor 2 of l, so their difference is exact (Sterbenz)."""
+    lb = fl[:, [1, 2, 0]]
+    lc = fl[:, [2, 0, 1]]
+    return 0.5 * (np.minimum(lb, lc) + (np.maximum(lb, lc) - fl))
+
+
+def _degenerate_mask(g):
+    """Rows of gaps where some length is >= the sum of the other two (non-strict).
 
     Rows holding NaN count as degenerate, since no strict inequality holds.
     """
-    total = fl.sum(axis=1)
-    return ~(2.0 * fl.max(axis=1) < total)
+    return ~(g.min(axis=1) > 0.0)
 
 
 def triangle_slack(lengths):
@@ -192,69 +197,32 @@ def admissible(tri, r):
 
     Returns (ok, violating_face_indices).
     """
-    fl = face_lengths(tri, r)
-    bad = np.nonzero(_degenerate_mask(fl))[0]
+    bad = np.nonzero(_degenerate_mask(_gaps(face_lengths(tri, r))))[0]
     return len(bad) == 0, bad.tolist()
 
 
 # -- angles -----------------------------------------------------------------------
 
 
-def _checked_arccos(cosv, context):
-    bad = np.abs(cosv) > 1.0 + CLAMP_TOL
-    if np.any(bad):
-        worst = float(cosv.flat[np.argmax(np.abs(cosv))])
-        raise DomainError(f"{context}: cosine {worst} outside [-1, 1]")
-    return np.arccos(np.clip(cosv, -1.0, 1.0))
+def _half_angle_law(g, hyperbolic):
+    """Corner angles of strictly admissible rows from their gaps g (others
+    come out NaN or arbitrary): tan(theta_a/2) = rho / g_a with inradius
+    rho^2 = g0 g1 g2 / p (Euclidean), or tanh(rho) / sinh(g_a) with tanh^2 rho
+    = prod sinh(g) / sinh(p) (hyperbolic), here divided through by e^{g_a};
+    the exponents cancel since sum(g) = p, so no length overflows it."""
+    p = g.sum(axis=1)
+    if hyperbolic:
+        q = -np.expm1(-2.0 * g)
+        rho = np.sqrt(q[:, 0] * q[:, 1] * q[:, 2] / -np.expm1(-2.0 * p))
+        return 2.0 * np.arctan2(rho[:, None] * np.exp(-g), q)
+    rho = np.sqrt(g[:, 0] / p * g[:, 1] * g[:, 2])
+    return 2.0 * np.arctan2(rho[:, None], g)
 
 
-def _euclidean_face_angles(fl):
-    l0, l1, l2 = fl[:, 0], fl[:, 1], fl[:, 2]
-    q0, q1, q2 = l0**2, l1**2, l2**2
-    cos0 = (q1 + q2 - q0) / (2.0 * l1 * l2)
-    cos1 = (q0 + q2 - q1) / (2.0 * l0 * l2)
-    cos2 = (q0 + q1 - q2) / (2.0 * l0 * l1)
-    cosv = np.stack([cos0, cos1, cos2], axis=1)
-    return _checked_arccos(cosv, "euclidean angle")
-
-
-def _hyperbolic_face_angles(fl):
-    big = fl.max(axis=1) > BIG_RADIUS
-    out = np.empty_like(fl)
-    if np.any(~big):
-        ch = np.cosh(fl[~big])
-        sh = np.sinh(fl[~big])
-        cols = []
-        for a in range(3):
-            b, c = (a + 1) % 3, (a + 2) % 3
-            cols.append((ch[:, b] * ch[:, c] - ch[:, a]) / (sh[:, b] * sh[:, c]))
-        out[~big] = _checked_arccos(np.stack(cols, axis=1), "hyperbolic angle")
-    if np.any(big):
-        out[big] = _hyperbolic_face_angles_stable(fl[big])
-    return out
-
-
-def _hyperbolic_face_angles_stable(fl):
-    # Write cosh x = e^x (1 + e^{-2x})/2 and sinh x = e^x (1 - e^{-2x})/2:
-    #   cos theta_a = ((1+xb)(1+xc) - 2 e^{a-b-c} (1+xa)) / ((1-xb)(1-xc))
-    # with xk = e^{-2 l_k}. Valid without overflow whenever a < b + c.
-    x = np.exp(-2.0 * fl)
-    cols = []
-    for a in range(3):
-        b, c = (a + 1) % 3, (a + 2) % 3
-        gap = np.exp(fl[:, a] - fl[:, b] - fl[:, c])
-        num = (1.0 + x[:, b]) * (1.0 + x[:, c]) - 2.0 * gap * (1.0 + x[:, a])
-        den = (1.0 - x[:, b]) * (1.0 - x[:, c])
-        cols.append(num / den)
-    return _checked_arccos(np.stack(cols, axis=1), "hyperbolic angle (large length)")
-
-
-def _extension_constants(fl, rows):
+def _extension_constants(g, rows):
     """Extended angles (pi at the corner opposite the dominating edge) for the
-    selected degenerate rows of a (F, 3) length array."""
-    sub = fl[rows]
-    total = sub.sum(axis=1)
-    dominating = (2.0 * sub) >= total[:, None]
+    selected degenerate rows of a (F, 3) gap array."""
+    dominating = g[rows] <= 0.0
     if np.any(dominating.sum(axis=1) != 1):
         raise DomainError(
             "no single edge dominates a degenerate face; lengths are not positive and finite"
@@ -269,21 +237,16 @@ def face_angles(lengths, geometry, extended=False) -> CornerAngles:
     `extended`, every row must be strictly admissible; with it, degenerate
     rows receive the constant extension.
     """
-    fl = np.asarray(lengths, dtype=float)
-    degenerate = _degenerate_mask(fl)
+    g = _gaps(np.asarray(lengths, dtype=float))
+    degenerate = _degenerate_mask(g)
     if np.any(degenerate) and not extended:
         bad = np.nonzero(degenerate)[0].tolist()
         raise AdmissibilityError(f"inadmissible faces {bad}; pass extended=True")
 
-    angles = np.empty_like(fl)
-    good = ~degenerate
-    if np.any(good):
-        if geometry is Geometry.EUCLIDEAN:
-            angles[good] = _euclidean_face_angles(fl[good])
-        else:
-            angles[good] = _hyperbolic_face_angles(fl[good])
+    with np.errstate(invalid="ignore"):
+        angles = _half_angle_law(g, geometry is Geometry.HYPERBOLIC)
     if np.any(degenerate):
-        angles[degenerate] = _extension_constants(fl, degenerate)
+        angles[degenerate] = _extension_constants(g, degenerate)
     return CornerAngles(angles=angles, degenerate=degenerate)
 
 
@@ -296,8 +259,14 @@ def corner_angles(tri, r, extended=False) -> CornerAngles:
 
 
 def total_area(tri, r, extended=False):
-    """Total hyperbolic area; degenerate faces contribute zero under the extension."""
+    """Total hyperbolic area by L'Huilier's formula on the gaps,
+    tan(A/4)^2 = tanh(p/2) prod tanh(g/2), free of the cancellation in
+    pi - sum(theta); degenerate faces contribute zero under the extension."""
     if tri.geometry is not Geometry.HYPERBOLIC:
         raise ValueError("area is defined for hyperbolic surfaces")
-    ca = corner_angles(tri, r, extended=extended)
-    return float(np.sum(np.pi - ca.angles.sum(axis=1)))
+    fl = face_lengths(tri, r)
+    face_angles(fl, tri.geometry, extended)  # raises for faces the extension cannot take
+    g = np.maximum(_gaps(fl), 0.0)
+    t = np.tanh(g / 2.0)
+    tp = np.tanh(g.sum(axis=1) / 2.0)
+    return float(np.sum(4.0 * np.arctan(np.sqrt(tp * t[:, 0] * t[:, 1] * t[:, 2]))))

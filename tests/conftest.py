@@ -10,6 +10,7 @@ from idcurv import (
     u_of_r,
     r_of_u,
     angle_deficits,
+    corner_angles,
 )
 
 
@@ -66,3 +67,38 @@ def fd_jacobian(tri, r, step=1e-6):
         Km = angle_deficits(tri, r_of_u(um, tri.geometry))
         J[:, j] = (Kp - Km) / (2.0 * step)
     return J
+
+
+def fd_jacobian_in_r(tri, r, step=1e-5):
+    """d K / d u from central differences of the incident angle sums in r.
+
+    Each column steps r_j by step * r_j and scales by dr/du = r/2 (Euclidean)
+    or sinh(r)/2 (hyperbolic). Differencing the angle sums rather than K avoids
+    the cancellation in 2 pi - sum, and stepping r rather than u still works
+    where u = ln tanh^2(r/2) rounds to a few ulps of 0 (large hyperbolic r).
+    """
+    def angle_sums(rr):
+        return np.bincount(
+            tri.faces.ravel(),
+            weights=corner_angles(tri, rr).angles.ravel(),
+            minlength=tri.vertex_count,
+        )
+
+    hyperbolic = tri.geometry is Geometry.HYPERBOLIC
+    dr_du = np.sinh(r) / 2.0 if hyperbolic else r / 2.0
+    J = np.empty((tri.vertex_count, tri.vertex_count))
+    for j in range(tri.vertex_count):
+        h = step * r[j]
+        up = r.copy()
+        um = r.copy()
+        up[j] += h
+        um[j] -= h
+        J[:, j] = -(angle_sums(up) - angle_sums(um)) / (2.0 * h) * dr_du[j]
+    return J
+
+
+def assert_rowwise_close(L, J, rtol):
+    """Every row of L within rtol of J, relative to the largest entry of J's row."""
+    err = np.abs(L - J).max(axis=1)
+    scale = np.abs(J).max(axis=1)
+    assert np.all(err <= rtol * scale), (err / scale).max()

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idcurv import (
     ConditioningError,
@@ -19,11 +21,12 @@ from idcurv import (
     load_surface,
     s_of_r,
     tetrahedron,
+    total_area,
 )
 from idcurv.curvature import _angle_length_derivatives, _length_u_derivatives
 from idcurv.geometry import corner_angles, face_lengths
 
-from conftest import fd_jacobian, sample_admissible
+from conftest import assert_rowwise_close, fd_jacobian, fd_jacobian_in_r, sample_admissible
 
 TWO_PI = 2.0 * np.pi
 MESHES = Path(__file__).resolve().parent.parent / "meshes"
@@ -194,10 +197,42 @@ def test_sparse_jacobian_matches_dense_assembly(
             np.testing.assert_array_equal(jac.matrix, dense)
 
 
-@pytest.mark.parametrize("radius", [30.0, 300.0])
+@pytest.mark.parametrize("radius", [19.0, 30.0])
+def test_jacobian_finite_at_large_hyperbolic_radii(radius):
+    # the corner angles are ~1e-8 (r = 19) and ~1e-13 (r = 30), and u rounds
+    # to ~-4e-13 at r = 30, so the reference steps r rather than u
+    tri = load_surface(MESHES / "csaszar_hyperbolic.json")
+    r = np.full(7, radius)
+    L = curvature_jacobian(tri, r).matrix
+    assert np.isfinite(L).all()
+    assert_rowwise_close(L, fd_jacobian_in_r(tri, r), rtol=1e-6)
+
+
+@given(
+    st.sampled_from([Geometry.EUCLIDEAN, Geometry.HYPERBOLIC]),
+    st.floats(min_value=-7.0, max_value=math.log10(30.0)),
+    st.sampled_from([0.0, 1.0, 2.0]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_jacobian_and_area_across_radius_scales(geom, log_scale, weight, seed):
+    # the rounding of the angle sums of row i reaches column j of the reference
+    # scaled by ~e^{r_j - r_i} at large hyperbolic radii, so the radii stay
+    # within e^{+-0.1} of the scale
+    tri = csaszar_torus(weight=weight, geometry=geom)
+    rng = np.random.default_rng(seed)
+    r = sample_admissible(tri, rng, spread=0.1, scale=10.0**log_scale)
+    if geom is Geometry.HYPERBOLIC:
+        assert total_area(tri, r) >= 0.0
+    L = curvature_jacobian(tri, r).matrix
+    assert np.isfinite(L).all()
+    assert_rowwise_close(L, fd_jacobian_in_r(tri, r), rtol=1e-6)
+
+
+@pytest.mark.parametrize("radius", [300.0])
 def test_jacobian_refuses_non_finite_blocks(radius):
-    # the deficits are finite (2 pi) here, but the corner angles round to 0
-    # and, at r = 300, the sinh products overflow
+    # the deficits are finite (2 pi) here, but the sinh products of the angle
+    # and length derivatives overflow
     tri = load_surface(MESHES / "csaszar_hyperbolic.json")
     r = np.full(7, radius)
     with warnings.catch_warnings():

@@ -48,8 +48,8 @@ def test_euclidean_length_oracles():
 
 
 def test_hyperbolic_tangent_circles_add_radii():
-    for a, b in ((1.0, 1.0), (0.3, 2.4), (5.0, 0.01)):
-        assert edge_length(a, b, 1.0, HYP) == pytest.approx(a + b, rel=1e-14)
+    for a, b in ((1.0, 1.0), (0.3, 2.4), (5.0, 0.01), (1e-5, 3e-5)):
+        assert edge_length(a, b, 1.0, HYP) == pytest.approx(a + b, rel=1e-14, abs=0.0)
 
 
 def test_hyperbolic_length_matches_definition():
@@ -186,9 +186,17 @@ def test_right_triangle_angle():
 
 def test_isoceles_apex_angle_formula():
     # apex angle opposite the base b between equal legs a: 2 asin(b / 2a)
-    a, b = 3.0, 4.5
-    ang = row_angles(np.array([b, a, a]), EUC)
-    assert ang[0] == pytest.approx(2.0 * math.asin(b / (2.0 * a)), rel=1e-14)
+    a = 3.0
+    for b in (4.5, 1e-9 * a):
+        ang = row_angles(np.array([b, a, a]), EUC)
+        assert ang[0] == pytest.approx(2.0 * math.asin(b / (2.0 * a)), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("side", [20.0, 40.0, 60.0])
+def test_hyperbolic_equilateral_angle_formula(side):
+    # halving the triangle gives a right triangle: sin(theta/2) = sinh(l/2) / sinh(l)
+    expect = 2.0 * math.asin(1.0 / (2.0 * math.cosh(side / 2.0)))
+    np.testing.assert_allclose(row_angles(np.full(3, side), HYP), expect, rtol=1e-13)
 
 
 def test_euclidean_angles_sum_to_pi():
@@ -210,8 +218,8 @@ def test_hyperbolic_angles_sum_below_pi():
 
 
 def test_near_degenerate_face_still_evaluates():
-    # epsilon inside the boundary: the arccos argument may graze -1 and is
-    # clamped rather than rejected
+    # epsilon inside the boundary: the gap opposite the long side is eps/2,
+    # and the apex still evaluates rather than being rejected
     eps = 1e-14
     ang = row_angles(np.array([2.0 - eps, 1.0, 1.0]), EUC)
     assert np.isfinite(ang).all()
@@ -267,9 +275,10 @@ def test_hyperbolic_angle_vanishes_at_large_radius():
             edge_length(r_i, r_j, w, HYP),
         ]
     )
-    # the true angle is ~e^{-2 r_i}, far below double resolution of arccos
+    # the gap opposite the angle is ~r_i, so the true angle is ~4 tanh(rho) e^{-r_i},
+    # about 3.5e-22: resolved by the half-angle law, where a cosine rounds to 1
     theta = row_angles(lengths, HYP)[0]
-    assert 0.0 <= theta < 1e-3
+    assert 0.0 < theta < 1e-3
     assert row_angles(lengths, HYP, extended=True)[0] < 1e-3
 
 
@@ -291,6 +300,15 @@ def test_total_area_accumulates_faces(csaszar_hyp):
     fl = face_lengths(csaszar_hyp, r)
     per_face = [np.pi - row_angles(fl[f], HYP).sum() for f in range(14)]
     assert total_area(csaszar_hyp, r) == pytest.approx(sum(per_face), rel=1e-13)
+
+
+@pytest.mark.parametrize("radius", [1e-8, 2e-8, 1e-7, 3e-5, 6.5e-5])
+def test_total_area_of_small_tangent_packing(csaszar_hyp, radius):
+    # 14 equilateral faces of side 2r; a hyperbolic equilateral triangle of side
+    # a has area (sqrt(3)/4) a^2 (1 - a^2/8 + O(a^4)), here within 3e-9 relative
+    # of sqrt(3) r^2
+    area = total_area(csaszar_hyp, np.full(7, radius))
+    assert area == pytest.approx(14.0 * math.sqrt(3.0) * radius**2, rel=1e-6, abs=0.0)
 
 
 def test_total_area_euclidean_rejected(csaszar_euc):
