@@ -12,7 +12,7 @@ from .curvature import (
     CurvatureJacobian,
     angle_deficits,
     average_curvature,
-    curvature,
+    curvature_field,
     curvature_jacobian,
     gauss_bonnet_residual,
     laplacian_apply,
@@ -57,7 +57,6 @@ from .geometry import (
 )
 from .potential import (
     ConvexityReport,
-    PotentialQuery,
     convexity_report,
     newton_solve,
     potential_gradient,

@@ -19,7 +19,7 @@ import numpy as np
 from . import tetra
 from .curvature import (
     average_curvature,
-    curvature,
+    curvature_field,
     gauss_bonnet_residual,
     laplacian_spectrum,
 )
@@ -33,7 +33,7 @@ from .errors import (
     WeightError,
 )
 from .flows import EventKind, FlowKind, FlowSpec, run_flow
-from .potential import PotentialQuery, newton_solve, potential_gradient
+from .potential import newton_solve, potential_gradient
 from .surface import (
     WeightRegime,
     euler_characteristic,
@@ -110,7 +110,7 @@ def cmd_validate(args) -> int:
 def cmd_curvature(args) -> int:
     tri = load_surface(args.mesh)
     r = load_radii(args.radii, tri.vertex_count)
-    field = curvature(tri, r, alpha=args.alpha, use_extension=args.extended)
+    field = curvature_field(tri, r, alpha=args.alpha, extended=args.extended)
     lines = ["i,r_i,K_i,R_i,R_alpha_i"]
     for i in range(tri.vertex_count):
         lines.append(
@@ -189,8 +189,7 @@ def cmd_solve(args) -> int:
         # natural default for Euclidean solves; hyperbolic needs --target
         target = average_curvature(tri, r0, alpha=args.alpha)
     metric = newton_solve(tri, r0, target, alpha=args.alpha, tol=args.tol)
-    query = PotentialQuery(u0=metric.u, u=metric.u, target=target, alpha=args.alpha)
-    grad = potential_gradient(tri, metric.u, query)
+    grad = potential_gradient(tri, metric.u, target, args.alpha)
     print("r = " + " ".join(_fmt(v) for v in metric.radii))
     print(f"grad_norm = {_fmt(float(np.max(np.abs(grad))))}")
     if args.out:
@@ -219,7 +218,7 @@ def cmd_example_tetra(args) -> int:
     constants = {}
     for label, x in (("first", 1.0), ("second", root.x0)):
         radii = tetra.TetraFamily(x).radii
-        field = curvature(tri, radii)
+        field = curvature_field(tri, radii)
         spreads[label] = float(np.max(field.R) - np.min(field.R))
         constants[label] = float(np.mean(field.R))
 

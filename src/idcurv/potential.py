@@ -1,10 +1,11 @@
 """Ricci potential: path integration in u-coordinates, Newton, convexity.
 
 The potential F is the line integral of the 1-form sum_i (K_i - T_i s_i^alpha) du_i
-from a base point u0, with T the prescribed curvature (or the running average
-in the Euclidean average mode). The form is closed, so the value is path
-independent inside the admissible region; the extended variant replaces K by
-the constant-extension curvature and is defined on the whole coordinate domain.
+from a base point u0, with T the prescribed curvature, or the running Euclidean
+average curvature when the target is None (as in FlowSpec). The form is closed,
+so the value is path independent inside the admissible region; the extended
+variant replaces K by the constant-extension curvature and is defined on the
+whole coordinate domain.
 
 Everything in this module works in u_i = ln s_i^2 coordinates. In these
 coordinates d(s^alpha)/du = (alpha/2) s^alpha, so the Hessian of F is
@@ -18,7 +19,6 @@ import logging
 import warnings
 
 import numpy as np
-import scipy.linalg
 
 from . import geometry
 from .curvature import angle_deficits, average_curvature, curvature_jacobian
@@ -26,114 +26,65 @@ from .errors import AdmissibilityError, DomainError, QuadratureError, SolverErro
 from .geometry import PackingMetric
 from .surface import Geometry
 
-AVERAGE_TARGET = "average"
 QUAD_TOL = 1e-10
-_MAX_QUAD_DEPTH = 48
 GRAD_TOL = 1e-11
 MAX_NEWTON_ITERATIONS = 200
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 log = logging.getLogger("idcurv.potential")
 
 
-@dataclasses.dataclass
-class PotentialQuery:
-    """A potential evaluation request: integrate from u0 to u.
+def potential_gradient(tri, u, target, alpha=2.0, extended=False):
+    """Gradient of the potential at u, the 1-form coefficients K_i - T_i s_i^alpha.
 
-    target is a per-vertex array, a scalar (broadcast), or the string
-    "average" for the running Euclidean average curvature.
+    target is a scalar, a per-vertex array, or None for the running Euclidean
+    average curvature.
     """
-
-    u0: np.ndarray
-    u: np.ndarray
-    target: object = 0.0
-    alpha: float = 2.0
-
-    def __post_init__(self):
-        self.u0 = np.asarray(self.u0, dtype=float)
-        self.u = np.asarray(self.u, dtype=float)
-
-
-def _resolve_target(tri, target, r, alpha):
-    if isinstance(target, str):
-        if target != AVERAGE_TARGET:
-            raise ValueError(f"unknown target spec {target!r}")
-        return average_curvature(tri, r, alpha)
-    return np.broadcast_to(np.asarray(target, dtype=float), (tri.vertex_count,))
-
-
-def _one_form(tri, u, target, alpha, extended):
-    """Coefficients a_i(u) = K_i - T_i s_i^alpha of the potential 1-form."""
-    r = geometry.r_of_u(u, tri.geometry)
+    r = geometry.r_of_u(np.asarray(u, dtype=float), tri.geometry)
     K = angle_deficits(tri, r, extended=extended)
     s = geometry.s_of_r(r, tri.geometry)
-    T = _resolve_target(tri, target, r, alpha)
+    T = average_curvature(tri, r, alpha) if target is None else np.asarray(target, dtype=float)
     return K - T * s**alpha
 
 
-def _panel(tri, ua, du, left, right, target, alpha, extended):
-    """16-point Gauss-Legendre estimate of the 1-form integral over one panel."""
-    mid = 0.5 * (left + right)
-    half = 0.5 * (right - left)
-    total = 0.0
-    for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
-        tau = mid + half * node
-        a = _one_form(tri, ua + tau * du, target, alpha, extended)
-        total += weight * half * float(a @ du)
-    return total
-
-
 def _segment_integral(tri, ua, ub, target, alpha, extended):
-    """Adaptive Gauss-Legendre integral of the 1-form along ua->ub.
+    """Integral of the 1-form along ua->ub by QUADPACK's adaptive Gauss-Kronrod rule.
 
-    Panels are bisected until the two-half sum agrees with the parent panel;
-    the extension's derivative kinks at the admissibility boundary localize
-    into a geometrically shrinking chain of panels.
+    The extension's derivative kinks at the admissibility boundary are
+    localized by the adaptive bisection.
     """
+    # not at module top: ~20 MB RSS more than scipy.sparse.linalg, and no flow needs it
+    import scipy.integrate
+
     du = ub - ua
     if not np.any(du):
         return 0.0
-
-    def refine(left, right, whole, budget, depth):
-        mid = 0.5 * (left + right)
-        lo = _panel(tri, ua, du, left, mid, target, alpha, extended)
-        hi = _panel(tri, ua, du, mid, right, target, alpha, extended)
-        if abs(lo + hi - whole) < max(budget, 1e-14):
-            return lo + hi
-        if depth >= _MAX_QUAD_DEPTH:
-            raise QuadratureError(
-                "segment quadrature did not settle; the integrand may be singular"
-            )
-        return refine(left, mid, lo, 0.5 * budget, depth + 1) + refine(
-            mid, right, hi, 0.5 * budget, depth + 1
-        )
-
-    return refine(0.0, 1.0, _panel(tri, ua, du, 0.0, 1.0, target, alpha, extended),
-                  QUAD_TOL, 0)
+    result = scipy.integrate.quad(
+        lambda tau: float(potential_gradient(tri, ua + tau * du, target, alpha, extended) @ du),
+        0.0, 1.0, epsabs=QUAD_TOL, epsrel=0.0, full_output=1,
+    )
+    if len(result) > 3:  # (value, abserr, infodict, message) when QUADPACK gives up
+        raise QuadratureError(" ".join(result[3].split()))
+    return result[0]
 
 
-def potential_value(tri, query: PotentialQuery, extended=False, via=()) -> float:
+def potential_value(tri, u0, u, target, alpha=2.0, extended=False, via=()) -> float:
     """F(u) - F(u0) along the straight segment (or a polyline through `via`).
 
-    Non-extended evaluation fails if any quadrature node leaves the admissible
-    region; extended evaluation only needs the coordinates to stay in range.
+    target is as in `potential_gradient`. Non-extended evaluation fails if any
+    quadrature node leaves the admissible region; extended evaluation only
+    needs the coordinates to stay in range.
     """
+    u0 = np.asarray(u0, dtype=float)
     if not extended:
-        r0 = geometry.r_of_u(query.u0, tri.geometry)
+        r0 = geometry.r_of_u(u0, tri.geometry)
         ok, bad = geometry.admissible(tri, r0)
         if not ok:
             raise AdmissibilityError(f"base point is inadmissible (faces {bad})")
-    waypoints = [query.u0, *[np.asarray(v, dtype=float) for v in via], query.u]
+    waypoints = [u0, *[np.asarray(v, dtype=float) for v in via], np.asarray(u, dtype=float)]
     total = 0.0
     for ua, ub in zip(waypoints[:-1], waypoints[1:]):
-        total += _segment_integral(tri, ua, ub, query.target, query.alpha, extended)
+        total += _segment_integral(tri, ua, ub, target, alpha, extended)
     return total
-
-
-def potential_gradient(tri, u, query: PotentialQuery, extended=False):
-    """Gradient of the potential at u: K_i - T_i s_i^alpha."""
-    return _one_form(tri, np.asarray(u, dtype=float), query.target, query.alpha, extended)
 
 
 # -- Newton solver ------------------------------------------------------------------
@@ -160,7 +111,8 @@ def newton_solve(tri, r_init, target, alpha=2.0, tol=GRAD_TOL,
     constraint, [[H, 1], [1^T, 0]]. Every accepted step is logged at DEBUG
     level to "idcurv.potential".
     """
-    # imported here, not at module top, as in curvature_jacobian
+    # imported here, not at module top, as in curvature_jacobian; sparse.linalg
+    # adds ~10 MB RSS on top of scipy.sparse
     import scipy.sparse
     import scipy.sparse.linalg
 
@@ -182,10 +134,7 @@ def newton_solve(tri, r_init, target, alpha=2.0, tol=GRAD_TOL,
     n = tri.vertex_count
     singular = tri.geometry is Geometry.EUCLIDEAN and not np.any(alpha * target != 0.0)
 
-    def gradient(u_pt):
-        return _one_form(tri, u_pt, target, alpha, extended=False)
-
-    g = gradient(u)
+    g = potential_gradient(tri, u, target, alpha)
     for iteration in range(max_iterations):
         norm = float(np.max(np.abs(g)))
         if norm < tol:
@@ -219,7 +168,7 @@ def newton_solve(tri, r_init, target, alpha=2.0, tol=GRAD_TOL,
             except DomainError:
                 r_try = None
             if r_try is not None and geometry.admissible(tri, r_try)[0]:
-                g_try = gradient(u_try)
+                g_try = potential_gradient(tri, u_try, target, alpha)
                 if float(g_try @ g_try) <= (1.0 - 1e-4 * lam) * phi:
                     u, g = u_try, g_try
                     accepted = True
@@ -255,7 +204,7 @@ def convexity_report(tri, r, target, alpha=2.0) -> ConvexityReport:
     r = np.asarray(r, dtype=float)
     H = _hessian(tri, r, target, alpha).toarray()
     H = 0.5 * (H + H.T)
-    values, vectors = scipy.linalg.eigh(H)
+    values, vectors = np.linalg.eigh(H)
     scale = max(1.0, float(np.max(np.abs(values))))
     tol = 1e-9 * scale
     if np.all(values > tol):

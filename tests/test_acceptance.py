@@ -20,14 +20,13 @@ from idcurv import (
     FlowKind,
     FlowSpec,
     Geometry,
-    PotentialQuery,
     TetraFamily,
     X_SUP,
     admissible,
     angle_deficits,
     check_evolution_identity,
     csaszar_torus,
-    curvature,
+    curvature_field,
     curvature_jacobian,
     curvature_residual,
     edge_length,
@@ -66,7 +65,7 @@ def test_01_tetrahedron_carries_two_constant_curvature_metrics():
     first = np.ones(4)
     second = TetraFamily(root.x0).radii
     for radii in (first, second):
-        assert np.ptp(curvature(tri, radii).R) < 1e-9
+        assert np.ptp(curvature_field(tri, radii).R) < 1e-9
 
     # not proportional: the componentwise ratio is far from constant
     assert np.ptp(second / first) > 1.0
@@ -237,36 +236,30 @@ def test_07_potential_exactness_and_invariance():
         u0 = u_of_r(sample_admissible(tri, rng, spread=0.25), tri.geometry)
         u1 = u_of_r(sample_admissible(tri, rng, spread=0.25), tri.geometry)
         mid = u_of_r(sample_admissible(tri, rng, spread=0.25), tri.geometry)
-        q = PotentialQuery(u0=u0, u=u1, target=0.0)
-        straight = potential_value(tri, q)
-        bent = potential_value(tri, q, via=(mid,))
+        straight = potential_value(tri, u0, u1, 0.0)
+        bent = potential_value(tri, u0, u1, 0.0, via=(mid,))
         worst_path = max(worst_path, abs(straight - bent))
         assert worst_path < 1e-8
 
     u0 = u_of_r(np.ones(tri.vertex_count), tri.geometry)
     u = u_of_r(sample_admissible(tri, rng, spread=0.3), tri.geometry)
-    ref = potential_value(
-        tri, PotentialQuery(u0=u0, u=u, target="average"), extended=True
-    )
+    ref = potential_value(tri, u0, u, None, extended=True)
     worst_shift = 0.0
     for t in (-1.0, 0.5, 2.0):
-        val = potential_value(
-            tri, PotentialQuery(u0=u0, u=u + t, target="average"), extended=True
-        )
+        val = potential_value(tri, u0, u + t, None, extended=True)
         worst_shift = max(worst_shift, abs(val - ref))
         assert worst_shift < 1e-8
 
     # gradient against central differences of the line integral
-    q = PotentialQuery(u0=u0, u=u, target=-0.3)
-    grad = potential_gradient(tri, u, q)
+    grad = potential_gradient(tri, u, -0.3)
     step = 1e-5
     worst_grad = 0.0
     for i in range(tri.vertex_count):
         up, um = u.copy(), u.copy()
         up[i] += step
         um[i] -= step
-        fp = potential_value(tri, PotentialQuery(u0=u0, u=up, target=-0.3))
-        fm = potential_value(tri, PotentialQuery(u0=u0, u=um, target=-0.3))
+        fp = potential_value(tri, u0, up, -0.3)
+        fm = potential_value(tri, u0, um, -0.3)
         worst_grad = max(worst_grad, abs((fp - fm) / (2.0 * step) - grad[i]))
     assert worst_grad < 1e-6
     _ok(
@@ -342,7 +335,7 @@ def test_10_hyperbolic_prescribed_curvature_agreement():
     nonpositive = 0
     for _ in range(50):
         cand = np.exp(rng.uniform(-0.5, 0.5, 7)) * rng.uniform(0.5, 3.0)
-        if admissible(tri, cand)[0] and np.all(curvature(tri, cand).R <= 0.0):
+        if admissible(tri, cand)[0] and np.all(curvature_field(tri, cand).R <= 0.0):
             nonpositive += 1
     assert nonpositive == 0
 
@@ -353,7 +346,7 @@ def test_10_hyperbolic_prescribed_curvature_agreement():
     # uses the symmetric packing, whose only unstable direction is the
     # uniform rescaling that a mean-zero perturbation avoids.
     r_hat = np.full(7, 0.3)
-    target = curvature(tri, r_hat).R.copy()
+    target = curvature_field(tri, r_hat).R.copy()
     assert np.all(target > 0.0)
 
     pert = rng.normal(size=7) * 1e-6

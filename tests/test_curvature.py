@@ -13,7 +13,7 @@ from idcurv import (
     angle_deficits,
     average_curvature,
     csaszar_torus,
-    curvature,
+    curvature_field,
     curvature_jacobian,
     gauss_bonnet_residual,
     laplacian_apply,
@@ -32,11 +32,17 @@ TWO_PI = 2.0 * np.pi
 MESHES = Path(__file__).resolve().parent.parent / "meshes"
 
 
+def test_submodule_is_not_shadowed():
+    import idcurv.curvature as module
+
+    assert module.angle_deficits is angle_deficits
+
+
 # -- curvature values ---------------------------------------------------------------
 
 
 def test_unit_tetrahedron_curvature(tetra_euc):
-    field = curvature(tetra_euc, np.ones(4))
+    field = curvature_field(tetra_euc, np.ones(4))
     np.testing.assert_allclose(field.K, np.pi, rtol=1e-15)
     np.testing.assert_allclose(field.R, np.pi, rtol=1e-15)
     np.testing.assert_allclose(field.R_alpha, np.pi, rtol=1e-15)
@@ -44,13 +50,13 @@ def test_unit_tetrahedron_curvature(tetra_euc):
 
 
 def test_unit_csaszar_is_flat(csaszar_euc):
-    field = curvature(csaszar_euc, np.ones(7))
+    field = curvature_field(csaszar_euc, np.ones(7))
     np.testing.assert_allclose(field.K, 0.0, atol=1e-14)
 
 
 def test_alpha_zero_curvature_is_angle_deficit(csaszar_euc, rng):
     r = sample_admissible(csaszar_euc, rng)
-    a = curvature(csaszar_euc, r, alpha=0.0)
+    a = curvature_field(csaszar_euc, r, alpha=0.0)
     np.testing.assert_array_equal(a.K, angle_deficits(csaszar_euc, r))
     np.testing.assert_array_equal(a.R_alpha, a.K)
     assert a.alpha == 0.0
@@ -61,8 +67,8 @@ def test_r_alpha_scaling_law(tetra_euc, rng):
     r = sample_admissible(tetra_euc, rng)
     c = 3.7
     for alpha in (0.0, 1.0, 2.0, 3.0):
-        base = curvature(tetra_euc, r, alpha=alpha)
-        scaled = curvature(tetra_euc, c * r, alpha=alpha)
+        base = curvature_field(tetra_euc, r, alpha=alpha)
+        scaled = curvature_field(tetra_euc, c * r, alpha=alpha)
         np.testing.assert_allclose(scaled.K, base.K, atol=1e-12)
         np.testing.assert_allclose(
             scaled.R_alpha, base.R_alpha / c**alpha, rtol=1e-10
@@ -71,8 +77,8 @@ def test_r_alpha_scaling_law(tetra_euc, rng):
 
 def test_extension_agrees_inside(csaszar_euc, rng):
     r = sample_admissible(csaszar_euc, rng)
-    plain = curvature(csaszar_euc, r)
-    ext = curvature(csaszar_euc, r, use_extension=True)
+    plain = curvature_field(csaszar_euc, r)
+    ext = curvature_field(csaszar_euc, r, extended=True)
     np.testing.assert_array_equal(plain.K, ext.K)
     assert ext.extended
 

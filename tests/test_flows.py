@@ -3,6 +3,10 @@
 import importlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,13 +24,14 @@ from idcurv import (
     average_curvature,
     check_evolution_identity,
     csaszar_torus,
-    curvature,
+    curvature_field,
     flow_rhs,
     run_flow,
 )
 from idcurv import geometry
 from idcurv.flows import TERMINAL_EVENTS
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 VANISH_T = math.log((1.0 + math.pi) / math.pi)  # r^2(t) = (1+pi)e^-t - pi from r=1
 
 
@@ -194,7 +199,7 @@ def test_csaszar_convergence_and_conservation(csaszar_euc):
     assert np.max(np.abs(trace.measure - r0 @ r0)) < 1e-7
     spread = np.ptp(final.radii) / final.radii.mean()
     assert spread < 1e-6
-    K = curvature(csaszar_euc, final.radii).K
+    K = curvature_field(csaszar_euc, final.radii).K
     assert np.max(np.abs(K)) < 1e-9
 
 
@@ -233,7 +238,7 @@ def test_alpha_measure_conserved(csaszar_euc, rng):
 
 def test_modified_hyperbolic_reaches_prescribed_target(csaszar_hyp):
     rhat = np.full(7, 0.3)
-    target = curvature(csaszar_hyp, rhat).R
+    target = curvature_field(csaszar_hyp, rhat).R
     rng = np.random.default_rng(7)
     pert = rng.normal(size=7) * 1e-6
     pert -= pert.mean()
@@ -260,6 +265,27 @@ def test_target_sign_warning_only_when_positive(tetra_euc):
     trace, _ = run_flow(tetra_euc, np.ones(4), spec)
     warn = [e for e in trace.events if e.kind is EventKind.TARGET_SIGN_WARNING]
     assert len(warn) == 1 and warn[0].index == 2
+
+
+def test_flow_process_imports_no_scipy_linalg_or_sparse():
+    # scipy.linalg costs a flow-only process ~27 MB of RSS and scipy.sparse ~20 MB;
+    # only the Jacobian, Newton and spectrum paths need them
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from idcurv import FlowKind, FlowSpec, csaszar_torus, run_flow\n"
+        "tri = csaszar_torus()\n"
+        "r0 = np.exp(np.random.default_rng(0).uniform(-0.3, 0.3, tri.vertex_count))\n"
+        "trace, _ = run_flow(tri, r0, FlowSpec(kind=FlowKind.NORMALIZED_EUCLIDEAN))\n"
+        "print(trace.terminal_event().kind.value)\n"
+        "print([m for m in sys.modules if m == 'scipy.linalg' or m.startswith('scipy.sparse')])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[:2] == ["Converged", "[]"]
 
 
 # -- singularities ------------------------------------------------------------------
@@ -452,7 +478,7 @@ def test_curvature_derivative_matches_flow(csaszar_euc, rng):
     eps = 1e-6
 
     def R_of(rr):
-        return curvature(csaszar_euc, rr).R
+        return curvature_field(csaszar_euc, rr).R
 
     dR_fd = (R_of(r + eps * rhs) - R_of(r - eps * rhs)) / (2.0 * eps)
     R = R_of(r)

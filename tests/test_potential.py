@@ -16,12 +16,12 @@ from idcurv import (
     FlowKind,
     FlowSpec,
     Geometry,
-    PotentialQuery,
+    QuadratureError,
     SolverError,
     WeightedTriangulation,
     angle_deficits,
     convexity_report,
-    curvature,
+    curvature_field,
     laplacian_spectrum,
     newton_solve,
     potential_gradient,
@@ -31,12 +31,9 @@ from idcurv import (
 )
 
 
-def query(tri, r0, r, **kw):
-    return PotentialQuery(
-        u0=u_of_r(np.asarray(r0, float), tri.geometry),
-        u=u_of_r(np.asarray(r, float), tri.geometry),
-        **kw,
-    )
+def coords(tri, *radii):
+    """u-coordinates of each radius vector."""
+    return [u_of_r(np.asarray(r, float), tri.geometry) for r in radii]
 
 
 # -- value ---------------------------------------------------------------------------
@@ -44,7 +41,8 @@ def query(tri, r0, r, **kw):
 
 def test_zero_at_base_point(csaszar_euc):
     r0 = np.full(7, 0.9)
-    assert potential_value(csaszar_euc, query(csaszar_euc, r0, r0)) == 0.0
+    u0, u = coords(csaszar_euc, r0, r0)
+    assert potential_value(csaszar_euc, u0, u, 0.0) == 0.0
 
 
 def test_path_independence(csaszar_euc, rng):
@@ -52,10 +50,10 @@ def test_path_independence(csaszar_euc, rng):
         r0 = sample_admissible(csaszar_euc, rng, spread=0.25)
         r1 = sample_admissible(csaszar_euc, rng, spread=0.25)
         mid = sample_admissible(csaszar_euc, rng, spread=0.25)
-        q = query(csaszar_euc, r0, r1, target=0.0)
-        straight = potential_value(csaszar_euc, q)
+        u0, u1 = coords(csaszar_euc, r0, r1)
+        straight = potential_value(csaszar_euc, u0, u1, 0.0)
         bent = potential_value(
-            csaszar_euc, q, via=(u_of_r(mid, csaszar_euc.geometry),)
+            csaszar_euc, u0, u1, 0.0, via=(u_of_r(mid, csaszar_euc.geometry),)
         )
         assert abs(straight - bent) < 1e-8
 
@@ -64,49 +62,61 @@ def test_translation_invariance_average_target(csaszar_euc, rng):
     r0 = np.full(7, 1.0)
     r = sample_admissible(csaszar_euc, rng, spread=0.3)
     u = u_of_r(r, csaszar_euc.geometry)
-    base = PotentialQuery(u0=u_of_r(r0, csaszar_euc.geometry), u=u, target="average")
-    ref = potential_value(csaszar_euc, base, extended=True)
+    u0 = u_of_r(r0, csaszar_euc.geometry)
+    ref = potential_value(csaszar_euc, u0, u, None, extended=True)
     for t in (-1.0, 0.5, 2.0):
-        shifted = PotentialQuery(u0=base.u0, u=u + t, target="average")
-        val = potential_value(csaszar_euc, shifted, extended=True)
+        val = potential_value(csaszar_euc, u0, u + t, None, extended=True)
         assert abs(val - ref) < 1e-8
 
 
 def test_segment_must_stay_admissible_without_extension(tetra_euc):
-    q = query(tetra_euc, np.ones(4), np.array([1.0, 10.0, 10.0, 10.0]))
+    u0, u = coords(tetra_euc, np.ones(4), np.array([1.0, 10.0, 10.0, 10.0]))
     with pytest.raises(AdmissibilityError):
-        potential_value(tetra_euc, q)
+        potential_value(tetra_euc, u0, u, 0.0)
     # the extension integrates through the degenerate region
-    val = potential_value(tetra_euc, q, extended=True)
+    val = potential_value(tetra_euc, u0, u, 0.0, extended=True)
     assert np.isfinite(val)
+
+
+def test_unsettled_quadrature_is_a_quadrature_error(csaszar_euc, monkeypatch):
+    # an integrable singularity at tau = 1/pi, off every Gauss-Kronrod node,
+    # that QUADPACK cannot resolve to QUAD_TOL within its subdivision limit
+    potential = importlib.import_module("idcurv.potential")
+    n = csaszar_euc.vertex_count
+
+    def singular(tri, u, target, alpha=2.0, extended=False):
+        return np.full(n, abs(u[0] - 1.0 / math.pi) ** -0.5 / n)
+
+    monkeypatch.setattr(potential, "potential_gradient", singular)
+    with pytest.raises(QuadratureError, match="maximum number of subdivisions") as info:
+        potential_value(csaszar_euc, np.zeros(n), np.ones(n), 0.0)
+    assert " ".join(str(info.value).split()) == str(info.value)
 
 
 # -- gradient ------------------------------------------------------------------------
 
 
 def test_gradient_zero_at_solutions(tetra_euc, csaszar_euc):
-    q = query(tetra_euc, np.ones(4), np.ones(4), target=math.pi)
-    g = potential_gradient(tetra_euc, q.u, q)
+    (u,) = coords(tetra_euc, np.ones(4))
+    g = potential_gradient(tetra_euc, u, math.pi)
     assert np.max(np.abs(g)) < 1e-14
-    q = query(csaszar_euc, np.full(7, 0.8), np.full(7, 0.8), target=0.0)
-    g = potential_gradient(csaszar_euc, q.u, q)
+    (u,) = coords(csaszar_euc, np.full(7, 0.8))
+    g = potential_gradient(csaszar_euc, u, 0.0)
     assert np.max(np.abs(g)) < 1e-13
 
 
 def test_gradient_matches_finite_differences(csaszar_euc, rng):
     r0 = np.full(7, 1.0)
     r = sample_admissible(csaszar_euc, rng, spread=0.2)
-    q = query(csaszar_euc, r0, r, target=-0.3)
-    u = q.u
-    g = potential_gradient(csaszar_euc, u, q)
+    u0, u = coords(csaszar_euc, r0, r)
+    g = potential_gradient(csaszar_euc, u, -0.3)
     step = 1e-5
     for i in range(7):
         e = np.zeros(7)
         e[i] = step
-        plus = PotentialQuery(u0=q.u0, u=u + e, target=-0.3)
-        minus = PotentialQuery(u0=q.u0, u=u - e, target=-0.3)
         fd = (
-            potential_value(csaszar_euc, plus) - potential_value(csaszar_euc, minus)
+            potential_value(csaszar_euc, u0, u + e, -0.3)
+            - potential_value(csaszar_euc, u0, u - e, -0.3)
         ) / (2.0 * step)
         assert abs(fd - g[i]) < 1e-6
 
@@ -119,7 +129,7 @@ def test_newton_flat_torus_gauge_fixed(csaszar_euc, rng):
     sol = newton_solve(csaszar_euc, r0, target=0.0)
     spread = np.ptp(sol.radii) / sol.radii.mean()
     assert spread < 1e-10
-    K = curvature(csaszar_euc, sol.radii).K
+    K = curvature_field(csaszar_euc, sol.radii).K
     assert np.max(np.abs(K)) < 1e-10
     # the singular solve pins the scale slice sum(u) = const
     u0, u1 = u_of_r(r0, sol.geometry), u_of_r(sol.radii, sol.geometry)
@@ -137,7 +147,7 @@ def test_newton_hyperbolic_prescribed(csaszar_hyp):
     # Gauss-Bonnet forces sum(K) = Area > 0 here, so no R <= 0 target is
     # attainable; prescribe the curvature of a known metric instead
     rhat = np.full(7, 0.3)
-    target = curvature(csaszar_hyp, rhat).R
+    target = curvature_field(csaszar_hyp, rhat).R
     rng = np.random.default_rng(7)
     pert = rng.normal(size=7) * 1e-6
     pert -= pert.mean()
@@ -159,7 +169,7 @@ def test_newton_agrees_with_flow(csaszar_euc, csaszar_hyp):
     assert np.max(np.abs(a - b)) < 1e-7
 
     rhat = np.full(7, 0.3)
-    target = curvature(csaszar_hyp, rhat).R
+    target = curvature_field(csaszar_hyp, rhat).R
     r0 = rhat * np.exp(np.array([1, -1, 2, 0, -2, 1, -1]) * 1e-6)
     spec = FlowSpec(kind=FlowKind.MODIFIED_HYPERBOLIC, target=target, tol=1e-11)
     trace, via_flow = run_flow(csaszar_hyp, r0, spec)
@@ -282,8 +292,7 @@ def test_potential_monotone_along_extended_flow(csaszar_i2):
     us = [u_of_r(row, csaszar_i2.geometry) for row in trace.radii]
     values = [0.0]
     for ua, ub in zip(us[:-1], us[1:]):
-        q = PotentialQuery(u0=ua, u=ub, target="average")
-        values.append(values[-1] + potential_value(csaszar_i2, q, extended=True))
+        values.append(values[-1] + potential_value(csaszar_i2, ua, ub, None, extended=True))
     diffs = np.diff(values)
     assert np.all(diffs <= 1e-8)
     assert values[-1] < values[0] - 1e-3

@@ -9,7 +9,7 @@ from idcurv import (
     DomainError,
     TetraFamily,
     X_SUP,
-    curvature,
+    curvature_field,
     curvature_residual,
     edge_length,
     f_curve,
@@ -48,7 +48,7 @@ def test_domain_errors():
 def test_residual_vanishes_iff_curvature_constant():
     tet = tetrahedron()
     for x in (0.7, 1.0, 2.0, 3.5, find_second_root().x0):
-        R = curvature(tet, np.array([1.0, x, x, x])).R
+        R = curvature_field(tet, np.array([1.0, x, x, x])).R
         spread = float(np.max(R) - np.min(R))
         if abs(curvature_residual(x)) < 1e-12:
             assert spread < 1e-10
