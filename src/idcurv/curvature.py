@@ -91,7 +91,7 @@ def average_curvature(tri, r, alpha=2.0) -> float:
     if alpha == 0.0:
         return TWO_PI * chi / tri.vertex_count
     r = np.asarray(r, dtype=float)
-    return TWO_PI * chi / float(np.sum(r**alpha))
+    return TWO_PI * chi / float((r**alpha).sum())
 
 
 def gauss_bonnet_residual(tri, r, extended=False) -> float:

@@ -28,8 +28,14 @@ prescribed target on a hyperbolic one. Extended kinds run through
 admissibility failures using the constant angle extension.
 
 The stepper is fixed-step RK4 (or Euler). Curvature is evaluated once per
-accepted state: the deviation that gives the state's error also seeds the
-next step's first stage, so an RK4 step costs four curvature evaluations.
+flow state: a candidate's own evaluation decides whether it is legal (for
+genuine kinds the angle computation raises on exactly the faces that fail a
+triangle inequality), and its deviation gives the accepted state's error and
+seeds the next step's first stage. An accepted RK4 step therefore costs four
+curvature evaluations and an Euler step one; genuine kinds add one pass over
+the face lengths for the triangle slack, extended kinds one admissibility
+check for the region flag. A candidate that is rejected costs the stages it
+ran, plus one evaluation when its radii are finite and within bounds.
 When a candidate would leave the legal region the step h halves, with no
 budget, until a legal candidate is found or h would fall below MIN_STEP.
 Then a stall classifier decides what stopped the flow: a radius collapsing
@@ -131,8 +137,8 @@ class FlowSpec:
     integrator: Integrator = Integrator.RK4
 
     def __post_init__(self):
-        if self.step <= 0.0 or self.t_max <= 0.0 or self.tol <= 0.0:
-            raise ValueError("step, t_max and tol must be positive")
+        if not all(math.isfinite(x) and x > 0.0 for x in (self.step, self.t_max, self.tol)):
+            raise ValueError("step, t_max and tol must be positive and finite")
         if not math.isfinite(self.alpha):
             raise ValueError("alpha must be finite")
         if self.target is not None:
@@ -237,12 +243,21 @@ def _velocity(tri, r, dev, spec):
 # -- driver ------------------------------------------------------------------------
 
 
-def _legal(tri, r, genuine):
-    if not np.all(np.isfinite(r)):
+def _legal(tri, r, spec, dev):
+    """Whether candidate r is legal; if it is, its deviation is written to dev.
+
+    r is legal when it is finite, within [EPS_RADIUS, RADIUS_CAP] and, for
+    genuine kinds, admissible. Admissibility comes from the candidate's own
+    curvature evaluation, which raises AdmissibilityError on exactly the faces
+    geometry.admissible flags, so a legal candidate is evaluated only once.
+    """
+    if not np.isfinite(r).all():
         return False
-    if np.any(r < EPS_RADIUS) or np.any(r > RADIUS_CAP):
+    if (r < EPS_RADIUS).any() or (r > RADIUS_CAP).any():
         return False
-    if genuine and not geometry.admissible(tri, r)[0]:
+    try:
+        dev[:] = _deviation(tri, r, spec)
+    except AdmissibilityError:
         return False
     return True
 
@@ -261,7 +276,7 @@ def _propose(tri, r, k1, h, spec):
 
 
 def _stage_rhs(tri, r, spec):
-    if not np.all(np.isfinite(r)) or np.any(r <= 0.0):
+    if not np.isfinite(r).all() or (r <= 0.0).any():
         raise AdmissibilityError("stage radii left the positive cone")
     return _velocity(tri, r, _deviation(tri, r, spec), spec)
 
@@ -345,9 +360,10 @@ def run_flow(tri, r0, spec: FlowSpec):
     while t < spec.t_max * (1.0 - 1e-15):
         k1 = _velocity(tri, r, dev, spec)
         h = min(h_next, spec.t_max - t)
+        next_dev = np.empty_like(r)
         while True:
             candidate = _propose(tri, r, k1, h, spec)
-            if candidate is not None and _legal(tri, candidate, genuine):
+            if candidate is not None and _legal(tri, candidate, spec, next_dev):
                 break
             if h * 0.5 < MIN_STEP:
                 event = _classify_stall(tri, r, candidate, k1, h, genuine)
@@ -362,10 +378,9 @@ def run_flow(tri, r0, spec: FlowSpec):
             h *= 0.5
 
         h_next = min(spec.step, 2.0 * h)
-        r = candidate
+        r, dev = candidate, next_dev
         t += h
         steps += 1
-        dev = _deviation(tri, r, spec)
         err = float(np.max(np.abs(dev)))
 
         if not genuine:

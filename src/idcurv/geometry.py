@@ -22,6 +22,10 @@ from .surface import Geometry
 
 BIG_RADIUS = 350.0  # beyond this, hyperbolic lengths switch to a log-sum-exp form
 
+# fl[:, _NEXT][:, c] is fl[:, c + 1] and fl[:, _PREV][:, c] is fl[:, c - 1] (mod 3)
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
+
 
 @dataclasses.dataclass(frozen=True)
 class PackingMetric:
@@ -112,14 +116,14 @@ def edge_length(r_i, r_j, weight, geometry):
         return np.sqrt(r_i**2 + r_j**2 + 2.0 * r_i * r_j * weight)
 
     big = np.maximum(r_i, r_j) > BIG_RADIUS
-    if not np.any(big):
+    if not big.any():
         return _hyp_length_direct(r_i, r_j, weight)
     r_i, r_j, weight, big = np.broadcast_arrays(
         r_i, r_j, weight, big, subok=False
     )
     out = np.empty(big.shape, dtype=float)
     small = ~big
-    if np.any(small):
+    if small.any():
         out[small] = _hyp_length_direct(r_i[small], r_j[small], weight[small])
     out[big] = _hyp_length_stable(r_i[big], r_j[big], weight[big])
     if out.ndim == 0:
@@ -130,7 +134,7 @@ def edge_length(r_i, r_j, weight, geometry):
 def _hyp_length_direct(r_i, r_j, weight):
     # both terms of sinh^2(l/2) are >= 0 whenever I >= -1, so nothing cancels
     half = np.sinh((r_i - r_j) / 2.0) ** 2 + (0.5 + 0.5 * weight) * np.sinh(r_i) * np.sinh(r_j)
-    if np.any(half < 0.0):
+    if (half < 0.0).any():
         raise DomainError("weights below -1 cannot induce a hyperbolic length")
     return 2.0 * np.arcsinh(np.sqrt(half))
 
@@ -168,8 +172,8 @@ def _gaps(fl):
     """(F, 3) gaps p - l, each to a few ulps and with the exact sign of its
     triangle inequality: when a gap can be small, the larger other length is
     within a factor 2 of l, so their difference is exact (Sterbenz)."""
-    lb = fl[:, [1, 2, 0]]
-    lc = fl[:, [2, 0, 1]]
+    lb = fl[:, _NEXT]
+    lc = fl[:, _PREV]
     return 0.5 * (np.minimum(lb, lc) + (np.maximum(lb, lc) - fl))
 
 
@@ -177,8 +181,9 @@ def _degenerate_mask(g):
     """Rows of gaps where some length is >= the sum of the other two (non-strict).
 
     Rows holding NaN count as degenerate, since no strict inequality holds.
+    Three column comparisons cost less than one axis-1 reduction on (F, 3).
     """
-    return ~(g.min(axis=1) > 0.0)
+    return ~((g[:, 0] > 0.0) & (g[:, 1] > 0.0) & (g[:, 2] > 0.0))
 
 
 def triangle_slack(lengths):
@@ -210,7 +215,7 @@ def _half_angle_law(g, hyperbolic):
     rho^2 = g0 g1 g2 / p (Euclidean), or tanh(rho) / sinh(g_a) with tanh^2 rho
     = prod sinh(g) / sinh(p) (hyperbolic), here divided through by e^{g_a};
     the exponents cancel since sum(g) = p, so no length overflows it."""
-    p = g.sum(axis=1)
+    p = g[:, 0] + g[:, 1] + g[:, 2]  # the summation order of g.sum(axis=1)
     if hyperbolic:
         q = -np.expm1(-2.0 * g)
         rho = np.sqrt(q[:, 0] * q[:, 1] * q[:, 2] / -np.expm1(-2.0 * p))
@@ -239,13 +244,14 @@ def face_angles(lengths, geometry, extended=False) -> CornerAngles:
     """
     g = _gaps(np.asarray(lengths, dtype=float))
     degenerate = _degenerate_mask(g)
-    if np.any(degenerate) and not extended:
+    any_degenerate = degenerate.any()
+    if any_degenerate and not extended:
         bad = np.nonzero(degenerate)[0].tolist()
         raise AdmissibilityError(f"inadmissible faces {bad}; pass extended=True")
 
     with np.errstate(invalid="ignore"):
         angles = _half_angle_law(g, geometry is Geometry.HYPERBOLIC)
-    if np.any(degenerate):
+    if any_degenerate:
         angles[degenerate] = _extension_constants(g, degenerate)
     return CornerAngles(angles=angles, degenerate=degenerate)
 

@@ -138,20 +138,29 @@ class WeightedTriangulation:
         return w
 
     def _check_connected(self):
-        adj = [[] for _ in range(self.vertex_count)]
-        for a, b in self.edges.tolist():
-            adj[a].append(b)
-            adj[b].append(a)
-        seen = np.zeros(self.vertex_count, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        if not seen.all():
+        """Label components by hooking and pointer jumping (Shiloach-Vishkin).
+
+        label is a forest of pointers to smaller vertices whose roots label
+        the components found so far. Each round hooks the larger root of every
+        edge that joins two trees onto the smallest root across such edges,
+        then jumps pointers until every vertex points at its root. A round
+        leaves fewer roots, and the labels settle once no edge joins two trees.
+        """
+        a, b = self.edges[:, 0], self.edges[:, 1]
+        label = np.arange(self.vertex_count)
+        while True:
+            la, lb = label[a], label[b]
+            joins = la != lb
+            if not joins.any():
+                break
+            la, lb = la[joins], lb[joins]
+            np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+            while True:
+                jumped = label[label]
+                if np.array_equal(jumped, label):
+                    break
+                label = jumped
+        if label.any():
             raise TopologyError("surface is disconnected (or has isolated vertices)")
 
     # -- queries ---------------------------------------------------------------

@@ -186,6 +186,17 @@ def test_flow_sweep_parallel(tmp_path, capsys):
     assert (out / "b" / "final_radii.json").exists()
 
 
+@pytest.mark.parametrize("option", ["--tol", "--dt", "--tmax"])
+def test_flow_non_finite_step_control_is_invalid_input(tmp_path, capsys, option):
+    radii = radii_file(tmp_path, [1.0] * 7)
+    code = main(
+        ["flow", CSASZAR, "--radii", radii, "--kind", "normalized-euclidean",
+         option, "nan", "--out", str(tmp_path / "nan")]
+    )
+    assert code == 2
+    assert "must be positive and finite" in capsys.readouterr().err
+
+
 def test_flow_target_file_forms(tmp_path, capsys):
     radii = radii_file(tmp_path, [1.0, 1.0, 1.0, 1.0])
     uniform = tmp_path / "uniform.json"

@@ -109,6 +109,15 @@ def test_non_finite_alpha_is_refused(alpha):
         FlowSpec(kind=FlowKind.ALPHA_NORMALIZED, alpha=alpha)
 
 
+# NaN passes a plain `x <= 0` check: tol=nan never converges, step=nan dies in
+# math.floor, t_max=inf never stops
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["step", "t_max", "tol"])
+def test_non_finite_step_controls_are_refused(field, value):
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        FlowSpec(kind=FlowKind.NORMALIZED_EUCLIDEAN, **{field: value})
+
+
 # kind -> (pinned geometry, target policy, rate c, uses the alpha power)
 FLOW_CONTRACT = {
     FlowKind.NORMALIZED_EUCLIDEAN: (Geometry.EUCLIDEAN, "average", 1.0, False),
@@ -407,6 +416,54 @@ def test_one_curvature_evaluation_per_state(csaszar_euc, monkeypatch):
     assert terminal(trace).kind is EventKind.CONVERGED
     assert counts["accepted"] > 0
     assert counts["evaluations"] == 4 * counts["accepted"] + 1
+
+
+@pytest.mark.parametrize("integrator", list(Integrator), ids=lambda i: i.value)
+def test_candidate_admissibility_comes_from_its_evaluation(
+    csaszar_euc, monkeypatch, integrator
+):
+    # a genuine flow checks admissibility with geometry.admissible only at the
+    # start; each accepted candidate is legal by its own curvature evaluation,
+    # so face lengths are built once per evaluation plus once per triangle-slack
+    # check after an accepted step
+    flows = importlib.import_module("idcurv.flows")
+    counts = dict.fromkeys(["admissible", "face_lengths", "angle_deficits", "_legal"], 0)
+
+    def count(owner, name, truthy_only=False):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            result = original(*args, **kwargs)
+            counts[name] += bool(result) if truthy_only else 1
+            return result
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(geometry, "admissible")
+    count(geometry, "face_lengths")
+    count(flows, "angle_deficits")
+    count(flows, "_legal", truthy_only=True)
+    r0 = np.array([1.3, 0.8, 1.1, 1.0, 0.9, 1.2, 0.95])
+    spec = FlowSpec(kind=FlowKind.NORMALIZED_EUCLIDEAN, t_max=2.0, integrator=integrator)
+    run_flow(csaszar_euc, r0, spec)
+    assert counts["_legal"] > 0
+    assert counts["admissible"] == 1
+    assert counts["face_lengths"] <= counts["angle_deficits"] + counts["_legal"] + 1
+
+
+def test_inadmissible_candidate_is_illegal(tetra_euc):
+    flows = importlib.import_module("idcurv.flows")
+    outside = np.array([1.0, 10.0, 10.0, 10.0])
+    assert not geometry.admissible(tetra_euc, outside)[0]
+    genuine = FlowSpec(kind=FlowKind.MODIFIED_EUCLIDEAN, target=np.zeros(4))
+    dev = np.full(4, 7.0)
+    assert not flows._legal(tetra_euc, outside, genuine, dev)
+    assert np.array_equal(dev, np.full(4, 7.0))
+    # the extended kind takes the same radii, and its deviation is the flow's
+    extended = FlowSpec(kind=FlowKind.EXTENDED_EUCLIDEAN, target=np.zeros(4))
+    assert flows._legal(tetra_euc, outside, extended, dev)
+    assert np.array_equal(flows._velocity(tetra_euc, outside, dev, extended),
+                          flow_rhs(tetra_euc, outside, extended))
 
 
 def test_packing_metric_input(tetra_euc):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import idcurv
+from idcurv import geometry as geometry_module
 from idcurv import (
     DomainError,
     Geometry,
@@ -164,6 +165,66 @@ def test_nan_radius_is_not_admissible(csaszar_euc):
         angle_deficits(csaszar_euc, r)
     with pytest.raises(DomainError):
         angle_deficits(csaszar_euc, r, extended=True)
+
+
+# axis-reduction forms of the face kernels, kept as the reference for the
+# column forms in idcurv.geometry (same arithmetic, so results must be equal bit
+# for bit)
+def reference_gaps(fl):
+    lb, lc = np.roll(fl, -1, axis=1), np.roll(fl, -2, axis=1)
+    return 0.5 * (np.minimum(lb, lc) + (np.maximum(lb, lc) - fl))
+
+
+def reference_degenerate_mask(g):
+    return ~(g.min(axis=1) > 0.0)
+
+
+def reference_half_angle_law(g, hyperbolic):
+    p = g.sum(axis=1)
+    if hyperbolic:
+        q = -np.expm1(-2.0 * g)
+        rho = np.sqrt(q[:, 0] * q[:, 1] * q[:, 2] / -np.expm1(-2.0 * p))
+        return 2.0 * np.arctan2(rho[:, None] * np.exp(-g), q)
+    rho = np.sqrt(g[:, 0] / p * g[:, 1] * g[:, 2])
+    return 2.0 * np.arctan2(rho[:, None], g)
+
+
+side_st = st.floats(min_value=1e-3, max_value=60.0)
+
+
+@st.composite
+def face_row(draw):
+    """Three lengths: random, needle-like, sliver, exactly degenerate or holding NaN."""
+    a, b = draw(side_st), draw(side_st)
+    shape = draw(st.sampled_from(["random", "needle", "sliver", "degenerate", "nan"]))
+    if shape == "random":
+        c = draw(side_st)
+    elif shape == "needle":  # c just short of a + b
+        c = (a + b) * (1.0 - draw(st.floats(min_value=1e-16, max_value=1e-6)))
+    elif shape == "sliver":  # two near-equal sides and a tiny third
+        b = a * (1.0 + draw(st.floats(min_value=0.0, max_value=1e-9)))
+        c = a * draw(st.floats(min_value=1e-12, max_value=1e-3))
+    elif shape == "degenerate":
+        c = a + b
+    else:
+        c = math.nan
+    return draw(st.permutations([a, b, c]))
+
+
+@given(st.lists(face_row(), min_size=1, max_size=16), st.sampled_from([EUC, HYP]))
+@settings(max_examples=300)
+def test_column_face_kernels_match_axis_reductions(rows, geom):
+    fl = np.array(rows, dtype=float)
+    g = geometry_module._gaps(fl)
+    assert np.array_equal(g, reference_gaps(fl), equal_nan=True)
+    assert np.array_equal(
+        geometry_module._degenerate_mask(g), reference_degenerate_mask(g)
+    )
+    hyperbolic = geom is HYP
+    with np.errstate(all="ignore"):
+        got = geometry_module._half_angle_law(g, hyperbolic)
+        expect = reference_half_angle_law(g, hyperbolic)
+    assert np.array_equal(got, expect, equal_nan=True)
 
 
 # -- angles -----------------------------------------------------------------------

@@ -81,6 +81,30 @@ def test_disconnected_surface_rejected():
         WeightedTriangulation(8, faces, 1.0)
 
 
+def test_isolated_vertex_rejected():
+    # vertex 4 lies on no face, so no edge reaches it
+    with pytest.raises(TopologyError, match="isolated"):
+        WeightedTriangulation(5, idcurv.TETRA_FACES, 1.0)
+
+
+@pytest.mark.parametrize("copies", [2, 3, 5])
+def test_components_are_found_in_any_vertex_order(copies):
+    # disjoint tetrahedra under a random vertex relabelling: the labelling
+    # must not depend on the component holding vertex 0 coming first
+    rng = np.random.default_rng(copies)
+    perm = rng.permutation(4 * copies)
+    faces = [
+        [perm[4 * k + v] for v in face]
+        for k in range(copies)
+        for face in idcurv.TETRA_FACES
+    ]
+    with pytest.raises(TopologyError, match="disconnected"):
+        WeightedTriangulation(4 * copies, faces, 1.0)
+    # a connected surface passes under the same kind of relabelling
+    perm = rng.permutation(7)
+    WeightedTriangulation(7, perm[np.asarray(idcurv.CSASZAR_FACES)], 1.0)
+
+
 def test_vertex_out_of_range_rejected():
     with pytest.raises(TopologyError):
         WeightedTriangulation(3, [[0, 1, 3], [0, 1, 2]], 1.0)
