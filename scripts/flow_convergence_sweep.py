@@ -3,7 +3,8 @@
 For each (kind, step, seed) cell the script integrates from a randomly
 perturbed packing and records the terminal event, the time it fired, the
 final curvature error, and the drift of the conserved measure. Results go
-to stdout as an aligned table and to --out as CSV.
+to stdout as an aligned table and to --out as CSV. The flows run with
+fixed-step RK4: a step-size sweep only means something for a fixed step.
 
 Usage:
     python3 scripts/flow_convergence_sweep.py
@@ -27,6 +28,7 @@ from idcurv import (
     FlowKind,
     FlowSpec,
     IntegrationError,
+    Integrator,
     angle_deficits,
     csaszar_torus,
     run_flow,
@@ -57,7 +59,9 @@ class Cell:
 def run_cell(tri, kind, step, seed, spread, t_max) -> Cell:
     rng = np.random.default_rng(seed)
     r0 = np.exp(rng.uniform(-spread, spread, tri.vertex_count))
-    spec = FlowSpec(kind=FlowKind(kind), step=step, t_max=t_max, tol=1e-8)
+    spec = FlowSpec(
+        kind=FlowKind(kind), step=step, t_max=t_max, tol=1e-8, integrator=Integrator.RK4
+    )
 
     t0 = time.perf_counter()
     try:

@@ -69,6 +69,7 @@ from .surface import (
     WeightReport,
     csaszar_torus,
     euler_characteristic,
+    grid_torus,
     load_radii,
     load_surface,
     save_radii,

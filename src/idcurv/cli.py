@@ -271,7 +271,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=[k.value for k in FlowKind])
     p.add_argument("--target", help="number, or JSON file with 'target'/'uniform'")
     p.add_argument("--alpha", type=float, default=2.0)
-    p.add_argument("--dt", type=float, default=0.01)
+    p.add_argument("--dt", type=float, default=0.01, help="first trial step")
     p.add_argument("--tmax", type=float, default=200.0)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--out", help="output directory (default flow_out)")

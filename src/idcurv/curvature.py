@@ -52,9 +52,15 @@ class CurvatureJacobian:
         return self.sparse.toarray()
 
 
-def angle_deficits(tri, r, extended=False):
-    """K_i = 2 pi - sum of incident corner angles, as a plain array."""
+def angle_deficits(tri, r, extended=False, degenerate=None):
+    """K_i = 2 pi - sum of incident corner angles, as a plain array.
+
+    If `degenerate` is given, a (F,) bool array, the evaluation's per-face
+    degeneracy mask (CornerAngles.degenerate) is written into it.
+    """
     ca = geometry.corner_angles(tri, r, extended=extended)
+    if degenerate is not None:
+        degenerate[:] = ca.degenerate
     incident = np.bincount(
         tri.faces.ravel(), weights=ca.angles.ravel(), minlength=tri.vertex_count
     )

@@ -27,21 +27,34 @@ evaluation; it exists only on Euclidean surfaces, so every kind needs a
 prescribed target on a hyperbolic one. Extended kinds run through
 admissibility failures using the constant angle extension.
 
-The stepper is fixed-step RK4 (or Euler). Curvature is evaluated once per
-flow state: a candidate's own evaluation decides whether it is legal (for
-genuine kinds the angle computation raises on exactly the faces that fail a
-triangle inequality), and its deviation gives the accepted state's error and
-seeds the next step's first stage. An accepted RK4 step therefore costs four
-curvature evaluations and an Euler step one; genuine kinds add one pass over
-the face lengths for the triangle slack, extended kinds one admissibility
-check for the region flag. A candidate that is rejected costs the stages it
-ran, plus one evaluation when its radii are finite and within bounds.
-When a candidate would leave the legal region the step h halves, with no
-budget, until a legal candidate is found or h would fall below MIN_STEP.
-Then a stall classifier decides what stopped the flow: a radius collapsing
-to zero is an essential singularity, a face degenerating at bounded radii is
-a removable one (genuine kinds only). Removable singularities are also caught
-after each accepted step by the triangle slack.
+The default stepper, Integrator.RK45, is the Cash-Karp 5(4) pair: it
+advances with the 5th-order solution and compares it with the embedded
+4th-order one, in a norm mixed absolute and relative in r, against
+LOCAL_TOL * tol. spec.step is the first trial step; a step rejected on error
+shrinks by the estimate's own factor, and an accepted one sets the next step
+to grow at most MAX_GROWTH-fold, capped only by t_max - t. Near convergence
+the steps grow to the stability limit of the flow's stiffest mode; there the
+error test holds the stiff modes near the local tolerance, so on a stiff
+enough flow max|T - K/s^alpha| stalls above tol until t_max. RK4 and Euler
+are the fixed-step reference integrators, stepping spec.step. Trace rows are
+recorded every SAMPLE_DT of flow time (every floor(SAMPLE_DT / step) steps
+for the fixed-step integrators), and at every event.
+Curvature is evaluated once per flow state: a candidate's own evaluation
+decides whether it is legal (for genuine kinds the angle computation raises
+on exactly the faces that fail a triangle inequality, for extended kinds its
+face mask gives the region flag), and its deviation gives the accepted
+state's error and seeds the next step's first stage. An accepted step
+therefore costs six curvature evaluations under RK45, four under RK4 and one
+under Euler; genuine kinds add one pass over the face lengths for the
+triangle slack. A candidate that is rejected costs the stages it ran, plus
+one evaluation when it passed the error test and its radii are finite and
+within bounds. When a candidate would leave the legal region the step h
+halves, with no budget, until a legal candidate is found or h would fall
+below MIN_STEP (as would an error rejection's shrink). Then a stall classifier decides what stopped the flow: a
+radius collapsing to zero is an essential singularity, a face degenerating
+at bounded radii is a removable one (genuine kinds only). Removable
+singularities are also caught after each accepted step by the triangle
+slack.
 """
 
 from __future__ import annotations
@@ -64,6 +77,31 @@ EPS_RADIUS = 1e-8
 RADIUS_CAP = 1e8
 EPS_TRI = 1e-12  # relative slack below which a face counts as degenerate
 MIN_STEP = 1e-14
+COLLAPSE_HORIZON = 100.0 * MIN_STEP  # shortest look-ahead of the stall probe
+SAMPLE_DT = 0.1  # flow time between recorded trace rows
+# RK45 asks each step for a local error of LOCAL_TOL * tol, mixed absolute and
+# relative in r. At the stability limit the error test holds the stiff modes
+# near that level, and max|T - K/s^alpha| stalls a stiffness-sized factor
+# above it: with 1e-2 a hyperbolic Csaszar flow whose stiffest rate is ~80
+# stalls at 7e-10 against tol = 1e-10.
+LOCAL_TOL = 1e-3
+MAX_GROWTH = 5.0  # largest factor by which an accepted RK45 step grows the next
+SAFETY = 0.9
+
+# Cash-Karp 5(4) pair (Cash & Karp, ACM TOMS 16, 1990): stage rows, the
+# 5th-order weights the step advances with, and those minus the 4th-order ones
+_CK_A = [
+    np.array(row)
+    for row in (
+        [1 / 5],
+        [3 / 40, 9 / 40],
+        [3 / 10, -9 / 10, 6 / 5],
+        [-11 / 54, 5 / 2, -70 / 27, 35 / 27],
+        [1631 / 55296, 175 / 512, 575 / 13824, 44275 / 110592, 253 / 4096],
+    )
+]
+_CK_B = np.array([37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771])
+_CK_E = np.array([-277 / 64512, 0.0, 6925 / 370944, -6925 / 202752, -277 / 14336, 277 / 7084])
 
 
 class FlowKind(enum.Enum):
@@ -95,6 +133,7 @@ class FlowKind(enum.Enum):
 
 
 class Integrator(enum.Enum):
+    RK45 = "rk45"
     RK4 = "rk4"
     EULER = "euler"
 
@@ -134,7 +173,7 @@ class FlowSpec:
     step: float = 0.01
     t_max: float = 200.0
     tol: float = 1e-8
-    integrator: Integrator = Integrator.RK4
+    integrator: Integrator = Integrator.RK45
 
     def __post_init__(self):
         if not all(math.isfinite(x) and x > 0.0 for x in (self.step, self.t_max, self.tol)):
@@ -208,10 +247,13 @@ def _check_spec(tri, spec):
         raise ValueError("target length does not match the vertex count")
 
 
-def _deviation(tri, r, spec):
-    """T - K / s^alpha (componentwise), with extended angles for extended kinds."""
+def _deviation(tri, r, spec, degenerate=None):
+    """T - K / s^alpha (componentwise), with extended angles for extended kinds.
+
+    A given (F,) bool array `degenerate` receives the evaluation's face mask.
+    """
     alpha = spec.effective_alpha
-    K = angle_deficits(tri, r, extended=spec.kind.extended)
+    K = angle_deficits(tri, r, extended=spec.kind.extended, degenerate=degenerate)
     s = geometry.s_of_r(r, tri.geometry)
     R = K / s**alpha
     if spec.target is not None:
@@ -243,8 +285,9 @@ def _velocity(tri, r, dev, spec):
 # -- driver ------------------------------------------------------------------------
 
 
-def _legal(tri, r, spec, dev):
-    """Whether candidate r is legal; if it is, its deviation is written to dev.
+def _legal(tri, r, spec, dev, degenerate=None):
+    """Whether candidate r is legal; if it is, its deviation is written to dev
+    (and its face mask to a given `degenerate`).
 
     r is legal when it is finite, within [EPS_RADIUS, RADIUS_CAP] and, for
     genuine kinds, admissible. Admissibility comes from the candidate's own
@@ -256,23 +299,48 @@ def _legal(tri, r, spec, dev):
     if (r < EPS_RADIUS).any() or (r > RADIUS_CAP).any():
         return False
     try:
-        dev[:] = _deviation(tri, r, spec)
+        dev[:] = _deviation(tri, r, spec, degenerate)
     except AdmissibilityError:
         return False
     return True
 
 
 def _propose(tri, r, k1, h, spec):
-    """One explicit step from r; returns the candidate or None if a stage failed."""
+    """One explicit step from r; returns (candidate, err).
+
+    candidate is None if a stage failed. err is the RK45 local error estimate
+    in units of the requested local tolerance (the step passes when err <= 1);
+    it is 0.0 for the fixed-step integrators.
+    """
     try:
         if spec.integrator is Integrator.EULER:
-            return r + h * k1
+            return r + h * k1, 0.0
+        if spec.integrator is Integrator.RK45:
+            return _cash_karp(tri, r, k1, h, spec)
         k2 = _stage_rhs(tri, r + (0.5 * h) * k1, spec)
         k3 = _stage_rhs(tri, r + (0.5 * h) * k2, spec)
         k4 = _stage_rhs(tri, r + h * k3, spec)
     except (AdmissibilityError, FloatingPointError):
-        return None
-    return r + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return None, 0.0
+    return r + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), 0.0
+
+
+def _cash_karp(tri, r, k1, h, spec):
+    """Five stages of the Cash-Karp pair after k1; no stage at the candidate."""
+    k = np.empty((6, r.size))
+    k[0] = k1
+    for i, row in enumerate(_CK_A, start=1):
+        k[i] = _stage_rhs(tri, r + h * (row @ k[:i]), spec)
+    candidate = r + h * (_CK_B @ k)
+    scale = (LOCAL_TOL * spec.tol) * (1.0 + np.maximum(r, np.abs(candidate)))
+    return candidate, float(np.max(np.abs(h * (_CK_E @ k)) / scale))
+
+
+def _error_factor(step_err):
+    """h_new / h for an RK45 estimate step_err: SAFETY * step_err^(-1/5), the
+    rescaling that a 4th-order estimate calls for, clamped to [1/MAX_GROWTH,
+    MAX_GROWTH]; an estimate of zero gives MAX_GROWTH."""
+    return min(MAX_GROWTH, max(1.0 / MAX_GROWTH, SAFETY * max(step_err, 1e-10) ** -0.2))
 
 
 def _stage_rhs(tri, r, spec):
@@ -354,18 +422,27 @@ def run_flow(tri, r0, spec: FlowSpec):
         return stop(FlowEvent(t, EventKind.CONVERGED, None))
     record(t, r, err, inside)
 
-    sample_every = max(1, math.floor(0.1 / spec.step))
+    adaptive = spec.integrator is Integrator.RK45
+    sample_every = max(1, math.floor(SAMPLE_DT / spec.step))
     steps = 0
     h_next = spec.step
+    degenerate = None if genuine else np.empty(tri.face_count, dtype=bool)
     while t < spec.t_max * (1.0 - 1e-15):
         k1 = _velocity(tri, r, dev, spec)
         h = min(h_next, spec.t_max - t)
         next_dev = np.empty_like(r)
         while True:
-            candidate = _propose(tri, r, k1, h, spec)
-            if candidate is not None and _legal(tri, candidate, spec, next_dev):
+            candidate, step_err = _propose(tri, r, k1, h, spec)
+            if (
+                candidate is not None
+                and step_err <= 1.0
+                and _legal(tri, candidate, spec, next_dev, degenerate)
+            ):
                 break
-            if h * 0.5 < MIN_STEP:
+            # an error rejection shrinks h by the estimate's own factor, an
+            # illegal candidate (or a NaN estimate) halves it
+            shrink = _error_factor(step_err) if step_err > 1.0 else 0.5
+            if h * shrink < MIN_STEP:
                 event = _classify_stall(tri, r, candidate, k1, h, genuine)
                 if event is None:
                     record(t, r, err, inside)
@@ -375,21 +452,25 @@ def run_flow(tri, r0, spec: FlowSpec):
                         trace=trace,
                     )
                 return stop(dataclasses.replace(event, t=t))
-            h *= 0.5
+            h *= shrink
 
-        h_next = min(spec.step, 2.0 * h)
+        if adaptive:
+            h_next = h * _error_factor(step_err)
+        else:
+            h_next = min(spec.step, 2.0 * h)
         r, dev = candidate, next_dev
         t += h
         steps += 1
         err = float(np.max(np.abs(dev)))
 
         if not genuine:
-            now_inside, bad = geometry.admissible(tri, r)
+            now_inside = not degenerate.any()
             if now_inside != inside:
                 if now_inside:
                     events.append(FlowEvent(t, EventKind.REENTERED_ADMISSIBLE, None))
                 else:
-                    events.append(FlowEvent(t, EventKind.LEFT_ADMISSIBLE, int(bad[0])))
+                    face = int(np.argmax(degenerate))
+                    events.append(FlowEvent(t, EventKind.LEFT_ADMISSIBLE, face))
                 record(t, r, err, now_inside)
                 inside = now_inside
 
@@ -402,24 +483,27 @@ def run_flow(tri, r0, spec: FlowSpec):
                 return stop(FlowEvent(t, EventKind.REMOVABLE_SINGULARITY, face))
         if err < spec.tol:
             return stop(FlowEvent(t, EventKind.CONVERGED, None))
-        if steps % sample_every == 0:
+        due = t - times[-1] >= SAMPLE_DT if adaptive else steps % sample_every == 0
+        if due:
             record(t, r, err, inside)
 
     return stop(FlowEvent(t, EventKind.HORIZON_REACHED, None))
 
 
 def _classify_stall(tri, r, candidate, k1, h, genuine):
-    """Decide what stopped the stepper when halving hit the step floor.
+    """Decide what stopped the stepper when shrinking hit the step floor.
 
-    RK4 stage failures leave candidate as None, so the direction k1 with the
-    last attempted step doubles as an always-computable Euler probe of where
-    the flow was trying to go.
+    Stage failures leave candidate as None, so the direction k1 doubles as
+    an always-computable Euler probe of where the flow was trying to go. The
+    probe looks at least COLLAPSE_HORIZON ahead: RK45's error control halts
+    a few step floors short of a collapse, where the candidate is not yet
+    below EPS_RADIUS.
     """
     probes = []
     if candidate is not None and np.all(np.isfinite(candidate)):
         probes.append(candidate)
     if np.all(np.isfinite(k1)):
-        probes.append(r + max(h, MIN_STEP) * k1)
+        probes.append(r + max(h, COLLAPSE_HORIZON) * k1)
 
     for probe in probes:
         if np.any(probe < EPS_RADIUS):

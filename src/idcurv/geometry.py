@@ -249,10 +249,14 @@ def face_angles(lengths, geometry, extended=False) -> CornerAngles:
         bad = np.nonzero(degenerate)[0].tolist()
         raise AdmissibilityError(f"inadmissible faces {bad}; pass extended=True")
 
+    hyperbolic = geometry is Geometry.HYPERBOLIC
+    if not any_degenerate:
+        return CornerAngles(angles=_half_angle_law(g, hyperbolic), degenerate=degenerate)
+    # only degenerate rows (NaN rows among them) give invalid values, and
+    # their angles are overwritten by the extension
     with np.errstate(invalid="ignore"):
-        angles = _half_angle_law(g, geometry is Geometry.HYPERBOLIC)
-    if any_degenerate:
-        angles[degenerate] = _extension_constants(g, degenerate)
+        angles = _half_angle_law(g, hyperbolic)
+    angles[degenerate] = _extension_constants(g, degenerate)
     return CornerAngles(angles=angles, degenerate=degenerate)
 
 

@@ -326,3 +326,18 @@ def tetrahedron(weight=2.0, geometry=Geometry.EUCLIDEAN) -> WeightedTriangulatio
 def csaszar_torus(weight=1.0, geometry=Geometry.EUCLIDEAN) -> WeightedTriangulation:
     """The 7-vertex torus: N=7, |E|=21, |F|=14, chi=0, every vertex degree 6."""
     return WeightedTriangulation(7, CSASZAR_FACES, weight, geometry)
+
+
+def grid_torus(n, m, weight=1.0, geometry=Geometry.EUCLIDEAN) -> WeightedTriangulation:
+    """The n x m grid torus, each square split along one diagonal: N=n*m,
+    |E|=3N, |F|=2N, chi=0, every vertex degree 6 (needs n, m >= 3)."""
+    if n < 3 or m < 3:
+        raise ValueError("a grid torus needs n, m >= 3")
+    i, j = np.meshgrid(np.arange(n), np.arange(m), indexing="ij")
+    a = i * m + j
+    b = ((i + 1) % n) * m + j
+    c = ((i + 1) % n) * m + (j + 1) % m
+    d = i * m + (j + 1) % m
+    lower = np.stack([a, b, c], axis=-1).reshape(-1, 3)
+    upper = np.stack([a, c, d], axis=-1).reshape(-1, 3)
+    return WeightedTriangulation(n * m, np.concatenate([lower, upper]), weight, geometry)

@@ -26,6 +26,7 @@ from idcurv import (
     csaszar_torus,
     curvature_field,
     flow_rhs,
+    grid_torus,
     run_flow,
 )
 from idcurv import geometry
@@ -300,33 +301,55 @@ def test_flow_process_imports_no_scipy_linalg_or_sparse():
 # -- singularities ------------------------------------------------------------------
 
 
-def test_essential_singularity_at_known_time(tetra_euc):
+def essential_singularity_time(tri, integrator):
     # dr/dt = (-1 - pi/r^2) r / 2 from r = 1: r^2 hits zero at t = ln((1+pi)/pi)
-    spec = FlowSpec(kind=FlowKind.MODIFIED_EUCLIDEAN, target=np.full(4, -1.0), t_max=5.0)
-    trace, final = run_flow(tetra_euc, np.ones(4), spec)
+    spec = FlowSpec(
+        kind=FlowKind.MODIFIED_EUCLIDEAN,
+        target=np.full(4, -1.0),
+        t_max=5.0,
+        integrator=integrator,
+    )
+    trace, final = run_flow(tri, np.ones(4), spec)
     ev = terminal(trace)
     assert ev.kind is EventKind.ESSENTIAL_SINGULARITY
     assert ev.index in range(4)
-    assert abs(ev.t - VANISH_T) < 2e-4
     assert np.max(final.radii) < 1e-6
+    return ev.t
 
 
-def test_removable_singularity_at_degenerating_face(tetra_euc):
+def check_removable_singularity(tri, integrator):
     # pull vertex 0 inward until the three spoke faces degenerate together
     spec = FlowSpec(
         kind=FlowKind.MODIFIED_EUCLIDEAN,
         target=np.array([-30.0, 0.2, 0.2, 0.2]),
         t_max=5.0,
+        integrator=integrator,
     )
-    trace, final = run_flow(tetra_euc, np.array([1.0, 8.0, 8.0, 8.0]), spec)
+    trace, final = run_flow(tri, np.array([1.0, 8.0, 8.0, 8.0]), spec)
     ev = terminal(trace)
     assert ev.kind is EventKind.REMOVABLE_SINGULARITY
     assert ev.index in (0, 1, 2)
     assert np.min(final.radii) > 0.5
-    slack = geometry.triangle_slack(geometry.face_lengths(tetra_euc, final.radii))
+    slack = geometry.triangle_slack(geometry.face_lengths(tri, final.radii))
     assert np.min(slack) < 1e-9
     x_sup = 4.0 + math.sqrt(18.0)
     assert abs(final.radii[1] / final.radii[0] - x_sup) < 1e-6
+
+
+def test_essential_singularity_at_known_time(tetra_euc):
+    assert abs(essential_singularity_time(tetra_euc, FlowSpec.integrator) - VANISH_T) < 2e-4
+
+
+def test_removable_singularity_at_degenerating_face(tetra_euc):
+    check_removable_singularity(tetra_euc, FlowSpec.integrator)
+
+
+@pytest.mark.parametrize("integrator", [Integrator.RK4, Integrator.EULER], ids=lambda i: i.value)
+def test_reference_integrators_classify_singularities(tetra_euc, integrator):
+    # Euler's first-order error moves the collapse by about one step
+    bound = 2e-4 if integrator is Integrator.RK4 else 2.0 * FlowSpec.step
+    assert abs(essential_singularity_time(tetra_euc, integrator) - VANISH_T) < bound
+    check_removable_singularity(tetra_euc, integrator)
 
 
 def test_extended_flow_recovers_admissibility(csaszar_i2):
@@ -412,10 +435,74 @@ def test_one_curvature_evaluation_per_state(csaszar_euc, monkeypatch):
     monkeypatch.setattr(flows, "angle_deficits", counting_deficits)
     monkeypatch.setattr(flows, "_legal", counting_legal)
     r0 = np.array([1.3, 0.8, 1.1, 1.0, 0.9, 1.2, 0.95])
-    trace, _ = run_flow(csaszar_euc, r0, FlowSpec(kind=FlowKind.NORMALIZED_EUCLIDEAN))
+    spec = FlowSpec(kind=FlowKind.NORMALIZED_EUCLIDEAN, integrator=Integrator.RK4)
+    trace, _ = run_flow(csaszar_euc, r0, spec)
     assert terminal(trace).kind is EventKind.CONVERGED
     assert counts["accepted"] > 0
     assert counts["evaluations"] == 4 * counts["accepted"] + 1
+
+
+def test_rk45_evaluates_five_stages_per_attempt(csaszar_euc, monkeypatch):
+    # the Cash-Karp error estimate needs no stage at the candidate, so an
+    # attempted step costs five stage evaluations, and only a candidate that
+    # passes the error test is evaluated (once, by _legal)
+    flows = importlib.import_module("idcurv.flows")
+    counts = dict.fromkeys(["evaluations", "attempts", "evaluated", "accepted"], 0)
+    deficits, propose, legal = flows.angle_deficits, flows._propose, flows._legal
+
+    def counting_deficits(*args, **kwargs):
+        counts["evaluations"] += 1
+        return deficits(*args, **kwargs)
+
+    def counting_propose(*args):
+        counts["attempts"] += 1
+        return propose(*args)
+
+    def counting_legal(*args):
+        counts["evaluated"] += 1
+        ok = legal(*args)
+        counts["accepted"] += ok
+        return ok
+
+    monkeypatch.setattr(flows, "angle_deficits", counting_deficits)
+    monkeypatch.setattr(flows, "_propose", counting_propose)
+    monkeypatch.setattr(flows, "_legal", counting_legal)
+    r0 = np.array([1.3, 0.8, 1.1, 1.0, 0.9, 1.2, 0.95])
+    spec = FlowSpec(kind=FlowKind.NORMALIZED_EUCLIDEAN, step=0.5)
+    assert spec.integrator is Integrator.RK45
+    trace, _ = run_flow(csaszar_euc, r0, spec)
+    assert terminal(trace).kind is EventKind.CONVERGED
+    # the first trial step is too long for the local tolerance
+    assert counts["accepted"] == counts["evaluated"] < counts["attempts"]
+    assert counts["evaluations"] == 5 * counts["attempts"] + counts["evaluated"] + 1
+
+
+def test_rk45_default_cuts_evaluations_on_grid_torus(monkeypatch):
+    # the normalized flow on the 8x8 grid torus converges exponentially, so
+    # error control lets the step grow far past the fixed RK4 step
+    flows = importlib.import_module("idcurv.flows")
+    calls = [0]
+    deficits = flows.angle_deficits
+
+    def counting_deficits(*args, **kwargs):
+        calls[0] += 1
+        return deficits(*args, **kwargs)
+
+    monkeypatch.setattr(flows, "angle_deficits", counting_deficits)
+    tri = grid_torus(8, 8)
+    r0 = np.exp(np.random.default_rng(8).uniform(-0.3, 0.3, tri.vertex_count))
+    runs = {}
+    for integrator in (FlowSpec.integrator, Integrator.RK4):
+        calls[0] = 0
+        spec = FlowSpec(kind=FlowKind.NORMALIZED_EUCLIDEAN, step=0.01, integrator=integrator)
+        trace, final = run_flow(tri, r0, spec)
+        assert terminal(trace).kind is EventKind.CONVERGED
+        runs[integrator] = (calls[0], final.radii)
+    (adaptive_calls, adaptive_r), (fixed_calls, fixed_r) = runs.values()
+    assert FlowSpec.integrator is Integrator.RK45
+    assert 10 * adaptive_calls <= fixed_calls
+    assert np.max(np.abs(adaptive_r - fixed_r)) < 1e-7
+    assert abs(adaptive_r @ adaptive_r - r0 @ r0) / (r0 @ r0) < 1e-10
 
 
 @pytest.mark.parametrize("integrator", list(Integrator), ids=lambda i: i.value)
@@ -449,6 +536,34 @@ def test_candidate_admissibility_comes_from_its_evaluation(
     assert counts["_legal"] > 0
     assert counts["admissible"] == 1
     assert counts["face_lengths"] <= counts["angle_deficits"] + counts["_legal"] + 1
+
+
+@pytest.mark.parametrize("integrator", list(Integrator), ids=lambda i: i.value)
+def test_extended_region_flag_comes_from_its_evaluation(
+    csaszar_i2, monkeypatch, integrator
+):
+    # an extended flow takes its region flag from the accepted candidate's own
+    # face mask; geometry.admissible runs once, for the start
+    flows = importlib.import_module("idcurv.flows")
+    calls = [0]
+    admissible = geometry.admissible
+
+    def counting_admissible(*args, **kwargs):
+        calls[0] += 1
+        return admissible(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "admissible", counting_admissible)
+    r0 = np.array([1.0, 10, 10, 10, 10, 10, 10], dtype=float)
+    r0 *= math.sqrt(7.0 / (r0 @ r0))
+    spec = FlowSpec(kind=FlowKind.EXTENDED_EUCLIDEAN, integrator=integrator)
+    trace, _ = flows.run_flow(csaszar_i2, r0, spec)
+    assert calls[0] == 1
+    left, back, _ = trace.events
+    assert (left.kind, back.kind) == (EventKind.LEFT_ADMISSIBLE, EventKind.REENTERED_ADMISSIBLE)
+    monkeypatch.undo()
+    assert left.index == geometry.admissible(csaszar_i2, r0)[1][0]
+    for radii, outside in zip(trace.radii, trace.extended_region):
+        assert outside == (not geometry.admissible(csaszar_i2, radii)[0])
 
 
 def test_inadmissible_candidate_is_illegal(tetra_euc):

@@ -18,10 +18,10 @@ from idcurv import (
     Geometry,
     QuadratureError,
     SolverError,
-    WeightedTriangulation,
     angle_deficits,
     convexity_report,
     curvature_field,
+    grid_torus,
     laplacian_spectrum,
     newton_solve,
     potential_gradient,
@@ -179,22 +179,9 @@ def test_newton_agrees_with_flow(csaszar_euc, csaszar_hyp):
     assert np.max(np.abs(via_flow.radii - via_newton.radii)) < 1e-7
 
 
-def grid_torus(n, m, geometry):
-    """The n x m grid torus (N = n m, every weight 1), each square cut along a diagonal."""
-    i, j = np.meshgrid(np.arange(n), np.arange(m), indexing="ij")
-    a = i * m + j
-    b = ((i + 1) % n) * m + j
-    c = ((i + 1) % n) * m + (j + 1) % m
-    d = i * m + (j + 1) % m
-    faces = np.concatenate(
-        [np.stack([a, b, c], axis=-1).reshape(-1, 3), np.stack([a, c, d], axis=-1).reshape(-1, 3)]
-    )
-    return WeightedTriangulation(n * m, faces, 1.0, geometry)
-
-
 def test_newton_on_a_144_vertex_torus():
     rng = np.random.default_rng(144)
-    tri = grid_torus(12, 12, Geometry.EUCLIDEAN)
+    tri = grid_torus(12, 12)
     r0 = np.exp(rng.uniform(-0.3, 0.3, tri.vertex_count))
     flat = newton_solve(tri, r0, target=0.0)
     assert np.max(np.abs(angle_deficits(tri, flat.radii))) < 1e-9
@@ -204,7 +191,7 @@ def test_newton_on_a_144_vertex_torus():
     assert abs(values[0]) < 1e-9
     assert values[1] > 0.0
 
-    htri = grid_torus(12, 12, Geometry.HYPERBOLIC)
+    htri = grid_torus(12, 12, geometry=Geometry.HYPERBOLIC)
     packing = 0.5 * np.exp(rng.uniform(-0.3, 0.3, htri.vertex_count))
     target = angle_deficits(htri, packing)
     hyp = newton_solve(htri, np.full(htri.vertex_count, 0.5), target, alpha=0.0)

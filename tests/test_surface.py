@@ -13,6 +13,7 @@ from idcurv import (
     WeightedTriangulation,
     csaszar_torus,
     euler_characteristic,
+    grid_torus,
     load_radii,
     load_surface,
     save_radii,
@@ -40,6 +41,22 @@ def test_csaszar_counts():
     assert {tuple(e) for e in tri.edges} == {
         (i, j) for i in range(7) for j in range(i + 1, 7)
     }
+
+
+@pytest.mark.parametrize("n, m", [(3, 3), (4, 7), (8, 8)])
+def test_grid_torus_counts_and_degrees(n, m):
+    tri = grid_torus(n, m, weight=2.0, geometry=Geometry.HYPERBOLIC)
+    assert tri.vertex_count == n * m
+    assert tri.edge_count == 3 * n * m
+    assert tri.face_count == 2 * n * m
+    assert euler_characteristic(tri) == 0
+    assert np.all(np.bincount(tri.edges.ravel(), minlength=n * m) == 6)
+    assert np.all(tri.weights == 2.0) and tri.geometry is Geometry.HYPERBOLIC
+
+
+def test_grid_torus_needs_three_rows_and_columns():
+    with pytest.raises(ValueError, match="n, m >= 3"):
+        grid_torus(2, 5)
 
 
 def test_closed_surface_edge_face_relation():
