@@ -32,13 +32,19 @@ advances with the 5th-order solution and compares it with the embedded
 4th-order one, in a norm mixed absolute and relative in r, against
 LOCAL_TOL * tol. spec.step is the first trial step; a step rejected on error
 shrinks by the estimate's own factor, and an accepted one sets the next step
-to grow at most MAX_GROWTH-fold, capped only by t_max - t. Near convergence
-the steps grow to the stability limit of the flow's stiffest mode; there the
-error test holds the stiff modes near the local tolerance, so on a stiff
-enough flow max|T - K/s^alpha| stalls above tol until t_max. RK4 and Euler
-are the fixed-step reference integrators, stepping spec.step. Trace rows are
+to grow at most MAX_GROWTH-fold. The flow is a heat equation with a real
+spectrum, so near convergence error control alone would grow the step to the
+stability limit of the stiffest mode and hold that mode near the local
+tolerance, which keeps max|T - K/s^alpha| above tol. Each accepted step
+therefore also estimates the stiffest rate rho from two states the step
+evaluates anyway (Hairer-Wanner I, IV.2): the 5th stage, taken at the end of
+the step, and the accepted candidate. The next step is capped at
+SAFETY * beta / rho, with beta the negative-real-axis stability boundary of
+the pair's 5th-order weights, and at t_max - t. RK4 and Euler are the
+fixed-step reference integrators, stepping spec.step. Trace rows are
 recorded every SAMPLE_DT of flow time (every floor(SAMPLE_DT / step) steps
-for the fixed-step integrators), and at every event.
+for the fixed-step integrators), and at every event. When the run ends, one
+DEBUG record on the "idcurv.flows" logger gives its step statistics.
 Curvature is evaluated once per flow state: a candidate's own evaluation
 decides whether it is legal (for genuine kinds the angle computation raises
 on exactly the faces that fail a triangle inequality, for extended kinds its
@@ -59,9 +65,11 @@ slack.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import enum
 import json
+import logging
 import math
 from pathlib import Path
 
@@ -73,6 +81,8 @@ from .errors import AdmissibilityError, IntegrationError
 from .geometry import PackingMetric
 from .surface import Geometry
 
+log = logging.getLogger("idcurv.flows")
+
 EPS_RADIUS = 1e-8
 RADIUS_CAP = 1e8
 EPS_TRI = 1e-12  # relative slack below which a face counts as degenerate
@@ -80,11 +90,10 @@ MIN_STEP = 1e-14
 COLLAPSE_HORIZON = 100.0 * MIN_STEP  # shortest look-ahead of the stall probe
 SAMPLE_DT = 0.1  # flow time between recorded trace rows
 # RK45 asks each step for a local error of LOCAL_TOL * tol, mixed absolute and
-# relative in r. At the stability limit the error test holds the stiff modes
-# near that level, and max|T - K/s^alpha| stalls a stiffness-sized factor
-# above it: with 1e-2 a hyperbolic Csaszar flow whose stiffest rate is ~80
-# stalls at 7e-10 against tol = 1e-10.
-LOCAL_TOL = 1e-3
+# relative in r. The stability cap keeps the steps of a stiff flow inside the
+# pair's stability region, where the stiff modes decay instead of hovering at
+# the local tolerance, so the tolerance need not be tightened for them.
+LOCAL_TOL = 1e-2
 MAX_GROWTH = 5.0  # largest factor by which an accepted RK45 step grows the next
 SAFETY = 0.9
 
@@ -102,6 +111,30 @@ _CK_A = [
 ]
 _CK_B = np.array([37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771])
 _CK_E = np.array([-277 / 64512, 0.0, 6925 / 370944, -6925 / 202752, -277 / 14336, 277 / 7084])
+
+
+def _stability_boundary(a_rows, b):
+    """beta > 0 where the stability interval [-beta, 0] of the explicit
+    Runge-Kutta weights b over the stage rows a_rows ends: the smallest x > 0
+    with |R(-x)| > 1, R(-x) being one step of y' = -x y from y = 1 with h = 1.
+    A scan in steps of 0.1 brackets it and bisection refines it."""
+
+    def unstable(x):
+        k = [-x]
+        for row in a_rows:
+            k.append(-x * (1.0 + sum(a * kj for a, kj in zip(row, k))))
+        return abs(1.0 + sum(bj * kj for bj, kj in zip(b, k))) > 1.0
+
+    lo, hi = 0.0, 0.1
+    while not unstable(hi):
+        lo, hi = hi, hi + 0.1
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if unstable(mid) else (mid, hi)
+    return float(lo)
+
+
+_CK_BETA = _stability_boundary(_CK_A, _CK_B)
 
 
 class FlowKind(enum.Enum):
@@ -285,9 +318,10 @@ def _velocity(tri, r, dev, spec):
 # -- driver ------------------------------------------------------------------------
 
 
-def _legal(tri, r, spec, dev, degenerate=None):
+def _legal(tri, r, spec, dev, degenerate=None, tally=None):
     """Whether candidate r is legal; if it is, its deviation is written to dev
-    (and its face mask to a given `degenerate`).
+    (and its face mask to a given `degenerate`). A given Counter `tally`
+    counts the evaluation under "evaluations".
 
     r is legal when it is finite, within [EPS_RADIUS, RADIUS_CAP] and, for
     genuine kinds, admissible. Admissibility comes from the candidate's own
@@ -298,6 +332,8 @@ def _legal(tri, r, spec, dev, degenerate=None):
         return False
     if (r < EPS_RADIUS).any() or (r > RADIUS_CAP).any():
         return False
+    if tally is not None:
+        tally["evaluations"] += 1
     try:
         dev[:] = _deviation(tri, r, spec, degenerate)
     except AdmissibilityError:
@@ -305,35 +341,40 @@ def _legal(tri, r, spec, dev, degenerate=None):
     return True
 
 
-def _propose(tri, r, k1, h, spec):
-    """One explicit step from r; returns (candidate, err).
+def _propose(tri, r, k1, h, spec, tally):
+    """One explicit step from r; returns (candidate, err, end_state).
 
     candidate is None if a stage failed. err is the RK45 local error estimate
     in units of the requested local tolerance (the step passes when err <= 1);
-    it is 0.0 for the fixed-step integrators.
+    it is 0.0 for the fixed-step integrators. end_state is RK45's 5th stage
+    as (y, dr/dt at y), a state at the end of the step, or None. The Counter
+    `tally` counts stage evaluations under "evaluations".
     """
     try:
         if spec.integrator is Integrator.EULER:
-            return r + h * k1, 0.0
+            return r + h * k1, 0.0, None
         if spec.integrator is Integrator.RK45:
-            return _cash_karp(tri, r, k1, h, spec)
-        k2 = _stage_rhs(tri, r + (0.5 * h) * k1, spec)
-        k3 = _stage_rhs(tri, r + (0.5 * h) * k2, spec)
-        k4 = _stage_rhs(tri, r + h * k3, spec)
+            return _cash_karp(tri, r, k1, h, spec, tally)
+        k2 = _stage_rhs(tri, r + (0.5 * h) * k1, spec, tally)
+        k3 = _stage_rhs(tri, r + (0.5 * h) * k2, spec, tally)
+        k4 = _stage_rhs(tri, r + h * k3, spec, tally)
     except (AdmissibilityError, FloatingPointError):
-        return None, 0.0
-    return r + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), 0.0
+        return None, 0.0, None
+    return r + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), 0.0, None
 
 
-def _cash_karp(tri, r, k1, h, spec):
+def _cash_karp(tri, r, k1, h, spec, tally):
     """Five stages of the Cash-Karp pair after k1; no stage at the candidate."""
     k = np.empty((6, r.size))
     k[0] = k1
     for i, row in enumerate(_CK_A, start=1):
-        k[i] = _stage_rhs(tri, r + h * (row @ k[:i]), spec)
+        y = r + h * (row @ k[:i])
+        k[i] = _stage_rhs(tri, y, spec, tally)
+        if i == 4:  # the one stage at c = 1
+            end_state = y, k[i]
     candidate = r + h * (_CK_B @ k)
     scale = (LOCAL_TOL * spec.tol) * (1.0 + np.maximum(r, np.abs(candidate)))
-    return candidate, float(np.max(np.abs(h * (_CK_E @ k)) / scale))
+    return candidate, float(np.max(np.abs(h * (_CK_E @ k)) / scale)), end_state
 
 
 def _error_factor(step_err):
@@ -343,10 +384,28 @@ def _error_factor(step_err):
     return min(MAX_GROWTH, max(1.0 / MAX_GROWTH, SAFETY * max(step_err, 1e-10) ** -0.2))
 
 
-def _stage_rhs(tri, r, spec):
+def _stage_rhs(tri, r, spec, tally):
     if not np.isfinite(r).all() or (r <= 0.0).any():
         raise AdmissibilityError("stage radii left the positive cone")
+    tally["evaluations"] += 1
     return _velocity(tri, r, _deviation(tri, r, spec), spec)
+
+
+def _stiffness(candidate, k1, end_state):
+    """Estimate of the stiffest rate rho from the accepted candidate, its
+    velocity k1 and end_state (y, dr/dt at y) at the same time, or None when
+    the two states agree to roundoff.
+
+    Once the steps reach the stability limit, the stiffest modes dominate
+    the gap between the two states, so the ratio of the velocity gap to the
+    state gap is their rate (the DOPRI5 stiffness test); before that it
+    reads low and the cap does not bind.
+    """
+    y, ky = end_state
+    gap = np.linalg.norm(candidate - y)
+    if gap <= 100.0 * np.finfo(float).eps * np.linalg.norm(candidate):
+        return None
+    return float(np.linalg.norm(k1 - ky) / gap)
 
 
 def run_flow(tri, r0, spec: FlowSpec):
@@ -389,6 +448,13 @@ def run_flow(tri, r0, spec: FlowSpec):
         ext_flags.append(not inside)
 
     def finish(final_r):
+        log.debug(
+            "run_flow ended at t=%.6g: %d curvature evaluations, %d accepted steps, "
+            "%d rejected on error, %d illegal candidates, %d steps shortened by the "
+            "stability cap, last stiffness estimate %.4g",
+            t, tally["evaluations"], steps, tally["error"], tally["illegal"],
+            tally["capped"], rho,
+        )
         trace = FlowTrace(
             times=np.asarray(times),
             radii=np.asarray(radii),
@@ -416,6 +482,9 @@ def run_flow(tri, r0, spec: FlowSpec):
         events.append(FlowEvent(0.0, EventKind.LEFT_ADMISSIBLE, int(bad[0])))
 
     t = 0.0
+    steps = 0
+    rho = 0.0  # the last stiffness estimate; 0 before the first
+    tally = collections.Counter(evaluations=1)
     dev = _deviation(tri, r, spec)
     err = float(np.max(np.abs(dev)))
     if err < spec.tol:
@@ -424,24 +493,25 @@ def run_flow(tri, r0, spec: FlowSpec):
 
     adaptive = spec.integrator is Integrator.RK45
     sample_every = max(1, math.floor(SAMPLE_DT / spec.step))
-    steps = 0
     h_next = spec.step
     degenerate = None if genuine else np.empty(tri.face_count, dtype=bool)
+    k1 = _velocity(tri, r, dev, spec)
     while t < spec.t_max * (1.0 - 1e-15):
-        k1 = _velocity(tri, r, dev, spec)
         h = min(h_next, spec.t_max - t)
         next_dev = np.empty_like(r)
         while True:
-            candidate, step_err = _propose(tri, r, k1, h, spec)
+            candidate, step_err, end_state = _propose(tri, r, k1, h, spec, tally)
             if (
                 candidate is not None
                 and step_err <= 1.0
-                and _legal(tri, candidate, spec, next_dev, degenerate)
+                and _legal(tri, candidate, spec, next_dev, degenerate, tally)
             ):
                 break
             # an error rejection shrinks h by the estimate's own factor, an
             # illegal candidate (or a NaN estimate) halves it
-            shrink = _error_factor(step_err) if step_err > 1.0 else 0.5
+            rejection = "error" if step_err > 1.0 else "illegal"
+            tally[rejection] += 1
+            shrink = _error_factor(step_err) if rejection == "error" else 0.5
             if h * shrink < MIN_STEP:
                 event = _classify_stall(tri, r, candidate, k1, h, genuine)
                 if event is None:
@@ -454,8 +524,13 @@ def run_flow(tri, r0, spec: FlowSpec):
                 return stop(dataclasses.replace(event, t=t))
             h *= shrink
 
+        k1 = _velocity(tri, candidate, next_dev, spec)
         if adaptive:
             h_next = h * _error_factor(step_err)
+            rho = _stiffness(candidate, k1, end_state) or rho
+            if rho > 0.0 and SAFETY * _CK_BETA / rho < h_next:
+                h_next = SAFETY * _CK_BETA / rho
+                tally["capped"] += 1
         else:
             h_next = min(spec.step, 2.0 * h)
         r, dev = candidate, next_dev

@@ -1,11 +1,12 @@
-"""Acceptance gate: ten end-to-end checks with pinned tolerances.
+"""Acceptance gate: eleven end-to-end checks with pinned tolerances.
 
 Each check prints one "ACCEPTANCE n: PASS" line on success (run with -s to
 stream them); a pytest failure is the corresponding fail line. Together they
 exercise the package the way it is meant to be used: the two-metric
 tetrahedron family, curvature identities on random packings, Jacobian
 structure, flow convergence and recovery from degenerate starts, potential
-calculus, Newton rigidity, and the hyperbolic limit lemmas.
+calculus, Newton rigidity, the hyperbolic limit lemmas, and the flow
+theorem for chi < 0 on a genus-2 surface.
 """
 
 import time
@@ -14,12 +15,13 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import fd_jacobian, sample_admissible
+from conftest import fd_jacobian, genus_two, sample_admissible
 from idcurv import (
     EventKind,
     FlowKind,
     FlowSpec,
     Geometry,
+    Integrator,
     TetraFamily,
     X_SUP,
     admissible,
@@ -30,6 +32,7 @@ from idcurv import (
     curvature_jacobian,
     curvature_residual,
     edge_length,
+    euler_characteristic,
     face_angles,
     find_second_root,
     gauss_bonnet_residual,
@@ -378,4 +381,68 @@ def test_10_hyperbolic_prescribed_curvature_agreement():
         10,
         f"no R <= 0 instance in 50 samples; fallback flow dev {flow_dev:.1e}, "
         f"Newton/flow gap {agree:.1e}, sign warnings logged",
+    )
+
+
+# -- 11: on a chi < 0 surface the flows converge, to unique limits --------------------
+
+
+def test_11_genus_two_flows_converge_to_unique_limits():
+    t0 = time.perf_counter()
+    euc, hyp = genus_two(), genus_two(HYP)
+    assert (euc.vertex_count, len(euc.edges), euc.face_count) == (69, 213, 142)
+    assert euler_characteristic(euc) == -2
+    rng = np.random.default_rng(61)
+    starts = [np.exp(rng.uniform(-0.3, 0.3, euc.vertex_count)) for _ in range(3)]
+    worst_gb = 0.0
+
+    # (a) Euclidean: for alpha = 2 and alpha = 1 every start flows to one
+    # constant-curvature metric up to scale (alpha-rigidity)
+    gaps = []
+    for kind, alpha in ((FlowKind.NORMALIZED_EUCLIDEAN, 2.0), (FlowKind.ALPHA_NORMALIZED, 1.0)):
+        shapes = []
+        for r0 in starts:
+            trace, final = run_flow(euc, r0, FlowSpec(kind=kind, alpha=alpha))
+            assert trace.terminal_event().kind is EventKind.CONVERGED
+            shapes.append(final.radii / final.radii.mean())
+            worst_gb = max(worst_gb, abs(gauss_bonnet_residual(euc, final.radii)))
+        gaps.append(max(np.abs(a - b).max() for a in shapes for b in shapes))
+    assert max(gaps) < 1e-6
+
+    # (b) hyperbolic, target -1, default spec: converges when the exact flow
+    # does (the fixed-step RK4 reference), to the Newton solution
+    worst_time = worst_newton = 0.0
+    for r0 in starts:
+        spec = FlowSpec(kind=FlowKind.MODIFIED_HYPERBOLIC, target=-1.0)
+        trace, final = run_flow(hyp, r0, spec)
+        term = trace.terminal_event()
+        assert term.kind is EventKind.CONVERGED
+        reference = run_flow(
+            hyp,
+            r0,
+            FlowSpec(
+                kind=FlowKind.MODIFIED_HYPERBOLIC,
+                target=-1.0,
+                step=0.004,
+                integrator=Integrator.RK4,
+            ),
+        )[0].terminal_event()
+        assert reference.kind is EventKind.CONVERGED
+        worst_time = max(worst_time, abs(term.t - reference.t) / reference.t)
+        worst_newton = max(
+            worst_newton, np.abs(final.radii - newton_solve(hyp, r0, -1.0).radii).max()
+        )
+        worst_gb = max(worst_gb, abs(gauss_bonnet_residual(hyp, final.radii)))
+    assert worst_time < 0.01
+    assert worst_newton < 1e-8
+
+    # (c) Gauss-Bonnet with chi = -2 at every limit
+    assert worst_gb < 1e-12
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 30.0
+    _ok(
+        11,
+        f"shape gaps {gaps[0]:.1e} (alpha 2) and {gaps[1]:.1e} (alpha 1), hyperbolic "
+        f"convergence time within {worst_time:.1%} of RK4, Newton gap {worst_newton:.1e}, "
+        f"Gauss-Bonnet {worst_gb:.1e}, {elapsed:.2f}s",
     )

@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import logging
 import math
 import os
 import subprocess
@@ -29,7 +30,8 @@ from idcurv import (
     grid_torus,
     run_flow,
 )
-from idcurv import geometry
+from conftest import genus_two
+from idcurv import curvature_jacobian, geometry
 from idcurv.flows import TERMINAL_EVENTS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -503,6 +505,131 @@ def test_rk45_default_cuts_evaluations_on_grid_torus(monkeypatch):
     assert 10 * adaptive_calls <= fixed_calls
     assert np.max(np.abs(adaptive_r - fixed_r)) < 1e-7
     assert abs(adaptive_r @ adaptive_r - r0 @ r0) / (r0 @ r0) < 1e-10
+
+
+@pytest.mark.parametrize("integrator", [Integrator.RK4, Integrator.EULER], ids=lambda i: i.value)
+def test_fixed_step_integrators_are_plain_loops(integrator):
+    # RK4 and Euler are references: every trace row is bit-identical to the
+    # textbook fixed-step loop over flow_rhs, so the RK45 step control never
+    # reaches them
+    tri = grid_torus(8, 8)
+    r = np.exp(np.random.default_rng(8).uniform(-0.3, 0.3, tri.vertex_count))
+    spec = FlowSpec(
+        kind=FlowKind.NORMALIZED_EUCLIDEAN, t_max=1.0, tol=1e-14, integrator=integrator
+    )
+    t, states = 0.0, {0.0: r}
+    while t < spec.t_max * (1.0 - 1e-15):
+        h = min(spec.step, spec.t_max - t)
+        k1 = flow_rhs(tri, r, spec)
+        if integrator is Integrator.EULER:
+            r = r + h * k1
+        else:
+            k2 = flow_rhs(tri, r + (0.5 * h) * k1, spec)
+            k3 = flow_rhs(tri, r + (0.5 * h) * k2, spec)
+            k4 = flow_rhs(tri, r + h * k3, spec)
+            r = r + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += h
+        states[t] = r
+    trace, final = run_flow(tri, states[0.0], spec)
+    assert terminal(trace).kind is EventKind.HORIZON_REACHED
+    assert len(trace.times) == 11
+    for t, radii in zip(trace.times, trace.radii):
+        assert np.array_equal(radii, states[t])
+    assert np.array_equal(final.radii, r)
+
+
+def test_stability_boundary_matches_scan():
+    # |R(-x)| from the stability polynomial R(z) = 1 + sum_j z^j b A^(j-1) 1
+    # of the tableau, scanned on a fine grid
+    flows = importlib.import_module("idcurv.flows")
+    A = np.zeros((6, 6))
+    for i, row in enumerate(flows._CK_A, start=1):
+        A[i, :i] = row
+    coeffs = [1.0] + [flows._CK_B @ np.linalg.matrix_power(A, j) @ np.ones(6) for j in range(6)]
+    xs = np.arange(1, 60001) * 1e-4
+    amplification = np.abs(np.polynomial.polynomial.polyval(-xs, coeffs))
+    first_unstable = xs[np.argmax(amplification > 1.0)]
+    assert abs(flows._CK_BETA - first_unstable) < 1e-3
+    assert 3.7 < flows._CK_BETA < 3.8
+
+
+def flow_summary(caplog):
+    """Arguments of the one DEBUG record a run_flow call left on idcurv.flows:
+    (t, evaluations, accepted, rejected on error, illegal, capped, rho)."""
+    records = [rec for rec in caplog.records if rec.name == "idcurv.flows"]
+    assert len(records) == 1
+    assert records[0].levelno == logging.DEBUG
+    assert "run_flow ended" in records[0].getMessage()
+    return records[0].args
+
+
+def test_stiffness_estimate_matches_jacobian_spectrum(caplog):
+    # the hyperbolic flow on genus 2 is stiff (rates up to ~330 near the
+    # limit): the cap holds its steps, and the last estimate of the stiffest
+    # rate lies near the top of the spectrum of the flow's Jacobian in u,
+    # J = -diag(s^-2) L + diag(K s^-2)
+    tri = genus_two(Geometry.HYPERBOLIC)
+    r0 = np.exp(np.random.default_rng(1).uniform(-0.3, 0.3, tri.vertex_count))
+    spec = FlowSpec(kind=FlowKind.MODIFIED_HYPERBOLIC, target=-1.0)
+    with caplog.at_level(logging.DEBUG, logger="idcurv.flows"):
+        trace, final = run_flow(tri, r0, spec)
+    assert terminal(trace).kind is EventKind.CONVERGED
+    *_, capped, rho = flow_summary(caplog)
+    assert capped > 0
+    r = final.radii
+    s = geometry.s_of_r(r, tri.geometry)
+    J = -(curvature_jacobian(tri, r).matrix / s[:, None] ** 2) + np.diag(
+        angle_deficits(tri, r) / s**2
+    )
+    top = np.abs(np.linalg.eigvals(J)).max()
+    assert abs(rho - top) < 0.1 * top
+
+
+@pytest.mark.parametrize("case", ["error-rejections", "illegal-candidates"])
+def test_run_flow_logs_one_summary(tetra_euc, csaszar_euc, monkeypatch, caplog, case):
+    # the record's counts are the run's own: curvature evaluations as
+    # angle_deficits sees them, accepted steps as _legal grants them, and
+    # every other attempt rejected either on error or as illegal
+    flows = importlib.import_module("idcurv.flows")
+    counts = dict.fromkeys(["evaluations", "attempts", "accepted"], 0)
+    deficits, propose, legal = flows.angle_deficits, flows._propose, flows._legal
+
+    def counting_deficits(*args, **kwargs):
+        counts["evaluations"] += 1
+        return deficits(*args, **kwargs)
+
+    def counting_propose(*args):
+        counts["attempts"] += 1
+        return propose(*args)
+
+    def counting_legal(*args):
+        ok = legal(*args)
+        counts["accepted"] += ok
+        return ok
+
+    monkeypatch.setattr(flows, "angle_deficits", counting_deficits)
+    monkeypatch.setattr(flows, "_propose", counting_propose)
+    monkeypatch.setattr(flows, "_legal", counting_legal)
+    if case == "error-rejections":
+        r0 = np.array([1.3, 0.8, 1.1, 1.0, 0.9, 1.2, 0.95])
+        tri, spec = csaszar_euc, FlowSpec(kind=FlowKind.NORMALIZED_EUCLIDEAN, step=0.5)
+    else:
+        # the removable singularity of check_removable_singularity
+        r0 = np.array([1.0, 8.0, 8.0, 8.0])
+        target = np.array([-30.0, 0.2, 0.2, 0.2])
+        tri, spec = tetra_euc, FlowSpec(kind=FlowKind.MODIFIED_EUCLIDEAN, target=target)
+    with caplog.at_level(logging.DEBUG, logger="idcurv.flows"):
+        trace, _ = run_flow(tri, r0, spec)
+    t, evaluations, accepted, error, illegal, capped, rho = flow_summary(caplog)
+    assert t == terminal(trace).t
+    assert evaluations == counts["evaluations"]
+    assert accepted == counts["accepted"] > 0
+    assert error + illegal == counts["attempts"] - accepted
+    if case == "error-rejections":
+        assert error > 0 and illegal == 0
+    else:
+        assert illegal > 0
+    assert 0 <= capped <= accepted and rho > 0.0
 
 
 @pytest.mark.parametrize("integrator", list(Integrator), ids=lambda i: i.value)
