@@ -67,6 +67,7 @@ from .surface import (
     WeightedTriangulation,
     WeightRegime,
     WeightReport,
+    connected_sum,
     csaszar_torus,
     euler_characteristic,
     grid_torus,

@@ -7,7 +7,8 @@ The Jacobian L = dK/du is taken in u_i = ln s_i^2 coordinates, in which it is
 symmetric: positive semidefinite with kernel spanned by the all-ones vector in
 the Euclidean case, positive definite in the hyperbolic case. It is assembled
 as a sparse CSR matrix from one 3x3 block per face (about 7N stored entries);
-only the full Laplacian spectrum densifies it.
+the full Laplacian spectrum is taken from its band after a bandwidth-reducing
+reordering, so no N x N copy of it is made.
 """
 
 from __future__ import annotations
@@ -220,19 +221,43 @@ def laplacian_spectrum(tri, r, return_vectors=False):
     """Eigenvalues of Sigma^{-1/2} L Sigma^{-1/2}, Sigma = diag(s^2), ascending.
 
     Euclidean surfaces only: the smallest eigenvalue is ~0 with eigenvector
-    proportional to r, the rest are positive.
+    proportional to r, the rest are positive. With return_vectors=True the
+    orthonormal eigenvectors come back too, as the columns of an N x N array.
+
+    The matrix is reordered by reverse Cuthill-McKee and handed to LAPACK in
+    lower band storage, so the cost is O(N b) memory and O(N^2 b) time, b
+    being the half-bandwidth after reordering: about 3 sqrt(N) on n x n grid
+    tori, N - 1 when every vertex neighbours every other (the tetrahedron,
+    the Csaszar torus). Eigenvectors take N^2 memory and O(N^3) time.
     """
     if tri.geometry is not Geometry.EUCLIDEAN:
         raise ValueError("the Laplacian spectrum here is Euclidean only")
+    # imported here, like scipy.sparse in curvature_jacobian, so flow and CLI
+    # processes that take no spectrum never load them
+    import scipy.linalg
     import scipy.sparse
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
 
     r = np.asarray(r, dtype=float)
     L = curvature_jacobian(tri, r).sparse
     s = geometry.s_of_r(r, tri.geometry)
     scale = scipy.sparse.diags_array(1.0 / s)
     lam = scale @ L @ scale
-    # the full spectrum is the contract, so the one dense copy is made here
-    sym = (0.5 * (lam + lam.T)).toarray()
-    if return_vectors:
-        return np.linalg.eigh(sym)
-    return np.linalg.eigvalsh(sym)
+    sym = (0.5 * (lam + lam.T)).tocsr()
+    perm = reverse_cuthill_mckee(sym, symmetric_mode=True)
+    # entry (p, q) of sym moves to (position[p], position[q]) of the reordered matrix
+    position = np.empty_like(perm)
+    position[perm] = np.arange(len(perm))
+    entries = sym.tocoo()
+    row, col = position[entries.row], position[entries.col]
+    lower = row >= col
+    row, col, data = row[lower], col[lower], entries.data[lower]
+    # LAPACK lower band storage: band[i - j, j] = A[i, j]; Fortran order spares a copy
+    band = np.zeros((int(np.max(row - col)) + 1, tri.vertex_count), order="F")
+    band[row - col, col] = data
+    if not return_vectors:
+        return scipy.linalg.eigvals_banded(band, lower=True, overwrite_a_band=True)
+    values, vectors = scipy.linalg.eig_banded(band, lower=True, overwrite_a_band=True)
+    out = np.empty_like(vectors)
+    out[perm] = vectors
+    return values, out

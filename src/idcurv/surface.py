@@ -341,3 +341,24 @@ def grid_torus(n, m, weight=1.0, geometry=Geometry.EUCLIDEAN) -> WeightedTriangu
     lower = np.stack([a, b, c], axis=-1).reshape(-1, 3)
     upper = np.stack([a, c, d], axis=-1).reshape(-1, 3)
     return WeightedTriangulation(n * m, np.concatenate([lower, upper]), weight, geometry)
+
+
+def connected_sum(a, b, weight=1.0) -> WeightedTriangulation:
+    """The connected sum of closed surfaces a and b, weight on every edge.
+
+    Each loses its last face, and the two boundary triangles are glued with
+    reversed orientation, so oriented surfaces give an oriented sum:
+    V = V_a + V_b - 3, E = E_a + E_b - 3, F = F_a + F_b - 2 and
+    chi = chi_a + chi_b - 2. The weights of a and b are not carried over.
+    """
+    if a.geometry is not b.geometry:
+        raise ValueError("a connected sum needs both surfaces in one geometry")
+    i, j, k = a.faces[-1]
+    hole = b.faces[-1]
+    # b's vertices follow a's, except the hole's, which become a's reversed
+    index = np.empty(b.vertex_count, dtype=np.int64)
+    rest = np.setdiff1d(np.arange(b.vertex_count), hole)
+    index[rest] = a.vertex_count + np.arange(len(rest))
+    index[hole] = (i, k, j)
+    faces = np.concatenate([a.faces[:-1], index[b.faces[:-1]]])
+    return WeightedTriangulation(a.vertex_count + len(rest), faces, weight, a.geometry)

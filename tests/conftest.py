@@ -11,8 +11,8 @@ from idcurv import (
     r_of_u,
     angle_deficits,
     corner_angles,
+    connected_sum,
     grid_torus,
-    WeightedTriangulation,
 )
 
 
@@ -104,24 +104,6 @@ def assert_rowwise_close(L, J, rtol):
     err = np.abs(L - J).max(axis=1)
     scale = np.abs(J).max(axis=1)
     assert np.all(err <= rtol * scale), (err / scale).max()
-
-
-def connected_sum(a, b, weight=1.0):
-    """The connected sum of closed surfaces a and b, weight on every edge.
-
-    Each loses its last face, and the two boundary triangles are glued with
-    reversed orientation, so the sum stays oriented: V = V_a + V_b - 3,
-    E = E_a + E_b - 3, F = F_a + F_b - 2 and chi = chi_a + chi_b - 2.
-    """
-    i, j, k = a.faces[-1]
-    hole = b.faces[-1]
-    # b's vertices follow a's, except the hole's, which become a's reversed
-    index = np.empty(b.vertex_count, dtype=np.int64)
-    rest = np.setdiff1d(np.arange(b.vertex_count), hole)
-    index[rest] = a.vertex_count + np.arange(len(rest))
-    index[hole] = (i, k, j)
-    faces = np.concatenate([a.faces[:-1], index[b.faces[:-1]]])
-    return WeightedTriangulation(a.vertex_count + len(rest), faces, weight, a.geometry)
 
 
 def genus_two(geometry=Geometry.EUCLIDEAN):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from idcurv import (
     curvature_field,
     curvature_jacobian,
     gauss_bonnet_residual,
+    grid_torus,
     laplacian_apply,
     laplacian_spectrum,
     load_surface,
@@ -26,7 +28,13 @@ from idcurv import (
 from idcurv.curvature import _angle_length_derivatives, _length_u_derivatives
 from idcurv.geometry import corner_angles, face_lengths
 
-from conftest import assert_rowwise_close, fd_jacobian, fd_jacobian_in_r, sample_admissible
+from conftest import (
+    assert_rowwise_close,
+    fd_jacobian,
+    fd_jacobian_in_r,
+    genus_two,
+    sample_admissible,
+)
 
 TWO_PI = 2.0 * np.pi
 MESHES = Path(__file__).resolve().parent.parent / "meshes"
@@ -217,7 +225,7 @@ def test_jacobian_finite_at_large_hyperbolic_radii(radius):
 @given(
     st.sampled_from([Geometry.EUCLIDEAN, Geometry.HYPERBOLIC]),
     st.floats(min_value=-7.0, max_value=math.log10(30.0)),
-    st.sampled_from([0.0, 1.0, 2.0]),
+    st.sampled_from([-0.5, -0.9, 0.0, 1.0, 2.0]),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
 @settings(max_examples=60, deadline=None)
@@ -322,6 +330,58 @@ def test_spectrum_kernel_vector_is_radii(csaszar_euc, rng):
     v0 = v0 / np.linalg.norm(v0)
     ref = r / np.linalg.norm(r)
     assert min(np.linalg.norm(v0 - ref), np.linalg.norm(v0 + ref)) <= 1e-8
+
+
+def dense_spectrum_operator(tri, r):
+    """Sigma^{-1/2} L Sigma^{-1/2} as a symmetrized dense array, the reference."""
+    s = s_of_r(r, tri.geometry)
+    A = curvature_jacobian(tri, r).sparse.toarray() / np.outer(s, s)
+    return 0.5 * (A + A.T)
+
+
+@pytest.mark.parametrize(
+    "tri",
+    [grid_torus(6, 6), grid_torus(12, 12), genus_two(), tetrahedron(), csaszar_torus()],
+    ids=["torus6", "torus12", "genus2", "tetrahedron", "csaszar"],
+)
+def test_spectrum_matches_dense_reference(tri, rng):
+    # the tetrahedron and the Csaszar torus are complete graphs: their band is full
+    r = sample_admissible(tri, rng, spread=0.3)
+    values = laplacian_spectrum(tri, r)
+    expect = np.linalg.eigvalsh(dense_spectrum_operator(tri, r))
+    assert values.shape == (tri.vertex_count,)
+    assert np.all(np.diff(values) >= 0.0)
+    np.testing.assert_allclose(values, expect, rtol=0.0, atol=1e-12 * np.abs(expect).max())
+
+
+def test_spectrum_vectors_on_reordered_torus(rng):
+    # the grid torus is numbered row by row, so the band ordering permutes it
+    tri = grid_torus(12, 12)
+    r = sample_admissible(tri, rng, spread=0.3)
+    values, vectors = laplacian_spectrum(tri, r, return_vectors=True)
+    A = dense_spectrum_operator(tri, r)
+    scale = np.abs(values).max()
+    assert np.abs(A @ vectors - vectors * values).max() <= 1e-12 * scale
+    np.testing.assert_allclose(vectors.T @ vectors, np.eye(tri.vertex_count), atol=1e-12)
+    v0 = vectors[:, 0] / np.linalg.norm(vectors[:, 0])
+    ref = r / np.linalg.norm(r)
+    assert min(np.linalg.norm(v0 - ref), np.linalg.norm(v0 + ref)) <= 1e-10
+
+
+def test_spectrum_makes_no_dense_copy():
+    # a quarter of one N x N float64 array bounds the traced peak at N = 1600
+    tri = grid_torus(40, 40)
+    r = np.ones(tri.vertex_count)
+    laplacian_spectrum(grid_torus(3, 3), np.ones(9))  # lazy imports outside the trace
+    limit = tri.vertex_count**2 * 8 / 4
+    tracemalloc.start()
+    try:
+        values = laplacian_spectrum(tri, r)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert abs(values[0]) <= 1e-12
+    assert peak < limit, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 def test_first_eigenvalue_exceeds_average_at_flat_metric(csaszar_euc):

@@ -11,6 +11,7 @@ from idcurv import (
     WeightError,
     WeightRegime,
     WeightedTriangulation,
+    connected_sum,
     csaszar_torus,
     euler_characteristic,
     grid_torus,
@@ -57,6 +58,37 @@ def test_grid_torus_counts_and_degrees(n, m):
 def test_grid_torus_needs_three_rows_and_columns():
     with pytest.raises(ValueError, match="n, m >= 3"):
         grid_torus(2, 5)
+
+
+def oriented(tri):
+    """Every edge is crossed once in each direction by the faces' vertex order."""
+    directed = {(int(f[c]), int(f[(c + 1) % 3])) for f in tri.faces for c in range(3)}
+    return len(directed) == 3 * tri.face_count
+
+
+@pytest.mark.parametrize(
+    "a, b, chi",
+    [
+        (grid_torus(6, 6), grid_torus(6, 6), -2),
+        (grid_torus(3, 4), csaszar_torus(), -2),
+        (tetrahedron(), grid_torus(5, 5), 0),
+        (connected_sum(grid_torus(3, 3), grid_torus(3, 3)), grid_torus(4, 4), -4),
+    ],
+)
+def test_connected_sum_counts_and_orientation(a, b, chi):
+    tri = connected_sum(a, b, weight=0.5)
+    assert tri.vertex_count == a.vertex_count + b.vertex_count - 3
+    assert tri.edge_count == a.edge_count + b.edge_count - 3
+    assert tri.face_count == a.face_count + b.face_count - 2
+    assert euler_characteristic(tri) == chi
+    # the stock tetrahedron and Csaszar faces are listed sorted, not oriented
+    assert oriented(tri) == (oriented(a) and oriented(b))
+    assert np.all(tri.weights == 0.5) and tri.geometry is a.geometry
+
+
+def test_connected_sum_needs_one_geometry():
+    with pytest.raises(ValueError, match="one geometry"):
+        connected_sum(grid_torus(3, 3), grid_torus(3, 3, geometry=Geometry.HYPERBOLIC))
 
 
 def test_closed_surface_edge_face_relation():
