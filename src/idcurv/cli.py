@@ -2,8 +2,9 @@
 
 Subcommands: validate, curvature, flow, solve, spectrum, example-tetra.
 Exit codes: 0 success/converged, 1 I/O failure, 2 invalid input or
-precondition failure, 3 singular stop (flow singularity or solver failure),
-4 time horizon reached without convergence.
+precondition failure, 3 singular stop (flow singularity or solver failure,
+a face too close to degeneracy for derivatives among them), 4 time horizon
+reached without convergence.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .curvature import (
 )
 from .errors import (
     AdmissibilityError,
+    ConditioningError,
     DomainError,
     IntegrationError,
     MeshFormatError,
@@ -308,7 +310,7 @@ def main(argv=None) -> int:
     except (TopologyError, WeightError, AdmissibilityError, DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (SolverError, IntegrationError) as exc:
+    except (SolverError, IntegrationError, ConditioningError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
 

@@ -40,27 +40,26 @@ therefore also estimates the stiffest rate rho from two states the step
 evaluates anyway (Hairer-Wanner I, IV.2): the 5th stage, taken at the end of
 the step, and the accepted candidate. The next step is capped at
 SAFETY * beta / rho, with beta the negative-real-axis stability boundary of
-the pair's 5th-order weights, and at t_max - t. RK4 and Euler are the
-fixed-step reference integrators, stepping spec.step. Trace rows are
-recorded every SAMPLE_DT of flow time (every floor(SAMPLE_DT / step) steps
-for the fixed-step integrators), and at every event. When the run ends, one
-DEBUG record on the "idcurv.flows" logger gives its step statistics.
+the pair's 5th-order weights, and at t_max - t. RK4 is the fixed-step
+reference integrator, stepping spec.step. Trace rows are recorded every
+SAMPLE_DT of flow time (every floor(SAMPLE_DT / step) steps under RK4), and
+at every event. When the run ends, one DEBUG record on the "idcurv.flows"
+logger gives its step statistics.
 Curvature is evaluated once per flow state: a candidate's own evaluation
-decides whether it is legal (for genuine kinds the angle computation raises
-on exactly the faces that fail a triangle inequality, for extended kinds its
-face mask gives the region flag), and its deviation gives the accepted
-state's error and seeds the next step's first stage. An accepted step
-therefore costs six curvature evaluations under RK45, four under RK4 and one
-under Euler; genuine kinds add one pass over the face lengths for the
-triangle slack. A candidate that is rejected costs the stages it ran, plus
-one evaluation when it passed the error test and its radii are finite and
-within bounds. When a candidate would leave the legal region the step h
-halves, with no budget, until a legal candidate is found or h would fall
-below MIN_STEP (as would an error rejection's shrink). Then a stall classifier decides what stopped the flow: a
-radius collapsing to zero is an essential singularity, a face degenerating
-at bounded radii is a removable one (genuine kinds only). Removable
-singularities are also caught after each accepted step by the triangle
-slack.
+decides whether it is legal (for genuine kinds the angle computation raises on
+exactly the faces that fail a triangle inequality, for extended kinds its face
+mask gives the region flag), and its deviation gives the accepted state's
+error and seeds the next step's first stage. An accepted step therefore costs
+six curvature evaluations under RK45 and four under RK4; genuine kinds add one
+pass over the face lengths for the triangle slack. A candidate that is
+rejected costs the stages it ran, plus one evaluation when it passed the error
+test and its radii are finite and within bounds. When a candidate would leave
+the legal region the step h halves, with no budget, until a legal candidate is
+found or h would fall below MIN_STEP (as would an error rejection's shrink).
+Then a stall classifier decides what stopped the flow: a radius collapsing to
+zero is an essential singularity, a face degenerating at bounded radii is a
+removable one (genuine kinds only). Removable singularities are also caught
+after each accepted step by the triangle slack.
 """
 
 from __future__ import annotations
@@ -168,7 +167,6 @@ class FlowKind(enum.Enum):
 class Integrator(enum.Enum):
     RK45 = "rk45"
     RK4 = "rk4"
-    EULER = "euler"
 
 
 class EventKind(enum.Enum):
@@ -346,13 +344,11 @@ def _propose(tri, r, k1, h, spec, tally):
 
     candidate is None if a stage failed. err is the RK45 local error estimate
     in units of the requested local tolerance (the step passes when err <= 1);
-    it is 0.0 for the fixed-step integrators. end_state is RK45's 5th stage
-    as (y, dr/dt at y), a state at the end of the step, or None. The Counter
-    `tally` counts stage evaluations under "evaluations".
+    it is 0.0 for RK4. end_state is RK45's 5th stage as (y, dr/dt at y), a
+    state at the end of the step, or None. The Counter `tally` counts stage
+    evaluations under "evaluations".
     """
     try:
-        if spec.integrator is Integrator.EULER:
-            return r + h * k1, 0.0, None
         if spec.integrator is Integrator.RK45:
             return _cash_karp(tri, r, k1, h, spec, tally)
         k2 = _stage_rhs(tri, r + (0.5 * h) * k1, spec, tally)

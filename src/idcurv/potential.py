@@ -106,14 +106,14 @@ def newton_solve(tri, r_init, target, alpha=2.0, tol=GRAD_TOL,
 
     Each step solves with a sparse LU factorization (`splu`) of the sparse
     Hessian. The Euclidean problem with alpha * target identically zero has
-    the scale direction in the Hessian kernel; those steps are gauge-fixed on
-    the slice sum(u) = const by bordering the system with the all-ones
-    constraint, [[H, 1], [1^T, 0]]. Every accepted step is logged at DEBUG
-    level to "idcurv.potential".
+    the scale direction in the Hessian kernel; those steps pin u_0, solve the
+    rest, and move along the kernel onto the slice sum(u) = const. A
+    line-search trial is rejected when it leaves the coordinate domain, fails
+    `geometry.admissible` or does not lower |g|^2 enough. Every accepted step
+    is logged at DEBUG level to "idcurv.potential".
     """
     # imported here, not at module top, as in curvature_jacobian; sparse.linalg
     # adds ~10 MB RSS on top of scipy.sparse
-    import scipy.sparse
     import scipy.sparse.linalg
 
     target = np.broadcast_to(np.asarray(target, dtype=float), (tri.vertex_count,)).copy()
@@ -131,7 +131,6 @@ def newton_solve(tri, r_init, target, alpha=2.0, tol=GRAD_TOL,
     if not ok:
         raise AdmissibilityError(f"initial metric is inadmissible (faces {bad})")
     u = geometry.u_of_r(r, tri.geometry)
-    n = tri.vertex_count
     singular = tri.geometry is Geometry.EUCLIDEAN and not np.any(alpha * target != 0.0)
 
     g = potential_gradient(tri, u, target, alpha)
@@ -139,22 +138,22 @@ def newton_solve(tri, r_init, target, alpha=2.0, tol=GRAD_TOL,
         norm = float(np.max(np.abs(g)))
         if norm < tol:
             return PackingMetric(geometry.r_of_u(u, tri.geometry), tri.geometry)
-        H = _hessian(tri, geometry.r_of_u(u, tri.geometry), target, alpha)
+        H = _hessian(tri, geometry.r_of_u(u, tri.geometry), target, alpha).tocsc()
         rhs = -g
         if singular:
-            # kernel is the all-ones direction; pin the scale slice sum(u) = const
-            ones = np.ones((n, 1))
-            H = scipy.sparse.block_array([[H, ones], [ones.T, None]])
-            rhs = np.append(rhs, 0.0)
+            # the kernel is the all-ones direction: pin u_0. sum(g) vanishes where a
+            # solution exists (Gauss-Bonnet); taking off its mean spreads its rounding
+            # (~N eps) over all vertices instead of piling it up at vertex 0
+            H, rhs = H[1:, 1:], (g.mean() - g)[1:]
         try:
-            # threshold pivoting (not partial, 1.0) keeps the fill-reducing order on
-            # the bordered system; partial pivoting gives 3.6x the fill at N = 10^4
-            lu = scipy.sparse.linalg.splu(
-                H.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1
-            )
+            lu = scipy.sparse.linalg.splu(H, permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:  # "Factor is exactly singular"
             raise SolverError(f"singular Hessian: {exc}") from exc
-        delta = lu.solve(rhs)[:n]
+        delta = lu.solve(rhs)
+        if singular:
+            # delta_0 = 0; move along the kernel onto the slice sum(u) = const
+            delta = np.append(0.0, delta)
+            delta -= delta.mean()
 
         phi = float(g @ g)
         lam = 1.0

@@ -248,6 +248,26 @@ def test_solve_hyperbolic_requires_target(tmp_path, capsys):
     assert np.max(np.abs(np.asarray(values) - 0.3)) < 1e-6
 
 
+@pytest.mark.parametrize(
+    "argv, values",
+    [
+        # admissible radii whose Newton iterate reaches a face with relative
+        # slack 3.3e-13, below JACOBIAN_SLACK, before the Hessian is taken
+        (["solve", TETRA, "--target", "-1"],
+         [1.3891722269518323, 0.5755023963026715, 0.33231779881970547, 0.3133815959150118]),
+        # three faces with relative slack 7e-12 at the given radii
+        (["spectrum", TETRA], [1.0, 1.0, 1.0, 0.12132034356964239]),
+    ],
+    ids=["solve", "spectrum"],
+)
+def test_near_degenerate_face_is_a_solver_failure(tmp_path, capsys, argv, values):
+    radii = radii_file(tmp_path, values)
+    assert main([*argv, "--radii", radii]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: face ") and "slack" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_solve_nan_target_is_invalid_input(tmp_path, capsys):
     radii = radii_file(tmp_path, [1.0] * 7)
     assert main(["solve", CSASZAR, "--radii", radii, "--target", "nan"]) == 2

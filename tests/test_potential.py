@@ -1,5 +1,6 @@
 """Ricci potential: exactness, invariance, Newton solves, convexity."""
 
+import collections
 import importlib
 import logging
 import math
@@ -12,6 +13,7 @@ from conftest import sample_admissible
 
 from idcurv import (
     AdmissibilityError,
+    DomainError,
     EventKind,
     FlowKind,
     FlowSpec,
@@ -20,7 +22,9 @@ from idcurv import (
     SolverError,
     angle_deficits,
     convexity_report,
+    csaszar_torus,
     curvature_field,
+    geometry,
     grid_torus,
     laplacian_spectrum,
     newton_solve,
@@ -215,6 +219,98 @@ def test_newton_logs_each_iteration(csaszar_euc, caplog):
         assert f"newton iteration {k}" in rec.getMessage()
     assert norms[0] == pytest.approx(np.max(np.abs(angle_deficits(csaszar_euc, r0))))
     assert norms[-1] < norms[0]
+
+
+def count_line_search(monkeypatch):
+    """Count the checks newton_solve makes: calls of geometry.admissible, the
+    rejections among them, and the DomainErrors of geometry.r_of_u."""
+    seen = collections.Counter()
+    admissible, r_of_u = geometry.admissible, geometry.r_of_u
+
+    def counted_admissible(*args, **kwargs):
+        ok, bad = admissible(*args, **kwargs)
+        seen["admissible"] += 1
+        seen["inadmissible"] += not ok
+        return ok, bad
+
+    def counted_r_of_u(*args, **kwargs):
+        try:
+            return r_of_u(*args, **kwargs)
+        except DomainError:
+            seen["domain"] += 1
+            raise
+
+    monkeypatch.setattr(geometry, "admissible", counted_admissible)
+    monkeypatch.setattr(geometry, "r_of_u", counted_r_of_u)
+    return seen
+
+
+def logged_trials(caplog):
+    return [rec.args[3] for rec in caplog.records if rec.name == "idcurv.potential"]
+
+
+def test_newton_checks_admissibility_once_per_trial(csaszar_euc, monkeypatch, caplog):
+    # one check of the start, then one per line-search trial: the traced
+    # potential.line_search.trials of the benchmark is derived from this count
+    seen = count_line_search(monkeypatch)
+    r0 = np.array([1.3, 0.8, 1.1, 1.0, 0.9, 1.2, 0.95])
+    with caplog.at_level(logging.DEBUG, logger="idcurv.potential"):
+        sol = newton_solve(csaszar_euc, r0, target=0.0)
+    assert np.max(np.abs(angle_deficits(csaszar_euc, sol.radii))) < 1e-10
+    assert seen["admissible"] == 1 + sum(logged_trials(caplog))
+
+
+def overshoot_newton(monkeypatch):
+    """Make every Newton step 100 times too long, so full steps overshoot."""
+    potential = importlib.import_module("idcurv.potential")
+    hessian = potential._hessian
+    monkeypatch.setattr(
+        potential, "_hessian", lambda tri, r, target, alpha: 0.01 * hessian(tri, r, target, alpha)
+    )
+
+
+def test_newton_rejects_inadmissible_trials(monkeypatch, caplog):
+    tri = csaszar_torus(2.0)
+    overshoot_newton(monkeypatch)
+    seen = count_line_search(monkeypatch)
+    r0 = np.array([1.3, 0.8, 1.1, 1.0, 0.9, 1.2, 0.95])
+    with caplog.at_level(logging.DEBUG, logger="idcurv.potential"):
+        sol = newton_solve(tri, r0, target=0.0)
+    assert seen["inadmissible"] > 0
+    assert max(logged_trials(caplog)) > 1
+    assert seen["admissible"] == 1 + sum(logged_trials(caplog)) - seen["domain"]
+    assert np.max(np.abs(angle_deficits(tri, sol.radii))) < 1e-10
+    u0, u1 = u_of_r(r0, tri.geometry), u_of_r(sol.radii, tri.geometry)
+    assert abs(u1.sum() - u0.sum()) < 1e-9
+
+
+def test_newton_rejects_trials_outside_the_coordinate_domain(csaszar_hyp, monkeypatch, caplog):
+    # hyperbolic u-coordinates are negative; an overshooting trial leaves them
+    packing = 0.5 * np.exp(np.random.default_rng(7).uniform(-0.3, 0.3, 7))
+    target = angle_deficits(csaszar_hyp, packing)
+    overshoot_newton(monkeypatch)
+    seen = count_line_search(monkeypatch)
+    with caplog.at_level(logging.DEBUG, logger="idcurv.potential"):
+        sol = newton_solve(csaszar_hyp, np.full(7, 0.5), target, alpha=0.0)
+    assert seen["domain"] > 0
+    assert max(logged_trials(caplog)) > 1
+    # a trial outside the domain never reaches the admissibility check
+    assert seen["admissible"] == 1 + sum(logged_trials(caplog)) - seen["domain"]
+    assert np.max(np.abs(sol.radii - packing)) < 1e-8
+
+
+def test_newton_spreads_the_gradient_sum_over_all_vertices(csaszar_euc, monkeypatch):
+    # on a large mesh the rounding of sum(K) reaches ~N eps; model it by a
+    # constant offset below tol. A solve that left the whole sum at one
+    # vertex would end there at 7 * 5e-12 > GRAD_TOL and never converge
+    potential = importlib.import_module("idcurv.potential")
+    gradient = potential.potential_gradient
+    monkeypatch.setattr(
+        potential, "potential_gradient", lambda *args, **kwargs: gradient(*args, **kwargs) + 5e-12
+    )
+    r0 = np.array([1.3, 0.8, 1.1, 1.0, 0.9, 1.2, 0.95])
+    sol = newton_solve(csaszar_euc, r0, target=0.0)
+    assert np.max(np.abs(angle_deficits(csaszar_euc, sol.radii))) < 1e-10
 
 
 def test_newton_iteration_budget(csaszar_euc):
