@@ -149,10 +149,12 @@ def _run_one_flow(mesh_path, radii_path, flow_args, out_dir):
         if exc.trace is not None:
             exc.trace.write_csv(out / "trace.csv")
             exc.trace.write_events(out / "events.json")
+            exc.trace.write_stats(out / "stats.json")
         print(f"{radii_path}: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
     trace.write_csv(out / "trace.csv")
     trace.write_events(out / "events.json")
+    trace.write_stats(out / "stats.json")
     save_radii(out / "final_radii.json", final.radii)
     terminal = trace.terminal_event()
     print(f"{radii_path}: {terminal.kind.value} at t={terminal.t:.6g}")

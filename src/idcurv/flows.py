@@ -27,35 +27,38 @@ evaluation; it exists only on Euclidean surfaces, so every kind needs a
 prescribed target on a hyperbolic one. Extended kinds run through
 admissibility failures using the constant angle extension.
 
-The default stepper, Integrator.RK45, is the Cash-Karp 5(4) pair: it
-advances with the 5th-order solution and compares it with the embedded
-4th-order one, in a norm mixed absolute and relative in r, against
-LOCAL_TOL * tol. spec.step is the first trial step; a step rejected on error
-shrinks by the estimate's own factor, and an accepted one sets the next step
-to grow at most MAX_GROWTH-fold. The flow is a heat equation with a real
-spectrum, so near convergence error control alone would grow the step to the
-stability limit of the stiffest mode and hold that mode near the local
-tolerance, which keeps max|T - K/s^alpha| above tol. Each accepted step
-therefore also estimates the stiffest rate rho from two states the step
-evaluates anyway (Hairer-Wanner I, IV.2): the 5th stage, taken at the end of
-the step, and the accepted candidate. The next step is capped at
-SAFETY * beta / rho, with beta the negative-real-axis stability boundary of
-the pair's 5th-order weights, and at t_max - t. RK4 is the fixed-step
-reference integrator, stepping spec.step. Trace rows are recorded every
-SAMPLE_DT of flow time (every floor(SAMPLE_DT / step) steps under RK4), and
-at every event. When the run ends, one DEBUG record on the "idcurv.flows"
-logger gives its step statistics.
+The default stepper, Integrator.DOP853, is Hairer's 12-stage method of
+order 8 (Hairer-Norsett-Wanner, Solving ODEs I, II.10): it advances with the 8th-order
+solution and estimates its error from embedded 5th- and 3rd-order ones, in a
+norm mixed absolute and relative in r, against LOCAL_TOL * tol. spec.step is
+the first trial step; a step rejected on error shrinks by the estimate's own
+factor, and an accepted one sets the next step to grow at most
+MAX_GROWTH-fold. The flow is a heat equation with a real spectrum, so near
+convergence error control alone would grow the step to the stability limit
+of the stiffest mode and hold that mode near the local tolerance, which
+keeps max|T - K/s^alpha| above tol. Each accepted step therefore also
+estimates the stiffest rate rho from two states the step evaluates anyway
+(Hairer-Wanner II, IV.2): the 12th stage, taken at the end of the step, and
+the accepted candidate. The next step is capped at SAFETY * beta / rho, with
+beta the negative-real-axis stability boundary of the 8th-order weights
+(about 6.39), and at t_max - t. RK4 is the fixed-step reference integrator,
+stepping spec.step. Trace rows are recorded every SAMPLE_DT of flow time
+(every floor(SAMPLE_DT / step) steps under RK4), and at every event. When
+the run ends, FlowTrace.stats and one DEBUG record on the "idcurv.flows"
+logger give its step statistics.
 Curvature is evaluated once per flow state: a candidate's own evaluation
 decides whether it is legal (for genuine kinds the angle computation raises on
 exactly the faces that fail a triangle inequality, for extended kinds its face
 mask gives the region flag), and its deviation gives the accepted state's
 error and seeds the next step's first stage. An accepted step therefore costs
-six curvature evaluations under RK45 and four under RK4; genuine kinds add one
-pass over the face lengths for the triangle slack. A candidate that is
-rejected costs the stages it ran, plus one evaluation when it passed the error
-test and its radii are finite and within bounds. When a candidate would leave
-the legal region the step h halves, with no budget, until a legal candidate is
-found or h would fall below MIN_STEP (as would an error rejection's shrink).
+twelve curvature evaluations under DOP853 (eleven stages and the candidate's
+own) and four under RK4; genuine kinds add one pass over the face lengths for
+the triangle slack. A step rejected on error costs its eleven stages; a
+candidate rejected as illegal costs the stages it ran, plus one evaluation
+when it passed the error test and its radii are finite and within bounds.
+When a candidate would leave the legal region the step h halves, with no
+budget, until a legal candidate is found or h would fall below MIN_STEP (as
+would an error rejection's shrink).
 Then a stall classifier decides what stopped the flow: a radius collapsing to
 zero is an essential singularity, a face degenerating at bounded radii is a
 removable one (genuine kinds only). Removable singularities are also caught
@@ -88,41 +91,108 @@ EPS_TRI = 1e-12  # relative slack below which a face counts as degenerate
 MIN_STEP = 1e-14
 COLLAPSE_HORIZON = 100.0 * MIN_STEP  # shortest look-ahead of the stall probe
 SAMPLE_DT = 0.1  # flow time between recorded trace rows
-# RK45 asks each step for a local error of LOCAL_TOL * tol, mixed absolute and
-# relative in r. The stability cap keeps the steps of a stiff flow inside the
-# pair's stability region, where the stiff modes decay instead of hovering at
-# the local tolerance, so the tolerance need not be tightened for them.
+# DOP853 asks each step for a local error of LOCAL_TOL * tol, mixed absolute
+# and relative in r. The stability cap keeps the steps of a stiff flow inside
+# the method's stability region, where the stiff modes decay instead of
+# hovering at the local tolerance, so the tolerance need not be tightened for
+# them.
 LOCAL_TOL = 1e-2
-MAX_GROWTH = 5.0  # largest factor by which an accepted RK45 step grows the next
+MAX_GROWTH = 5.0  # largest factor by which an accepted DOP853 step grows the next
 SAFETY = 0.9
 
-# Cash-Karp 5(4) pair (Cash & Karp, ACM TOMS 16, 1990): stage rows, the
-# 5th-order weights the step advances with, and those minus the 4th-order ones
-_CK_A = [
-    np.array(row)
-    for row in (
-        [1 / 5],
-        [3 / 40, 9 / 40],
-        [3 / 10, -9 / 10, 6 / 5],
-        [-11 / 54, 5 / 2, -70 / 27, 35 / 27],
-        [1631 / 55296, 175 / 512, 575 / 13824, 44275 / 110592, 253 / 4096],
-    )
+# DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.10; Hairer's
+# coefficients as distributed with SciPy's dop853_coefficients.py, BSD-3): the
+# stage rows A (stage 12 at c = 1), the 8th-order weights B the step advances
+# with, and the two error weights E5 and E3, B minus a 5th- and a 3rd-order
+# rule. The dense-output rows are left out. The last weight of both error
+# rules is zero, so no stage is taken at the candidate.
+_A_ROWS = (
+    [5.26001519587677318785587544488e-2],
+    [1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2],
+    [2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2],
+    [
+        2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
+        9.24834003261792003115737966543e-1,
+    ],
+    [
+        3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1,
+        1.25467687566822425016691814123e-1,
+    ],
+    [
+        3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+        6.02165389804559606850219397283e-2, -1.7578125e-2,
+    ],
+    [
+        3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
+        1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+        8.27378916381402288758473766002e-3,
+    ],
+    [
+        6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825,
+        -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+        2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1,
+    ],
+    [
+        4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468,
+        -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+        1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+        -2.03312017085086261358222928593e-2,
+    ],
+    [
+        -9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209,
+        1.09143734899672957818500254654, -8.14978701074692612513997267357,
+        -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+        2.49360555267965238987089396762, -3.0467644718982195003823669022,
+    ],
+    [
+        2.27331014751653820792359768449, 0.0, 0.0, -1.05344954667372501984066689879e1,
+        -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+        2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+        -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+        6.43392746015763530355970484046e-1,
+    ],
+)
+_A = np.array([row + [0.0] * (12 - len(row)) for row in [[], *_A_ROWS]])
+_B = np.array(
+    [
+        5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
+        4.45031289275240888144113950566, 1.89151789931450038304281599044,
+        -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
+        -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
+        4.47106157277725905176885569043e-2,
+    ]
+)
+_E5 = np.array(
+    [
+        0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
+        -0.1225156446376204440720569753e1, -0.4957589496572501915214079952,
+        0.1664377182454986536961530415e1, -0.3503288487499736816886487290,
+        0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
+        -0.2235530786388629525884427845e-1,
+    ]
+)
+_E3 = _B.copy()
+_E3[[0, 8, 11]] -= [
+    0.244094488188976377952755905512,
+    0.733846688281611857341361741547,
+    0.220588235294117647058823529412e-1,
 ]
-_CK_B = np.array([37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771])
-_CK_E = np.array([-277 / 64512, 0.0, 6925 / 370944, -6925 / 202752, -277 / 14336, 277 / 7084])
 
 
-def _stability_boundary(a_rows, b):
+def _stability_boundary(a, b):
     """beta > 0 where the stability interval [-beta, 0] of the explicit
-    Runge-Kutta weights b over the stage rows a_rows ends: the smallest x > 0
-    with |R(-x)| > 1, R(-x) being one step of y' = -x y from y = 1 with h = 1.
-    A scan in steps of 0.1 brackets it and bisection refines it."""
+    Runge-Kutta weights b over the strictly lower triangular stage matrix a
+    ends: the smallest x > 0 with |R(-x)| > 1, R(-x) being one step of
+    y' = -x y from y = 1 with h = 1. A scan in steps of 0.1 brackets it and
+    bisection refines it."""
+    rows = [row[:i] for i, row in enumerate(np.asarray(a).tolist())]
+    weights = np.asarray(b).tolist()
 
     def unstable(x):
-        k = [-x]
-        for row in a_rows:
-            k.append(-x * (1.0 + sum(a * kj for a, kj in zip(row, k))))
-        return abs(1.0 + sum(bj * kj for bj, kj in zip(b, k))) > 1.0
+        k = []
+        for row in rows:
+            k.append(-x * (1.0 + sum(aj * kj for aj, kj in zip(row, k))))
+        return abs(1.0 + sum(bj * kj for bj, kj in zip(weights, k))) > 1.0
 
     lo, hi = 0.0, 0.1
     while not unstable(hi):
@@ -133,7 +203,7 @@ def _stability_boundary(a_rows, b):
     return float(lo)
 
 
-_CK_BETA = _stability_boundary(_CK_A, _CK_B)
+_BETA = _stability_boundary(_A, _B)
 
 
 class FlowKind(enum.Enum):
@@ -165,7 +235,7 @@ class FlowKind(enum.Enum):
 
 
 class Integrator(enum.Enum):
-    RK45 = "rk45"
+    DOP853 = "dop853"
     RK4 = "rk4"
 
 
@@ -204,7 +274,7 @@ class FlowSpec:
     step: float = 0.01
     t_max: float = 200.0
     tol: float = 1e-8
-    integrator: Integrator = Integrator.RK45
+    integrator: Integrator = Integrator.DOP853
 
     def __post_init__(self):
         if not all(math.isfinite(x) and x > 0.0 for x in (self.step, self.t_max, self.tol)):
@@ -230,6 +300,9 @@ class FlowTrace:
     measure: np.ndarray
     extended_region: np.ndarray
     events: list[FlowEvent]
+    # the run's step statistics (the numbers of its DEBUG record); run_flow
+    # fills it, a trace built by hand may leave it empty
+    stats: dict = dataclasses.field(default_factory=dict)
 
     def terminal_event(self) -> FlowEvent:
         terminal = [e for e in self.events if e.kind in TERMINAL_EVENTS]
@@ -257,6 +330,9 @@ class FlowTrace:
             {"t": e.t, "kind": e.kind.value, "index": e.index} for e in self.events
         ]
         Path(path).write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
+
+    def write_stats(self, path):
+        Path(path).write_text(json.dumps(self.stats, indent=1) + "\n", encoding="utf-8")
 
 
 # -- right-hand side ---------------------------------------------------------------
@@ -326,9 +402,7 @@ def _legal(tri, r, spec, dev, degenerate=None, tally=None):
     curvature evaluation, which raises AdmissibilityError on exactly the faces
     geometry.admissible flags, so a legal candidate is evaluated only once.
     """
-    if not np.isfinite(r).all():
-        return False
-    if (r < EPS_RADIUS).any() or (r > RADIUS_CAP).any():
+    if not (r.min() >= EPS_RADIUS and r.max() <= RADIUS_CAP):  # NaN fails both
         return False
     if tally is not None:
         tally["evaluations"] += 1
@@ -342,15 +416,15 @@ def _legal(tri, r, spec, dev, degenerate=None, tally=None):
 def _propose(tri, r, k1, h, spec, tally):
     """One explicit step from r; returns (candidate, err, end_state).
 
-    candidate is None if a stage failed. err is the RK45 local error estimate
-    in units of the requested local tolerance (the step passes when err <= 1);
-    it is 0.0 for RK4. end_state is RK45's 5th stage as (y, dr/dt at y), a
-    state at the end of the step, or None. The Counter `tally` counts stage
-    evaluations under "evaluations".
+    candidate is None if a stage failed. err is the DOP853 local error
+    estimate in units of the requested local tolerance (the step passes when
+    err <= 1); it is 0.0 for RK4. end_state is DOP853's 12th stage as
+    (y, dr/dt at y), a state at the end of the step, or None. The Counter
+    `tally` counts stage evaluations under "evaluations".
     """
     try:
-        if spec.integrator is Integrator.RK45:
-            return _cash_karp(tri, r, k1, h, spec, tally)
+        if spec.integrator is Integrator.DOP853:
+            return _dop853(tri, r, k1, h, spec, tally)
         k2 = _stage_rhs(tri, r + (0.5 * h) * k1, spec, tally)
         k3 = _stage_rhs(tri, r + (0.5 * h) * k2, spec, tally)
         k4 = _stage_rhs(tri, r + h * k3, spec, tally)
@@ -359,29 +433,38 @@ def _propose(tri, r, k1, h, spec, tally):
     return r + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), 0.0, None
 
 
-def _cash_karp(tri, r, k1, h, spec, tally):
-    """Five stages of the Cash-Karp pair after k1; no stage at the candidate."""
-    k = np.empty((6, r.size))
+def _dop853(tri, r, k1, h, spec, tally):
+    """The eleven stages of DOP853 after k1; none at the candidate.
+
+    The error estimate combines the 5th- and 3rd-order ones, each in the max
+    norm, as err5^2 / sqrt(err5^2 + 0.01 err3^2), as DOP853 does: it reads
+    like err5 on long steps and falls like h^8 on short ones, the order of
+    the solution the step advances with.
+    """
+    k = np.empty((len(_B), r.size))
     k[0] = k1
-    for i, row in enumerate(_CK_A, start=1):
-        y = r + h * (row @ k[:i])
+    for i in range(1, len(_B)):
+        y = r + h * (_A[i, :i] @ k[:i])
         k[i] = _stage_rhs(tri, y, spec, tally)
-        if i == 4:  # the one stage at c = 1
-            end_state = y, k[i]
-    candidate = r + h * (_CK_B @ k)
+    candidate = r + h * (_B @ k)
     scale = (LOCAL_TOL * spec.tol) * (1.0 + np.maximum(r, np.abs(candidate)))
-    return candidate, float(np.max(np.abs(h * (_CK_E @ k)) / scale)), end_state
+    # one vector product per rule: a (2, 12) matrix product would reach BLAS
+    # gemm, whose work buffer adds to the process's peak memory
+    e5, e3 = (float(np.max(np.abs(h * (e @ k)) / scale)) for e in (_E5, _E3))
+    root = math.sqrt(e5 * e5 + 0.01 * e3 * e3)
+    err = e5 * e5 / root if root else 0.0  # a NaN root stays NaN
+    return candidate, err, (y, k[-1])  # the last stage is at c = 1
 
 
 def _error_factor(step_err):
-    """h_new / h for an RK45 estimate step_err: SAFETY * step_err^(-1/5), the
-    rescaling that a 4th-order estimate calls for, clamped to [1/MAX_GROWTH,
-    MAX_GROWTH]; an estimate of zero gives MAX_GROWTH."""
-    return min(MAX_GROWTH, max(1.0 / MAX_GROWTH, SAFETY * max(step_err, 1e-10) ** -0.2))
+    """h_new / h for a DOP853 estimate step_err: SAFETY * step_err^(-1/8), the
+    rescaling that an estimate of order 8 calls for, clamped to
+    [1/MAX_GROWTH, MAX_GROWTH]; an estimate of zero gives MAX_GROWTH."""
+    return min(MAX_GROWTH, max(1.0 / MAX_GROWTH, SAFETY * max(step_err, 1e-10) ** -0.125))
 
 
 def _stage_rhs(tri, r, spec, tally):
-    if not np.isfinite(r).all() or (r <= 0.0).any():
+    if not (r.min() > 0.0 and r.max() < math.inf):  # NaN fails both
         raise AdmissibilityError("stage radii left the positive cone")
     tally["evaluations"] += 1
     return _velocity(tri, r, _deviation(tri, r, spec), spec)
@@ -394,8 +477,8 @@ def _stiffness(candidate, k1, end_state):
 
     Once the steps reach the stability limit, the stiffest modes dominate
     the gap between the two states, so the ratio of the velocity gap to the
-    state gap is their rate (the DOPRI5 stiffness test); before that it
-    reads low and the cap does not bind.
+    state gap is their rate (the stiffness test of DOP853, Hairer-Wanner II,
+    IV.2); before that it reads low and the cap does not bind.
     """
     y, ky = end_state
     gap = np.linalg.norm(candidate - y)
@@ -444,12 +527,19 @@ def run_flow(tri, r0, spec: FlowSpec):
         ext_flags.append(not inside)
 
     def finish(final_r):
+        stats = {
+            "evaluations": tally["evaluations"],
+            "accepted": steps,
+            "rejected_on_error": tally["error"],
+            "illegal": tally["illegal"],
+            "capped": tally["capped"],
+            "rho": rho,
+        }
         log.debug(
             "run_flow ended at t=%.6g: %d curvature evaluations, %d accepted steps, "
             "%d rejected on error, %d illegal candidates, %d steps shortened by the "
             "stability cap, last stiffness estimate %.4g",
-            t, tally["evaluations"], steps, tally["error"], tally["illegal"],
-            tally["capped"], rho,
+            t, *stats.values(),
         )
         trace = FlowTrace(
             times=np.asarray(times),
@@ -458,6 +548,7 @@ def run_flow(tri, r0, spec: FlowSpec):
             measure=np.asarray(measures),
             extended_region=np.asarray(ext_flags, dtype=bool),
             events=events,
+            stats=stats,
         )
         return trace, PackingMetric(final_r, tri.geometry)
 
@@ -487,7 +578,7 @@ def run_flow(tri, r0, spec: FlowSpec):
         return stop(FlowEvent(t, EventKind.CONVERGED, None))
     record(t, r, err, inside)
 
-    adaptive = spec.integrator is Integrator.RK45
+    adaptive = spec.integrator is Integrator.DOP853
     sample_every = max(1, math.floor(SAMPLE_DT / spec.step))
     h_next = spec.step
     degenerate = None if genuine else np.empty(tri.face_count, dtype=bool)
@@ -524,8 +615,8 @@ def run_flow(tri, r0, spec: FlowSpec):
         if adaptive:
             h_next = h * _error_factor(step_err)
             rho = _stiffness(candidate, k1, end_state) or rho
-            if rho > 0.0 and SAFETY * _CK_BETA / rho < h_next:
-                h_next = SAFETY * _CK_BETA / rho
+            if rho > 0.0 and SAFETY * _BETA / rho < h_next:
+                h_next = SAFETY * _BETA / rho
                 tally["capped"] += 1
         else:
             h_next = min(spec.step, 2.0 * h)
@@ -566,7 +657,7 @@ def _classify_stall(tri, r, candidate, k1, h, genuine):
 
     Stage failures leave candidate as None, so the direction k1 doubles as
     an always-computable Euler probe of where the flow was trying to go. The
-    probe looks at least COLLAPSE_HORIZON ahead: RK45's error control halts
+    probe looks at least COLLAPSE_HORIZON ahead: DOP853's error control halts
     a few step floors short of a collapse, where the candidate is not yet
     below EPS_RADIUS.
     """

@@ -190,11 +190,13 @@ def triangle_slack(lengths):
     """Minimum triangle-inequality slack relative to the perimeter.
 
     Positive iff the triple is strictly admissible; rows of a (F, 3) array
-    are handled at once.
+    are handled at once. Column arithmetic, in the summation order of
+    sum(axis=-1), costs less than two axis reductions.
     """
     fl = np.asarray(lengths, dtype=float)
-    total = fl.sum(axis=-1)
-    return (total - 2.0 * fl.max(axis=-1)) / total
+    a, b, c = fl[..., 0], fl[..., 1], fl[..., 2]
+    total = a + b + c
+    return (total - 2.0 * np.maximum(np.maximum(a, b), c)) / total
 
 
 def admissible(tri, r):

@@ -134,6 +134,8 @@ def test_flow_converged(tmp_path, capsys):
     assert events[-1]["kind"] == "Converged"
     header = (out / "trace.csv").read_text().splitlines()[0]
     assert header.startswith("t,r_0") and header.endswith("extended_region")
+    stats = json.loads((out / "stats.json").read_text())
+    assert stats["evaluations"] > stats["accepted"] > 0
 
 
 def test_flow_horizon_exit(tmp_path, capsys):
@@ -171,6 +173,7 @@ def test_flow_integration_failure_writes_partial_trace(tmp_path, capsys):
     assert (out / "trace.csv").exists()
     kinds = {e["kind"] for e in json.loads((out / "events.json").read_text())}
     assert "Converged" not in kinds and "HorizonReached" not in kinds
+    assert json.loads((out / "stats.json").read_text())["evaluations"] > 0
 
 
 def test_flow_sweep_parallel(tmp_path, capsys):

@@ -17,6 +17,7 @@ from idcurv import (
     EventKind,
     FlowKind,
     FlowSpec,
+    FlowTrace,
     Geometry,
     Integrator,
     IntegrationError,
@@ -379,6 +380,9 @@ def test_hyperbolic_blowup_raises_with_partial_trace(csaszar_hyp):
     trace = exc.value.trace
     assert trace is not None and len(trace.times) >= 1
     assert not any(e.kind in TERMINAL_EVENTS for e in trace.events)
+    # the step statistics of the failed run travel with its trace
+    assert trace.stats["evaluations"] > 0
+    assert trace.stats["rejected_on_error"] + trace.stats["illegal"] > 0
 
 
 # -- stepping mechanics ---------------------------------------------------------------
@@ -410,9 +414,9 @@ def test_one_curvature_evaluation_per_state(csaszar_euc, monkeypatch):
     assert counts["evaluations"] == 4 * counts["accepted"] + 1
 
 
-def test_rk45_evaluates_five_stages_per_attempt(csaszar_euc, monkeypatch):
-    # the Cash-Karp error estimate needs no stage at the candidate, so an
-    # attempted step costs five stage evaluations, and only a candidate that
+def test_dop853_evaluates_eleven_stages_per_attempt(csaszar_euc, monkeypatch):
+    # the DOP853 error estimates need no stage at the candidate, so an
+    # attempted step costs eleven stage evaluations, and only a candidate that
     # passes the error test is evaluated (once, by _legal)
     flows = importlib.import_module("idcurv.flows")
     counts = dict.fromkeys(["evaluations", "attempts", "evaluated", "accepted"], 0)
@@ -437,15 +441,15 @@ def test_rk45_evaluates_five_stages_per_attempt(csaszar_euc, monkeypatch):
     monkeypatch.setattr(flows, "_legal", counting_legal)
     r0 = np.array([1.3, 0.8, 1.1, 1.0, 0.9, 1.2, 0.95])
     spec = FlowSpec(kind=FlowKind.NORMALIZED_EUCLIDEAN, step=0.5)
-    assert spec.integrator is Integrator.RK45
+    assert spec.integrator is Integrator.DOP853
     trace, _ = run_flow(csaszar_euc, r0, spec)
     assert terminal(trace).kind is EventKind.CONVERGED
     # the first trial step is too long for the local tolerance
     assert counts["accepted"] == counts["evaluated"] < counts["attempts"]
-    assert counts["evaluations"] == 5 * counts["attempts"] + counts["evaluated"] + 1
+    assert counts["evaluations"] == 11 * counts["attempts"] + counts["evaluated"] + 1
 
 
-def test_rk45_default_cuts_evaluations_on_grid_torus(monkeypatch):
+def test_dop853_default_cuts_evaluations_on_grid_torus(monkeypatch):
     # the normalized flow on the 8x8 grid torus converges exponentially, so
     # error control lets the step grow far past the fixed RK4 step
     flows = importlib.import_module("idcurv.flows")
@@ -467,7 +471,7 @@ def test_rk45_default_cuts_evaluations_on_grid_torus(monkeypatch):
         assert terminal(trace).kind is EventKind.CONVERGED
         runs[integrator] = (calls[0], final.radii)
     (adaptive_calls, adaptive_r), (fixed_calls, fixed_r) = runs.values()
-    assert FlowSpec.integrator is Integrator.RK45
+    assert FlowSpec.integrator is Integrator.DOP853
     assert 10 * adaptive_calls <= fixed_calls
     assert np.max(np.abs(adaptive_r - fixed_r)) < 1e-7
     assert abs(adaptive_r @ adaptive_r - r0 @ r0) / (r0 @ r0) < 1e-10
@@ -477,7 +481,7 @@ def test_rk45_default_cuts_evaluations_on_grid_torus(monkeypatch):
 @pytest.mark.parametrize("integrator", [Integrator.RK4], ids=lambda i: i.value)
 def test_fixed_step_integrators_are_plain_loops(integrator):
     # RK4 is the reference: every trace row is bit-identical to the textbook
-    # fixed-step loop over flow_rhs, so the RK45 step control never reaches it
+    # fixed-step loop over flow_rhs, so the adaptive step control never reaches it
     tri = grid_torus(8, 8)
     r = np.exp(np.random.default_rng(8).uniform(-0.3, 0.3, tri.vertex_count))
     spec = FlowSpec(
@@ -501,19 +505,39 @@ def test_fixed_step_integrators_are_plain_loops(integrator):
     assert np.array_equal(final.radii, r)
 
 
+def test_dop853_tableau_order_conditions():
+    # the stage rows sum to the nodes c of DOP853 (the last one at 1), the
+    # weights meet the quadrature conditions of order 8, and both error rules
+    # integrate constants exactly, so they vanish on a constant velocity
+    flows = importlib.import_module("idcurv.flows")
+    A, B = flows._A, flows._B
+    c4 = (6.0 - math.sqrt(6.0)) / 30.0
+    c = np.array(
+        [0.0, 4.0 / 9.0 * c4, 2.0 / 3.0 * c4, c4, (6.0 + math.sqrt(6.0)) / 30.0,
+         1.0 / 3.0, 0.25, 4.0 / 13.0, 127.0 / 195.0, 0.6, 6.0 / 7.0, 1.0]
+    )
+    assert np.array_equal(A, np.tril(A, -1))
+    np.testing.assert_allclose(A.sum(axis=1), c, rtol=0.0, atol=1e-14)
+    for k in range(1, 9):
+        assert B @ c ** (k - 1) == pytest.approx(1.0 / k, abs=1e-14)
+    for weights in (flows._E5, flows._E3):
+        assert len(weights) == len(B)
+        assert weights.sum() == pytest.approx(0.0, abs=1e-14)
+
+
 def test_stability_boundary_matches_scan():
     # |R(-x)| from the stability polynomial R(z) = 1 + sum_j z^j b A^(j-1) 1
     # of the tableau, scanned on a fine grid
     flows = importlib.import_module("idcurv.flows")
-    A = np.zeros((6, 6))
-    for i, row in enumerate(flows._CK_A, start=1):
-        A[i, :i] = row
-    coeffs = [1.0] + [flows._CK_B @ np.linalg.matrix_power(A, j) @ np.ones(6) for j in range(6)]
-    xs = np.arange(1, 60001) * 1e-4
+    n = len(flows._B)
+    coeffs = [1.0] + [
+        flows._B @ np.linalg.matrix_power(flows._A, j) @ np.ones(n) for j in range(n)
+    ]
+    xs = np.arange(1, 80001) * 1e-4
     amplification = np.abs(np.polynomial.polynomial.polyval(-xs, coeffs))
     first_unstable = xs[np.argmax(amplification > 1.0)]
-    assert abs(flows._CK_BETA - first_unstable) < 1e-3
-    assert 3.7 < flows._CK_BETA < 3.8
+    assert abs(flows._BETA - first_unstable) < 1e-3
+    assert 6.3 < flows._BETA < 6.5
 
 
 def flow_summary(caplog):
@@ -593,6 +617,34 @@ def test_run_flow_logs_one_summary(tetra_euc, csaszar_euc, monkeypatch, caplog, 
     else:
         assert illegal > 0
     assert 0 <= capped <= accepted and rho > 0.0
+
+
+def test_trace_stats_are_the_run_summary(csaszar_euc, monkeypatch, caplog):
+    # FlowTrace.stats holds the numbers of the run's DEBUG record, and its
+    # evaluation count is the number of curvature evaluations the run made
+    flows = importlib.import_module("idcurv.flows")
+    calls = [0]
+    deficits = flows.angle_deficits
+
+    def counting_deficits(*args, **kwargs):
+        calls[0] += 1
+        return deficits(*args, **kwargs)
+
+    monkeypatch.setattr(flows, "angle_deficits", counting_deficits)
+    r0 = np.array([1.3, 0.8, 1.1, 1.0, 0.9, 1.2, 0.95])
+    spec = FlowSpec(kind=FlowKind.NORMALIZED_EUCLIDEAN, step=0.5)
+    with caplog.at_level(logging.DEBUG, logger="idcurv.flows"):
+        trace, _ = run_flow(csaszar_euc, r0, spec)
+    assert terminal(trace).kind is EventKind.CONVERGED
+    assert trace.stats["evaluations"] == calls[0] > 0
+    assert list(trace.stats) == [
+        "evaluations", "accepted", "rejected_on_error", "illegal", "capped", "rho"
+    ]
+    assert tuple(trace.stats.values()) == flow_summary(caplog)[1:]
+    # a trace built by hand has no statistics
+    bare = FlowTrace(trace.times, trace.radii, trace.max_err, trace.measure,
+                     trace.extended_region, trace.events)
+    assert bare.stats == {}
 
 
 @pytest.mark.parametrize("integrator", list(Integrator), ids=lambda i: i.value)
@@ -693,8 +745,10 @@ def test_trace_io_roundtrip(tmp_path, csaszar_euc):
     trace, _ = run_flow(csaszar_euc, r0, spec)
     csv = tmp_path / "trace.csv"
     evs = tmp_path / "events.json"
+    stats = tmp_path / "stats.json"
     trace.write_csv(csv)
     trace.write_events(evs)
+    trace.write_stats(stats)
 
     header = csv.read_text().splitlines()[0].split(",")
     assert header[0] == "t" and header[1] == "r_0" and header[-1] == "extended_region"
@@ -706,6 +760,7 @@ def test_trace_io_roundtrip(tmp_path, csaszar_euc):
     payload = json.loads(evs.read_text())
     assert [p["kind"] for p in payload] == [e.kind.value for e in trace.events]
     assert payload[-1]["t"] == trace.events[-1].t
+    assert json.loads(stats.read_text()) == trace.stats
 
 
 # -- evolution identity ---------------------------------------------------------------

@@ -179,6 +179,11 @@ def reference_degenerate_mask(g):
     return ~(g.min(axis=1) > 0.0)
 
 
+def reference_triangle_slack(fl):
+    total = fl.sum(axis=-1)
+    return (total - 2.0 * fl.max(axis=-1)) / total
+
+
 def reference_half_angle_law(g, hyperbolic):
     p = g.sum(axis=1)
     if hyperbolic:
@@ -194,9 +199,10 @@ side_st = st.floats(min_value=1e-3, max_value=60.0)
 
 @st.composite
 def face_row(draw):
-    """Three lengths: random, needle-like, sliver, exactly degenerate or holding NaN."""
+    """Three lengths: random, needle-like, sliver, exactly degenerate, or holding
+    NaN or inf."""
     a, b = draw(side_st), draw(side_st)
-    shape = draw(st.sampled_from(["random", "needle", "sliver", "degenerate", "nan"]))
+    shape = draw(st.sampled_from(["random", "needle", "sliver", "degenerate", "nan", "inf"]))
     if shape == "random":
         c = draw(side_st)
     elif shape == "needle":  # c just short of a + b
@@ -206,6 +212,8 @@ def face_row(draw):
         c = a * draw(st.floats(min_value=1e-12, max_value=1e-3))
     elif shape == "degenerate":
         c = a + b
+    elif shape == "inf":
+        c = math.inf
     else:
         c = math.nan
     return draw(st.permutations([a, b, c]))
@@ -224,7 +232,12 @@ def test_column_face_kernels_match_axis_reductions(rows, geom):
     with np.errstate(all="ignore"):
         got = geometry_module._half_angle_law(g, hyperbolic)
         expect = reference_half_angle_law(g, hyperbolic)
+        slack = triangle_slack(fl)
+        expect_slack = reference_triangle_slack(fl)
+        row_slacks = [triangle_slack(row) for row in fl]  # 1-D triples
     assert np.array_equal(got, expect, equal_nan=True)
+    assert np.array_equal(slack, expect_slack, equal_nan=True)
+    assert np.array_equal(row_slacks, expect_slack, equal_nan=True)
 
 
 # -- angles -----------------------------------------------------------------------
