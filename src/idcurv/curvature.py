@@ -6,9 +6,10 @@ angles; R_i = K_i / s_i^2; the alpha variant divides by s_i^alpha instead.
 The Jacobian L = dK/du is taken in u_i = ln s_i^2 coordinates, in which it is
 symmetric: positive semidefinite with kernel spanned by the all-ones vector in
 the Euclidean case, positive definite in the hyperbolic case. It is assembled
-as a sparse CSR matrix from one 3x3 block per face (about 7N stored entries);
-the full Laplacian spectrum is taken from its band after a bandwidth-reducing
-reordering, so no N x N copy of it is made.
+as a sparse CSR matrix from one weight per edge and one diagonal term per
+corner, both closed forms shared by the two geometries, so it is exactly
+symmetric (about 7N stored entries); the full Laplacian spectrum is taken from
+its band after a bandwidth-reducing reordering, so no N x N copy of it is made.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ class CurvatureField:
 
 @dataclasses.dataclass(frozen=True)
 class CurvatureJacobian:
-    """L = dK/du as a `scipy.sparse.csr_array` with one 3x3 block per face summed in.
+    """L = dK/du as a `scipy.sparse.csr_array`, exactly symmetric: one weight per
+    edge and one diagonal term per corner summed in.
 
     `matrix` is a dense copy of `sparse`, O(N^2) in time and memory, meant for
     small meshes and tests.
@@ -113,57 +115,21 @@ def gauss_bonnet_residual(tri, r, extended=False) -> float:
 # -- Jacobian ---------------------------------------------------------------------
 
 
-def _angle_length_derivatives(fl, theta, hyperbolic):
-    """(F, 3, 3) array D with D[f, a, e] = d theta_a / d l_e for each face.
-
-    Law-of-cosines differentiation: with side a opposite angle A,
-      dA/da = a / (b c sin A),  dA/db = -a cos C / (b c sin A),
-    replacing each side by its sinh in the hyperbolic case.
-    """
-    m = np.sinh(fl) if hyperbolic else fl
-    sin_t = np.sin(theta)
-    cos_t = np.cos(theta)
-    F = fl.shape[0]
-    D = np.empty((F, 3, 3))
-    for a in range(3):
-        b, c = (a + 1) % 3, (a + 2) % 3
-        denom = m[:, b] * m[:, c] * sin_t[:, a]
-        D[:, a, a] = m[:, a] / denom
-        D[:, a, b] = -m[:, a] * cos_t[:, c] / denom
-        D[:, a, c] = -m[:, a] * cos_t[:, b] / denom
-    return D
-
-
-def _length_u_derivatives(tri, r, fl, hyperbolic):
-    """(F, 3, 3) array E with E[f, e, v] = d l_e / d u_v (zero when v == e)."""
-    F = fl.shape[0]
-    fw = tri.face_weights()
-    E = np.zeros((F, 3, 3))
-    if hyperbolic:
-        sh = np.sinh(r)
-        ch = np.cosh(r)
-        sh_l = np.sinh(fl)
-    for e in range(3):
-        for v in range(3):
-            if v == e:
-                continue
-            w = 3 - e - v
-            iv = tri.faces[:, v]
-            iw = tri.faces[:, w]
-            if hyperbolic:
-                E[:, e, v] = (
-                    sh[iv] * (sh[iv] * ch[iw] + fw[:, e] * ch[iv] * sh[iw])
-                ) / (2.0 * sh_l[:, e])
-            else:
-                E[:, e, v] = r[iv] * (r[iv] + r[iw] * fw[:, e]) / (2.0 * fl[:, e])
-    return E
-
-
 def curvature_jacobian(tri, r) -> CurvatureJacobian:
-    """L = dK/du assembled analytically face by face (u = ln s^2), as sparse CSR.
+    """L = dK/du from two closed forms per face corner (u = ln s^2), as sparse CSR.
+
+    For corner a of a face with neighbours b = a+1 and c = a+2, m(l) = l
+    (Euclidean) or sinh l (hyperbolic), and e_ab = d l_ab / d u_a, the
+    law-of-cosines derivatives and the law of sines give
+      d theta_a/d u_b = d theta_b/d u_a = (e_ac - e_ab cos theta_a) / (m(l_ab) sin theta_a),
+      d theta_a/d u_a = -(e_ab cot theta_b / m(l_ab) + e_ac cot theta_c / m(l_ac)).
+    The first is taken once per face edge and serves both (a, b) and (b, a),
+    so L is exactly symmetric. The second is not derived from the first
+    through a row-sum identity: at large hyperbolic radii, cos theta_a rounds
+    to 1 and the first cancels.
 
     Raises ConditioningError when a face is within JACOBIAN_SLACK of
-    degeneracy or when a face block is not finite.
+    degeneracy or when a face's derivatives are not finite.
     """
     # imported here, not at module top: it adds ~20 MB RSS to flow-only CLI runs
     import scipy.sparse
@@ -177,13 +143,26 @@ def curvature_jacobian(tri, r) -> CurvatureJacobian:
             f"face {worst} has relative slack {slack[worst]:.3e}; "
             "angle derivatives are unreliable this close to degeneracy"
         )
-    hyperbolic = tri.geometry is Geometry.HYPERBOLIC
     theta = geometry.corner_angles(tri, r).angles
+    # column c of a face array belongs to corner a = c; fl[:, prv] is l_ab, fl[:, nxt] is l_ac
+    nxt, prv = geometry._NEXT, geometry._PREV
+    fw = tri.face_weights()
+    ra = r[tri.faces]
     with np.errstate(all="ignore"):
-        D = _angle_length_derivatives(fl, theta, hyperbolic)
-        E = _length_u_derivatives(tri, r, fl, hyperbolic)
-        per_face = np.einsum("fae,fev->fav", D, E)
-    finite = np.isfinite(per_face).all(axis=(1, 2))
+        if tri.geometry is Geometry.HYPERBOLIC:
+            m = np.sinh(fl)
+            sh, ch = np.sinh(ra), np.cosh(ra)
+            e_ab = sh * (sh * ch[:, nxt] + fw[:, prv] * ch * sh[:, nxt]) / (2.0 * m[:, prv])
+            e_ac = sh * (sh * ch[:, prv] + fw[:, nxt] * ch * sh[:, prv]) / (2.0 * m[:, nxt])
+        else:
+            m = fl
+            e_ab = ra * (ra + fw[:, prv] * ra[:, nxt]) / (2.0 * m[:, prv])
+            e_ac = ra * (ra + fw[:, nxt] * ra[:, prv]) / (2.0 * m[:, nxt])
+        cos, sin = np.cos(theta), np.sin(theta)
+        cot = cos / sin
+        off = (e_ac - e_ab * cos) / (m[:, prv] * sin)
+        diag = -(e_ab * cot[:, nxt] / m[:, prv] + e_ac * cot[:, prv] / m[:, nxt])
+    finite = np.isfinite(off).all(axis=1) & np.isfinite(diag).all(axis=1)
     if not finite.all():
         worst = int(np.argmin(finite))
         raise ConditioningError(
@@ -192,11 +171,15 @@ def curvature_jacobian(tri, r) -> CurvatureJacobian:
         )
 
     N = tri.vertex_count
-    F = len(tri.faces)
-    rows = np.broadcast_to(tri.faces[:, :, None], (F, 3, 3)).ravel()
-    cols = np.broadcast_to(tri.faces[:, None, :], (F, 3, 3)).ravel()
-    # COO -> CSR sums the duplicate (row, col) pairs of neighbouring faces
-    L = scipy.sparse.coo_array((-per_face.ravel(), (rows, cols)), shape=(N, N)).tocsr()
+    # off[:, c] belongs to edge ab, the edge opposite corner c + 2
+    edge = tri.face_edges[:, prv].ravel()
+    weight = np.bincount(edge, weights=off.ravel(), minlength=len(tri.edges))
+    i, j, n = tri.edges[:, 0], tri.edges[:, 1], np.arange(N)
+    rows, cols = np.concatenate([i, j, n]), np.concatenate([j, i, n])
+    data = -np.concatenate(
+        [weight, weight, np.bincount(tri.faces.ravel(), weights=diag.ravel(), minlength=N)]
+    )
+    L = scipy.sparse.coo_array((data, (rows, cols)), shape=(N, N)).tocsr()
     return CurvatureJacobian(sparse=L, geometry=tri.geometry)
 
 
@@ -235,23 +218,21 @@ def laplacian_spectrum(tri, r, return_vectors=False):
     # imported here, like scipy.sparse in curvature_jacobian, so flow and CLI
     # processes that take no spectrum never load them
     import scipy.linalg
-    import scipy.sparse
     from scipy.sparse.csgraph import reverse_cuthill_mckee
 
     r = np.asarray(r, dtype=float)
     L = curvature_jacobian(tri, r).sparse
     s = geometry.s_of_r(r, tri.geometry)
-    scale = scipy.sparse.diags_array(1.0 / s)
-    lam = scale @ L @ scale
-    sym = (0.5 * (lam + lam.T)).tocsr()
-    perm = reverse_cuthill_mckee(sym, symmetric_mode=True)
-    # entry (p, q) of sym moves to (position[p], position[q]) of the reordered matrix
+    perm = reverse_cuthill_mckee(L, symmetric_mode=True)
+    # entry (p, q) of L moves to (position[p], position[q]) of the reordered matrix
     position = np.empty_like(perm)
     position[perm] = np.arange(len(perm))
-    entries = sym.tocoo()
+    entries = L.tocoo()
     row, col = position[entries.row], position[entries.col]
+    # L is exactly symmetric, and LAPACK reads only the lower triangle
     lower = row >= col
-    row, col, data = row[lower], col[lower], entries.data[lower]
+    p, q = entries.row[lower], entries.col[lower]
+    row, col, data = row[lower], col[lower], entries.data[lower] / (s[p] * s[q])
     # LAPACK lower band storage: band[i - j, j] = A[i, j]; Fortran order spares a copy
     band = np.zeros((int(np.max(row - col)) + 1, tri.vertex_count), order="F")
     band[row - col, col] = data

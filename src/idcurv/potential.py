@@ -24,7 +24,7 @@ from . import geometry
 from .curvature import angle_deficits, average_curvature, curvature_jacobian
 from .errors import AdmissibilityError, DomainError, QuadratureError, SolverError
 from .geometry import PackingMetric
-from .surface import Geometry
+from .surface import Geometry, euler_characteristic
 
 QUAD_TOL = 1e-10
 GRAD_TOL = 1e-11
@@ -111,6 +111,13 @@ def newton_solve(tri, r_init, target, alpha=2.0, tol=GRAD_TOL,
     line-search trial is rejected when it leaves the coordinate domain, fails
     `geometry.admissible` or does not lower |g|^2 enough. Every accepted step
     is logged at DEBUG level to "idcurv.potential".
+
+    Raises AdmissibilityError for an inadmissible start, and ValueError for a
+    target whose signs no radii can meet under Gauss-Bonnet: sum(T s^alpha)
+    = 2 pi chi (Euclidean) or > 2 pi chi (hyperbolic, the excess being the
+    area). Without that refusal such a target drives the radii to zero,
+    where |K - T s^alpha| falls below `tol` and the collapse would pass as a
+    solution.
     """
     # imported here, not at module top, as in curvature_jacobian; sparse.linalg
     # adds ~10 MB RSS on top of scipy.sparse
@@ -130,6 +137,20 @@ def newton_solve(tri, r_init, target, alpha=2.0, tol=GRAD_TOL,
     ok, bad = geometry.admissible(tri, r)
     if not ok:
         raise AdmissibilityError(f"initial metric is inadmissible (faces {bad})")
+    # Gauss-Bonnet: sum(T s^alpha) = 2 pi chi (Euclidean) or 2 pi chi + area > 2 pi chi
+    # (hyperbolic) at a solution, and s^alpha > 0, so the signs of T bound the sum's sign
+    chi = euler_characteristic(tri)
+    pos, neg = bool(np.any(target > 0.0)), bool(np.any(target < 0.0))
+    if tri.geometry is Geometry.HYPERBOLIC:
+        feasible, relation = pos or chi < 0, ">"
+    else:
+        feasible, relation = (pos if chi > 0 else neg if chi < 0 else pos == neg), "="
+    if not feasible:
+        raise ValueError(
+            f"the target is infeasible at every radius vector: Gauss-Bonnet needs "
+            f"sum(T s^alpha) {relation} 2 pi chi with chi = {chi}, "
+            "which no target of these signs meets"
+        )
     u = geometry.u_of_r(r, tri.geometry)
     singular = tri.geometry is Geometry.EUCLIDEAN and not np.any(alpha * target != 0.0)
 
@@ -201,8 +222,8 @@ class ConvexityReport:
 def convexity_report(tri, r, target, alpha=2.0) -> ConvexityReport:
     """Eigen-structure of the potential Hessian at r for a fixed target."""
     r = np.asarray(r, dtype=float)
+    # exactly symmetric; eigh reads its lower triangle
     H = _hessian(tri, r, target, alpha).toarray()
-    H = 0.5 * (H + H.T)
     values, vectors = np.linalg.eigh(H)
     scale = max(1.0, float(np.max(np.abs(values))))
     tol = 1e-9 * scale

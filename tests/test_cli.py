@@ -251,17 +251,26 @@ def test_solve_hyperbolic_requires_target(tmp_path, capsys):
     assert np.max(np.abs(np.asarray(values) - 0.3)) < 1e-6
 
 
+def test_solve_infeasible_target_is_invalid_input(tmp_path, capsys):
+    radii = radii_file(tmp_path, [0.3] * 7)
+    assert main(["solve", CSASZAR_HYP, "--radii", radii, "--target", "-1"]) == 2
+    assert "infeasible" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv, values",
     [
-        # admissible radii whose Newton iterate reaches a face with relative
-        # slack 3.3e-13, below JACOBIAN_SLACK, before the Hessian is taken
-        (["solve", TETRA, "--target", "-1"],
-         [1.3891722269518323, 0.5755023963026715, 0.33231779881970547, 0.3133815959150118]),
+        # three faces with relative slack 7e-12 at the start, below
+        # JACOBIAN_SLACK, when the first Hessian is taken; the positive
+        # target that the sphere needs also draws the convexity warning
+        pytest.param(
+            ["solve", TETRA, "--target", "3.14159"], [1.0, 1.0, 1.0, 0.12132034356964239],
+            marks=pytest.mark.filterwarnings("ignore:alpha \\* target is positive"),
+            id="solve",
+        ),
         # three faces with relative slack 7e-12 at the given radii
-        (["spectrum", TETRA], [1.0, 1.0, 1.0, 0.12132034356964239]),
+        pytest.param(["spectrum", TETRA], [1.0, 1.0, 1.0, 0.12132034356964239], id="spectrum"),
     ],
-    ids=["solve", "spectrum"],
 )
 def test_near_degenerate_face_is_a_solver_failure(tmp_path, capsys, argv, values):
     radii = radii_file(tmp_path, values)

@@ -25,8 +25,7 @@ from idcurv import (
     tetrahedron,
     total_area,
 )
-from idcurv.curvature import _angle_length_derivatives, _length_u_derivatives
-from idcurv.geometry import corner_angles, face_lengths
+from idcurv.geometry import corner_angles, edge_lengths, face_lengths
 
 from conftest import (
     assert_rowwise_close,
@@ -151,13 +150,42 @@ def test_jacobian_matches_finite_differences(tetra_euc, csaszar_euc, tetra_hyp, 
         assert np.max(np.abs(L - J)) <= 1e-5
 
 
-def test_jacobian_symmetry(csaszar_euc, csaszar_hyp, rng):
-    for tri in (csaszar_euc, csaszar_hyp):
+def test_jacobian_symmetry(rng):
+    # one value per face edge serves both (a, b) and (b, a): symmetric to the bit
+    stock = [load_surface(path) for path in sorted(MESHES.glob("*.json"))]
+    for geom in (Geometry.EUCLIDEAN, Geometry.HYPERBOLIC):
+        stock += [
+            tetrahedron(geometry=geom),
+            csaszar_torus(geometry=geom),
+            csaszar_torus(2.0, geometry=geom),
+            grid_torus(6, 6, geometry=geom),
+            genus_two(geom),
+        ]
+    for tri in stock:
         scale = 1.0 if tri.geometry is Geometry.EUCLIDEAN else 0.5
         for _ in range(10):
             r = sample_admissible(tri, rng, scale=scale)
-            L = curvature_jacobian(tri, r).matrix
-            assert np.max(np.abs(L - L.T)) <= 1e-8
+            L = curvature_jacobian(tri, r).sparse
+            assert (L != L.T).nnz == 0
+
+
+@pytest.mark.parametrize("geom", [Geometry.EUCLIDEAN, Geometry.HYPERBOLIC])
+@pytest.mark.parametrize("mesh", [csaszar_torus, genus_two], ids=["csaszar", "genus2"])
+def test_jacobian_diagonal_matches_off_diagonal_identity(mesh, geom, rng):
+    # L_aa = -sum_b L_ab c(l_ab), c = 1 (Euclidean) or cosh l (hyperbolic): the
+    # diagonal's cot form and the off-diagonal form are separate closed forms
+    tri = mesh(geometry=geom)
+    for scale in (0.3, 1.0):
+        r = sample_admissible(tri, rng, spread=0.3, scale=scale)
+        L = curvature_jacobian(tri, r).matrix
+        c = np.ones(len(tri.edges))
+        if geom is Geometry.HYPERBOLIC:
+            c = np.cosh(edge_lengths(tri, r))
+        C = np.zeros_like(L)
+        C[tri.edges[:, 0], tri.edges[:, 1]] = C[tri.edges[:, 1], tri.edges[:, 0]] = c
+        off = L - np.diag(np.diag(L))
+        err = np.abs(np.diag(L) + (off * C).sum(axis=1))
+        assert np.all(err <= 1e-13 * np.abs(L).max(axis=1))
 
 
 def test_euclidean_jacobian_kernel_and_psd(tetra_euc, csaszar_euc, rng):
@@ -180,8 +208,56 @@ def test_hyperbolic_jacobian_positive_definite(tetra_hyp, csaszar_hyp, rng):
             assert w.min() > 0.0
 
 
+def _angle_length_derivatives(fl, theta, hyperbolic):
+    """(F, 3, 3) array D with D[f, a, e] = d theta_a / d l_e for each face.
+
+    Law-of-cosines differentiation: with side a opposite angle A,
+      dA/da = a / (b c sin A),  dA/db = -a cos C / (b c sin A),
+    replacing each side by its sinh in the hyperbolic case.
+    """
+    m = np.sinh(fl) if hyperbolic else fl
+    sin_t = np.sin(theta)
+    cos_t = np.cos(theta)
+    F = fl.shape[0]
+    D = np.empty((F, 3, 3))
+    for a in range(3):
+        b, c = (a + 1) % 3, (a + 2) % 3
+        denom = m[:, b] * m[:, c] * sin_t[:, a]
+        D[:, a, a] = m[:, a] / denom
+        D[:, a, b] = -m[:, a] * cos_t[:, c] / denom
+        D[:, a, c] = -m[:, a] * cos_t[:, b] / denom
+    return D
+
+
+def _length_u_derivatives(tri, r, fl, hyperbolic):
+    """(F, 3, 3) array E with E[f, e, v] = d l_e / d u_v (zero when v == e)."""
+    F = fl.shape[0]
+    fw = tri.face_weights()
+    E = np.zeros((F, 3, 3))
+    if hyperbolic:
+        sh = np.sinh(r)
+        ch = np.cosh(r)
+        sh_l = np.sinh(fl)
+    for e in range(3):
+        for v in range(3):
+            if v == e:
+                continue
+            w = 3 - e - v
+            iv = tri.faces[:, v]
+            iw = tri.faces[:, w]
+            if hyperbolic:
+                E[:, e, v] = (
+                    sh[iv] * (sh[iv] * ch[iw] + fw[:, e] * ch[iv] * sh[iw])
+                ) / (2.0 * sh_l[:, e])
+            else:
+                E[:, e, v] = r[iv] * (r[iv] + r[iw] * fw[:, e]) / (2.0 * fl[:, e])
+    return E
+
+
 def dense_reference_jacobian(tri, r):
-    """L = dK/du scattered face by face into a dense N x N array with np.add.at."""
+    """L = dK/du by the chain rule d theta/d l . d l/d u per face, scattered into
+    a dense N x N array with np.add.at: an assembly independent of the closed
+    forms of curvature_jacobian."""
     fl = face_lengths(tri, r)
     hyperbolic = tri.geometry is Geometry.HYPERBOLIC
     D = _angle_length_derivatives(fl, corner_angles(tri, r).angles, hyperbolic)
@@ -333,10 +409,9 @@ def test_spectrum_kernel_vector_is_radii(csaszar_euc, rng):
 
 
 def dense_spectrum_operator(tri, r):
-    """Sigma^{-1/2} L Sigma^{-1/2} as a symmetrized dense array, the reference."""
+    """Sigma^{-1/2} L Sigma^{-1/2} as a dense array, the reference."""
     s = s_of_r(r, tri.geometry)
-    A = curvature_jacobian(tri, r).sparse.toarray() / np.outer(s, s)
-    return 0.5 * (A + A.T)
+    return curvature_jacobian(tri, r).sparse.toarray() / np.outer(s, s)
 
 
 @pytest.mark.parametrize(

@@ -21,6 +21,7 @@ from idcurv import (
     QuadratureError,
     SolverError,
     angle_deficits,
+    connected_sum,
     convexity_report,
     csaszar_torus,
     curvature_field,
@@ -31,6 +32,7 @@ from idcurv import (
     potential_gradient,
     potential_value,
     run_flow,
+    tetrahedron,
     u_of_r,
 )
 
@@ -328,8 +330,9 @@ def test_newton_singular_hessian_is_a_solver_error(csaszar_hyp, monkeypatch):
     monkeypatch.setattr(
         potential, "_hessian", lambda tri, r, target, alpha: scipy.sparse.csr_array(np.ones((7, 7)))
     )
+    target = angle_deficits(csaszar_hyp, np.full(7, 0.4))
     with pytest.raises(SolverError, match="singular Hessian: Factor is exactly singular"):
-        newton_solve(csaszar_hyp, np.full(7, 0.3), target=0.0, alpha=0.0)
+        newton_solve(csaszar_hyp, np.full(7, 0.3), target=target, alpha=0.0)
 
 
 @pytest.mark.parametrize(
@@ -338,6 +341,31 @@ def test_newton_singular_hessian_is_a_solver_error(csaszar_hyp, monkeypatch):
 def test_newton_refuses_non_finite_input(csaszar_euc, target, alpha):
     with pytest.raises(ValueError, match="target and alpha must be finite"):
         newton_solve(csaszar_euc, np.ones(7), target, alpha=alpha)
+
+
+@pytest.mark.parametrize(
+    "tri, target",
+    [
+        # sum(T s^2) = 2 pi chi + area > 0 on the hyperbolic torus; before the
+        # refusal these two returned radii of ~1e-6 as a solution
+        (csaszar_torus(geometry=Geometry.HYPERBOLIC), -1.0),
+        (csaszar_torus(geometry=Geometry.HYPERBOLIC), -0.5),
+        (csaszar_torus(), 1.0),  # chi = 0 needs sum(T s^2) = 0
+        (csaszar_torus(), -1.0),
+        (grid_torus(4, 4), np.r_[np.zeros(15), 1.0]),
+        (tetrahedron(), 0.0),  # chi = 2 needs a positive sum
+        (connected_sum(grid_torus(4, 4), grid_torus(4, 4)), 0.0),  # chi = -2, a negative one
+    ],
+    ids=[
+        "hyperbolic-torus-1", "hyperbolic-torus-0.5", "torus-positive", "torus-negative",
+        "torus-one-vertex", "sphere-zero", "genus2-zero",
+    ],
+)
+@pytest.mark.filterwarnings("ignore:alpha \\* target is positive")
+def test_newton_refuses_infeasible_target(tri, target):
+    r0 = np.full(tri.vertex_count, 0.3)
+    with pytest.raises(ValueError, match="infeasible at every radius vector"):
+        newton_solve(tri, r0, target)
 
 
 def test_newton_rejects_inadmissible_start(tetra_euc):
