@@ -143,7 +143,7 @@ def curvature_jacobian(tri, r) -> CurvatureJacobian:
             f"face {worst} has relative slack {slack[worst]:.3e}; "
             "angle derivatives are unreliable this close to degeneracy"
         )
-    theta = geometry.corner_angles(tri, r).angles
+    theta = geometry.face_angles(fl, tri.geometry).angles
     # column c of a face array belongs to corner a = c; fl[:, prv] is l_ab, fl[:, nxt] is l_ac
     nxt, prv = geometry._NEXT, geometry._PREV
     fw = tri.face_weights()

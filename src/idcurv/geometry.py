@@ -9,6 +9,14 @@ opposite the dominating edge, zero at the other two.
 
 Coordinates: s_i = r_i (Euclidean) or tanh(r_i/2) (hyperbolic); g_i = s_i^2;
 u_i = ln s_i^2. These are always derived from radii, never stored.
+
+The gaps of a face corner c take three lengths, l_c, l_{c+1} and l_{c-1}.
+Functions of a triangulation and radii gather all three (F, 3) columns from
+the edge lengths at once, by the triangulation's `gap_plan`, which
+WeightedTriangulation builds once at construction; `face_angles`, for rows a
+caller gives, builds them by cycling the row's columns. Both share one angle
+core, which tests admissibility with a single reduction over the gaps and
+builds the per-face degeneracy mask only when that test fails.
 """
 
 from __future__ import annotations
@@ -18,13 +26,12 @@ import dataclasses
 import numpy as np
 
 from .errors import AdmissibilityError, DomainError
-from .surface import Geometry
+from .surface import _CORNER_CYCLE, Geometry
 
 BIG_RADIUS = 350.0  # beyond this, hyperbolic lengths switch to a log-sum-exp form
 
 # fl[:, _NEXT][:, c] is fl[:, c + 1] and fl[:, _PREV][:, c] is fl[:, c - 1] (mod 3)
-_NEXT = np.array([1, 2, 0])
-_PREV = np.array([2, 0, 1])
+_NEXT, _PREV = _CORNER_CYCLE[1], _CORNER_CYCLE[2]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -165,16 +172,20 @@ def face_lengths(tri, r):
     return edge_lengths(tri, r)[tri.face_edges]
 
 
+def _plan_gaps(tri, r):
+    """(F, 3) gaps at radii r from one gather of the edge lengths by tri.gap_plan."""
+    return _gaps(*edge_lengths(tri, r)[tri.gap_plan])
+
+
 # -- admissibility ----------------------------------------------------------------
 
 
-def _gaps(fl):
-    """(F, 3) gaps p - l, each to a few ulps and with the exact sign of its
-    triangle inequality: when a gap can be small, the larger other length is
-    within a factor 2 of l, so their difference is exact (Sterbenz)."""
-    lb = fl[:, _NEXT]
-    lc = fl[:, _PREV]
-    return 0.5 * (np.minimum(lb, lc) + (np.maximum(lb, lc) - fl))
+def _gaps(la, lb, lc):
+    """(F, 3) gaps p - l_c from the columns la = l_c, lb = l_{c+1} and
+    lc = l_{c-1}, each to a few ulps and with the exact sign of its triangle
+    inequality: when a gap can be small, the larger other length is within a
+    factor 2 of l_c, so their difference is exact (Sterbenz)."""
+    return 0.5 * (np.minimum(lb, lc) + (np.maximum(lb, lc) - la))
 
 
 def _degenerate_mask(g):
@@ -182,6 +193,8 @@ def _degenerate_mask(g):
 
     Rows holding NaN count as degenerate, since no strict inequality holds.
     Three column comparisons cost less than one axis-1 reduction on (F, 3).
+    Callers first test g.min() > 0.0, which NaN fails too, and build the
+    mask only when that fails.
     """
     return ~((g[:, 0] > 0.0) & (g[:, 1] > 0.0) & (g[:, 2] > 0.0))
 
@@ -204,8 +217,10 @@ def admissible(tri, r):
 
     Returns (ok, violating_face_indices).
     """
-    bad = np.nonzero(_degenerate_mask(_gaps(face_lengths(tri, r))))[0]
-    return len(bad) == 0, bad.tolist()
+    g = _plan_gaps(tri, r)
+    if g.min() > 0.0:
+        return True, []
+    return False, np.nonzero(_degenerate_mask(g))[0].tolist()
 
 
 # -- angles -----------------------------------------------------------------------
@@ -237,23 +252,17 @@ def _extension_constants(g, rows):
     return np.where(dominating, np.pi, 0.0)
 
 
-def face_angles(lengths, geometry, extended=False) -> CornerAngles:
-    """Corner angles of each row of a (F, 3) length array.
-
-    Angle c of a row sits at the corner opposite length c. Without
-    `extended`, every row must be strictly admissible; with it, degenerate
-    rows receive the constant extension.
-    """
-    g = _gaps(np.asarray(lengths, dtype=float))
+def _gap_angles(g, geometry, extended) -> CornerAngles:
+    """Corner angles from a (F, 3) gap array (see face_angles)."""
+    hyperbolic = geometry is Geometry.HYPERBOLIC
+    if g.min() > 0.0:  # every row strictly admissible; NaN fails this, as it fails the mask
+        return CornerAngles(
+            angles=_half_angle_law(g, hyperbolic), degenerate=np.zeros(len(g), dtype=bool)
+        )
     degenerate = _degenerate_mask(g)
-    any_degenerate = degenerate.any()
-    if any_degenerate and not extended:
+    if not extended:
         bad = np.nonzero(degenerate)[0].tolist()
         raise AdmissibilityError(f"inadmissible faces {bad}; pass extended=True")
-
-    hyperbolic = geometry is Geometry.HYPERBOLIC
-    if not any_degenerate:
-        return CornerAngles(angles=_half_angle_law(g, hyperbolic), degenerate=degenerate)
     # only degenerate rows (NaN rows among them) give invalid values, and
     # their angles are overwritten by the extension
     with np.errstate(invalid="ignore"):
@@ -262,9 +271,20 @@ def face_angles(lengths, geometry, extended=False) -> CornerAngles:
     return CornerAngles(angles=angles, degenerate=degenerate)
 
 
+def face_angles(lengths, geometry, extended=False) -> CornerAngles:
+    """Corner angles of each row of a (F, 3) length array.
+
+    Angle c of a row sits at the corner opposite length c. Without
+    `extended`, every row must be strictly admissible; with it, degenerate
+    rows receive the constant extension.
+    """
+    fl = np.asarray(lengths, dtype=float)
+    return _gap_angles(_gaps(fl, fl[:, _NEXT], fl[:, _PREV]), geometry, extended)
+
+
 def corner_angles(tri, r, extended=False) -> CornerAngles:
     """All corner angles of the surface at radii r (see face_angles)."""
-    return face_angles(face_lengths(tri, r), tri.geometry, extended)
+    return _gap_angles(_plan_gaps(tri, r), tri.geometry, extended)
 
 
 # -- areas ------------------------------------------------------------------------
@@ -276,9 +296,9 @@ def total_area(tri, r, extended=False):
     pi - sum(theta); degenerate faces contribute zero under the extension."""
     if tri.geometry is not Geometry.HYPERBOLIC:
         raise ValueError("area is defined for hyperbolic surfaces")
-    fl = face_lengths(tri, r)
-    face_angles(fl, tri.geometry, extended)  # raises for faces the extension cannot take
-    g = np.maximum(_gaps(fl), 0.0)
+    g = _plan_gaps(tri, r)
+    _gap_angles(g, tri.geometry, extended)  # raises for faces the extension cannot take
+    g = np.maximum(g, 0.0)
     t = np.tanh(g / 2.0)
     tp = np.tanh(g.sum(axis=1) / 2.0)
     return float(np.sum(4.0 * np.arctan(np.sqrt(tp * t[:, 0] * t[:, 1] * t[:, 2]))))

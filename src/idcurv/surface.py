@@ -18,6 +18,10 @@ import numpy as np
 from .errors import MeshFormatError, TopologyError, WeightError
 
 
+# row k holds c + k (mod 3) for the corners c = 0, 1, 2
+_CORNER_CYCLE = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+
+
 class Geometry(enum.Enum):
     """Background geometry the faces are realized in."""
 
@@ -54,6 +58,12 @@ class WeightedTriangulation:
     two faces, the surface must be connected, and every weight must be finite.
     Edge (i, j), i < j, has the key i * N + j; `edges` is the sorted key array
     split back into pairs, and edge lookups search that array.
+
+    `face_edges[f, c]` is the edge opposite corner c of face f. `gap_plan` is
+    the gather plan of every angle evaluation, built here once from
+    `face_edges` by one fancy index: gap_plan[k, f, c] = face_edges[f, c + k]
+    (mod 3), so one gather of the edge lengths by it gives the (F, 3) columns
+    l_c, l_{c+1} and l_{c-1} that the triangle-inequality gaps need.
     """
 
     def __init__(self, vertex_count, faces, weights, geometry=Geometry.EUCLIDEAN):
@@ -71,6 +81,8 @@ class WeightedTriangulation:
             raise TopologyError("face vertex index out of range")
 
         self._edge_keys, self.edges, self.face_edges = self._derive_edges()
+        rows = np.arange(len(self.faces))[:, None]
+        self.gap_plan = self.face_edges[rows, _CORNER_CYCLE[:, None]]
         self.weights = self._resolve_weights(weights)
         self._check_connected()
 

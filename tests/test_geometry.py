@@ -223,11 +223,12 @@ def face_row(draw):
 @settings(max_examples=300)
 def test_column_face_kernels_match_axis_reductions(rows, geom):
     fl = np.array(rows, dtype=float)
-    g = geometry_module._gaps(fl)
+    g = geometry_module._gaps(fl, fl[:, geometry_module._NEXT], fl[:, geometry_module._PREV])
     assert np.array_equal(g, reference_gaps(fl), equal_nan=True)
-    assert np.array_equal(
-        geometry_module._degenerate_mask(g), reference_degenerate_mask(g)
-    )
+    mask = reference_degenerate_mask(g)
+    assert np.array_equal(geometry_module._degenerate_mask(g), mask)
+    # the one-reduction test that stands in for the mask on admissible input
+    assert (g.min() > 0.0) == (not mask.any())
     hyperbolic = geom is HYP
     with np.errstate(all="ignore"):
         got = geometry_module._half_angle_law(g, hyperbolic)
@@ -238,6 +239,33 @@ def test_column_face_kernels_match_axis_reductions(rows, geom):
     assert np.array_equal(got, expect, equal_nan=True)
     assert np.array_equal(slack, expect_slack, equal_nan=True)
     assert np.array_equal(row_slacks, expect_slack, equal_nan=True)
+
+
+@pytest.mark.parametrize("geom", [EUC, HYP])
+@pytest.mark.parametrize("start", ["admissible", "snapped"])
+def test_corner_angles_match_face_angles_of_face_lengths(geom, start):
+    # corner_angles gathers its gaps by the triangulation's gap plan, face_angles
+    # cycles the columns of the rows it is given: the same arithmetic, so the
+    # two agree bit for bit, degenerate faces and refusals included
+    tri = idcurv.grid_torus(4, 4, weight=2.0, geometry=geom)
+    r = np.exp(np.random.default_rng(7).uniform(-0.01, 0.01, tri.vertex_count))
+    if start == "snapped":  # one face's corners scaled apart, past its triangle inequality
+        r[tri.faces[5]] *= (12.0, 3.0, 0.01)
+    ok, bad = admissible(tri, r)
+    assert ok == (start == "admissible") and (ok or 5 in bad)
+    fl = face_lengths(tri, r)
+    if start == "snapped":
+        with pytest.raises(AdmissibilityError) as via_plan:
+            corner_angles(tri, r)
+        with pytest.raises(AdmissibilityError) as via_rows:
+            face_angles(fl, geom)
+        assert str(via_plan.value) == str(via_rows.value)
+    for extended in (False, True) if start == "admissible" else (True,):
+        got, expect = corner_angles(tri, r, extended), face_angles(fl, geom, extended)
+        assert np.array_equal(got.angles, expect.angles)
+        assert got.degenerate.dtype == bool and got.degenerate.shape == (tri.face_count,)
+        assert np.array_equal(got.degenerate, expect.degenerate)
+        assert np.nonzero(got.degenerate)[0].tolist() == bad
 
 
 # -- angles -----------------------------------------------------------------------
