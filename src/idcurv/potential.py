@@ -117,7 +117,10 @@ def newton_solve(tri, r_init, target, alpha=2.0, tol=GRAD_TOL,
     = 2 pi chi (Euclidean) or > 2 pi chi (hyperbolic, the excess being the
     area). Without that refusal such a target drives the radii to zero,
     where |K - T s^alpha| falls below `tol` and the collapse would pass as a
-    solution.
+    solution. With alpha = 0, s^alpha = 1 and the sum is the target's own,
+    so a target is refused unless sum(T) = 2 pi chi to a relative 1e-9
+    (Euclidean) or sum(T) > 2 pi chi (hyperbolic); otherwise Newton would
+    run to its iteration budget or a singular Hessian.
     """
     # imported here, not at module top, as in curvature_jacobian; sparse.linalg
     # adds ~10 MB RSS on top of scipy.sparse
@@ -151,6 +154,19 @@ def newton_solve(tri, r_init, target, alpha=2.0, tol=GRAD_TOL,
             f"sum(T s^alpha) {relation} 2 pi chi with chi = {chi}, "
             "which no target of these signs meets"
         )
+    if alpha == 0.0:
+        total, gauss_bonnet = float(np.sum(target)), 2.0 * np.pi * chi
+        if tri.geometry is Geometry.HYPERBOLIC:
+            feasible = total > gauss_bonnet
+        else:
+            scale = abs(gauss_bonnet) + float(np.sum(np.abs(target)))
+            feasible = abs(total - gauss_bonnet) <= 1e-9 * scale
+        if not feasible:
+            raise ValueError(
+                f"the target is infeasible at every radius vector: with alpha = 0 "
+                f"Gauss-Bonnet needs sum(T) {relation} 2 pi chi = {gauss_bonnet:.6g}, "
+                f"and the target sums to {total:.6g}"
+            )
     u = geometry.u_of_r(r, tri.geometry)
     singular = tri.geometry is Geometry.EUCLIDEAN and not np.any(alpha * target != 0.0)
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from conftest import sample_admissible
+from conftest import genus_two, sample_admissible
 
 from idcurv import (
     AdmissibilityError,
@@ -366,6 +366,30 @@ def test_newton_refuses_infeasible_target(tri, target):
     r0 = np.full(tri.vertex_count, 0.3)
     with pytest.raises(ValueError, match="infeasible at every radius vector"):
         newton_solve(tri, r0, target)
+
+
+@pytest.mark.parametrize(
+    "geom, target",
+    # chi = -2: the Euclidean sum must be -4 pi and the hyperbolic one must exceed
+    # it; before the refusal the first ran 200 iterations into a SolverError and
+    # the second stalled its line search
+    [(Geometry.EUCLIDEAN, -0.1), (Geometry.HYPERBOLIC, -1.0)],
+    ids=["euclidean", "hyperbolic"],
+)
+def test_newton_refuses_an_alpha_zero_target_off_the_gauss_bonnet_sum(geom, target):
+    tri = genus_two(geom)
+    with pytest.raises(ValueError, match="with alpha = 0 Gauss-Bonnet needs sum"):
+        newton_solve(tri, np.full(tri.vertex_count, 0.3), target, alpha=0.0)
+
+
+@pytest.mark.parametrize("geom", [Geometry.EUCLIDEAN, Geometry.HYPERBOLIC])
+def test_newton_solves_an_alpha_zero_packing_target(geom):
+    # the curvature of a packing meets Gauss-Bonnet's sum up to rounding
+    tri = genus_two(geom)
+    rng = np.random.default_rng(3)
+    target = angle_deficits(tri, 0.5 * np.exp(rng.uniform(-0.2, 0.2, tri.vertex_count)))
+    metric = newton_solve(tri, np.full(tri.vertex_count, 0.5), target, alpha=0.0)
+    np.testing.assert_allclose(angle_deficits(tri, metric.radii), target, rtol=0.0, atol=1e-10)
 
 
 def test_newton_rejects_inadmissible_start(tetra_euc):
