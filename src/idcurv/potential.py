@@ -120,7 +120,7 @@ def newton_solve(tri, r_init, target, alpha=2.0, tol=GRAD_TOL,
     solution. With alpha = 0, s^alpha = 1 and the sum is the target's own,
     so a target is refused unless sum(T) = 2 pi chi to a relative 1e-9
     (Euclidean) or sum(T) > 2 pi chi (hyperbolic); otherwise Newton would
-    run to its iteration budget or a singular Hessian.
+    run to its iteration budget or stall in the line search.
     """
     # imported here, not at module top, as in curvature_jacobian; sparse.linalg
     # adds ~10 MB RSS on top of scipy.sparse
