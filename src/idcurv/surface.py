@@ -81,8 +81,9 @@ class WeightedTriangulation:
             raise TopologyError("face vertex index out of range")
 
         self._edge_keys, self.edges, self.face_edges = self._derive_edges()
-        rows = np.arange(len(self.faces))[:, None]
-        self.gap_plan = self.face_edges[rows, _CORNER_CYCLE[:, None]]
+        # face_edges[:, _CORNER_CYCLE][f, k, c] is face_edges[f, c + k]; stored as [k, f, c]
+        # so that each of the three columns a gather yields is contiguous
+        self.gap_plan = np.ascontiguousarray(self.face_edges[:, _CORNER_CYCLE].transpose(1, 0, 2))
         self.weights = self._resolve_weights(weights)
         self._check_connected()
 
