@@ -35,7 +35,6 @@ from .flows import (
     FlowSpec,
     FlowKind,
     FlowTrace,
-    Integrator,
     check_evolution_identity,
     flow_rhs,
     run_flow,

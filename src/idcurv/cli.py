@@ -113,11 +113,9 @@ def cmd_curvature(args) -> int:
     tri = load_surface(args.mesh)
     r = load_radii(args.radii, tri.vertex_count)
     field = curvature_field(tri, r, alpha=args.alpha, extended=args.extended)
-    lines = ["i,r_i,K_i,R_i,R_alpha_i"]
+    lines = ["i,r_i,K_i,R_i"]
     for i in range(tri.vertex_count):
-        lines.append(
-            f"{i},{_fmt(r[i])},{_fmt(field.K[i])},{_fmt(field.R[i])},{_fmt(field.R_alpha[i])}"
-        )
+        lines.append(f"{i},{_fmt(r[i])},{_fmt(field.K[i])},{_fmt(field.R[i])}")
     residual = gauss_bonnet_residual(tri, r, extended=args.extended)
     lines.append(f"# gauss_bonnet_residual = {_fmt(residual)}")
     _emit("\n".join(lines) + "\n", args.out)

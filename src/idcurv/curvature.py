@@ -1,7 +1,8 @@
 """Vertex curvatures, Gauss-Bonnet checks, the curvature Jacobian, Laplacians.
 
 Curvature conventions: K_i is the angle deficit 2 pi minus the incident corner
-angles; R_i = K_i / s_i^2; the alpha variant divides by s_i^alpha instead.
+angles; the alpha-curvature is R_i = K_i / s_i^alpha, with alpha = 2 unless
+given (s = r Euclidean, tanh(r/2) hyperbolic).
 
 The Jacobian L = dK/du is taken in u_i = ln s_i^2 coordinates, in which it is
 symmetric: positive semidefinite with kernel spanned by the all-ones vector in
@@ -28,11 +29,11 @@ JACOBIAN_SLACK = 1e-10  # minimum relative triangle slack for derivative assembl
 
 @dataclasses.dataclass(frozen=True)
 class CurvatureField:
-    """Per-vertex curvatures; extended=True means extended angles were used."""
+    """Per-vertex curvatures K and R = K / s^alpha; extended=True means
+    extended angles were used."""
 
     K: np.ndarray
     R: np.ndarray
-    R_alpha: np.ndarray
     alpha: float
     extended: bool
 
@@ -71,17 +72,11 @@ def angle_deficits(tri, r, extended=False, degenerate=None):
 
 
 def curvature_field(tri, r, alpha=2.0, extended=False) -> CurvatureField:
-    """K, R = K / s^2 and R_alpha = K / s^alpha at radii r."""
+    """K and the alpha-curvature R = K / s^alpha at radii r."""
     r = np.asarray(r, dtype=float)
     K = angle_deficits(tri, r, extended=extended)
     s = geometry.s_of_r(r, tri.geometry)
-    return CurvatureField(
-        K=K,
-        R=K / s**2,
-        R_alpha=K / s**alpha,
-        alpha=float(alpha),
-        extended=bool(extended),
-    )
+    return CurvatureField(K=K, R=K / s**alpha, alpha=float(alpha), extended=bool(extended))
 
 
 # bench/workloads.py calls the field by its former name; drop this alias once it

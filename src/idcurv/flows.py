@@ -27,8 +27,8 @@ evaluation; it exists only on Euclidean surfaces, so every kind needs a
 prescribed target on a hyperbolic one. Extended kinds run through
 admissibility failures using the constant angle extension.
 
-The default stepper, Integrator.DOP853, is Hairer's 12-stage method of
-order 8 (Hairer-Norsett-Wanner, Solving ODEs I, II.10): it advances with the 8th-order
+The stepper is DOP853, Hairer's 12-stage method of order 8
+(Hairer-Norsett-Wanner, Solving ODEs I, II.10): it advances with the 8th-order
 solution and estimates its error from embedded 5th- and 3rd-order ones, in a
 norm mixed absolute and relative in r, against LOCAL_TOL * tol. spec.step is
 the first trial step; a step rejected on error shrinks by the estimate's own
@@ -41,21 +41,19 @@ estimates the stiffest rate rho from two states the step evaluates anyway
 (Hairer-Wanner II, IV.2): the 12th stage, taken at the end of the step, and
 the accepted candidate. The next step is capped at SAFETY * beta / rho, with
 beta the negative-real-axis stability boundary of the 8th-order weights
-(about 6.39), and at t_max - t. RK4 is the fixed-step reference integrator,
-stepping spec.step. Trace rows are recorded every SAMPLE_DT of flow time
-(every floor(SAMPLE_DT / step) steps under RK4), and at every event. When
-the run ends, FlowTrace.stats and one DEBUG record on the "idcurv.flows"
-logger give its step statistics.
+(about 6.39), and at t_max - t. Trace rows are recorded every SAMPLE_DT of
+flow time, and at every event. When the run ends, FlowTrace.stats and one
+DEBUG record on the "idcurv.flows" logger give its step statistics.
 Curvature is evaluated once per flow state: a candidate's own evaluation
 decides whether it is legal (for genuine kinds the angle computation raises on
 exactly the faces that fail a triangle inequality, for extended kinds its face
 mask gives the region flag), and its deviation gives the accepted state's
 error and seeds the next step's first stage. An accepted step therefore costs
-twelve curvature evaluations under DOP853 (eleven stages and the candidate's
-own) and four under RK4; genuine kinds add one pass over the face lengths for
-the triangle slack. A step rejected on error costs its eleven stages; a
-candidate rejected as illegal costs the stages it ran, plus one evaluation
-when it passed the error test and its radii are finite and within bounds.
+twelve curvature evaluations (eleven stages and the candidate's own); genuine
+kinds add one pass over the face lengths for the triangle slack. A step
+rejected on error costs its eleven stages; a candidate rejected as illegal
+costs the stages it ran, plus one evaluation when it passed the error test
+and its radii are finite and within bounds.
 When a candidate would leave the legal region the step h halves, with no
 budget, until a legal candidate is found or h would fall below MIN_STEP (as
 would an error rejection's shrink).
@@ -234,11 +232,6 @@ class FlowKind(enum.Enum):
         return member
 
 
-class Integrator(enum.Enum):
-    DOP853 = "dop853"
-    RK4 = "rk4"
-
-
 class EventKind(enum.Enum):
     ESSENTIAL_SINGULARITY = "EssentialSingularity"
     REMOVABLE_SINGULARITY = "RemovableSingularity"
@@ -274,7 +267,6 @@ class FlowSpec:
     step: float = 0.01
     t_max: float = 200.0
     tol: float = 1e-8
-    integrator: Integrator = Integrator.DOP853
 
     def __post_init__(self):
         if not all(math.isfinite(x) and x > 0.0 for x in (self.step, self.t_max, self.tol)):
@@ -414,45 +406,33 @@ def _legal(tri, r, spec, dev, degenerate=None, tally=None):
 
 
 def _propose(tri, r, k1, h, spec, tally):
-    """One explicit step from r; returns (candidate, err, end_state).
+    """One DOP853 step from r: the eleven stages after k1, none at the
+    candidate. Returns (candidate, err, end_state).
 
-    candidate is None if a stage failed. err is the DOP853 local error
-    estimate in units of the requested local tolerance (the step passes when
-    err <= 1); it is 0.0 for RK4. end_state is DOP853's 12th stage as
-    (y, dr/dt at y), a state at the end of the step, or None. The Counter
+    candidate is None if a stage failed. err is the local error estimate in
+    units of the requested local tolerance (the step passes when err <= 1):
+    the 5th- and 3rd-order estimates, each in the max norm, combined as
+    err5^2 / sqrt(err5^2 + 0.01 err3^2), as DOP853 does; it reads like err5 on
+    long steps and falls like h^8 on short ones, the order of the solution the
+    step advances with. end_state is the 12th stage as (y, dr/dt at y), a
+    state at the end of the step, or None with the candidate. The Counter
     `tally` counts stage evaluations under "evaluations".
     """
     try:
-        if spec.integrator is Integrator.DOP853:
-            return _dop853(tri, r, k1, h, spec, tally)
-        k2 = _stage_rhs(tri, r + (0.5 * h) * k1, spec, tally)
-        k3 = _stage_rhs(tri, r + (0.5 * h) * k2, spec, tally)
-        k4 = _stage_rhs(tri, r + h * k3, spec, tally)
+        k = np.empty((len(_B), r.size))
+        k[0] = k1
+        for i in range(1, len(_B)):
+            y = r + h * (_A[i, :i] @ k[:i])
+            k[i] = _stage_rhs(tri, y, spec, tally)
+        candidate = r + h * (_B @ k)
+        scale = (LOCAL_TOL * spec.tol) * (1.0 + np.maximum(r, np.abs(candidate)))
+        # one vector product per rule: a (2, 12) matrix product would reach BLAS
+        # gemm, whose work buffer adds to the process's peak memory
+        e5, e3 = (float(np.max(np.abs(h * (e @ k)) / scale)) for e in (_E5, _E3))
+        root = math.sqrt(e5 * e5 + 0.01 * e3 * e3)
+        err = e5 * e5 / root if root else 0.0  # a NaN root stays NaN
     except (AdmissibilityError, FloatingPointError):
         return None, 0.0, None
-    return r + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), 0.0, None
-
-
-def _dop853(tri, r, k1, h, spec, tally):
-    """The eleven stages of DOP853 after k1; none at the candidate.
-
-    The error estimate combines the 5th- and 3rd-order ones, each in the max
-    norm, as err5^2 / sqrt(err5^2 + 0.01 err3^2), as DOP853 does: it reads
-    like err5 on long steps and falls like h^8 on short ones, the order of
-    the solution the step advances with.
-    """
-    k = np.empty((len(_B), r.size))
-    k[0] = k1
-    for i in range(1, len(_B)):
-        y = r + h * (_A[i, :i] @ k[:i])
-        k[i] = _stage_rhs(tri, y, spec, tally)
-    candidate = r + h * (_B @ k)
-    scale = (LOCAL_TOL * spec.tol) * (1.0 + np.maximum(r, np.abs(candidate)))
-    # one vector product per rule: a (2, 12) matrix product would reach BLAS
-    # gemm, whose work buffer adds to the process's peak memory
-    e5, e3 = (float(np.max(np.abs(h * (e @ k)) / scale)) for e in (_E5, _E3))
-    root = math.sqrt(e5 * e5 + 0.01 * e3 * e3)
-    err = e5 * e5 / root if root else 0.0  # a NaN root stays NaN
     return candidate, err, (y, k[-1])  # the last stage is at c = 1
 
 
@@ -578,8 +558,6 @@ def run_flow(tri, r0, spec: FlowSpec):
         return stop(FlowEvent(t, EventKind.CONVERGED, None))
     record(t, r, err, inside)
 
-    adaptive = spec.integrator is Integrator.DOP853
-    sample_every = max(1, math.floor(SAMPLE_DT / spec.step))
     h_next = spec.step
     degenerate = None if genuine else np.empty(tri.face_count, dtype=bool)
     k1 = _velocity(tri, r, dev, spec)
@@ -612,14 +590,11 @@ def run_flow(tri, r0, spec: FlowSpec):
             h *= shrink
 
         k1 = _velocity(tri, candidate, next_dev, spec)
-        if adaptive:
-            h_next = h * _error_factor(step_err)
-            rho = _stiffness(candidate, k1, end_state) or rho
-            if rho > 0.0 and SAFETY * _BETA / rho < h_next:
-                h_next = SAFETY * _BETA / rho
-                tally["capped"] += 1
-        else:
-            h_next = min(spec.step, 2.0 * h)
+        h_next = h * _error_factor(step_err)
+        rho = _stiffness(candidate, k1, end_state) or rho
+        if rho > 0.0 and SAFETY * _BETA / rho < h_next:
+            h_next = SAFETY * _BETA / rho
+            tally["capped"] += 1
         r, dev = candidate, next_dev
         t += h
         steps += 1
@@ -645,8 +620,7 @@ def run_flow(tri, r0, spec: FlowSpec):
                 return stop(FlowEvent(t, EventKind.REMOVABLE_SINGULARITY, face))
         if err < spec.tol:
             return stop(FlowEvent(t, EventKind.CONVERGED, None))
-        due = t - times[-1] >= SAMPLE_DT if adaptive else steps % sample_every == 0
-        if due:
+        if t - times[-1] >= SAMPLE_DT:
             record(t, r, err, inside)
 
     return stop(FlowEvent(t, EventKind.HORIZON_REACHED, None))

@@ -13,6 +13,9 @@ from idcurv import (
     corner_angles,
     connected_sum,
     grid_torus,
+    average_curvature,
+    curvature_field,
+    flow_rhs,
 )
 
 
@@ -109,3 +112,31 @@ def assert_rowwise_close(L, J, rtol):
 def genus_two(geometry=Geometry.EUCLIDEAN):
     """Genus-2 surface from two 6x6 grid tori: V=69, E=213, F=142, chi=-2."""
     return connected_sum(grid_torus(6, 6, geometry=geometry), grid_torus(6, 6, geometry=geometry))
+
+
+def rk4_reference(tri, r, spec, h):
+    """The flows' reference: the textbook fixed-step RK4 loop over flow_rhs.
+
+    Steps h (the last one clipped at spec.t_max) until max|T - K/s^alpha| <
+    spec.tol at the current state, or until t reaches spec.t_max. Returns
+    (t, r, steps).
+    """
+    alpha = spec.effective_alpha
+
+    def max_deviation(r):
+        R = curvature_field(tri, r, alpha=alpha, extended=spec.kind.extended).R
+        target = average_curvature(tri, r, alpha) if spec.target is None else spec.target
+        return np.max(np.abs(target - R))
+
+    r = np.asarray(r, dtype=float)
+    t, steps = 0.0, 0
+    while max_deviation(r) >= spec.tol and t < spec.t_max * (1.0 - 1e-15):
+        dt = min(h, spec.t_max - t)
+        k1 = flow_rhs(tri, r, spec)
+        k2 = flow_rhs(tri, r + (0.5 * dt) * k1, spec)
+        k3 = flow_rhs(tri, r + (0.5 * dt) * k2, spec)
+        k4 = flow_rhs(tri, r + dt * k3, spec)
+        r = r + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += dt
+        steps += 1
+    return t, r, steps

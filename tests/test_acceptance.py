@@ -15,13 +15,12 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import fd_jacobian, genus_two, sample_admissible
+from conftest import fd_jacobian, genus_two, rk4_reference, sample_admissible
 from idcurv import (
     EventKind,
     FlowKind,
     FlowSpec,
     Geometry,
-    Integrator,
     TetraFamily,
     X_SUP,
     admissible,
@@ -410,25 +409,16 @@ def test_11_genus_two_flows_converge_to_unique_limits():
     assert max(gaps) < 1e-6
 
     # (b) hyperbolic, target -1, default spec: converges when the exact flow
-    # does (the fixed-step RK4 reference), to the Newton solution
+    # does (the fixed-step RK4 reference at h = 0.004), to the Newton solution
     worst_time = worst_newton = 0.0
     for r0 in starts:
         spec = FlowSpec(kind=FlowKind.MODIFIED_HYPERBOLIC, target=-1.0)
         trace, final = run_flow(hyp, r0, spec)
         term = trace.terminal_event()
         assert term.kind is EventKind.CONVERGED
-        reference = run_flow(
-            hyp,
-            r0,
-            FlowSpec(
-                kind=FlowKind.MODIFIED_HYPERBOLIC,
-                target=-1.0,
-                step=0.004,
-                integrator=Integrator.RK4,
-            ),
-        )[0].terminal_event()
-        assert reference.kind is EventKind.CONVERGED
-        worst_time = max(worst_time, abs(term.t - reference.t) / reference.t)
+        reference_t, _, _ = rk4_reference(hyp, r0, spec, 0.004)
+        assert reference_t < spec.t_max
+        worst_time = max(worst_time, abs(term.t - reference_t) / reference_t)
         worst_newton = max(
             worst_newton, np.abs(final.radii - newton_solve(hyp, r0, -1.0).radii).max()
         )

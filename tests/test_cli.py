@@ -80,7 +80,7 @@ def test_curvature_report(tmp_path, capsys):
     radii = radii_file(tmp_path, [1.0, 1.0, 1.0, 1.0])
     assert main(["curvature", TETRA, "--radii", radii]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "i,r_i,K_i,R_i,R_alpha_i"
+    assert lines[0] == "i,r_i,K_i,R_i"
     assert len(lines) == 6
     for i, line in enumerate(lines[1:5]):
         cells = line.split(",")
@@ -89,6 +89,17 @@ def test_curvature_report(tmp_path, capsys):
         assert abs(float(cells[3]) - math.pi) < 1e-15
     assert lines[5].startswith("# gauss_bonnet_residual = ")
     assert abs(float(lines[5].split("=")[1])) < 1e-12
+
+
+def test_curvature_alpha_sets_the_power_of_r(tmp_path, capsys):
+    # --alpha 1 reports R_i = K_i / r_i, the alpha-curvature asked for
+    radii = radii_file(tmp_path, [1.0, 0.9, 1.1, 1.0])
+    assert main(["curvature", TETRA, "--radii", radii, "--alpha", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "i,r_i,K_i,R_i"
+    for line in lines[1:5]:
+        _, r, K, R = map(float, line.split(","))
+        assert R == K / r
 
 
 def test_curvature_out_file_matches_stdout(tmp_path, capsys):

@@ -52,7 +52,6 @@ def test_unit_tetrahedron_curvature(tetra_euc):
     field = curvature_field(tetra_euc, np.ones(4))
     np.testing.assert_allclose(field.K, np.pi, rtol=1e-15)
     np.testing.assert_allclose(field.R, np.pi, rtol=1e-15)
-    np.testing.assert_allclose(field.R_alpha, np.pi, rtol=1e-15)
     assert not field.extended
 
 
@@ -61,25 +60,31 @@ def test_unit_csaszar_is_flat(csaszar_euc):
     np.testing.assert_allclose(field.K, 0.0, atol=1e-14)
 
 
-def test_alpha_zero_curvature_is_angle_deficit(csaszar_euc, rng):
-    r = sample_admissible(csaszar_euc, rng)
-    a = curvature_field(csaszar_euc, r, alpha=0.0)
-    np.testing.assert_array_equal(a.K, angle_deficits(csaszar_euc, r))
-    np.testing.assert_array_equal(a.R_alpha, a.K)
-    assert a.alpha == 0.0
+def test_alpha_zero_curvature_is_angle_deficit(csaszar_euc, csaszar_hyp, rng):
+    # R is K / s^alpha for the alpha asked for, in both geometries; alpha = 0
+    # leaves the angle deficit itself
+    for tri in (csaszar_euc, csaszar_hyp):
+        r = sample_admissible(tri, rng)
+        s = s_of_r(r, tri.geometry)
+        a = curvature_field(tri, r, alpha=0.0)
+        np.testing.assert_array_equal(a.K, angle_deficits(tri, r))
+        np.testing.assert_array_equal(a.R, a.K)
+        assert a.alpha == 0.0
+        for alpha in (1.0, 3.0):
+            field = curvature_field(tri, r, alpha=alpha)
+            np.testing.assert_array_equal(field.R, field.K / s**alpha)
+            assert field.alpha == alpha
 
 
 def test_r_alpha_scaling_law(tetra_euc, rng):
-    # K is scale invariant in the Euclidean background; R_alpha picks up c^-alpha
+    # K is scale invariant in the Euclidean background; R = K / r^alpha picks up c^-alpha
     r = sample_admissible(tetra_euc, rng)
     c = 3.7
     for alpha in (0.0, 1.0, 2.0, 3.0):
         base = curvature_field(tetra_euc, r, alpha=alpha)
         scaled = curvature_field(tetra_euc, c * r, alpha=alpha)
         np.testing.assert_allclose(scaled.K, base.K, atol=1e-12)
-        np.testing.assert_allclose(
-            scaled.R_alpha, base.R_alpha / c**alpha, rtol=1e-10
-        )
+        np.testing.assert_allclose(scaled.R, base.R / c**alpha, rtol=1e-10)
 
 
 def test_extension_agrees_inside(csaszar_euc, rng):

@@ -19,7 +19,6 @@ from idcurv import (
     FlowSpec,
     FlowTrace,
     Geometry,
-    Integrator,
     IntegrationError,
     PackingMetric,
     angle_deficits,
@@ -31,7 +30,7 @@ from idcurv import (
     grid_torus,
     run_flow,
 )
-from conftest import genus_two
+from conftest import genus_two, rk4_reference
 from idcurv import curvature_jacobian, geometry
 from idcurv.flows import TERMINAL_EVENTS
 
@@ -245,7 +244,8 @@ def test_alpha_measure_conserved(csaszar_euc, rng):
     spec = FlowSpec(kind=FlowKind.ALPHA_NORMALIZED, alpha=3.0, t_max=2.0, tol=1e-13)
     trace, _ = run_flow(csaszar_euc, r0, spec)
     m = np.sum(trace.radii**3, axis=1)
-    # the RK4 budget is ~10 h^4 per unit time
+    # sum r^alpha is invariant; DOP853 asks each step for a local error of
+    # about LOCAL_TOL * tol = 1e-15 in r
     assert np.max(np.abs(m - m[0])) < 1e-7
 
 
@@ -304,14 +304,9 @@ def test_flow_process_imports_no_scipy_linalg_or_sparse():
 # -- singularities ------------------------------------------------------------------
 
 
-def essential_singularity_time(tri, integrator):
+def essential_singularity_time(tri):
     # dr/dt = (-1 - pi/r^2) r / 2 from r = 1: r^2 hits zero at t = ln((1+pi)/pi)
-    spec = FlowSpec(
-        kind=FlowKind.MODIFIED_EUCLIDEAN,
-        target=np.full(4, -1.0),
-        t_max=5.0,
-        integrator=integrator,
-    )
+    spec = FlowSpec(kind=FlowKind.MODIFIED_EUCLIDEAN, target=np.full(4, -1.0), t_max=5.0)
     trace, final = run_flow(tri, np.ones(4), spec)
     ev = terminal(trace)
     assert ev.kind is EventKind.ESSENTIAL_SINGULARITY
@@ -320,13 +315,10 @@ def essential_singularity_time(tri, integrator):
     return ev.t
 
 
-def check_removable_singularity(tri, integrator):
+def check_removable_singularity(tri):
     # pull vertex 0 inward until the three spoke faces degenerate together
     spec = FlowSpec(
-        kind=FlowKind.MODIFIED_EUCLIDEAN,
-        target=np.array([-30.0, 0.2, 0.2, 0.2]),
-        t_max=5.0,
-        integrator=integrator,
+        kind=FlowKind.MODIFIED_EUCLIDEAN, target=np.array([-30.0, 0.2, 0.2, 0.2]), t_max=5.0
     )
     trace, final = run_flow(tri, np.array([1.0, 8.0, 8.0, 8.0]), spec)
     ev = terminal(trace)
@@ -340,18 +332,11 @@ def check_removable_singularity(tri, integrator):
 
 
 def test_essential_singularity_at_known_time(tetra_euc):
-    assert abs(essential_singularity_time(tetra_euc, FlowSpec.integrator) - VANISH_T) < 2e-4
+    assert abs(essential_singularity_time(tetra_euc) - VANISH_T) < 2e-4
 
 
 def test_removable_singularity_at_degenerating_face(tetra_euc):
-    check_removable_singularity(tetra_euc, FlowSpec.integrator)
-
-
-# one case; the parametrization stays only to keep the [rk4] test id stable
-@pytest.mark.parametrize("integrator", [Integrator.RK4], ids=lambda i: i.value)
-def test_reference_integrators_classify_singularities(tetra_euc, integrator):
-    assert abs(essential_singularity_time(tetra_euc, integrator) - VANISH_T) < 2e-4
-    check_removable_singularity(tetra_euc, integrator)
+    check_removable_singularity(tetra_euc)
 
 
 def test_extended_flow_recovers_admissibility(csaszar_i2):
@@ -388,32 +373,6 @@ def test_hyperbolic_blowup_raises_with_partial_trace(csaszar_hyp):
 # -- stepping mechanics ---------------------------------------------------------------
 
 
-def test_one_curvature_evaluation_per_state(csaszar_euc, monkeypatch):
-    # the accepted state's deviation seeds the next step's first RK4 stage, so
-    # a step costs three stage evaluations plus the one at the new state
-    flows = importlib.import_module("idcurv.flows")
-    counts = {"evaluations": 0, "accepted": 0}
-    deficits, legal = flows.angle_deficits, flows._legal
-
-    def counting_deficits(*args, **kwargs):
-        counts["evaluations"] += 1
-        return deficits(*args, **kwargs)
-
-    def counting_legal(*args):
-        ok = legal(*args)
-        counts["accepted"] += ok
-        return ok
-
-    monkeypatch.setattr(flows, "angle_deficits", counting_deficits)
-    monkeypatch.setattr(flows, "_legal", counting_legal)
-    r0 = np.array([1.3, 0.8, 1.1, 1.0, 0.9, 1.2, 0.95])
-    spec = FlowSpec(kind=FlowKind.NORMALIZED_EUCLIDEAN, integrator=Integrator.RK4)
-    trace, _ = run_flow(csaszar_euc, r0, spec)
-    assert terminal(trace).kind is EventKind.CONVERGED
-    assert counts["accepted"] > 0
-    assert counts["evaluations"] == 4 * counts["accepted"] + 1
-
-
 def test_dop853_evaluates_eleven_stages_per_attempt(csaszar_euc, monkeypatch):
     # the DOP853 error estimates need no stage at the candidate, so an
     # attempted step costs eleven stage evaluations, and only a candidate that
@@ -441,7 +400,6 @@ def test_dop853_evaluates_eleven_stages_per_attempt(csaszar_euc, monkeypatch):
     monkeypatch.setattr(flows, "_legal", counting_legal)
     r0 = np.array([1.3, 0.8, 1.1, 1.0, 0.9, 1.2, 0.95])
     spec = FlowSpec(kind=FlowKind.NORMALIZED_EUCLIDEAN, step=0.5)
-    assert spec.integrator is Integrator.DOP853
     trace, _ = run_flow(csaszar_euc, r0, spec)
     assert terminal(trace).kind is EventKind.CONVERGED
     # the first trial step is too long for the local tolerance
@@ -449,60 +407,20 @@ def test_dop853_evaluates_eleven_stages_per_attempt(csaszar_euc, monkeypatch):
     assert counts["evaluations"] == 11 * counts["attempts"] + counts["evaluated"] + 1
 
 
-def test_dop853_default_cuts_evaluations_on_grid_torus(monkeypatch):
+def test_dop853_default_cuts_evaluations_on_grid_torus():
     # the normalized flow on the 8x8 grid torus converges exponentially, so
-    # error control lets the step grow far past the fixed RK4 step
-    flows = importlib.import_module("idcurv.flows")
-    calls = [0]
-    deficits = flows.angle_deficits
-
-    def counting_deficits(*args, **kwargs):
-        calls[0] += 1
-        return deficits(*args, **kwargs)
-
-    monkeypatch.setattr(flows, "angle_deficits", counting_deficits)
+    # error control lets the step grow far past the fixed step of the RK4
+    # reference, which costs four evaluations per step
     tri = grid_torus(8, 8)
     r0 = np.exp(np.random.default_rng(8).uniform(-0.3, 0.3, tri.vertex_count))
-    runs = {}
-    for integrator in (FlowSpec.integrator, Integrator.RK4):
-        calls[0] = 0
-        spec = FlowSpec(kind=FlowKind.NORMALIZED_EUCLIDEAN, step=0.01, integrator=integrator)
-        trace, final = run_flow(tri, r0, spec)
-        assert terminal(trace).kind is EventKind.CONVERGED
-        runs[integrator] = (calls[0], final.radii)
-    (adaptive_calls, adaptive_r), (fixed_calls, fixed_r) = runs.values()
-    assert FlowSpec.integrator is Integrator.DOP853
-    assert 10 * adaptive_calls <= fixed_calls
-    assert np.max(np.abs(adaptive_r - fixed_r)) < 1e-7
-    assert abs(adaptive_r @ adaptive_r - r0 @ r0) / (r0 @ r0) < 1e-10
-
-
-# one case; the parametrization stays only to keep the [rk4] test id stable
-@pytest.mark.parametrize("integrator", [Integrator.RK4], ids=lambda i: i.value)
-def test_fixed_step_integrators_are_plain_loops(integrator):
-    # RK4 is the reference: every trace row is bit-identical to the textbook
-    # fixed-step loop over flow_rhs, so the adaptive step control never reaches it
-    tri = grid_torus(8, 8)
-    r = np.exp(np.random.default_rng(8).uniform(-0.3, 0.3, tri.vertex_count))
-    spec = FlowSpec(
-        kind=FlowKind.NORMALIZED_EUCLIDEAN, t_max=1.0, tol=1e-14, integrator=integrator
-    )
-    t, states = 0.0, {0.0: r}
-    while t < spec.t_max * (1.0 - 1e-15):
-        h = min(spec.step, spec.t_max - t)
-        k1 = flow_rhs(tri, r, spec)
-        k2 = flow_rhs(tri, r + (0.5 * h) * k1, spec)
-        k3 = flow_rhs(tri, r + (0.5 * h) * k2, spec)
-        k4 = flow_rhs(tri, r + h * k3, spec)
-        r = r + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += h
-        states[t] = r
-    trace, final = run_flow(tri, states[0.0], spec)
-    assert terminal(trace).kind is EventKind.HORIZON_REACHED
-    assert len(trace.times) == 11
-    for t, radii in zip(trace.times, trace.radii):
-        assert np.array_equal(radii, states[t])
-    assert np.array_equal(final.radii, r)
+    spec = FlowSpec(kind=FlowKind.NORMALIZED_EUCLIDEAN, step=0.01)
+    trace, final = run_flow(tri, r0, spec)
+    assert terminal(trace).kind is EventKind.CONVERGED
+    t, fixed_r, fixed_steps = rk4_reference(tri, r0, spec, spec.step)
+    assert t < spec.t_max
+    assert 10 * trace.stats["evaluations"] <= 4 * fixed_steps
+    assert np.max(np.abs(final.radii - fixed_r)) < 1e-7
+    assert abs(final.radii @ final.radii - r0 @ r0) / (r0 @ r0) < 1e-10
 
 
 def test_dop853_tableau_order_conditions():
@@ -647,10 +565,7 @@ def test_trace_stats_are_the_run_summary(csaszar_euc, monkeypatch, caplog):
     assert bare.stats == {}
 
 
-@pytest.mark.parametrize("integrator", list(Integrator), ids=lambda i: i.value)
-def test_candidate_admissibility_comes_from_its_evaluation(
-    csaszar_euc, monkeypatch, integrator
-):
+def test_candidate_admissibility_comes_from_its_evaluation(csaszar_euc, monkeypatch):
     # a genuine flow checks admissibility with geometry.admissible only at the
     # start; each accepted candidate is legal by its own curvature evaluation,
     # so face lengths are built once per evaluation plus once per triangle-slack
@@ -673,17 +588,14 @@ def test_candidate_admissibility_comes_from_its_evaluation(
     count(flows, "angle_deficits")
     count(flows, "_legal", truthy_only=True)
     r0 = np.array([1.3, 0.8, 1.1, 1.0, 0.9, 1.2, 0.95])
-    spec = FlowSpec(kind=FlowKind.NORMALIZED_EUCLIDEAN, t_max=2.0, integrator=integrator)
+    spec = FlowSpec(kind=FlowKind.NORMALIZED_EUCLIDEAN, t_max=2.0)
     run_flow(csaszar_euc, r0, spec)
     assert counts["_legal"] > 0
     assert counts["admissible"] == 1
     assert counts["face_lengths"] <= counts["angle_deficits"] + counts["_legal"] + 1
 
 
-@pytest.mark.parametrize("integrator", list(Integrator), ids=lambda i: i.value)
-def test_extended_region_flag_comes_from_its_evaluation(
-    csaszar_i2, monkeypatch, integrator
-):
+def test_extended_region_flag_comes_from_its_evaluation(csaszar_i2, monkeypatch):
     # an extended flow takes its region flag from the accepted candidate's own
     # face mask; geometry.admissible runs once, for the start
     flows = importlib.import_module("idcurv.flows")
@@ -697,7 +609,7 @@ def test_extended_region_flag_comes_from_its_evaluation(
     monkeypatch.setattr(geometry, "admissible", counting_admissible)
     r0 = np.array([1.0, 10, 10, 10, 10, 10, 10], dtype=float)
     r0 *= math.sqrt(7.0 / (r0 @ r0))
-    spec = FlowSpec(kind=FlowKind.EXTENDED_EUCLIDEAN, integrator=integrator)
+    spec = FlowSpec(kind=FlowKind.EXTENDED_EUCLIDEAN)
     trace, _ = flows.run_flow(csaszar_i2, r0, spec)
     assert calls[0] == 1
     left, back, _ = trace.events
