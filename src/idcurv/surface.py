@@ -59,11 +59,12 @@ class WeightedTriangulation:
     Edge (i, j), i < j, has the key i * N + j; `edges` is the sorted key array
     split back into pairs, and edge lookups search that array.
 
-    `face_edges[f, c]` is the edge opposite corner c of face f. `gap_plan` is
-    the gather plan of every angle evaluation, built here once from
-    `face_edges` by one fancy index: gap_plan[k, f, c] = face_edges[f, c + k]
-    (mod 3), so one gather of the edge lengths by it gives the (F, 3) columns
-    l_c, l_{c+1} and l_{c-1} that the triangle-inequality gaps need.
+    `gap_plan` is the gather plan of every angle evaluation, built here once:
+    gap_plan[k, f, c] is the edge opposite corner c + k (mod 3) of face f, so
+    one gather of the edge lengths by it gives the (F, 3) columns l_c,
+    l_{c+1} and l_{c-1} that the triangle-inequality gaps need.
+    `face_edges[f, c]`, the edge opposite corner c of face f, is its k = 0
+    layer, a view, so the edge ids of the faces are stored once.
     """
 
     def __init__(self, vertex_count, faces, weights, geometry=Geometry.EUCLIDEAN):
@@ -80,10 +81,11 @@ class WeightedTriangulation:
         if self.faces.min() < 0 or self.faces.max() >= self.vertex_count:
             raise TopologyError("face vertex index out of range")
 
-        self._edge_keys, self.edges, self.face_edges = self._derive_edges()
+        self._edge_keys, self.edges, face_edges = self._derive_edges()
         # face_edges[:, _CORNER_CYCLE][f, k, c] is face_edges[f, c + k]; stored as [k, f, c]
         # so that each of the three columns a gather yields is contiguous
-        self.gap_plan = np.ascontiguousarray(self.face_edges[:, _CORNER_CYCLE].transpose(1, 0, 2))
+        self.gap_plan = np.ascontiguousarray(face_edges[:, _CORNER_CYCLE].transpose(1, 0, 2))
+        self.face_edges = self.gap_plan[0]
         self.weights = self._resolve_weights(weights)
         self._check_connected()
 

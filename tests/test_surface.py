@@ -385,6 +385,9 @@ def test_edges_match_loop_derivation(case):
     for got, want in ((tri.edges, edges), (tri.face_edges, face_edges), (tri.weights, w)):
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
+    # face_edges is the k = 0 layer of the gather plan, not a second copy
+    assert np.shares_memory(tri.face_edges, tri.gap_plan)
+    assert tri.face_edges.flags.c_contiguous
 
 
 TETRA_WEIGHTS = {(i, j): 1.0 for i in range(4) for j in range(i + 1, 4)}
