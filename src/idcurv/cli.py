@@ -134,53 +134,48 @@ def _build_flow_spec(args, tri):
     )
 
 
-def _run_one_flow(mesh_path, radii_path, flow_args, out_dir):
-    """Worker for serial and pooled sweeps; returns this run's exit code."""
+def _run_flows(mesh_path, runs, flow_args):
+    """Sweep worker: loads the mesh once and steps every start of `runs`, a
+    list of (radii path, output directory), in one run_flow call. Returns the
+    runs' exit codes, in order."""
     tri = load_surface(mesh_path)
-    r0 = load_radii(radii_path, tri.vertex_count)
+    starts = np.stack([load_radii(path, tri.vertex_count) for path, _ in runs])
     spec = _build_flow_spec(flow_args, tri)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    try:
-        trace, final = run_flow(tri, r0, spec)
-    except IntegrationError as exc:
-        if exc.trace is not None:
-            exc.trace.write_csv(out / "trace.csv")
-            exc.trace.write_events(out / "events.json")
-            exc.trace.write_stats(out / "stats.json")
-        print(f"{radii_path}: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
-    trace.write_csv(out / "trace.csv")
-    trace.write_events(out / "events.json")
-    trace.write_stats(out / "stats.json")
-    save_radii(out / "final_radii.json", final.radii)
-    terminal = trace.terminal_event()
-    print(f"{radii_path}: {terminal.kind.value} at t={terminal.t:.6g}")
-    return _EVENT_EXIT[terminal.kind]
+    codes = []
+    for (radii_path, out_dir), result in zip(runs, run_flow(tri, starts, spec)):
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        failed = isinstance(result, IntegrationError)
+        trace = result.trace if failed else result[0]
+        trace.write_csv(out / "trace.csv")
+        trace.write_events(out / "events.json")
+        trace.write_stats(out / "stats.json")
+        if failed:
+            print(f"{radii_path}: {result}", file=sys.stderr)
+            codes.append(EXIT_SINGULAR)
+            continue
+        save_radii(out / "final_radii.json", result[1].radii)
+        terminal = trace.terminal_event()
+        print(f"{radii_path}: {terminal.kind.value} at t={terminal.t:.6g}")
+        codes.append(_EVENT_EXIT[terminal.kind])
+    return codes
 
 
 def cmd_flow(args) -> int:
     out_root = Path(args.out) if args.out else Path("flow_out")
     if len(args.radii) == 1:
-        return _run_one_flow(args.mesh, args.radii[0], args, out_root)
-
-    runs = [(path, out_root / Path(path).stem) for path in args.radii]
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            codes = list(
-                pool.map(
-                    _run_one_flow,
-                    [args.mesh] * len(runs),
-                    [path for path, _ in runs],
-                    [args] * len(runs),
-                    [subdir for _, subdir in runs],
-                )
-            )
+        runs = [(args.radii[0], out_root)]
     else:
-        codes = [
-            _run_one_flow(args.mesh, path, args, subdir) for path, subdir in runs
-        ]
-    return max(codes)
+        runs = [(path, out_root / Path(path).stem) for path in args.radii]
+    workers = max(1, min(args.jobs, len(runs)))
+    if workers == 1:
+        return max(_run_flows(args.mesh, runs, args))
+    # each worker takes a contiguous share of the starts
+    n = len(runs)
+    shares = [runs[w * n // workers : (w + 1) * n // workers] for w in range(workers)]
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        codes = pool.map(_run_flows, [args.mesh] * workers, shares, [args] * workers)
+        return max(max(share) for share in codes)
 
 
 def cmd_solve(args) -> int:
@@ -277,7 +272,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--tmax", type=float, default=200.0)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--out", help="output directory (default flow_out)")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes for a sweep; each steps its share of the starts together")
     p.set_defaults(func=cmd_flow)
 
     p = sub.add_parser("solve", help="Newton solve for prescribed curvature")

@@ -45,7 +45,7 @@ beta the negative-real-axis stability boundary of the 8th-order weights
 flow time, and at every event. When the run ends, FlowTrace.stats and one
 DEBUG record on the "idcurv.flows" logger give its step statistics.
 Curvature is evaluated once per flow state: a candidate's own evaluation
-decides whether it is legal (for genuine kinds the angle computation raises on
+decides whether it is legal (for genuine kinds the angle computation fails on
 exactly the faces that fail a triangle inequality, for extended kinds its face
 mask gives the region flag), and its deviation gives the accepted state's
 error and seeds the next step's first stage. An accepted step therefore costs
@@ -53,7 +53,8 @@ twelve curvature evaluations (eleven stages and the candidate's own); genuine
 kinds add one pass over the face lengths for the triangle slack. A step
 rejected on error costs its eleven stages; a candidate rejected as illegal
 costs the stages it ran, plus one evaluation when it passed the error test
-and its radii are finite and within bounds.
+and its radii are finite and within bounds. These are the counts of
+FlowTrace.stats["evaluations"], per start.
 When a candidate would leave the legal region the step h halves, with no
 budget, until a legal candidate is found or h would fall below MIN_STEP (as
 would an error rejection's shrink).
@@ -61,6 +62,21 @@ Then a stall classifier decides what stopped the flow: a radius collapsing to
 zero is an essential singularity, a face degenerating at bounded radii is a
 removable one (genuine kinds only). Removable singularities are also caught
 after each accepted step by the triangle slack.
+
+run_flow also takes a stack of starts and steps them in lockstep, a sweep
+being many starts of one flow. Each pass makes one attempt for every start
+still running, with the start's own step, and every stage (and the
+evaluation of the candidates that passed the error test) is one evaluation
+of all of them: one call of the angle kernel on the disjoint union of as many
+copies of the surface (WeightedTriangulation.copies). On small surfaces the
+per-call overhead dominates an evaluation, so a pass costs little more than
+one start's attempt. Everything per start stays its own: step, clock,
+stiffness estimate, statistics, events, trace, and a failure, which is
+attributed to its own start (when the union's evaluation fails, each start is
+evaluated alone). Each start's results are bit for bit those of its own run.
+A start that stops leaves the stack. Each start's stats["evaluations"]
+counts its own evaluations, as if it had run alone, while the kernel calls
+of a stack number about those of its start with the most attempts.
 """
 
 from __future__ import annotations
@@ -76,10 +92,10 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry
-from .curvature import angle_deficits, average_curvature, curvature_jacobian
+from .curvature import TWO_PI, angle_deficits, average_curvature, curvature_jacobian
 from .errors import AdmissibilityError, IntegrationError
 from .geometry import PackingMetric
-from .surface import Geometry
+from .surface import Geometry, euler_characteristic
 
 log = logging.getLogger("idcurv.flows")
 
@@ -97,6 +113,7 @@ SAMPLE_DT = 0.1  # flow time between recorded trace rows
 LOCAL_TOL = 1e-2
 MAX_GROWTH = 5.0  # largest factor by which an accepted DOP853 step grows the next
 SAFETY = 0.9
+_ROUNDOFF = 100.0 * np.finfo(float).eps  # relative gap below which two states agree
 
 # DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.10; Hairer's
 # coefficients as distributed with SciPy's dop853_coefficients.py, BSD-3): the
@@ -347,26 +364,35 @@ def _check_spec(tri, spec):
 
 
 def _deviation(tri, r, spec, degenerate=None):
-    """T - K / s^alpha (componentwise), with extended angles for extended kinds.
+    """T - K / s^alpha for each row of r, a (b, N) stack of radii, with
+    extended angles for extended kinds.
 
-    A given (F,) bool array `degenerate` receives the evaluation's face mask.
+    All rows are one angle evaluation, on tri.copies(b). A given C-contiguous
+    (b, F) bool array `degenerate` receives the face masks. For genuine kinds
+    the evaluation raises AdmissibilityError if any row has a face past a
+    triangle inequality.
     """
+    b, n = r.shape
     alpha = spec.effective_alpha
-    K = angle_deficits(tri, r, extended=spec.kind.extended, degenerate=degenerate)
-    s = geometry.s_of_r(r, tri.geometry)
-    R = K / s**alpha
+    mask = None if degenerate is None else degenerate.reshape(-1)
+    K = angle_deficits(tri.copies(b), r.ravel(), spec.kind.extended, mask).reshape(b, n)
+    R = K / geometry.s_of_r(r, tri.geometry) ** alpha
     if spec.target is not None:
-        target = spec.target
-    else:
-        target = average_curvature(tri, r, alpha)
-    return target - R
+        return spec.target - R
+    # each row's running average, 2 pi chi / sum(r^alpha) as in average_curvature
+    chi = euler_characteristic(tri)
+    if alpha == 0.0:
+        return TWO_PI * chi / n - R
+    sums = np.add.reduce(r**alpha, axis=1, keepdims=True)
+    # a single row's sum as a float: the same division, without array overhead
+    return TWO_PI * chi / (sums if b > 1 else float(sums[0, 0])) - R
 
 
 def flow_rhs(tri, r, spec: FlowSpec):
     """Time derivative of the radii under the requested flow."""
     r = np.asarray(r, dtype=float)
     _check_spec(tri, spec)
-    return _velocity(tri, r, _deviation(tri, r, spec), spec)
+    return _velocity(tri, r, _deviation(tri, r[None], spec)[0], spec)
 
 
 def _velocity(tri, r, dev, spec):
@@ -384,56 +410,129 @@ def _velocity(tri, r, dev, spec):
 # -- driver ------------------------------------------------------------------------
 
 
-def _legal(tri, r, spec, dev, degenerate=None, tally=None):
-    """Whether candidate r is legal; if it is, its deviation is written to dev
-    (and its face mask to a given `degenerate`). A given Counter `tally`
-    counts the evaluation under "evaluations".
+def _each_alone(tri, r, spec, degenerate=None):
+    """_deviation of each row of r on its own, for rows whose joint
+    evaluation failed. Returns (dev, failed), failed marking the rows whose
+    own evaluation fails too (for genuine kinds, a face past a triangle
+    inequality); those rows read 0. A single row is not evaluated again."""
+    dev = np.zeros_like(r)
+    failed = np.ones(len(r), dtype=bool)
+    if len(r) == 1:
+        return dev, failed
+    for j in range(len(r)):
+        try:
+            mask = None if degenerate is None else degenerate[j : j + 1]
+            dev[j] = _deviation(tri, r[j : j + 1], spec, mask)[0]
+            failed[j] = False
+        except (AdmissibilityError, FloatingPointError):
+            pass
+    return dev, failed
 
-    r is legal when it is finite, within [EPS_RADIUS, RADIUS_CAP] and, for
+
+def _legal(tri, r, spec, dev, degenerate=None, tally=None, legal=None):
+    """Whether the candidates tried are all legal. r is one (N,) candidate
+    or a (b, N) stack of them; a given (b,) bool array `legal` selects the
+    rows to try and receives every row's verdict. Each legal row's deviation
+    is written to its row of dev, and its face mask to a given (b, F)
+    `degenerate`. A given (b,) int array `tally` counts each row's evaluation.
+
+    A row is legal when it is finite, within [EPS_RADIUS, RADIUS_CAP] and, for
     genuine kinds, admissible. Admissibility comes from the candidate's own
-    curvature evaluation, which raises AdmissibilityError on exactly the faces
-    geometry.admissible flags, so a legal candidate is evaluated only once.
+    curvature evaluation, which fails on exactly the faces geometry.admissible
+    flags, so a legal candidate is evaluated only once. The rows tried are
+    evaluated together, and on their own if that fails (see _each_alone).
     """
-    if not (r.min() >= EPS_RADIUS and r.max() <= RADIUS_CAP):  # NaN fails both
-        return False
+    rows = r.reshape(-1, r.shape[-1])
+    ok = np.ones(len(rows), dtype=bool) if legal is None else legal.copy()
+    tried = np.count_nonzero(ok)  # count_nonzero costs less than any/all here
+    if not (rows.min() >= EPS_RADIUS and rows.max() <= RADIUS_CAP):  # NaN fails both
+        ok &= (rows >= EPS_RADIUS).all(axis=1) & (rows <= RADIUS_CAP).all(axis=1)
     if tally is not None:
-        tally["evaluations"] += 1
-    try:
-        dev[:] = _deviation(tri, r, spec, degenerate)
-    except AdmissibilityError:
-        return False
-    return True
+        tally += ok
+    found = np.count_nonzero(ok)
+    if found:
+        index = slice(None) if found == len(rows) else np.flatnonzero(ok)  # the rows evaluated
+        masks = None if degenerate is None else degenerate.reshape(len(rows), -1)[index]
+        try:
+            values = _deviation(tri, rows[index], spec, masks)
+        except (AdmissibilityError, FloatingPointError):
+            values, failed = _each_alone(tri, rows[index], spec, masks)
+            index = np.flatnonzero(ok)[~failed]  # the rows legal
+            ok[:] = False
+            ok[index] = True
+            found = len(index)
+            values, masks = values[~failed], None if masks is None else masks[~failed]
+        dev.reshape(rows.shape)[index] = values
+        if degenerate is not None:
+            degenerate.reshape(len(rows), -1)[index] = masks
+    if legal is not None and found < tried:
+        legal[:] = ok
+    return bool(found == tried)
 
 
 def _propose(tri, r, k1, h, spec, tally):
-    """One DOP853 step from r: the eleven stages after k1, none at the
-    candidate. Returns (candidate, err, end_state).
+    """One DOP853 attempt for each row of r, a (b, N) stack of states with
+    velocities k1 and steps h, a (b,) array: the eleven stages after k1, none
+    at the candidate, each one curvature evaluation of all rows. Returns
+    (candidate, err, end_state), one row or entry per state.
 
-    candidate is None if a stage failed. err is the local error estimate in
-    units of the requested local tolerance (the step passes when err <= 1):
-    the 5th- and 3rd-order estimates, each in the max norm, combined as
-    err5^2 / sqrt(err5^2 + 0.01 err3^2), as DOP853 does; it reads like err5 on
-    long steps and falls like h^8 on short ones, the order of the solution the
-    step advances with. end_state is the 12th stage as (y, dr/dt at y), a
-    state at the end of the step, or None with the candidate. The Counter
-    `tally` counts stage evaluations under "evaluations".
+    err is the local error estimate in units of the requested local tolerance
+    (the step passes when err <= 1): the 5th- and 3rd-order estimates, each in
+    the max norm, combined as err5^2 / sqrt(err5^2 + 0.01 err3^2), as DOP853
+    does; it reads like err5 on long steps and falls like h^8 on short ones,
+    the order of the solution the step advances with. A row whose stage
+    radii left the positive cone, or whose stage evaluation failed, comes back
+    as a NaN candidate with a NaN error, which no test passes. end_state is
+    the 12th stage as (y, dr/dt at y), states at the end of the steps. The
+    (b,) int array `tally` counts each row's stage evaluations.
     """
-    try:
-        k = np.empty((len(_B), r.size))
-        k[0] = k1
-        for i in range(1, len(_B)):
-            y = r + h * (_A[i, :i] @ k[:i])
-            k[i] = _stage_rhs(tri, y, spec, tally)
-        candidate = r + h * (_B @ k)
-        scale = (LOCAL_TOL * spec.tol) * (1.0 + np.maximum(r, np.abs(candidate)))
-        # one vector product per rule: a (2, 12) matrix product would reach BLAS
-        # gemm, whose work buffer adds to the process's peak memory
-        e5, e3 = (float(np.max(np.abs(h * (e @ k)) / scale)) for e in (_E5, _E3))
-        root = math.sqrt(e5 * e5 + 0.01 * e3 * e3)
-        err = e5 * e5 / root if root else 0.0  # a NaN root stays NaN
-    except (AdmissibilityError, FloatingPointError):
-        return None, 0.0, None
-    return candidate, err, (y, k[-1])  # the last stage is at c = 1
+    b = len(r)
+    # k[j] holds the stages of row j; a weight vector times the stack k is one
+    # vector-matrix product per row, the product a single row gets, whereas a
+    # product over all rows' columns at once may round a column differently
+    # depending on where it falls in the BLAS kernel's vector lanes
+    k = np.empty((b, len(_B), r.shape[1]))
+    k[:, 0] = k1
+    steps = np.repeat(h, r.shape[1]).reshape(r.shape)  # h of each row, by element
+    # a row fails when its stage radii leave the positive cone or its stage
+    # evaluation fails; `failed` stays None until one does, then masks them.
+    # `evaluated` counts the stages at which every row was evaluated.
+    failed, evaluated = None, 0
+    for i in range(1, len(_B)):
+        y = r + steps * (_A[i, :i] @ k[:, :i])
+        if failed is None and y.min() > 0.0 and y.max() < math.inf:  # NaN fails both
+            evaluated += 1
+        else:
+            outside = ~((y > 0.0).all(axis=1) & (y < math.inf).all(axis=1))
+            failed = outside if failed is None else failed | outside
+            if failed.all():  # nothing left to evaluate
+                tally += evaluated
+                return np.full_like(r, np.nan), np.full(b, np.nan), (y, y)
+            tally += ~failed
+            # a failed row is evaluated at its step's start, which is legal
+            y = np.where(failed[:, None], r, y)
+        try:
+            dev = _deviation(tri, y, spec)
+        except (AdmissibilityError, FloatingPointError):
+            dev, bad = _each_alone(tri, y, spec)  # the rows in bad read 0
+            failed = bad if failed is None else failed | bad
+            y = np.where(failed[:, None], r, y)
+        k[:, i] = _velocity(tri, y, dev, spec)
+    tally += evaluated
+    candidate = r + steps * (_B @ k)
+    scale = (LOCAL_TOL * spec.tol) * (1.0 + np.maximum(r, np.abs(candidate)))
+    # one vector product per rule: a (2, 12) matrix product would reach BLAS
+    # gemm, whose work buffer adds to the process's peak memory
+    e5, e3 = ((np.abs(steps * (e @ k)) / scale).max(axis=1) for e in (_E5, _E3))
+    err = []
+    for a, c in zip(e5.tolist(), e3.tolist()):
+        root = math.sqrt(a * a + 0.01 * c * c)
+        err.append(a * a / root if root else 0.0)  # a NaN root stays NaN
+    err = np.array(err)
+    if failed is not None:
+        candidate[failed] = np.nan
+        err[failed] = np.nan
+    return candidate, err, (y, k[:, -1])  # the last stage is at c = 1
 
 
 def _error_factor(step_err):
@@ -443,17 +542,10 @@ def _error_factor(step_err):
     return min(MAX_GROWTH, max(1.0 / MAX_GROWTH, SAFETY * max(step_err, 1e-10) ** -0.125))
 
 
-def _stage_rhs(tri, r, spec, tally):
-    if not (r.min() > 0.0 and r.max() < math.inf):  # NaN fails both
-        raise AdmissibilityError("stage radii left the positive cone")
-    tally["evaluations"] += 1
-    return _velocity(tri, r, _deviation(tri, r, spec), spec)
-
-
 def _stiffness(candidate, k1, end_state):
-    """Estimate of the stiffest rate rho from the accepted candidate, its
-    velocity k1 and end_state (y, dr/dt at y) at the same time, or None when
-    the two states agree to roundoff.
+    """Estimates of the stiffest rate rho, a list with one per row, from the
+    accepted candidates, their velocities k1 and end_state (y, dr/dt at y) at
+    the same times; 0 (no estimate) where the two states agree to roundoff.
 
     Once the steps reach the stability limit, the stiffest modes dominate
     the gap between the two states, so the ratio of the velocity gap to the
@@ -461,10 +553,136 @@ def _stiffness(candidate, k1, end_state):
     IV.2); before that it reads low and the cap does not bind.
     """
     y, ky = end_state
-    gap = np.linalg.norm(candidate - y)
-    if gap <= 100.0 * np.finfo(float).eps * np.linalg.norm(candidate):
-        return None
-    return float(np.linalg.norm(k1 - ky) / gap)
+    gaps = np.empty((3,) + candidate.shape)
+    np.subtract(candidate, y, out=gaps[0])
+    np.subtract(k1, ky, out=gaps[1])
+    gaps[2] = candidate
+    # row norms by one reduction whatever the stack height, so that a start's
+    # estimates do not depend on the starts it runs with
+    norms = np.sqrt(np.add.reduce(np.square(gaps), axis=-1))
+    return [
+        kgap / gap if gap > _ROUNDOFF * size else 0.0
+        for gap, kgap, size in zip(*norms.tolist())
+    ]
+
+
+class _Run:
+    """One start of run_flow: its clock, step control, statistics and trace."""
+
+    def __init__(self, tri, spec, inside, events):
+        self.tri, self.spec, self.inside, self.events = tri, spec, inside, events
+        self.t = 0.0
+        self.h = min(spec.step, spec.t_max)  # the step of the next attempt
+        self.steps = 0
+        self.rho = 0.0  # the last stiffness estimate; 0 before the first
+        self.err = math.inf  # max|T - K/s^alpha| at the current state
+        self.tally = collections.Counter(evaluations=1)
+        self.times, self.radii, self.errs, self.measures, self.ext_flags = [], [], [], [], []
+        self.result = None  # (trace, final metric) or the IntegrationError, once stopped
+
+    def record(self, r):
+        if self.times and self.times[-1] == self.t:
+            return
+        r = r.copy()
+        self.times.append(self.t)
+        self.radii.append(r)
+        self.errs.append(self.err)
+        if self.tri.geometry is Geometry.EUCLIDEAN:
+            self.measures.append(float(r @ r))
+        else:
+            self.measures.append(
+                geometry.total_area(self.tri, r, extended=self.spec.kind.extended)
+            )
+        self.ext_flags.append(not self.inside)
+
+    def trace(self):
+        stats = {
+            "evaluations": self.tally["evaluations"],
+            "accepted": self.steps,
+            "rejected_on_error": self.tally["error"],
+            "illegal": self.tally["illegal"],
+            "capped": self.tally["capped"],
+            "rho": self.rho,
+        }
+        log.debug(
+            "run_flow ended at t=%.6g: %d curvature evaluations, %d accepted steps, "
+            "%d rejected on error, %d illegal candidates, %d steps shortened by the "
+            "stability cap, last stiffness estimate %.4g",
+            self.t, *stats.values(),
+        )
+        return FlowTrace(
+            times=np.asarray(self.times),
+            radii=np.asarray(self.radii),
+            max_err=np.asarray(self.errs),
+            measure=np.asarray(self.measures),
+            extended_region=np.asarray(self.ext_flags, dtype=bool),
+            events=self.events,
+            stats=stats,
+        )
+
+    def take(self, state, h, step_err, estimate, err, face):
+        """Advance by the accepted step h, of error estimate step_err, to
+        state, whose max|T - K/s^alpha| is err; estimate is the step's
+        stiffness estimate (0 for none). face is a face of state past a
+        triangle inequality (for extended kinds the first of them, for genuine
+        kinds the thinnest face once its slack falls below EPS_TRI) or None.
+        """
+        h_next = h * _error_factor(step_err)
+        self.rho = estimate or self.rho
+        if self.rho > 0.0 and SAFETY * _BETA / self.rho < h_next:
+            h_next = SAFETY * _BETA / self.rho
+            self.tally["capped"] += 1
+        self.t += h
+        self.steps += 1
+        self.err = err
+        spec = self.spec
+        if spec.kind.extended:
+            if (face is None) != self.inside:
+                self.inside = face is None
+                kind = EventKind.REENTERED_ADMISSIBLE if self.inside else EventKind.LEFT_ADMISSIBLE
+                self.events.append(FlowEvent(self.t, kind, face))
+                self.record(state)
+        elif face is not None:
+            return self.stop(state, FlowEvent(self.t, EventKind.REMOVABLE_SINGULARITY, face))
+        if err < spec.tol:
+            self.stop(state, FlowEvent(self.t, EventKind.CONVERGED, None))
+        elif self.t < spec.t_max * (1.0 - 1e-15):
+            if self.t - self.times[-1] >= SAMPLE_DT:
+                self.record(state)
+            self.h = min(h_next, spec.t_max - self.t)
+        else:
+            self.stop(state, FlowEvent(self.t, EventKind.HORIZON_REACHED, None))
+
+    def reject(self, r, candidate, k1, h, step_err):
+        """Shrink the step h, whose attempt from r (velocity k1) gave candidate
+        with error estimate step_err, for the next attempt; stop if the
+        shrunken step would fall below MIN_STEP."""
+        # an error rejection shrinks h by the estimate's own factor, an
+        # illegal candidate (or a NaN estimate) halves it
+        rejection = "error" if step_err > 1.0 else "illegal"
+        self.tally[rejection] += 1
+        shrink = _error_factor(step_err) if rejection == "error" else 0.5
+        if h * shrink >= MIN_STEP:
+            self.h = h * shrink
+            return
+        genuine = not self.spec.kind.extended
+        event = _classify_stall(self.tri, r, candidate, k1, h, genuine)
+        if event is None:
+            self.fail(r)
+        else:
+            self.stop(r, dataclasses.replace(event, t=self.t))
+
+    def stop(self, r, event):
+        self.record(r)
+        self.events.append(event)
+        self.result = self.trace(), PackingMetric(r.copy(), self.tri.geometry)
+
+    def fail(self, r):
+        self.record(r)
+        self.result = IntegrationError(
+            f"step size underflow at t={self.t:.6g} without a singularity signature",
+            trace=self.trace(),
+        )
 
 
 def run_flow(tri, r0, spec: FlowSpec):
@@ -473,170 +691,131 @@ def run_flow(tri, r0, spec: FlowSpec):
     Terminal events: Converged (max curvature error below tol), HorizonReached,
     EssentialSingularity (a radius fell to EPS_RADIUS), RemovableSingularity
     (a face degenerated at bounded radii; genuine kinds only). Extended kinds
-    additionally log LeftAdmissible / ReenteredAdmissible transitions.
+    additionally log LeftAdmissible / ReenteredAdmissible transitions. A step
+    size underflow without a singularity signature raises IntegrationError,
+    with the partial trace attached.
+
+    r0 may also be a (B, N) stack of starts, which are stepped in lockstep
+    (see the module docstring) and return a list: per start, its (FlowTrace,
+    PackingMetric) or the IntegrationError that stopped it. Each start's
+    result is that of its own run. Invalid starts raise before any step.
     """
     if isinstance(r0, PackingMetric):
         r0 = r0.radii
     r = np.array(r0, dtype=float)
-    if r.shape != (tri.vertex_count,):
+    single = r.ndim == 1
+    if single:
+        r = r[None]
+    if r.ndim != 2 or r.shape[1] != tri.vertex_count:
         raise ValueError("radii length does not match the vertex count")
+    if not len(r):
+        raise ValueError("no initial radii given")
     if np.any(r <= 0.0) or not np.all(np.isfinite(r)):
         raise ValueError("initial radii must be positive and finite")
     _check_spec(tri, spec)
 
     genuine = not spec.kind.extended
-    inside, bad = geometry.admissible(tri, r)
-    if genuine and not inside:
-        raise AdmissibilityError(
-            f"genuine flow started outside the admissible cone (faces {bad})"
-        )
-
-    times, radii, errs, measures, ext_flags = [], [], [], [], []
-    events: list[FlowEvent] = []
-
-    def record(t, rr, err, inside):
-        if times and times[-1] == t:
-            return
-        times.append(t)
-        radii.append(rr.copy())
-        errs.append(err)
-        if tri.geometry is Geometry.EUCLIDEAN:
-            measures.append(float(rr @ rr))
-        else:
-            measures.append(geometry.total_area(tri, rr, extended=not genuine))
-        ext_flags.append(not inside)
-
-    def finish(final_r):
-        stats = {
-            "evaluations": tally["evaluations"],
-            "accepted": steps,
-            "rejected_on_error": tally["error"],
-            "illegal": tally["illegal"],
-            "capped": tally["capped"],
-            "rho": rho,
-        }
-        log.debug(
-            "run_flow ended at t=%.6g: %d curvature evaluations, %d accepted steps, "
-            "%d rejected on error, %d illegal candidates, %d steps shortened by the "
-            "stability cap, last stiffness estimate %.4g",
-            t, *stats.values(),
-        )
-        trace = FlowTrace(
-            times=np.asarray(times),
-            radii=np.asarray(radii),
-            max_err=np.asarray(errs),
-            measure=np.asarray(measures),
-            extended_region=np.asarray(ext_flags, dtype=bool),
-            events=events,
-            stats=stats,
-        )
-        return trace, PackingMetric(final_r, tri.geometry)
-
-    def stop(event):
-        record(t, r, err, inside)
-        events.append(event)
-        return finish(r)
-
+    sign_events = []
     if spec.target is not None:
         sign = np.atleast_1d(spec.effective_alpha * spec.target)
         offenders = np.nonzero(sign > 0.0)[0]
         if len(offenders):
-            events.append(
-                FlowEvent(0.0, EventKind.TARGET_SIGN_WARNING, int(offenders[0]))
+            sign_events.append(FlowEvent(0.0, EventKind.TARGET_SIGN_WARNING, int(offenders[0])))
+    runs = []
+    for start in r:
+        inside, bad = geometry.admissible(tri, start)
+        if genuine and not inside:
+            raise AdmissibilityError(
+                f"genuine flow started outside the admissible cone (faces {bad})"
             )
+        events = list(sign_events)
+        if not inside:
+            events.append(FlowEvent(0.0, EventKind.LEFT_ADMISSIBLE, int(bad[0])))
+        runs.append(_Run(tri, spec, inside, events))
 
-    if not inside:
-        events.append(FlowEvent(0.0, EventKind.LEFT_ADMISSIBLE, int(bad[0])))
-
-    t = 0.0
-    steps = 0
-    rho = 0.0  # the last stiffness estimate; 0 before the first
-    tally = collections.Counter(evaluations=1)
     dev = _deviation(tri, r, spec)
-    err = float(np.max(np.abs(dev)))
-    if err < spec.tol:
-        return stop(FlowEvent(t, EventKind.CONVERGED, None))
-    record(t, r, err, inside)
-
-    h_next = spec.step
-    degenerate = None if genuine else np.empty(tri.face_count, dtype=bool)
-    k1 = _velocity(tri, r, dev, spec)
-    while t < spec.t_max * (1.0 - 1e-15):
-        h = min(h_next, spec.t_max - t)
-        next_dev = np.empty_like(r)
-        while True:
-            candidate, step_err, end_state = _propose(tri, r, k1, h, spec, tally)
-            if (
-                candidate is not None
-                and step_err <= 1.0
-                and _legal(tri, candidate, spec, next_dev, degenerate, tally)
-            ):
-                break
-            # an error rejection shrinks h by the estimate's own factor, an
-            # illegal candidate (or a NaN estimate) halves it
-            rejection = "error" if step_err > 1.0 else "illegal"
-            tally[rejection] += 1
-            shrink = _error_factor(step_err) if rejection == "error" else 0.5
-            if h * shrink < MIN_STEP:
-                event = _classify_stall(tri, r, candidate, k1, h, genuine)
-                if event is None:
-                    record(t, r, err, inside)
-                    trace, _ = finish(r)
-                    raise IntegrationError(
-                        f"step size underflow at t={t:.6g} without a singularity signature",
-                        trace=trace,
-                    )
-                return stop(dataclasses.replace(event, t=t))
-            h *= shrink
-
-        k1 = _velocity(tri, candidate, next_dev, spec)
-        h_next = h * _error_factor(step_err)
-        rho = _stiffness(candidate, k1, end_state) or rho
-        if rho > 0.0 and SAFETY * _BETA / rho < h_next:
-            h_next = SAFETY * _BETA / rho
-            tally["capped"] += 1
-        r, dev = candidate, next_dev
-        t += h
-        steps += 1
-        err = float(np.max(np.abs(dev)))
-
-        if not genuine:
-            now_inside = not degenerate.any()
-            if now_inside != inside:
-                if now_inside:
-                    events.append(FlowEvent(t, EventKind.REENTERED_ADMISSIBLE, None))
-                else:
-                    face = int(np.argmax(degenerate))
-                    events.append(FlowEvent(t, EventKind.LEFT_ADMISSIBLE, face))
-                record(t, r, err, now_inside)
-                inside = now_inside
-
-        # _legal refused radii below EPS_RADIUS, so a collapsing radius is
-        # reported by _classify_stall, never here
-        if genuine:
-            slack = geometry.triangle_slack(geometry.face_lengths(tri, r))
-            if float(np.min(slack)) < EPS_TRI:
-                face = int(np.argmin(slack))
-                return stop(FlowEvent(t, EventKind.REMOVABLE_SINGULARITY, face))
+    for run, start, err in zip(runs, r, np.max(np.abs(dev), axis=1).tolist()):
+        run.err = err
         if err < spec.tol:
-            return stop(FlowEvent(t, EventKind.CONVERGED, None))
-        if t - times[-1] >= SAMPLE_DT:
-            record(t, r, err, inside)
+            run.stop(start, FlowEvent(0.0, EventKind.CONVERGED, None))
+        else:
+            run.record(start)
+    live = [j for j, run in enumerate(runs) if run.result is None]
+    active = [runs[j] for j in live]
+    r, k1 = r[live], _velocity(tri, r[live], dev[live], spec)
 
-    return stop(FlowEvent(t, EventKind.HORIZON_REACHED, None))
+    # one pass makes one attempt for every active start; the candidates that
+    # pass the error test are evaluated together, then each start takes or
+    # rejects its own step, and the starts that stopped leave the stack
+    while active:
+        h = np.array([run.h for run in active])
+        tally = np.zeros(len(active), dtype=np.int64)
+        candidate, step_err, (y, ky) = _propose(tri, r, k1, h, spec, tally)
+        legal = step_err <= 1.0
+        dev = np.empty_like(r)
+        degenerate = None if genuine else np.empty((len(active), tri.face_count), dtype=bool)
+        taken = np.count_nonzero(legal)
+        if taken and not _legal(tri, candidate, spec, dev, degenerate, tally, legal):
+            taken = np.count_nonzero(legal)
+        rows = slice(None) if taken == len(active) else np.flatnonzero(legal)
+        state = candidate[rows]
+        k_state = _velocity(tri, state, dev[rows], spec)
+        if taken:
+            estimates = _stiffness(state, k_state, (y[rows], ky[rows]))
+            errs = np.abs(dev[rows]).max(axis=1).tolist()
+            # per taken start, its face past a triangle inequality or None
+            faces = [None] * taken
+            if genuine:
+                # _legal refused radii below EPS_RADIUS, so a collapsing radius is
+                # reported by _classify_stall, never here
+                fl = geometry.face_lengths(tri.copies(taken), state.ravel())
+                slack = geometry.triangle_slack(fl).reshape(taken, -1)
+                for a, thin in enumerate(slack.min(axis=1).tolist()):
+                    if thin < EPS_TRI:
+                        faces[a] = int(np.argmin(slack[a]))
+            else:
+                outside = degenerate[rows]
+                for a, past in enumerate(outside.any(axis=1).tolist()):
+                    if past:
+                        faces[a] = int(np.argmax(outside[a]))
+
+        a = 0  # the index of the next taken start
+        steps, errors = h.tolist(), step_err.tolist()
+        for j, (run, count, ok) in enumerate(zip(active, tally.tolist(), legal.tolist())):
+            run.tally["evaluations"] += count
+            if ok:
+                run.take(state[a], steps[j], errors[j], estimates[a], errs[a], faces[a])
+                a += 1
+            else:
+                run.reject(r[j], candidate[j], k1[j], steps[j], errors[j])
+
+        if taken == len(active):
+            r, k1 = state, k_state
+        else:
+            r[rows], k1[rows] = state, k_state
+        live = [j for j, run in enumerate(active) if run.result is None]
+        if len(live) < len(active):
+            active = [active[j] for j in live]
+            r, k1 = r[live], k1[live]
+
+    if not single:
+        return [run.result for run in runs]
+    if isinstance(runs[0].result, IntegrationError):
+        raise runs[0].result
+    return runs[0].result
 
 
 def _classify_stall(tri, r, candidate, k1, h, genuine):
     """Decide what stopped the stepper when shrinking hit the step floor.
 
-    Stage failures leave candidate as None, so the direction k1 doubles as
+    Stage failures leave the candidate NaN, so the direction k1 doubles as
     an always-computable Euler probe of where the flow was trying to go. The
     probe looks at least COLLAPSE_HORIZON ahead: DOP853's error control halts
     a few step floors short of a collapse, where the candidate is not yet
     below EPS_RADIUS.
     """
     probes = []
-    if candidate is not None and np.all(np.isfinite(candidate)):
+    if np.all(np.isfinite(candidate)):
         probes.append(candidate)
     if np.all(np.isfinite(k1)):
         probes.append(r + max(h, COLLAPSE_HORIZON) * k1)

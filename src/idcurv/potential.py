@@ -49,8 +49,10 @@ def potential_gradient(tri, u, target, alpha=2.0, extended=False):
 def _segment_integral(tri, ua, ub, target, alpha, extended):
     """Integral of the 1-form along ua->ub by QUADPACK's adaptive Gauss-Kronrod rule.
 
-    The extension's derivative kinks at the admissibility boundary are
-    localized by the adaptive bisection.
+    The extended angles are continuous at the admissibility boundary, but
+    their derivative is unbounded there: as the gap g_a of the dominating
+    edge closes, pi - theta_a ~ 2 sqrt(g_a p / (g_b g_c)), a square root in
+    the distance to the boundary. The adaptive bisection localizes it.
     """
     # not at module top: ~20 MB RSS more than scipy.sparse.linalg, and no flow needs it
     import scipy.integrate

@@ -65,6 +65,9 @@ class WeightedTriangulation:
     l_{c+1} and l_{c-1} that the triangle-inequality gaps need.
     `face_edges[f, c]`, the edge opposite corner c of face f, is its k = 0
     layer, a view, so the edge ids of the faces are stored once.
+
+    `copies(b)` stacks b disjoint copies of the surface for the per-face
+    evaluations, so that one call evaluates b radii vectors at once.
     """
 
     def __init__(self, vertex_count, faces, weights, geometry=Geometry.EUCLIDEAN):
@@ -88,6 +91,7 @@ class WeightedTriangulation:
         self.face_edges = self.gap_plan[0]
         self.weights = self._resolve_weights(weights)
         self._check_connected()
+        self._copies = {}
 
     # -- construction helpers -------------------------------------------------
 
@@ -199,12 +203,83 @@ class WeightedTriangulation:
         the edge opposite corner c."""
         return self.weights[self.face_edges]
 
+    def copies(self, count):
+        """The disjoint union of `count` copies of this surface (self for 1).
+
+        Copy b holds vertices N*b .. N*b + N - 1, edges E*b .. and faces F*b ..
+        in this surface's order, so the radii of copy b are row b of a
+        (count, N) stack, raveled, and every per-face evaluation of the union
+        (geometry.edge_lengths, face_lengths, corner_angles,
+        curvature.angle_deficits) gives each row the values it gets alone.
+        The union is disconnected, so it is not a WeightedTriangulation; it
+        carries only the attributes those evaluations read. Fewer copies are a
+        prefix of more, so the largest union built is kept and smaller ones
+        are views of it.
+        """
+        if count == 1:
+            return self
+        if count not in self._copies:
+            largest = max(self._copies, default=0)
+            if largest < count:
+                self._copies = {count: _Copies.of(self, count)}
+            else:
+                self._copies[count] = self._copies[largest].prefix(count)
+        return self._copies[count]
+
     def __repr__(self):
         return (
             f"WeightedTriangulation(V={self.vertex_count}, E={self.edge_count}, "
             f"F={self.face_count}, chi={euler_characteristic(self)}, "
             f"geometry={self.geometry.value})"
         )
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class _Copies:
+    """Disjoint copies of a triangulation; see WeightedTriangulation.copies."""
+
+    count: int
+    vertex_count: int
+    geometry: Geometry
+    faces: np.ndarray
+    edges: np.ndarray
+    weights: np.ndarray
+    gap_plan: np.ndarray
+
+    @classmethod
+    def of(cls, tri, count):
+        offsets = np.arange(count)[:, None, None]
+        n, e = tri.vertex_count, tri.edge_count
+        return cls(
+            count=count,
+            vertex_count=count * n,
+            geometry=tri.geometry,
+            faces=(tri.faces + n * offsets).reshape(-1, 3),
+            edges=(tri.edges + n * offsets).reshape(-1, 2),
+            weights=np.tile(tri.weights, count),
+            gap_plan=(tri.gap_plan[:, None] + e * offsets).reshape(3, -1, 3),
+        )
+
+    def prefix(self, count):
+        """The first `count` copies, as views."""
+        faces, edges = len(self.faces) * count // self.count, len(self.edges) * count // self.count
+        return _Copies(
+            count=count,
+            vertex_count=self.vertex_count * count // self.count,
+            geometry=self.geometry,
+            faces=self.faces[:faces],
+            edges=self.edges[:edges],
+            weights=self.weights[:edges],
+            gap_plan=self.gap_plan[:, :faces],
+        )
+
+    @property
+    def face_edges(self):
+        return self.gap_plan[0]
+
+    @property
+    def face_count(self):
+        return len(self.faces)
 
 
 def euler_characteristic(tri: WeightedTriangulation) -> int:

@@ -200,6 +200,33 @@ def test_flow_sweep_parallel(tmp_path, capsys):
     assert (out / "b" / "final_radii.json").exists()
 
 
+SWEEP_FILES = ("trace.csv", "events.json", "stats.json", "final_radii.json")
+
+
+@pytest.mark.parametrize("jobs", ["2", "3"])
+def test_flow_sweep_workers_write_what_one_call_writes(tmp_path, capsys, jobs):
+    # one worker steps all starts in one run_flow call, several workers each
+    # their share; every start's files are those of its own run, byte for
+    # byte, and the sweep's exit code is the worst of its starts': here the
+    # three small circles of b collapse (exit 3) while a and c converge
+    starts = {"a": [1.0, 2.0, 2.0, 2.0], "b": [1.0, 0.1, 0.1, 0.1], "c": [1.0, 1.1, 1.1, 1.1]}
+    paths = [radii_file(tmp_path, r, f"{name}.json") for name, r in starts.items()]
+    codes = {}
+    for workers in ("1", jobs):
+        codes[workers] = main(
+            ["flow", TETRA, "--radii", *paths, "--kind", "normalized-euclidean",
+             "--out", str(tmp_path / workers), "--jobs", workers]
+        )
+    assert codes == {"1": 3, jobs: 3}
+    kinds = {}
+    for name in starts:
+        for file in SWEEP_FILES:
+            one, many = tmp_path / "1" / name / file, tmp_path / jobs / name / file
+            assert one.read_bytes() == many.read_bytes(), (name, file)
+        kinds[name] = json.loads((tmp_path / "1" / name / "events.json").read_text())[-1]["kind"]
+    assert kinds == {"a": "Converged", "b": "EssentialSingularity", "c": "Converged"}
+
+
 @pytest.mark.parametrize("option", ["--tol", "--dt", "--tmax"])
 def test_flow_non_finite_step_control_is_invalid_input(tmp_path, capsys, option):
     radii = radii_file(tmp_path, [1.0] * 7)

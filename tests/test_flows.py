@@ -29,6 +29,7 @@ from idcurv import (
     flow_rhs,
     grid_torus,
     run_flow,
+    tetrahedron,
 )
 from conftest import genus_two, rk4_reference
 from idcurv import curvature_jacobian, geometry
@@ -635,6 +636,25 @@ def test_inadmissible_candidate_is_illegal(tetra_euc):
                           flow_rhs(tetra_euc, outside, extended))
 
 
+def test_legal_writes_each_candidates_verdict(tetra_euc):
+    # for a stack of candidates _legal writes a verdict per row into `legal`
+    # and returns a plain bool, whether every row tried is legal; rows out of
+    # bounds are refused unevaluated, rows not tried are left alone
+    flows = importlib.import_module("idcurv.flows")
+    spec = FlowSpec(kind=FlowKind.MODIFIED_EUCLIDEAN, target=np.zeros(4))
+    rows = np.array([[1.0, 1.1, 0.9, 1.0], [1.0, 10.0, 10.0, 10.0], [1e-9, 1.0, 1.0, 1.0],
+                     [1.0, 1.0, 1.0, 1.0]])
+    dev, tally = np.full((4, 4), 7.0), np.zeros(4, dtype=np.int64)
+    legal = np.array([True, True, True, False])
+    verdict = flows._legal(tetra_euc, rows, spec, dev, None, tally, legal)
+    assert verdict is False
+    assert legal.tolist() == [True, False, False, False]
+    assert tally.tolist() == [1, 1, 0, 0]
+    assert np.array_equal(dev[0], flows._deviation(tetra_euc, rows[:1], spec)[0])
+    assert np.all(dev[1:] == 7.0)
+    assert flows._legal(tetra_euc, rows[:1], spec, dev[:1]) is True
+
+
 def test_packing_metric_input(tetra_euc):
     spec = FlowSpec(kind=FlowKind.NORMALIZED_EUCLIDEAN)
     as_metric = run_flow(tetra_euc, PackingMetric(np.ones(4), tetra_euc.geometry), spec)
@@ -673,6 +693,194 @@ def test_trace_io_roundtrip(tmp_path, csaszar_euc):
     assert [p["kind"] for p in payload] == [e.kind.value for e in trace.events]
     assert payload[-1]["t"] == trace.events[-1].t
     assert json.loads(stats.read_text()) == trace.stats
+
+
+# -- lockstep batches -----------------------------------------------------------------
+
+
+def snapped_starts(tri, count, seed):
+    """Nearly equal radii, each start with one face pushed past the triangle
+    inequality (its corners scaled by 12, 3 and 0.4), rescaled to sum(r^2) = N."""
+    rng = np.random.default_rng(seed)
+    starts = []
+    for _ in range(count):
+        r = np.exp(rng.uniform(-0.01, 0.01, tri.vertex_count))
+        r[tri.faces[rng.integers(tri.face_count)]] *= (12.0, 3.0, 0.4)
+        assert not geometry.admissible(tri, r)[0]
+        starts.append(r * math.sqrt(tri.vertex_count / (r @ r)))
+    return np.array(starts)
+
+
+def batch_cases():
+    """id -> (surface, starts, spec, terminal event kinds of the starts)."""
+    rng = np.random.default_rng(18)
+    torus = grid_torus(8, 8)
+    hyp = csaszar_torus(geometry=Geometry.HYPERBOLIC)
+    rhat = np.full(7, 0.3)
+    wobble = rng.normal(size=(3, 7)) * 1e-6
+    snapped = grid_torus(4, 4, weight=2.0)
+    tetra = tetrahedron()
+    converged, essential = EventKind.CONVERGED, EventKind.ESSENTIAL_SINGULARITY
+    return {
+        "normalized-euclidean": (
+            torus, np.exp(rng.uniform(-0.3, 0.3, (4, 64))),
+            FlowSpec(kind=FlowKind.NORMALIZED_EUCLIDEAN), [converged] * 4,
+        ),
+        "extended-euclidean": (
+            snapped, snapped_starts(snapped, 4, seed=18),
+            FlowSpec(kind=FlowKind.EXTENDED_EUCLIDEAN), [converged] * 4,
+        ),
+        "modified-hyperbolic": (
+            hyp, rhat * np.exp(wobble - wobble.mean(axis=1, keepdims=True)),
+            FlowSpec(kind=FlowKind.MODIFIED_HYPERBOLIC, target=curvature_field(hyp, rhat).R,
+                     tol=1e-10),
+            [converged] * 3,
+        ),
+        "alpha-modified": (
+            csaszar_torus(), np.exp(rng.uniform(-0.2, 0.2, (3, 7))),
+            FlowSpec(kind=FlowKind.ALPHA_MODIFIED, alpha=1.0, target=np.zeros(7)),
+            [converged] * 3,
+        ),
+        # three small circles around a large one collapse, while symmetric
+        # starts near the uniform metric converge
+        "essential-among-converging": (
+            tetra, np.array([[1.0, 2.0, 2.0, 2.0], [1.0, 0.1, 0.1, 0.1], [1.0, 1.1, 1.1, 1.1]]),
+            FlowSpec(kind=FlowKind.NORMALIZED_EUCLIDEAN), [converged, essential, converged],
+        ),
+        # a genuine flow whose candidates and stages fail on some starts' faces
+        # only: each failure stays with its start
+        "removable-among-essential": (
+            tetra, np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 8.0, 8.0, 8.0], [0.9, 1.0, 1.1, 1.0]]),
+            FlowSpec(kind=FlowKind.MODIFIED_EUCLIDEAN, target=np.array([-30.0, 0.2, 0.2, 0.2]),
+                     t_max=5.0),
+            [essential, EventKind.REMOVABLE_SINGULARITY, essential],
+        ),
+    }
+
+
+def solo_and_batch(tri, starts, spec, monkeypatch):
+    """Each start's own run_flow result (or IntegrationError), the batch's
+    results, and the number of angle_deficits calls the batch made."""
+    solo = []
+    for start in starts:
+        try:
+            solo.append(run_flow(tri, start, spec))
+        except IntegrationError as exc:
+            solo.append(exc)
+    flows = importlib.import_module("idcurv.flows")
+    calls = [0]
+    deficits = flows.angle_deficits
+
+    def counting_deficits(*args, **kwargs):
+        calls[0] += 1
+        return deficits(*args, **kwargs)
+
+    monkeypatch.setattr(flows, "angle_deficits", counting_deficits)
+    batch = run_flow(tri, starts, spec)
+    monkeypatch.undo()
+    return solo, batch, calls[0]
+
+
+def trace_of(result):
+    return result.trace if isinstance(result, IntegrationError) else result[0]
+
+
+def assert_same_run(solo, batched):
+    """Bit for bit the same trace, events, statistics and final radii."""
+    assert type(solo) is type(batched)
+    if isinstance(solo, IntegrationError):
+        assert str(solo) == str(batched)
+    else:
+        assert solo[1].radii.tobytes() == batched[1].radii.tobytes()
+    a, b = trace_of(solo), trace_of(batched)
+    for field in ("times", "radii", "max_err", "measure", "extended_region"):
+        assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
+    assert a.events == b.events
+    assert a.stats == b.stats
+
+
+@pytest.mark.parametrize("case", list(batch_cases()))
+def test_batch_matches_solo_runs(case, monkeypatch):
+    # a stack of starts is stepped in lockstep, one curvature evaluation per
+    # stage for all of them, and every start's run is the one it makes alone
+    tri, starts, spec, terminals = batch_cases()[case]
+    solo, batch, calls = solo_and_batch(tri, starts, spec, monkeypatch)
+    assert len(batch) == len(starts)
+    for one, batched in zip(solo, batch):
+        assert_same_run(one, batched)
+    assert [terminal(trace_of(result)).kind for result in batch] == terminals
+    if case == "extended-euclidean":
+        for result in batch:
+            assert event_kinds(result[0]) == [
+                EventKind.LEFT_ADMISSIBLE, EventKind.REENTERED_ADMISSIBLE, EventKind.CONVERGED
+            ]
+    if case == "modified-hyperbolic":
+        for result in batch:
+            assert EventKind.TARGET_SIGN_WARNING in event_kinds(result[0])
+    assert calls < sum(trace_of(result).stats["evaluations"] for result in solo)
+
+
+def test_batch_keeps_a_step_size_underflow_to_its_start(csaszar_hyp, monkeypatch):
+    # the hyperbolic blow-up of test_hyperbolic_blowup_raises_with_partial_trace
+    # stops the start at r = 1 before t_max, while the smaller start reaches
+    # the horizon: the batch returns the first start's IntegrationError, with
+    # its partial trace, and finishes the other; one start alone raises it
+    spec = FlowSpec(kind=FlowKind.MODIFIED_HYPERBOLIC, target=np.full(7, 100.0), t_max=0.025)
+    starts = np.array([np.ones(7), np.full(7, 0.5)])
+    solo, batch, _ = solo_and_batch(csaszar_hyp, starts, spec, monkeypatch)
+    for one, batched in zip(solo, batch):
+        assert_same_run(one, batched)
+    failed, (trace, _) = batch
+    assert isinstance(failed, IntegrationError) and "step size underflow" in str(failed)
+    assert failed.trace.stats["evaluations"] > 0
+    assert terminal(trace).kind is EventKind.HORIZON_REACHED
+    with pytest.raises(IntegrationError, match="step size underflow"):
+        run_flow(csaszar_hyp, starts[0], spec)
+
+
+def test_batch_start_validation_raises_before_any_step(tetra_euc, monkeypatch):
+    # an invalid start refuses the whole call before the first evaluation
+    flows = importlib.import_module("idcurv.flows")
+    calls = [0]
+    deficits = flows.angle_deficits
+
+    def counting_deficits(*args, **kwargs):
+        calls[0] += 1
+        return deficits(*args, **kwargs)
+
+    monkeypatch.setattr(flows, "angle_deficits", counting_deficits)
+    spec = FlowSpec(kind=FlowKind.NORMALIZED_EUCLIDEAN)
+    with pytest.raises(AdmissibilityError, match="genuine flow started outside"):
+        run_flow(tetra_euc, np.array([np.ones(4), [1.0, 10.0, 10.0, 10.0]]), spec)
+    with pytest.raises(ValueError, match="positive"):
+        run_flow(tetra_euc, np.array([np.ones(4), [1.0, -1.0, 1.0, 1.0]]), spec)
+    with pytest.raises(ValueError, match="length"):
+        run_flow(tetra_euc, np.ones((2, 5)), spec)
+    with pytest.raises(ValueError, match="no initial radii"):
+        run_flow(tetra_euc, np.ones((0, 4)), spec)
+    assert calls[0] == 0
+
+
+def test_union_of_copies_evaluates_each_row_as_alone(csaszar_i2):
+    # the disjoint union of b copies offsets vertices by N and edges by E per
+    # copy; each row's deficits and face mask are its own evaluation's
+    rng = np.random.default_rng(3)
+    rows = np.exp(rng.uniform(-0.05, 0.05, (3, 7)))
+    rows[1, csaszar_i2.faces[0]] *= (12.0, 3.0, 0.4)  # one row outside the admissible cone
+    union = csaszar_i2.copies(3)
+    assert union.vertex_count == 21 and union.face_count == 42
+    assert np.array_equal(union.faces[14:28], csaszar_i2.faces + 7)
+    assert np.array_equal(union.face_edges[14:28], csaszar_i2.face_edges + 21)
+    assert csaszar_i2.copies(1) is csaszar_i2
+    assert np.shares_memory(csaszar_i2.copies(2).gap_plan, union.gap_plan)
+    mask = np.empty(42, dtype=bool)
+    K = angle_deficits(union, rows.ravel(), extended=True, degenerate=mask).reshape(3, 7)
+    for row, k, m in zip(rows, K, mask.reshape(3, 14)):
+        alone = np.empty(14, dtype=bool)
+        own = angle_deficits(csaszar_i2, row, extended=True, degenerate=alone)
+        assert k.tobytes() == own.tobytes()
+        assert np.array_equal(m, alone)
+    assert mask[14:28].any() and not mask[:14].any() and not mask[28:].any()
 
 
 # -- evolution identity ---------------------------------------------------------------
