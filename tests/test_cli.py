@@ -187,24 +187,10 @@ def test_flow_integration_failure_writes_partial_trace(tmp_path, capsys):
     assert json.loads((out / "stats.json").read_text())["evaluations"] > 0
 
 
-def test_flow_sweep_parallel(tmp_path, capsys):
-    r1 = radii_file(tmp_path, [1.3, 0.8, 1.1, 1.0, 0.9, 1.2, 0.95], "a.json")
-    r2 = radii_file(tmp_path, [0.9, 1.2, 1.0, 1.1, 0.8, 1.05, 1.0], "b.json")
-    out = tmp_path / "sweep"
-    code = main(
-        ["flow", CSASZAR, "--radii", r1, r2, "--kind", "normalized-euclidean",
-         "--tol", "1e-10", "--out", str(out), "--jobs", "2"]
-    )
-    assert code == 0
-    assert (out / "a" / "final_radii.json").exists()
-    assert (out / "b" / "final_radii.json").exists()
-
-
 SWEEP_FILES = ("trace.csv", "events.json", "stats.json", "final_radii.json")
 
 
-@pytest.mark.parametrize("jobs", ["2", "3"])
-def test_flow_sweep_workers_write_what_one_call_writes(tmp_path, capsys, jobs):
+def test_flow_sweep_parallel(tmp_path, capsys):
     # one worker steps all starts in one run_flow call, several workers each
     # their share; every start's files are those of its own run, byte for
     # byte, and the sweep's exit code is the worst of its starts': here the
@@ -212,18 +198,21 @@ def test_flow_sweep_workers_write_what_one_call_writes(tmp_path, capsys, jobs):
     starts = {"a": [1.0, 2.0, 2.0, 2.0], "b": [1.0, 0.1, 0.1, 0.1], "c": [1.0, 1.1, 1.1, 1.1]}
     paths = [radii_file(tmp_path, r, f"{name}.json") for name, r in starts.items()]
     codes = {}
-    for workers in ("1", jobs):
-        codes[workers] = main(
+    for jobs in ("1", "2", "3"):
+        codes[jobs] = main(
             ["flow", TETRA, "--radii", *paths, "--kind", "normalized-euclidean",
-             "--out", str(tmp_path / workers), "--jobs", workers]
+             "--out", str(tmp_path / jobs), "--jobs", jobs]
         )
-    assert codes == {"1": 3, jobs: 3}
-    kinds = {}
+    assert codes == {"1": 3, "2": 3, "3": 3}
     for name in starts:
         for file in SWEEP_FILES:
-            one, many = tmp_path / "1" / name / file, tmp_path / jobs / name / file
-            assert one.read_bytes() == many.read_bytes(), (name, file)
-        kinds[name] = json.loads((tmp_path / "1" / name / "events.json").read_text())[-1]["kind"]
+            one = (tmp_path / "1" / name / file).read_bytes()
+            for jobs in ("2", "3"):
+                assert (tmp_path / jobs / name / file).read_bytes() == one, (jobs, name, file)
+    kinds = {
+        name: json.loads((tmp_path / "1" / name / "events.json").read_text())[-1]["kind"]
+        for name in starts
+    }
     assert kinds == {"a": "Converged", "b": "EssentialSingularity", "c": "Converged"}
 
 
