@@ -166,7 +166,17 @@ def cmd_flow(args) -> int:
     if len(args.radii) == 1:
         runs = [(args.radii[0], out_root)]
     else:
-        runs = [(path, out_root / Path(path).stem) for path in args.radii]
+        # each start writes to the directory named by its radii file's stem
+        by_stem = {}
+        for path in args.radii:
+            by_stem.setdefault(Path(path).stem, []).append(path)
+        clashes = ["; ".join(paths) for paths in by_stem.values() if len(paths) > 1]
+        if clashes:
+            raise ValueError(
+                "radii files of a sweep need distinct names, as each names its output "
+                f"directory; these share one: {' | '.join(clashes)}"
+            )
+        runs = [(path, out_root / stem) for stem, (path,) in by_stem.items()]
     workers = max(1, min(args.jobs, len(runs)))
     if workers == 1:
         return max(_run_flows(args.mesh, runs, args))

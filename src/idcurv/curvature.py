@@ -59,15 +59,13 @@ class CurvatureJacobian:
 def angle_deficits(tri, r, extended=False, degenerate=None):
     """K_i = 2 pi - sum of incident corner angles, as a plain array.
 
-    If `degenerate` is given, a (F,) bool array, the evaluation's per-face
-    degeneracy mask (CornerAngles.degenerate) is written into it.
+    The angles come from geometry.surface_angles, as an array: no CornerAngles
+    and no face mask is built unless asked for. A given (F,) bool array
+    `degenerate` is overwritten with the per-face mask, True where a triangle
+    inequality fails (only possible with `extended`) and False elsewhere.
     """
-    ca = geometry.corner_angles(tri, r, extended=extended)
-    if degenerate is not None:
-        degenerate[:] = ca.degenerate
-    incident = np.bincount(
-        tri.faces.ravel(), weights=ca.angles.ravel(), minlength=tri.vertex_count
-    )
+    angles = geometry.surface_angles(tri, r, extended, degenerate)
+    incident = np.bincount(tri.faces.ravel(), weights=angles.ravel(), minlength=tri.vertex_count)
     return TWO_PI - incident
 
 

@@ -72,8 +72,10 @@ copies of the surface (WeightedTriangulation.copies). On small surfaces the
 per-call overhead dominates an evaluation, so a pass costs little more than
 one start's attempt. Everything per start stays its own: step, clock,
 stiffness estimate, statistics, events, trace, and a failure, which is
-attributed to its own start (when the union's evaluation fails, each start is
-evaluated alone). Each start's results are bit for bit those of its own run.
+attributed to its own start: when the union's evaluation fails on faces past a
+triangle inequality, one admissibility pass over the union names the starts
+that hold them, and the others are evaluated together. Each start's results
+are bit for bit those of its own run.
 A start that stops leaves the stack. Each start's stats["evaluations"]
 counts its own evaluations, as if it had run alone, while the kernel calls
 of a stack number about those of its start with the most attempts.
@@ -376,14 +378,16 @@ def _deviation(tri, r, spec, degenerate=None):
     alpha = spec.effective_alpha
     mask = None if degenerate is None else degenerate.reshape(-1)
     K = angle_deficits(tri.copies(b), r.ravel(), spec.kind.extended, mask).reshape(b, n)
-    R = K / geometry.s_of_r(r, tri.geometry) ** alpha
+    power = geometry.s_of_r(r, tri.geometry) ** alpha
+    R = K / power
     if spec.target is not None:
         return spec.target - R
-    # each row's running average, 2 pi chi / sum(r^alpha) as in average_curvature
+    # each row's running average, 2 pi chi / sum(r^alpha) as in average_curvature;
+    # it exists on Euclidean surfaces only, where s is r, so power is r^alpha
     chi = euler_characteristic(tri)
     if alpha == 0.0:
         return TWO_PI * chi / n - R
-    sums = np.add.reduce(r**alpha, axis=1, keepdims=True)
+    sums = np.add.reduce(power, axis=1, keepdims=True)
     # a single row's sum as a float: the same division, without array overhead
     return TWO_PI * chi / (sums if b > 1 else float(sums[0, 0])) - R
 
@@ -395,8 +399,8 @@ def flow_rhs(tri, r, spec: FlowSpec):
     return _velocity(tri, r, _deviation(tri, r[None], spec)[0], spec)
 
 
-def _velocity(tri, r, dev, spec):
-    """dr/dt from the deviation dev = T - K / s^alpha at r."""
+def _velocity(tri, r, dev, spec, out=None):
+    """dr/dt from the deviation dev = T - K / s^alpha at r, into `out` if given."""
     if tri.geometry is Geometry.EUCLIDEAN:
         factor = r
     else:
@@ -404,20 +408,38 @@ def _velocity(tri, r, dev, spec):
         # and the driver halts with a step-size report, which is the intent
         with np.errstate(over="ignore"):
             factor = np.sinh(r)
-    return 0.5 * spec.kind.rate * dev * factor
+    return np.multiply(0.5 * spec.kind.rate * dev, factor, out=out)
 
 
 # -- driver ------------------------------------------------------------------------
 
 
-def _each_alone(tri, r, spec, degenerate=None):
-    """_deviation of each row of r on its own, for rows whose joint
-    evaluation failed. Returns (dev, failed), failed marking the rows whose
-    own evaluation fails too (for genuine kinds, a face past a triangle
-    inequality); those rows read 0. A single row is not evaluated again."""
+def _apart(tri, r, spec, degenerate, error):
+    """_deviation of the rows of r, a stack whose joint evaluation raised
+    `error`. Returns (dev, failed), failed marking the rows whose own
+    evaluation fails (for genuine kinds, a face past a triangle inequality);
+    those rows read 0. A given (b, F) `degenerate` receives the other rows'
+    face masks. A single row is not evaluated again.
+
+    An AdmissibilityError comes from faces past a triangle inequality: one
+    admissibility pass over the union names them, and the rows that hold none
+    are evaluated together. A FloatingPointError names no face, so each row is
+    evaluated on its own.
+    """
     dev = np.zeros_like(r)
     failed = np.ones(len(r), dtype=bool)
     if len(r) == 1:
+        return dev, failed
+    if isinstance(error, AdmissibilityError):
+        _, faces = geometry.admissible(tri.copies(len(r)), r.ravel())
+        failed[:] = False
+        failed[np.array(faces, dtype=int) // tri.face_count] = True
+        rest = np.flatnonzero(~failed)
+        if len(rest):
+            masks = None if degenerate is None else degenerate[rest]
+            dev[rest] = _deviation(tri, r[rest], spec, masks)
+            if degenerate is not None:
+                degenerate[rest] = masks
         return dev, failed
     for j in range(len(r)):
         try:
@@ -440,33 +462,35 @@ def _legal(tri, r, spec, dev, degenerate=None, tally=None, legal=None):
     genuine kinds, admissible. Admissibility comes from the candidate's own
     curvature evaluation, which fails on exactly the faces geometry.admissible
     flags, so a legal candidate is evaluated only once. The rows tried are
-    evaluated together, and on their own if that fails (see _each_alone).
+    evaluated together, and apart if that fails (see _apart).
     """
     rows = r.reshape(-1, r.shape[-1])
-    ok = np.ones(len(rows), dtype=bool) if legal is None else legal.copy()
-    tried = np.count_nonzero(ok)  # count_nonzero costs less than any/all here
-    if not (rows.min() >= EPS_RADIUS and rows.max() <= RADIUS_CAP):  # NaN fails both
-        ok &= (rows >= EPS_RADIUS).all(axis=1) & (rows <= RADIUS_CAP).all(axis=1)
+    tried = len(rows) if legal is None else np.count_nonzero(legal)
+    # on almost every pass every row is tried and within bounds (NaN fails
+    # both tests), and no per-row verdict is needed unless the evaluation fails
+    if tried == len(rows) and rows.min() >= EPS_RADIUS and rows.max() <= RADIUS_CAP:
+        index = slice(None)
+    else:
+        ok = (rows >= EPS_RADIUS).all(axis=1) & (rows <= RADIUS_CAP).all(axis=1)
+        index = np.flatnonzero(ok if legal is None else ok & legal)
     if tally is not None:
-        tally += ok
-    found = np.count_nonzero(ok)
+        tally[index] += 1
+    found = len(rows) if isinstance(index, slice) else len(index)
     if found:
-        index = slice(None) if found == len(rows) else np.flatnonzero(ok)  # the rows evaluated
         masks = None if degenerate is None else degenerate.reshape(len(rows), -1)[index]
         try:
             values = _deviation(tri, rows[index], spec, masks)
-        except (AdmissibilityError, FloatingPointError):
-            values, failed = _each_alone(tri, rows[index], spec, masks)
-            index = np.flatnonzero(ok)[~failed]  # the rows legal
-            ok[:] = False
-            ok[index] = True
+        except (AdmissibilityError, FloatingPointError) as error:
+            values, failed = _apart(tri, rows[index], spec, masks, error)
+            index = np.arange(len(rows))[index][~failed]  # the rows legal
             found = len(index)
             values, masks = values[~failed], None if masks is None else masks[~failed]
         dev.reshape(rows.shape)[index] = values
         if degenerate is not None:
             degenerate.reshape(len(rows), -1)[index] = masks
     if legal is not None and found < tried:
-        legal[:] = ok
+        legal[:] = False
+        legal[index] = True
     return bool(found == tried)
 
 
@@ -493,14 +517,16 @@ def _propose(tri, r, k1, h, spec, tally):
     # depending on where it falls in the BLAS kernel's vector lanes
     k = np.empty((b, len(_B), r.shape[1]))
     k[:, 0] = k1
-    steps = np.repeat(h, r.shape[1]).reshape(r.shape)  # h of each row, by element
+    steps = h[:, None]  # each row's step, broadcast along its row
     # a row fails when its stage radii leave the positive cone or its stage
     # evaluation fails; `failed` stays None until one does, then masks them.
     # `evaluated` counts the stages at which every row was evaluated.
     failed, evaluated = None, 0
     for i in range(1, len(_B)):
         y = r + steps * (_A[i, :i] @ k[:, :i])
-        if failed is None and y.min() > 0.0 and y.max() < math.inf:  # NaN fails both
+        # y - y is 0 where y is finite and NaN elsewhere, so one reduction
+        # tells whether every stage radius is positive and finite
+        if failed is None and np.minimum.reduce(y + (y - y), axis=None) > 0.0:
             evaluated += 1
         else:
             outside = ~((y > 0.0).all(axis=1) & (y < math.inf).all(axis=1))
@@ -513,11 +539,11 @@ def _propose(tri, r, k1, h, spec, tally):
             y = np.where(failed[:, None], r, y)
         try:
             dev = _deviation(tri, y, spec)
-        except (AdmissibilityError, FloatingPointError):
-            dev, bad = _each_alone(tri, y, spec)  # the rows in bad read 0
+        except (AdmissibilityError, FloatingPointError) as error:
+            dev, bad = _apart(tri, y, spec, None, error)  # the rows in bad read 0
             failed = bad if failed is None else failed | bad
             y = np.where(failed[:, None], r, y)
-        k[:, i] = _velocity(tri, y, dev, spec)
+        _velocity(tri, y, dev, spec, k[:, i])
     tally += evaluated
     candidate = r + steps * (_B @ k)
     scale = (LOCAL_TOL * spec.tol) * (1.0 + np.maximum(r, np.abs(candidate)))
@@ -559,7 +585,7 @@ def _stiffness(candidate, k1, end_state):
     gaps[2] = candidate
     # row norms by one reduction whatever the stack height, so that a start's
     # estimates do not depend on the starts it runs with
-    norms = np.sqrt(np.add.reduce(np.square(gaps), axis=-1))
+    norms = np.sqrt(np.add.reduce(np.square(gaps, out=gaps), axis=-1))
     return [
         kgap / gap if gap > _ROUNDOFF * size else 0.0
         for gap, kgap, size in zip(*norms.tolist())
@@ -744,6 +770,8 @@ def run_flow(tri, r0, spec: FlowSpec):
     active = [runs[j] for j in live]
     r, k1 = r[live], _velocity(tri, r[live], dev[live], spec)
 
+    # a pass's candidate deviations and face masks fill the first rows of these
+    devs, masks = np.empty_like(r), np.empty((len(r), tri.face_count), dtype=bool)
     # one pass makes one attempt for every active start; the candidates that
     # pass the error test are evaluated together, then each start takes or
     # rejects its own step, and the starts that stopped leave the stack
@@ -752,8 +780,8 @@ def run_flow(tri, r0, spec: FlowSpec):
         tally = np.zeros(len(active), dtype=np.int64)
         candidate, step_err, (y, ky) = _propose(tri, r, k1, h, spec, tally)
         legal = step_err <= 1.0
-        dev = np.empty_like(r)
-        degenerate = None if genuine else np.empty((len(active), tri.face_count), dtype=bool)
+        dev = devs[: len(active)]
+        degenerate = None if genuine else masks[: len(active)]
         taken = np.count_nonzero(legal)
         if taken and not _legal(tri, candidate, spec, dev, degenerate, tally, legal):
             taken = np.count_nonzero(legal)

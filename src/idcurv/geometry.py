@@ -3,7 +3,8 @@
 Radii induce edge lengths through the background geometry; faces carry inner
 angles through the tangent half-angle law on the gaps p - l, p the
 semi-perimeter (Kahan, "Miscalculating Area and Angles of a Needle-like
-Triangle"). Everything here is a pure function of its arguments. Angles admit
+Triangle"). Everything here is a pure function of its arguments, apart from
+the face-mask buffer a caller may pass to be filled. Angles admit
 a constant extension past triangle-inequality failure: pi at the vertex
 opposite the dominating edge, zero at the other two.
 
@@ -11,12 +12,16 @@ Coordinates: s_i = r_i (Euclidean) or tanh(r_i/2) (hyperbolic); g_i = s_i^2;
 u_i = ln s_i^2. These are always derived from radii, never stored.
 
 The gaps of a face corner c take three lengths, l_c, l_{c+1} and l_{c-1}.
-Functions of a triangulation and radii gather all three (F, 3) columns from
-the edge lengths at once, by the triangulation's `gap_plan`, which
-WeightedTriangulation builds once at construction; `face_angles`, for rows a
-caller gives, builds them by cycling the row's columns. Both share one angle
-core, which tests admissibility with a single reduction over the gaps and
-builds the per-face degeneracy mask only when that test fails.
+Functions of a triangulation and radii compute the edge lengths from the
+radii at the edges' ends, aligned with the weights, and gather all three
+(F, 3) columns at once by the triangulation's `gap_plan`, built once by
+WeightedTriangulation; `face_angles`, for rows a caller gives, cycles the
+row's columns. Both share one angle core, which tests admissibility with a
+single reduction over the gaps and builds the per-face degeneracy mask only
+when that test fails. `surface_angles`, the curvature path, returns a bare
+(F, 3) array and writes a face mask only into a (F,) bool buffer a caller
+passes (all False on admissible radii); `corner_angles` and `face_angles`
+return a CornerAngles.
 """
 
 from __future__ import annotations
@@ -116,25 +121,27 @@ def edge_length(r_i, r_j, weight, geometry):
     l = 2 asinh(sqrt(sinh^2((r_i - r_j)/2) + ((1+I)/2) sinh r_i sinh r_j)), and
     in a log-sum-exp form once either radius exceeds BIG_RADIUS.
     """
-    r_i = np.asarray(r_i, dtype=float)
-    r_j = np.asarray(r_j, dtype=float)
-    weight = np.asarray(weight, dtype=float)
+    r_i, r_j, weight = (np.asarray(x, dtype=float) for x in (r_i, r_j, weight))
+    if geometry is Geometry.HYPERBOLIC and (np.maximum(r_i, r_j) > BIG_RADIUS).any():
+        # _lengths selects the big radii by a mask, which needs one shape
+        r_i, r_j, weight = np.broadcast_arrays(r_i, r_j, weight, subok=False)
+    out = _lengths(r_i, r_j, weight, geometry)
+    return float(out) if out.ndim == 0 else out
+
+
+def _lengths(r_i, r_j, weight, geometry):
+    """edge_length of end radii and weights already aligned: arrays of one
+    shape, or ones that need no big-radius form."""
     if geometry is Geometry.EUCLIDEAN:
         return np.sqrt(r_i**2 + r_j**2 + 2.0 * r_i * r_j * weight)
-
     big = np.maximum(r_i, r_j) > BIG_RADIUS
     if not big.any():
         return _hyp_length_direct(r_i, r_j, weight)
-    r_i, r_j, weight, big = np.broadcast_arrays(
-        r_i, r_j, weight, big, subok=False
-    )
     out = np.empty(big.shape, dtype=float)
     small = ~big
     if small.any():
         out[small] = _hyp_length_direct(r_i[small], r_j[small], weight[small])
     out[big] = _hyp_length_stable(r_i[big], r_j[big], weight[big])
-    if out.ndim == 0:
-        return float(out)
     return out
 
 
@@ -162,19 +169,12 @@ def _hyp_length_stable(r_i, r_j, weight):
 def edge_lengths(tri, r):
     """Lengths of all edges of the surface, aligned with tri.edges."""
     r = np.asarray(r, dtype=float)
-    ri = r[tri.edges[:, 0]]
-    rj = r[tri.edges[:, 1]]
-    return edge_length(ri, rj, tri.weights, tri.geometry)
+    return _lengths(r[tri.edges[:, 0]], r[tri.edges[:, 1]], tri.weights, tri.geometry)
 
 
 def face_lengths(tri, r):
     """(F, 3) lengths; column c is the length of the edge opposite corner c."""
     return edge_lengths(tri, r)[tri.face_edges]
-
-
-def _plan_gaps(tri, r):
-    """(F, 3) gaps at radii r from one gather of the edge lengths by tri.gap_plan."""
-    return _gaps(*edge_lengths(tri, r)[tri.gap_plan])
 
 
 # -- admissibility ----------------------------------------------------------------
@@ -217,7 +217,7 @@ def admissible(tri, r):
 
     Returns (ok, violating_face_indices).
     """
-    g = _plan_gaps(tri, r)
+    g = _gaps(*edge_lengths(tri, r)[tri.gap_plan])
     if g.min() > 0.0:
         return True, []
     return False, np.nonzero(_degenerate_mask(g))[0].tolist()
@@ -232,12 +232,13 @@ def _half_angle_law(g, hyperbolic):
     rho^2 = g0 g1 g2 / p (Euclidean), or tanh(rho) / sinh(g_a) with tanh^2 rho
     = prod sinh(g) / sinh(p) (hyperbolic), here divided through by e^{g_a};
     the exponents cancel since sum(g) = p, so no length overflows it."""
-    p = g[:, 0] + g[:, 1] + g[:, 2]  # the summation order of g.sum(axis=1)
+    g0, g1, g2 = g[:, 0], g[:, 1], g[:, 2]
+    p = g0 + g1 + g2  # the summation order of g.sum(axis=1)
     if hyperbolic:
         q = -np.expm1(-2.0 * g)
         rho = np.sqrt(q[:, 0] * q[:, 1] * q[:, 2] / -np.expm1(-2.0 * p))
         return 2.0 * np.arctan2(rho[:, None] * np.exp(-g), q)
-    rho = np.sqrt(g[:, 0] / p * g[:, 1] * g[:, 2])
+    rho = np.sqrt(g0 / p * g1 * g2)
     return 2.0 * np.arctan2(rho[:, None], g)
 
 
@@ -252,23 +253,28 @@ def _extension_constants(g, rows):
     return np.where(dominating, np.pi, 0.0)
 
 
-def _gap_angles(g, geometry, extended) -> CornerAngles:
-    """Corner angles from a (F, 3) gap array (see face_angles)."""
+def _gap_angles(g, geometry, extended, degenerate=None):
+    """Corner angles from a (F, 3) gap array (see face_angles). A given (F,)
+    bool array `degenerate` receives the per-face mask."""
     hyperbolic = geometry is Geometry.HYPERBOLIC
-    if g.min() > 0.0:  # every row strictly admissible; NaN fails this, as it fails the mask
-        return CornerAngles(
-            angles=_half_angle_law(g, hyperbolic), degenerate=np.zeros(len(g), dtype=bool)
-        )
-    degenerate = _degenerate_mask(g)
+    # every row strictly admissible; NaN fails this, as it fails the mask, and
+    # `initial` lets a zero-row array through
+    if np.minimum.reduce(g, axis=None, initial=np.inf) > 0.0:
+        if degenerate is not None:
+            degenerate.fill(False)
+        return _half_angle_law(g, hyperbolic)
+    mask = _degenerate_mask(g)
     if not extended:
-        bad = np.nonzero(degenerate)[0].tolist()
+        bad = np.nonzero(mask)[0].tolist()
         raise AdmissibilityError(f"inadmissible faces {bad}; pass extended=True")
     # only degenerate rows (NaN rows among them) give invalid values, and
     # their angles are overwritten by the extension
     with np.errstate(invalid="ignore"):
         angles = _half_angle_law(g, hyperbolic)
-    angles[degenerate] = _extension_constants(g, degenerate)
-    return CornerAngles(angles=angles, degenerate=degenerate)
+    angles[mask] = _extension_constants(g, mask)
+    if degenerate is not None:
+        degenerate[:] = mask
+    return angles
 
 
 def face_angles(lengths, geometry, extended=False) -> CornerAngles:
@@ -279,12 +285,23 @@ def face_angles(lengths, geometry, extended=False) -> CornerAngles:
     rows receive the constant extension.
     """
     fl = np.asarray(lengths, dtype=float)
-    return _gap_angles(_gaps(fl, fl[:, _NEXT], fl[:, _PREV]), geometry, extended)
+    degenerate = np.empty(len(fl), dtype=bool)
+    g = _gaps(fl, fl[:, _NEXT], fl[:, _PREV])
+    return CornerAngles(_gap_angles(g, geometry, extended, degenerate), degenerate)
+
+
+def surface_angles(tri, r, extended=False, degenerate=None):
+    """(F, 3) array of all corner angles of the surface at radii r (see
+    face_angles); a given (F,) bool array `degenerate` receives the face mask."""
+    columns = edge_lengths(tri, r)[tri.gap_plan]
+    g = _gaps(columns[0], columns[1], columns[2])
+    return _gap_angles(g, tri.geometry, extended, degenerate)
 
 
 def corner_angles(tri, r, extended=False) -> CornerAngles:
-    """All corner angles of the surface at radii r (see face_angles)."""
-    return _gap_angles(_plan_gaps(tri, r), tri.geometry, extended)
+    """All corner angles of the surface at radii r and its face mask."""
+    degenerate = np.empty(tri.face_count, dtype=bool)
+    return CornerAngles(surface_angles(tri, r, extended, degenerate), degenerate)
 
 
 # -- areas ------------------------------------------------------------------------
@@ -296,7 +313,7 @@ def total_area(tri, r, extended=False):
     pi - sum(theta); degenerate faces contribute zero under the extension."""
     if tri.geometry is not Geometry.HYPERBOLIC:
         raise ValueError("area is defined for hyperbolic surfaces")
-    g = _plan_gaps(tri, r)
+    g = _gaps(*edge_lengths(tri, r)[tri.gap_plan])
     _gap_angles(g, tri.geometry, extended)  # raises for faces the extension cannot take
     g = np.maximum(g, 0.0)
     t = np.tanh(g / 2.0)

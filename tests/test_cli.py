@@ -216,6 +216,22 @@ def test_flow_sweep_parallel(tmp_path, capsys):
     assert kinds == {"a": "Converged", "b": "EssentialSingularity", "c": "Converged"}
 
 
+def test_flow_sweep_refuses_radii_files_sharing_a_stem(tmp_path, capsys):
+    # each start of a sweep writes to out/<stem of its radii file>, so two files
+    # of one stem would write one directory; the sweep is refused unrun
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    first = radii_file(tmp_path / "a", [1.0, 2.0, 2.0, 2.0])
+    second = radii_file(tmp_path / "b", [1.0, 1.1, 1.1, 1.1])
+    out = tmp_path / "out"
+    code = main(["flow", TETRA, "--radii", first, second, "--kind", "normalized-euclidean",
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "distinct names" in err and first in err and second in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("option", ["--tol", "--dt", "--tmax"])
 def test_flow_non_finite_step_control_is_invalid_input(tmp_path, capsys, option):
     radii = radii_file(tmp_path, [1.0] * 7)

@@ -105,6 +105,21 @@ def test_extended_deficits_on_degenerate_metric(tetra_euc):
     np.testing.assert_allclose(K[1:], 2.0 * np.pi - np.pi / 3.0, rtol=1e-13)
 
 
+def test_angle_deficits_overwrite_the_given_face_mask(csaszar_euc, tetra_euc):
+    # a given degenerate buffer is overwritten: with False on every face at
+    # admissible radii, with the extension's face mask outside the cone
+    r = np.array([1.3, 0.8, 1.1, 1.0, 0.9, 1.2, 0.95])
+    mask = np.ones(csaszar_euc.face_count, dtype=bool)
+    K = angle_deficits(csaszar_euc, r, degenerate=mask)
+    assert not mask.any()
+    assert K.tobytes() == angle_deficits(csaszar_euc, r).tobytes()
+    r = np.array([1.0, 9.0, 9.0, 9.0])
+    mask = np.zeros(tetra_euc.face_count, dtype=bool)
+    angle_deficits(tetra_euc, r, extended=True, degenerate=mask)
+    assert mask.tolist() == corner_angles(tetra_euc, r, extended=True).degenerate.tolist()
+    assert mask.sum() == 3
+
+
 def test_gauss_bonnet_euclidean(tetra_euc, csaszar_euc, rng):
     for tri, chi in ((tetra_euc, 2), (csaszar_euc, 0)):
         for _ in range(25):

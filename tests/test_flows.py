@@ -655,6 +655,37 @@ def test_legal_writes_each_candidates_verdict(tetra_euc):
     assert flows._legal(tetra_euc, rows[:1], spec, dev[:1]) is True
 
 
+def test_failed_union_is_split_by_one_admissibility_pass(tetra_euc, monkeypatch):
+    # when the union's evaluation fails on one row's faces, one admissibility
+    # pass over the union names that row and the other rows are evaluated
+    # together: two kernel calls, where evaluating each row alone makes b + 1
+    flows = importlib.import_module("idcurv.flows")
+    spec = FlowSpec(kind=FlowKind.MODIFIED_EUCLIDEAN, target=np.zeros(4))
+    rows = np.array([[1.0, 1.1, 0.9, 1.0], [1.0, 10.0, 10.0, 10.0], [0.9, 1.0, 1.1, 1.0]])
+    solo = {j: flows._deviation(tetra_euc, rows[j : j + 1], spec)[0] for j in (0, 2)}
+    counts = {"angle_deficits": 0, "admissible": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(flows, "angle_deficits")
+    counting(geometry, "admissible")
+    dev, tally, legal = np.full((3, 4), 7.0), np.zeros(3, dtype=np.int64), np.ones(3, dtype=bool)
+    assert flows._legal(tetra_euc, rows, spec, dev, None, tally, legal) is False
+    assert counts == {"angle_deficits": 2, "admissible": 1}
+    assert legal.tolist() == [True, False, True]
+    assert tally.tolist() == [1, 1, 1]
+    for j, expect in solo.items():
+        assert dev[j].tobytes() == expect.tobytes()
+    assert np.all(dev[1] == 7.0)
+
+
 def test_packing_metric_input(tetra_euc):
     spec = FlowSpec(kind=FlowKind.NORMALIZED_EUCLIDEAN)
     as_metric = run_flow(tetra_euc, PackingMetric(np.ones(4), tetra_euc.geometry), spec)

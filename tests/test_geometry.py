@@ -116,6 +116,24 @@ def test_mixed_scalar_array_lengths():
     assert isinstance(edge_length(1.0, 1.0, 2.0, EUC), float)
 
 
+@pytest.mark.parametrize("geom", [EUC, HYP])
+@pytest.mark.parametrize("copies", [1, 3])
+def test_edge_lengths_match_scalar_edge_length(geom, copies):
+    # edge_lengths works on the aligned end radii of all edges at once; each
+    # entry is the scalar edge_length of its edge, bit for bit, past
+    # BIG_RADIUS too, and on a union of copies of the surface
+    tri = idcurv.grid_torus(4, 4, weight=2.0, geometry=geom)
+    union = tri.copies(copies)
+    r = np.exp(np.random.default_rng(19).uniform(-1.0, 1.0, union.vertex_count))
+    r[3] = 2.0 * geometry_module.BIG_RADIUS  # its edges take the stable hyperbolic form
+    got = geometry_module.edge_lengths(union, r)
+    expect = [
+        edge_length(r[i], r[j], w, geom)
+        for (i, j), w in zip(union.edges.tolist(), union.weights.tolist())
+    ]
+    assert got.tobytes() == np.array(expect).tobytes()
+
+
 # -- admissibility ----------------------------------------------------------------
 
 
@@ -266,6 +284,17 @@ def test_corner_angles_match_face_angles_of_face_lengths(geom, start):
         assert got.degenerate.dtype == bool and got.degenerate.shape == (tri.face_count,)
         assert np.array_equal(got.degenerate, expect.degenerate)
         assert np.nonzero(got.degenerate)[0].tolist() == bad
+
+
+@pytest.mark.parametrize("geom", [EUC, HYP])
+@pytest.mark.parametrize("extended", [False, True])
+def test_face_angles_of_no_faces(geom, extended):
+    # a zero-row length array has no angles and no degenerate faces, as it has
+    # no triangle slacks
+    assert len(triangle_slack(np.empty((0, 3)))) == 0
+    ca = face_angles(np.empty((0, 3)), geom, extended)
+    assert ca.angles.shape == (0, 3) and ca.angles.dtype == float
+    assert ca.degenerate.shape == (0,) and ca.degenerate.dtype == bool
 
 
 # -- angles -----------------------------------------------------------------------
