@@ -40,7 +40,6 @@ from .flows import (
     run_flow,
 )
 from .geometry import (
-    CornerAngles,
     PackingMetric,
     admissible,
     corner_angles,

@@ -162,6 +162,8 @@ def _run_flows(mesh_path, runs, flow_args):
 
 
 def cmd_flow(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, not {args.jobs}")
     out_root = Path(args.out) if args.out else Path("flow_out")
     if len(args.radii) == 1:
         runs = [(args.radii[0], out_root)]
@@ -177,7 +179,7 @@ def cmd_flow(args) -> int:
                 f"directory; these share one: {' | '.join(clashes)}"
             )
         runs = [(path, out_root / stem) for stem, (path,) in by_stem.items()]
-    workers = max(1, min(args.jobs, len(runs)))
+    workers = min(args.jobs, len(runs))
     if workers == 1:
         return max(_run_flows(args.mesh, runs, args))
     # each worker takes a contiguous share of the starts

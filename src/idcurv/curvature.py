@@ -59,12 +59,11 @@ class CurvatureJacobian:
 def angle_deficits(tri, r, extended=False, degenerate=None):
     """K_i = 2 pi - sum of incident corner angles, as a plain array.
 
-    The angles come from geometry.surface_angles, as an array: no CornerAngles
-    and no face mask is built unless asked for. A given (F,) bool array
-    `degenerate` is overwritten with the per-face mask, True where a triangle
-    inequality fails (only possible with `extended`) and False elsewhere.
+    No face mask is built unless asked for: a given (F,) bool array
+    `degenerate` is overwritten with it, True where a triangle inequality
+    fails (only possible with `extended`) and False elsewhere.
     """
-    angles = geometry.surface_angles(tri, r, extended, degenerate)
+    angles = geometry.corner_angles(tri, r, extended, degenerate)
     incident = np.bincount(tri.faces.ravel(), weights=angles.ravel(), minlength=tri.vertex_count)
     return TWO_PI - incident
 
@@ -136,7 +135,7 @@ def curvature_jacobian(tri, r) -> CurvatureJacobian:
             f"face {worst} has relative slack {slack[worst]:.3e}; "
             "angle derivatives are unreliable this close to degeneracy"
         )
-    theta = geometry.face_angles(fl, tri.geometry).angles
+    theta = geometry.face_angles(fl, tri.geometry)
     # column c of a face array belongs to corner a = c; fl[:, prv] is l_ab, fl[:, nxt] is l_ac
     nxt, prv = geometry._NEXT, geometry._PREV
     fw = tri.face_weights()

@@ -12,16 +12,13 @@ Coordinates: s_i = r_i (Euclidean) or tanh(r_i/2) (hyperbolic); g_i = s_i^2;
 u_i = ln s_i^2. These are always derived from radii, never stored.
 
 The gaps of a face corner c take three lengths, l_c, l_{c+1} and l_{c-1}.
-Functions of a triangulation and radii compute the edge lengths from the
-radii at the edges' ends, aligned with the weights, and gather all three
+`corner_angles` computes the edge lengths from radii and gathers all three
 (F, 3) columns at once by the triangulation's `gap_plan`, built once by
 WeightedTriangulation; `face_angles`, for rows a caller gives, cycles the
-row's columns. Both share one angle core, which tests admissibility with a
-single reduction over the gaps and builds the per-face degeneracy mask only
-when that test fails. `surface_angles`, the curvature path, returns a bare
-(F, 3) array and writes a face mask only into a (F,) bool buffer a caller
-passes (all False on admissible radii); `corner_angles` and `face_angles`
-return a CornerAngles.
+row's columns. Both return a bare (F, 3) array from one angle core, which
+tests admissibility with a single reduction over the gaps and builds the
+per-face degeneracy mask only when that test fails, into a (F,) bool buffer
+a caller may pass as `degenerate` (all False on admissible input).
 """
 
 from __future__ import annotations
@@ -69,18 +66,6 @@ class PackingMetric:
     @classmethod
     def from_u(cls, u, geometry):
         return cls(r_of_u(np.asarray(u, dtype=float), geometry), geometry)
-
-
-@dataclasses.dataclass(frozen=True)
-class CornerAngles:
-    """Angles per (face, corner) plus a per-face degeneracy flag.
-
-    angles[f, c] is the angle at corner c of face f; degenerate[f] marks faces
-    where a triangle inequality failed and the constant extension was used.
-    """
-
-    angles: np.ndarray
-    degenerate: np.ndarray
 
 
 # -- coordinates ------------------------------------------------------------------
@@ -277,31 +262,21 @@ def _gap_angles(g, geometry, extended, degenerate=None):
     return angles
 
 
-def face_angles(lengths, geometry, extended=False) -> CornerAngles:
-    """Corner angles of each row of a (F, 3) length array.
-
-    Angle c of a row sits at the corner opposite length c. Without
-    `extended`, every row must be strictly admissible; with it, degenerate
-    rows receive the constant extension.
-    """
+def face_angles(lengths, geometry, extended=False, degenerate=None):
+    """(F, 3) corner angles of a (F, 3) length array, angle c of a row at the
+    corner opposite length c. Without `extended`, every row must be strictly
+    admissible; with it, degenerate rows receive the constant extension. A
+    given (F,) bool array `degenerate` receives the per-face mask."""
     fl = np.asarray(lengths, dtype=float)
-    degenerate = np.empty(len(fl), dtype=bool)
-    g = _gaps(fl, fl[:, _NEXT], fl[:, _PREV])
-    return CornerAngles(_gap_angles(g, geometry, extended, degenerate), degenerate)
+    return _gap_angles(_gaps(fl, fl[:, _NEXT], fl[:, _PREV]), geometry, extended, degenerate)
 
 
-def surface_angles(tri, r, extended=False, degenerate=None):
+def corner_angles(tri, r, extended=False, degenerate=None):
     """(F, 3) array of all corner angles of the surface at radii r (see
-    face_angles); a given (F,) bool array `degenerate` receives the face mask."""
+    face_angles)."""
     columns = edge_lengths(tri, r)[tri.gap_plan]
     g = _gaps(columns[0], columns[1], columns[2])
     return _gap_angles(g, tri.geometry, extended, degenerate)
-
-
-def corner_angles(tri, r, extended=False) -> CornerAngles:
-    """All corner angles of the surface at radii r and its face mask."""
-    degenerate = np.empty(tri.face_count, dtype=bool)
-    return CornerAngles(surface_angles(tri, r, extended, degenerate), degenerate)
 
 
 # -- areas ------------------------------------------------------------------------

@@ -83,6 +83,8 @@ class WeightedTriangulation:
         self.faces = np.asarray(faces, dtype=np.int64)
         if self.faces.min() < 0 or self.faces.max() >= self.vertex_count:
             raise TopologyError("face vertex index out of range")
+        if self.vertex_count > self.faces.size:  # more vertices than corners hold
+            raise TopologyError("surface is disconnected (or has isolated vertices)")
 
         self._edge_keys, self.edges, face_edges = self._derive_edges()
         # face_edges[:, _CORNER_CYCLE][f, k, c] is face_edges[f, c + k]; stored as [k, f, c]
@@ -338,11 +340,13 @@ def load_surface(path) -> WeightedTriangulation:
         raise MeshFormatError(f"{path}: top level must be an object")
     try:
         geometry = Geometry(data["geometry"])
-        vertex_count = int(data["vertex_count"])
+        vertex_count = data["vertex_count"]
         faces = data["faces"]
         weights_spec = data["weights"]
     except (KeyError, ValueError, TypeError) as exc:
         raise MeshFormatError(f"{path}: {exc}") from exc
+    if type(vertex_count) is not int:  # not isinstance: JSON true loads as a bool
+        raise MeshFormatError(f"{path}: vertex_count must be an integer, not {vertex_count!r}")
 
     if isinstance(weights_spec, dict):
         if "uniform" not in weights_spec:

@@ -85,7 +85,7 @@ def fd_jacobian_in_r(tri, r, step=1e-5):
     def angle_sums(rr):
         return np.bincount(
             tri.faces.ravel(),
-            weights=corner_angles(tri, rr).angles.ravel(),
+            weights=corner_angles(tri, rr).ravel(),
             minlength=tri.vertex_count,
         )
 

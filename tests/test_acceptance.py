@@ -317,8 +317,8 @@ def test_09_hyperbolic_length_and_angle_limits():
             edge_length(50.0, r_j, w, HYP),
         ]
     )
-    theta = face_angles(lengths[None], HYP).angles[0, 0]
-    theta_ext = face_angles(lengths[None], HYP, extended=True).angles[0, 0]
+    theta = face_angles(lengths[None], HYP)[0, 0]
+    theta_ext = face_angles(lengths[None], HYP, extended=True)[0, 0]
     assert 0.0 <= theta < 1e-3
     assert 0.0 <= theta_ext < 1e-3
     _ok(9, f"20 triples pass the threshold test, far-vertex angle {theta:.1e}")

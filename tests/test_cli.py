@@ -188,15 +188,15 @@ def test_flow_integration_failure_writes_partial_trace(tmp_path, capsys):
 
 
 SWEEP_FILES = ("trace.csv", "events.json", "stats.json", "final_radii.json")
+# the three small circles of b collapse (exit 3) while a and c converge
+SWEEP_STARTS = {"a": [1.0, 2.0, 2.0, 2.0], "b": [1.0, 0.1, 0.1, 0.1], "c": [1.0, 1.1, 1.1, 1.1]}
 
 
 def test_flow_sweep_parallel(tmp_path, capsys):
     # one worker steps all starts in one run_flow call, several workers each
     # their share; every start's files are those of its own run, byte for
-    # byte, and the sweep's exit code is the worst of its starts': here the
-    # three small circles of b collapse (exit 3) while a and c converge
-    starts = {"a": [1.0, 2.0, 2.0, 2.0], "b": [1.0, 0.1, 0.1, 0.1], "c": [1.0, 1.1, 1.1, 1.1]}
-    paths = [radii_file(tmp_path, r, f"{name}.json") for name, r in starts.items()]
+    # byte, and the sweep's exit code is the worst of its starts'
+    paths = [radii_file(tmp_path, r, f"{name}.json") for name, r in SWEEP_STARTS.items()]
     codes = {}
     for jobs in ("1", "2", "3"):
         codes[jobs] = main(
@@ -204,16 +204,43 @@ def test_flow_sweep_parallel(tmp_path, capsys):
              "--out", str(tmp_path / jobs), "--jobs", jobs]
         )
     assert codes == {"1": 3, "2": 3, "3": 3}
-    for name in starts:
+    for name in SWEEP_STARTS:
         for file in SWEEP_FILES:
             one = (tmp_path / "1" / name / file).read_bytes()
             for jobs in ("2", "3"):
                 assert (tmp_path / jobs / name / file).read_bytes() == one, (jobs, name, file)
     kinds = {
         name: json.loads((tmp_path / "1" / name / "events.json").read_text())[-1]["kind"]
-        for name in starts
+        for name in SWEEP_STARTS
     }
     assert kinds == {"a": "Converged", "b": "EssentialSingularity", "c": "Converged"}
+
+
+def test_flow_sweep_start_writes_what_its_solo_run_writes(tmp_path):
+    # each start of a multi-start sweep writes, byte for byte, the four files
+    # that a single-start run of its radii file writes
+    paths = [radii_file(tmp_path, r, f"{name}.json") for name, r in SWEEP_STARTS.items()]
+    kind = ["--kind", "normalized-euclidean"]
+    assert main(["flow", TETRA, "--radii", *paths, *kind, "--out", str(tmp_path / "sweep")]) == 3
+    codes = {}
+    for name, path in zip(SWEEP_STARTS, paths):
+        solo = tmp_path / "solo" / name
+        codes[name] = main(["flow", TETRA, "--radii", path, *kind, "--out", str(solo)])
+        for file in SWEEP_FILES:
+            sweep = (tmp_path / "sweep" / name / file).read_bytes()
+            assert sweep == (solo / file).read_bytes(), (name, file)
+    assert codes == {"a": 0, "b": 3, "c": 0}
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_flow_refuses_jobs_below_one(tmp_path, capsys, jobs):
+    radii = radii_file(tmp_path, [1.0, 2.0, 2.0, 2.0])
+    out = tmp_path / "out"
+    code = main(["flow", TETRA, "--radii", radii, "--kind", "normalized-euclidean",
+                 "--out", str(out), "--jobs", jobs])
+    assert code == 2
+    assert f"--jobs must be at least 1, not {jobs}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_flow_sweep_refuses_radii_files_sharing_a_stem(tmp_path, capsys):

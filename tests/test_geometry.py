@@ -35,7 +35,7 @@ weight_st = st.floats(min_value=0.0, max_value=5.0, allow_nan=False)
 
 def row_angles(lengths, geometry, extended=False):
     """Angles of a single face through the (F, 3) path."""
-    return face_angles(np.asarray(lengths, dtype=float)[None], geometry, extended).angles[0]
+    return face_angles(np.asarray(lengths, dtype=float)[None], geometry, extended)[0]
 
 
 # -- edge lengths ---------------------------------------------------------------
@@ -169,8 +169,9 @@ def test_corner_angles_raise_outside_admissible_cone():
     with pytest.raises(AdmissibilityError, match="extended"):
         corner_angles(tri, r)
     # extended evaluation succeeds and marks the degenerate faces
-    ca = corner_angles(tri, r, extended=True)
-    assert ca.degenerate.sum() == 3
+    degenerate = np.zeros(tri.face_count, dtype=bool)
+    corner_angles(tri, r, extended=True, degenerate=degenerate)
+    assert degenerate.sum() == 3
 
 
 def test_nan_radius_is_not_admissible(csaszar_euc):
@@ -264,7 +265,8 @@ def test_column_face_kernels_match_axis_reductions(rows, geom):
 def test_corner_angles_match_face_angles_of_face_lengths(geom, start):
     # corner_angles gathers its gaps by the triangulation's gap plan, face_angles
     # cycles the columns of the rows it is given: the same arithmetic, so the
-    # two agree bit for bit, degenerate faces and refusals included
+    # two agree bit for bit, degenerate faces and refusals included; each
+    # overwrites the whole mask buffer it is given, whatever it held
     tri = idcurv.grid_torus(4, 4, weight=2.0, geometry=geom)
     r = np.exp(np.random.default_rng(7).uniform(-0.01, 0.01, tri.vertex_count))
     if start == "snapped":  # one face's corners scaled apart, past its triangle inequality
@@ -279,22 +281,24 @@ def test_corner_angles_match_face_angles_of_face_lengths(geom, start):
             face_angles(fl, geom)
         assert str(via_plan.value) == str(via_rows.value)
     for extended in (False, True) if start == "admissible" else (True,):
-        got, expect = corner_angles(tri, r, extended), face_angles(fl, geom, extended)
-        assert np.array_equal(got.angles, expect.angles)
-        assert got.degenerate.dtype == bool and got.degenerate.shape == (tri.face_count,)
-        assert np.array_equal(got.degenerate, expect.degenerate)
-        assert np.nonzero(got.degenerate)[0].tolist() == bad
+        got_mask = np.ones(tri.face_count, dtype=bool)
+        expect_mask = np.zeros(tri.face_count, dtype=bool)
+        got = corner_angles(tri, r, extended, got_mask)
+        expect = face_angles(fl, geom, extended, expect_mask)
+        assert got.dtype == float and got.shape == (tri.face_count, 3)
+        assert np.array_equal(got, expect)
+        assert np.array_equal(got_mask, expect_mask)
+        assert np.nonzero(got_mask)[0].tolist() == bad
 
 
 @pytest.mark.parametrize("geom", [EUC, HYP])
 @pytest.mark.parametrize("extended", [False, True])
 def test_face_angles_of_no_faces(geom, extended):
-    # a zero-row length array has no angles and no degenerate faces, as it has
-    # no triangle slacks
+    # a zero-row length array has no angles and fills a zero-length face mask,
+    # as it has no triangle slacks
     assert len(triangle_slack(np.empty((0, 3)))) == 0
-    ca = face_angles(np.empty((0, 3)), geom, extended)
-    assert ca.angles.shape == (0, 3) and ca.angles.dtype == float
-    assert ca.degenerate.shape == (0,) and ca.degenerate.dtype == bool
+    angles = face_angles(np.empty((0, 3)), geom, extended, np.empty(0, dtype=bool))
+    assert angles.shape == (0, 3) and angles.dtype == float
 
 
 # -- angles -----------------------------------------------------------------------

@@ -136,6 +136,15 @@ def test_isolated_vertex_rejected():
         WeightedTriangulation(5, idcurv.TETRA_FACES, 1.0)
 
 
+@pytest.mark.parametrize("count", [13, 10**20])
+def test_vertex_count_beyond_the_face_corners_rejected(count):
+    # 12 face corners hold at most 12 vertices; a larger count is refused
+    # before an array of its length is built or an edge key i * count + j
+    # overflows
+    with pytest.raises(TopologyError, match="isolated"):
+        WeightedTriangulation(count, idcurv.TETRA_FACES, 1.0)
+
+
 @pytest.mark.parametrize("copies", [2, 3, 5])
 def test_components_are_found_in_any_vertex_order(copies):
     # disjoint tetrahedra under a random vertex relabelling: the labelling
@@ -458,6 +467,26 @@ def test_mesh_file_fractional_face_rejected(tmp_path):
     data["faces"][3] = [1, 2, 2.7]
     path.write_text(json.dumps(data))
     with pytest.raises(TopologyError, match="face vertex indices must be integers"):
+        load_surface(path)
+
+
+@pytest.mark.parametrize(
+    "count, error, message",
+    [
+        # int() would truncate 4.5 and read "4" as 4 and true as 1
+        (4.5, MeshFormatError, "vertex_count must be an integer"),
+        (4.0, MeshFormatError, "vertex_count must be an integer"),
+        ("4", MeshFormatError, "vertex_count must be an integer"),
+        (True, MeshFormatError, "vertex_count must be an integer"),
+        (10**20, TopologyError, "isolated"),
+    ],
+)
+def test_mesh_file_bad_vertex_count_rejected(tmp_path, count, error, message):
+    path = tmp_path / "mesh.json"
+    data = tetra_mesh_data({"uniform": 1.0})
+    data["vertex_count"] = count
+    path.write_text(json.dumps(data))
+    with pytest.raises(error, match=message):
         load_surface(path)
 
 
