@@ -134,11 +134,27 @@ def _build_flow_spec(args, tri):
     )
 
 
-def _run_flows(mesh_path, runs, flow_args):
-    """Sweep worker: loads the mesh once and steps every start of `runs`, a
-    list of (radii path, output directory), in one run_flow call. Returns the
-    runs' exit codes, in order."""
-    tri = load_surface(mesh_path)
+# A stage of a lockstep stack costs 61, 91 and 149 us at 32, 256 and 2304
+# face-rows (starts x faces), so a worker must carry enough face-rows to repay
+# its fixed cost and the pool's start-up. Median `idcurv flow` wall times in s,
+# one worker against a forced pool of two, 8 snapped-face starts on n x n grid
+# tori, 2-vCPU host:
+#   n x n, face-rows   6x6, 576   8x8, 1024   10x10, 1600   12x12, 2304   16x16, 4096
+#   1 worker           0.377      0.445       0.596         0.724         1.75
+#   2 workers          0.486      0.595       0.724         0.612         0.901
+_FACE_ROWS_PER_WORKER = 1024
+
+
+def _sweep_workers(jobs, starts, faces):
+    """Worker processes for `starts` starts on `faces` faces: at most `jobs` and
+    `starts`, one per _FACE_ROWS_PER_WORKER face-rows, and at least one."""
+    return max(1, min(jobs, starts, starts * faces // _FACE_ROWS_PER_WORKER))
+
+
+def _run_flows(tri, runs, flow_args):
+    """Steps every start of `runs`, a list of (radii path, output directory), on
+    `tri` in one run_flow call, in the CLI process or in a sweep worker, and
+    writes each start's files. Returns the runs' exit codes, in order."""
     starts = np.stack([load_radii(path, tri.vertex_count) for path, _ in runs])
     spec = _build_flow_spec(flow_args, tri)
     codes = []
@@ -162,6 +178,9 @@ def _run_flows(mesh_path, runs, flow_args):
 
 
 def cmd_flow(args) -> int:
+    """One flow, or a sweep of several starts on the surface loaded here: one
+    worker steps them all in this process, without a pool; several each step a
+    contiguous share. The output files do not depend on the worker count."""
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, not {args.jobs}")
     out_root = Path(args.out) if args.out else Path("flow_out")
@@ -179,14 +198,14 @@ def cmd_flow(args) -> int:
                 f"directory; these share one: {' | '.join(clashes)}"
             )
         runs = [(path, out_root / stem) for stem, (path,) in by_stem.items()]
-    workers = min(args.jobs, len(runs))
-    if workers == 1:
-        return max(_run_flows(args.mesh, runs, args))
-    # each worker takes a contiguous share of the starts
+    tri = load_surface(args.mesh)
     n = len(runs)
+    workers = _sweep_workers(args.jobs, n, tri.face_count)
+    if workers == 1:
+        return max(_run_flows(tri, runs, args))
     shares = [runs[w * n // workers : (w + 1) * n // workers] for w in range(workers)]
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        codes = pool.map(_run_flows, [args.mesh] * workers, shares, [args] * workers)
+        codes = pool.map(_run_flows, [tri] * workers, shares, [args] * workers)
         return max(max(share) for share in codes)
 
 
@@ -285,7 +304,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--out", help="output directory (default flow_out)")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for a sweep; each steps its share of the starts together")
+                   help=f"at most N worker processes for a sweep, one per {_FACE_ROWS_PER_WORKER} "
+                        "face-rows (starts x faces); each steps its share of the starts together")
     p.set_defaults(func=cmd_flow)
 
     p = sub.add_parser("solve", help="Newton solve for prescribed curvature")

@@ -196,31 +196,10 @@ _E3[[0, 8, 11]] -= [
 ]
 
 
-def _stability_boundary(a, b):
-    """beta > 0 where the stability interval [-beta, 0] of the explicit
-    Runge-Kutta weights b over the strictly lower triangular stage matrix a
-    ends: the smallest x > 0 with |R(-x)| > 1, R(-x) being one step of
-    y' = -x y from y = 1 with h = 1. A scan in steps of 0.1 brackets it and
-    bisection refines it."""
-    rows = [row[:i] for i, row in enumerate(np.asarray(a).tolist())]
-    weights = np.asarray(b).tolist()
-
-    def unstable(x):
-        k = []
-        for row in rows:
-            k.append(-x * (1.0 + sum(aj * kj for aj, kj in zip(row, k))))
-        return abs(1.0 + sum(bj * kj for bj, kj in zip(weights, k))) > 1.0
-
-    lo, hi = 0.0, 0.1
-    while not unstable(hi):
-        lo, hi = hi, hi + 0.1
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        lo, hi = (lo, mid) if unstable(mid) else (mid, hi)
-    return float(lo)
-
-
-_BETA = _stability_boundary(_A, _B)
+# The stability interval [-_BETA, 0] of the DOP853 weights _B over _A: the
+# smallest x > 0 with |R(-x)| > 1, R being the tableau's stability polynomial;
+# tests/test_flows.py bisects R to check it.
+_BETA = 6.3936515228509885
 
 
 class FlowKind(enum.Enum):
@@ -324,16 +303,11 @@ class FlowTrace:
     def write_csv(self, path):
         n = self.radii.shape[1]
         header = "t," + ",".join(f"r_{i}" for i in range(n)) + ",max_err,measure,extended_region"
-        lines = [header]
-        for k in range(len(self.times)):
-            cells = [f"{self.times[k]:.17g}"]
-            cells += [f"{v:.17g}" for v in self.radii[k]]
-            cells += [
-                f"{self.max_err[k]:.17g}",
-                f"{self.measure[k]:.17g}",
-                str(int(self.extended_region[k])),
-            ]
-            lines.append(",".join(cells))
+        row = ",".join(["%.17g"] * (n + 3)) + ",%d"
+        table = np.column_stack(
+            [self.times, self.radii, self.max_err, self.measure, self.extended_region]
+        )
+        lines = [header] + [row % tuple(cells) for cells in table.tolist()]
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     def write_events(self, path):

@@ -71,6 +71,9 @@ class WeightedTriangulation:
     """
 
     def __init__(self, vertex_count, faces, weights, geometry=Geometry.EUCLIDEAN):
+        # not int(): it would truncate 4.5 and read True as 1
+        if isinstance(vertex_count, bool) or not isinstance(vertex_count, (int, np.integer)):
+            raise TopologyError(f"vertex_count must be an integer, not {vertex_count!r}")
         self.vertex_count = int(vertex_count)
         self.geometry = geometry
         faces = np.asarray(faces)

@@ -1,5 +1,6 @@
 """Command line interface: subcommands, exit codes, file outputs."""
 
+import concurrent.futures
 import json
 import math
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from idcurv import save_radii
+from idcurv import cli, grid_torus, save_radii
 from idcurv.cli import main
 
 MESHES = Path(__file__).resolve().parent.parent / "meshes"
@@ -192,10 +193,21 @@ SWEEP_FILES = ("trace.csv", "events.json", "stats.json", "final_radii.json")
 SWEEP_STARTS = {"a": [1.0, 2.0, 2.0, 2.0], "b": [1.0, 0.1, 0.1, 0.1], "c": [1.0, 1.1, 1.1, 1.1]}
 
 
-def test_flow_sweep_parallel(tmp_path, capsys):
+def test_flow_sweep_parallel(tmp_path, capsys, monkeypatch):
     # one worker steps all starts in one run_flow call, several workers each
     # their share; every start's files are those of its own run, byte for
-    # byte, and the sweep's exit code is the worst of its starts'
+    # byte, and the sweep's exit code is the worst of its starts'. The
+    # tetrahedron's 12 face-rows are far below a worker's share, so the
+    # threshold is lowered to make --jobs 2 and 3 start that many workers.
+    monkeypatch.setattr(cli, "_FACE_ROWS_PER_WORKER", 1)
+    pools = []
+
+    class Pool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     paths = [radii_file(tmp_path, r, f"{name}.json") for name, r in SWEEP_STARTS.items()]
     codes = {}
     for jobs in ("1", "2", "3"):
@@ -204,6 +216,7 @@ def test_flow_sweep_parallel(tmp_path, capsys):
              "--out", str(tmp_path / jobs), "--jobs", jobs]
         )
     assert codes == {"1": 3, "2": 3, "3": 3}
+    assert pools == [2, 3]
     for name in SWEEP_STARTS:
         for file in SWEEP_FILES:
             one = (tmp_path / "1" / name / file).read_bytes()
@@ -214,6 +227,36 @@ def test_flow_sweep_parallel(tmp_path, capsys):
         for name in SWEEP_STARTS
     }
     assert kinds == {"a": "Converged", "b": "EssentialSingularity", "c": "Converged"}
+
+
+def test_flow_sweep_below_a_worker_share_runs_without_a_pool(tmp_path, monkeypatch):
+    # 3 starts on the 4-face tetrahedron are 12 face-rows, too few to repay a
+    # second worker: --jobs 2 steps them all in this process
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was built")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    paths = [radii_file(tmp_path, r, f"{name}.json") for name, r in SWEEP_STARTS.items()]
+    out = tmp_path / "out"
+    code = main(["flow", TETRA, "--radii", *paths, "--kind", "normalized-euclidean",
+                 "--out", str(out), "--jobs", "2"])
+    assert code == 3
+    assert all((out / name / "trace.csv").exists() for name in SWEEP_STARTS)
+
+
+@pytest.mark.parametrize(
+    "n, starts, jobs, workers",
+    [
+        # 8 starts on the n x n grid torus, 2 n^2 faces each: the pool loses
+        # up to 1600 face-rows (10x10) and wins from 2304 (12x12) on
+        (6, 8, 2, 1), (8, 8, 2, 1), (10, 8, 2, 1), (12, 8, 2, 2), (16, 8, 2, 2),
+        (16, 8, 1, 1), (16, 8, 3, 3), (16, 8, 8, 4),
+        # never more workers than starts
+        (48, 3, 4, 3), (48, 1, 2, 1),
+    ],
+)
+def test_sweep_workers_by_face_rows(n, starts, jobs, workers):
+    assert cli._sweep_workers(jobs, starts, grid_torus(n, n).face_count) == workers
 
 
 def test_flow_sweep_start_writes_what_its_solo_run_writes(tmp_path):

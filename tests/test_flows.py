@@ -446,16 +446,25 @@ def test_dop853_tableau_order_conditions():
 
 def test_stability_boundary_matches_scan():
     # |R(-x)| from the stability polynomial R(z) = 1 + sum_j z^j b A^(j-1) 1
-    # of the tableau, scanned on a fine grid
+    # of the tableau: a fine grid brackets the first x with |R(-x)| > 1 and
+    # bisection narrows the bracket to 1e-10 around the literal
     flows = importlib.import_module("idcurv.flows")
     n = len(flows._B)
     coeffs = [1.0] + [
         flows._B @ np.linalg.matrix_power(flows._A, j) @ np.ones(n) for j in range(n)
     ]
+
+    def unstable(x):
+        return np.abs(np.polynomial.polynomial.polyval(-x, coeffs)) > 1.0
+
     xs = np.arange(1, 80001) * 1e-4
-    amplification = np.abs(np.polynomial.polynomial.polyval(-xs, coeffs))
-    first_unstable = xs[np.argmax(amplification > 1.0)]
-    assert abs(flows._BETA - first_unstable) < 1e-3
+    k = np.argmax(unstable(xs))
+    assert k > 0 and unstable(xs[k])
+    lo, hi = xs[k - 1], xs[k]
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if unstable(mid) else (mid, hi)
+    assert lo - 1e-10 <= flows._BETA <= hi + 1e-10
     assert 6.3 < flows._BETA < 6.5
 
 
@@ -724,6 +733,27 @@ def test_trace_io_roundtrip(tmp_path, csaszar_euc):
     assert [p["kind"] for p in payload] == [e.kind.value for e in trace.events]
     assert payload[-1]["t"] == trace.events[-1].t
     assert json.loads(stats.read_text()) == trace.stats
+
+
+def test_trace_csv_bytes(tmp_path):
+    # every float cell is written as %.17g, so it reads back exactly, with
+    # inf, nan and -0 spelled as Python spells them; the region flag as 0/1
+    trace = FlowTrace(
+        times=np.array([0.0, 0.1, 2.5]),
+        radii=np.array([[1.0, -0.0], [math.inf, 1e-300], [0.1 + 0.2, math.nan]]),
+        max_err=np.array([math.nan, -math.inf, 1.5e10]),
+        measure=np.array([-0.0, 3.0, 1.0 / 3.0]),
+        extended_region=np.array([False, True, False]),
+        events=[],
+    )
+    csv = tmp_path / "trace.csv"
+    trace.write_csv(csv)
+    assert csv.read_bytes() == (
+        b"t,r_0,r_1,max_err,measure,extended_region\n"
+        b"0,1,-0,nan,-0,0\n"
+        b"0.10000000000000001,inf,1e-300,-inf,3,1\n"
+        b"2.5,0.30000000000000004,nan,15000000000,0.33333333333333331,0\n"
+    )
 
 
 # -- lockstep batches -----------------------------------------------------------------

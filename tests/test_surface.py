@@ -145,6 +145,19 @@ def test_vertex_count_beyond_the_face_corners_rejected(count):
         WeightedTriangulation(count, idcurv.TETRA_FACES, 1.0)
 
 
+@pytest.mark.parametrize("count", [4.5, 4.0, True, np.True_, "4", np.float64(4.0)])
+def test_vertex_count_not_an_integer_rejected(count):
+    # int() would truncate 4.5 to a V = 4 tetrahedron and read True as 1
+    with pytest.raises(TopologyError, match="vertex_count must be an integer"):
+        WeightedTriangulation(count, idcurv.TETRA_FACES, 1.0)
+
+
+@pytest.mark.parametrize("count", [4, np.int64(4), np.int32(4)])
+def test_vertex_count_of_any_integer_type_accepted(count):
+    tri = WeightedTriangulation(count, idcurv.TETRA_FACES, 1.0)
+    assert tri.vertex_count == 4 and type(tri.vertex_count) is int
+
+
 @pytest.mark.parametrize("copies", [2, 3, 5])
 def test_components_are_found_in_any_vertex_order(copies):
     # disjoint tetrahedra under a random vertex relabelling: the labelling
