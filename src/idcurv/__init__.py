@@ -15,7 +15,6 @@ from .curvature import (
     curvature_field,
     curvature_jacobian,
     gauss_bonnet_residual,
-    laplacian_apply,
     laplacian_spectrum,
 )
 from .errors import (
@@ -35,7 +34,6 @@ from .flows import (
     FlowSpec,
     FlowKind,
     FlowTrace,
-    check_evolution_identity,
     flow_rhs,
     run_flow,
 )
@@ -54,8 +52,6 @@ from .geometry import (
     u_of_r,
 )
 from .potential import (
-    ConvexityReport,
-    convexity_report,
     newton_solve,
     potential_gradient,
     potential_value,

@@ -154,10 +154,11 @@ def _sweep_workers(jobs, starts, faces):
 def _run_flows(tri, runs, flow_args):
     """Steps every start of `runs`, a list of (radii path, output directory), on
     `tri` in one run_flow call, in the CLI process or in a sweep worker, and
-    writes each start's files. Returns the runs' exit codes, in order."""
+    writes each start's files. Returns, per run in order, its exit code, its
+    one-line summary and whether that line is an error for stderr."""
     starts = np.stack([load_radii(path, tri.vertex_count) for path, _ in runs])
     spec = _build_flow_spec(flow_args, tri)
-    codes = []
+    summaries = []
     for (radii_path, out_dir), result in zip(runs, run_flow(tri, starts, spec)):
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -167,20 +168,20 @@ def _run_flows(tri, runs, flow_args):
         trace.write_events(out / "events.json")
         trace.write_stats(out / "stats.json")
         if failed:
-            print(f"{radii_path}: {result}", file=sys.stderr)
-            codes.append(EXIT_SINGULAR)
+            summaries.append((EXIT_SINGULAR, f"{radii_path}: {result}", True))
             continue
         save_radii(out / "final_radii.json", result[1].radii)
         terminal = trace.terminal_event()
-        print(f"{radii_path}: {terminal.kind.value} at t={terminal.t:.6g}")
-        codes.append(_EVENT_EXIT[terminal.kind])
-    return codes
+        line = f"{radii_path}: {terminal.kind.value} at t={terminal.t:.6g}"
+        summaries.append((_EVENT_EXIT[terminal.kind], line, False))
+    return summaries
 
 
 def cmd_flow(args) -> int:
     """One flow, or a sweep of several starts on the surface loaded here: one
     worker steps them all in this process, without a pool; several each step a
-    contiguous share. The output files do not depend on the worker count."""
+    contiguous share. The output files and the printed lines, one per start in
+    start order, do not depend on the worker count."""
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, not {args.jobs}")
     out_root = Path(args.out) if args.out else Path("flow_out")
@@ -202,11 +203,15 @@ def cmd_flow(args) -> int:
     n = len(runs)
     workers = _sweep_workers(args.jobs, n, tri.face_count)
     if workers == 1:
-        return max(_run_flows(tri, runs, args))
-    shares = [runs[w * n // workers : (w + 1) * n // workers] for w in range(workers)]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        codes = pool.map(_run_flows, [tri] * workers, shares, [args] * workers)
-        return max(max(share) for share in codes)
+        summaries = _run_flows(tri, runs, args)
+    else:
+        shares = [runs[w * n // workers : (w + 1) * n // workers] for w in range(workers)]
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            shared = pool.map(_run_flows, [tri] * workers, shares, [args] * workers)
+            summaries = [summary for share in shared for summary in share]
+    for _, line, error in summaries:
+        print(line, file=sys.stderr if error else sys.stdout)
+    return max(code for code, _, _ in summaries)
 
 
 def cmd_solve(args) -> int:

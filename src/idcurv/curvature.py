@@ -1,4 +1,4 @@
-"""Vertex curvatures, Gauss-Bonnet checks, the curvature Jacobian, Laplacians.
+"""Vertex curvatures, Gauss-Bonnet checks, the curvature Jacobian, its spectrum.
 
 Curvature conventions: K_i is the angle deficit 2 pi minus the incident corner
 angles; the alpha-curvature is R_i = K_i / s_i^alpha, with alpha = 2 unless
@@ -176,20 +176,6 @@ def curvature_jacobian(tri, r) -> CurvatureJacobian:
 
 
 # -- Laplacian --------------------------------------------------------------------
-
-
-def laplacian_apply(tri, r, f, alpha=2.0):
-    """(Delta f)_i = (1 / s_i^alpha) sum_j (-L_ij) f_j.
-
-    L is the curvature Jacobian in u = ln s^2. Euclidean surfaces only.
-    """
-    if tri.geometry is not Geometry.EUCLIDEAN:
-        raise ValueError("the Laplacian here is defined for Euclidean surfaces only")
-    r = np.asarray(r, dtype=float)
-    f = np.asarray(f, dtype=float)
-    L = curvature_jacobian(tri, r).sparse
-    s = geometry.s_of_r(r, tri.geometry)
-    return -(L @ f) / s**alpha
 
 
 def laplacian_spectrum(tri, r, return_vectors=False):

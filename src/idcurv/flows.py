@@ -49,8 +49,7 @@ decides whether it is legal (for genuine kinds the angle computation fails on
 exactly the faces that fail a triangle inequality, for extended kinds its face
 mask gives the region flag), and its deviation gives the accepted state's
 error and seeds the next step's first stage. An accepted step therefore costs
-twelve curvature evaluations (eleven stages and the candidate's own); genuine
-kinds add one pass over the face lengths for the triangle slack. A step
+twelve curvature evaluations (eleven stages and the candidate's own). A step
 rejected on error costs its eleven stages; a candidate rejected as illegal
 costs the stages it ran, plus one evaluation when it passed the error test
 and its radii are finite and within bounds. These are the counts of
@@ -60,8 +59,7 @@ budget, until a legal candidate is found or h would fall below MIN_STEP (as
 would an error rejection's shrink).
 Then a stall classifier decides what stopped the flow: a radius collapsing to
 zero is an essential singularity, a face degenerating at bounded radii is a
-removable one (genuine kinds only). Removable singularities are also caught
-after each accepted step by the triangle slack.
+removable one (genuine kinds only).
 
 run_flow also takes a stack of starts and steps them in lockstep, a sweep
 being many starts of one flow. Each pass makes one attempt for every start
@@ -94,7 +92,7 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry
-from .curvature import TWO_PI, angle_deficits, average_curvature, curvature_jacobian
+from .curvature import TWO_PI, angle_deficits
 from .errors import AdmissibilityError, IntegrationError
 from .geometry import PackingMetric
 from .surface import Geometry, euler_characteristic
@@ -103,7 +101,7 @@ log = logging.getLogger("idcurv.flows")
 
 EPS_RADIUS = 1e-8
 RADIUS_CAP = 1e8
-EPS_TRI = 1e-12  # relative slack below which a face counts as degenerate
+EPS_TRI = 1e-12  # _classify_stall reports a face below 1e3 * EPS_TRI relative slack
 MIN_STEP = 1e-14
 COLLAPSE_HORIZON = 100.0 * MIN_STEP  # shortest look-ahead of the stall probe
 SAMPLE_DT = 0.1  # flow time between recorded trace rows
@@ -623,9 +621,8 @@ class _Run:
     def take(self, state, h, step_err, estimate, err, face):
         """Advance by the accepted step h, of error estimate step_err, to
         state, whose max|T - K/s^alpha| is err; estimate is the step's
-        stiffness estimate (0 for none). face is a face of state past a
-        triangle inequality (for extended kinds the first of them, for genuine
-        kinds the thinnest face once its slack falls below EPS_TRI) or None.
+        stiffness estimate (0 for none). face is, for extended kinds, the
+        first face of state past a triangle inequality, or None.
         """
         h_next = h * _error_factor(step_err)
         self.rho = estimate or self.rho
@@ -642,8 +639,6 @@ class _Run:
                 kind = EventKind.REENTERED_ADMISSIBLE if self.inside else EventKind.LEFT_ADMISSIBLE
                 self.events.append(FlowEvent(self.t, kind, face))
                 self.record(state)
-        elif face is not None:
-            return self.stop(state, FlowEvent(self.t, EventKind.REMOVABLE_SINGULARITY, face))
         if err < spec.tol:
             self.stop(state, FlowEvent(self.t, EventKind.CONVERGED, None))
         elif self.t < spec.t_max * (1.0 - 1e-15):
@@ -765,17 +760,10 @@ def run_flow(tri, r0, spec: FlowSpec):
         if taken:
             estimates = _stiffness(state, k_state, (y[rows], ky[rows]))
             errs = np.abs(dev[rows]).max(axis=1).tolist()
-            # per taken start, its face past a triangle inequality or None
+            # per taken start of an extended kind, its first face past a
+            # triangle inequality, or None
             faces = [None] * taken
-            if genuine:
-                # _legal refused radii below EPS_RADIUS, so a collapsing radius is
-                # reported by _classify_stall, never here
-                fl = geometry.face_lengths(tri.copies(taken), state.ravel())
-                slack = geometry.triangle_slack(fl).reshape(taken, -1)
-                for a, thin in enumerate(slack.min(axis=1).tolist()):
-                    if thin < EPS_TRI:
-                        faces[a] = int(np.argmin(slack[a]))
-            else:
+            if not genuine:
                 outside = degenerate[rows]
                 for a, past in enumerate(outside.any(axis=1).tolist()):
                     if past:
@@ -837,35 +825,3 @@ def _classify_stall(tri, r, candidate, k1, h, genuine):
         if float(np.min(slack)) < 1e3 * EPS_TRI:
             return FlowEvent(0.0, EventKind.REMOVABLE_SINGULARITY, int(np.argmin(slack)))
     return None
-
-
-# -- evolution identity -------------------------------------------------------------
-
-
-def check_evolution_identity(tri, r, spec: FlowSpec) -> float:
-    """Residual between the two sides of the curvature evolution identity.
-
-    For a normalized kind with rate c and power alpha (R = K / s^alpha),
-        dR_i/dt = c Delta R_i + (c alpha / 2) R_i (R_i - R_av),
-    with Delta R = -(L R) / s^alpha. The left side is computed by chaining
-    dR/du = c L / s^alpha - (c alpha / 2) diag(R) through the flow direction
-    R_av - R, where L is the curvature Jacobian in u = ln s^2 and the factor
-    c converts it to the flow's own coordinate u = ln s^(2/c).
-    """
-    if spec.kind.target != "average":
-        raise ValueError("the evolution identity applies to normalized kinds")
-    if tri.geometry is not Geometry.EUCLIDEAN:
-        raise ValueError("the evolution identity is stated for Euclidean surfaces")
-    r = np.asarray(r, dtype=float)
-    c = spec.kind.rate
-    alpha = spec.effective_alpha
-    K = angle_deficits(tri, r)
-    s = geometry.s_of_r(r, tri.geometry)
-    R = K / s**alpha
-    R_av = average_curvature(tri, r, alpha)
-    L = curvature_jacobian(tri, r).sparse
-    u_dot = R_av - R
-
-    lhs = c * (L @ u_dot) / s**alpha - (0.5 * c * alpha) * R * u_dot
-    rhs = -c * (L @ R) / s**alpha + (0.5 * c * alpha) * R * (R - R_av)
-    return float(np.max(np.abs(lhs - rhs)))

@@ -1,4 +1,4 @@
-"""Ricci potential: path integration in u-coordinates, Newton, convexity.
+"""Ricci potential: path integration in u-coordinates, Newton.
 
 The potential F is the line integral of the 1-form sum_i (K_i - T_i s_i^alpha) du_i
 from a base point u0, with T the prescribed curvature, or the running Euclidean
@@ -14,7 +14,6 @@ L - (alpha/2) diag(T s^alpha).
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import warnings
 
@@ -224,44 +223,4 @@ def newton_solve(tri, r_init, target, alpha=2.0, tol=GRAD_TOL,
     raise SolverError(
         f"no convergence in {max_iterations} iterations "
         f"(gradient norm {float(np.max(np.abs(g))):.3e})"
-    )
-
-
-# -- convexity diagnostics ------------------------------------------------------------
-
-
-@dataclasses.dataclass(frozen=True)
-class ConvexityReport:
-    eigenvalues: np.ndarray
-    definiteness: str
-    kernel_alignment: float | None
-
-
-def convexity_report(tri, r, target, alpha=2.0) -> ConvexityReport:
-    """Eigen-structure of the potential Hessian at r for a fixed target."""
-    r = np.asarray(r, dtype=float)
-    # exactly symmetric; eigh reads its lower triangle
-    H = _hessian(tri, r, target, alpha).toarray()
-    values, vectors = np.linalg.eigh(H)
-    scale = max(1.0, float(np.max(np.abs(values))))
-    tol = 1e-9 * scale
-    if np.all(values > tol):
-        definiteness = "positive definite"
-    elif np.all(values >= -tol):
-        definiteness = "positive semidefinite"
-    elif np.all(values < -tol):
-        definiteness = "negative definite"
-    elif np.all(values <= tol):
-        definiteness = "negative semidefinite"
-    else:
-        definiteness = "indefinite"
-
-    kernel_alignment = None
-    small = np.abs(values) <= tol
-    if np.any(small):
-        v = vectors[:, int(np.argmin(np.abs(values)))]
-        ones = np.ones(tri.vertex_count) / np.sqrt(tri.vertex_count)
-        kernel_alignment = float(np.abs(v @ ones))
-    return ConvexityReport(
-        eigenvalues=values, definiteness=definiteness, kernel_alignment=kernel_alignment
     )

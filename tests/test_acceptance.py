@@ -25,7 +25,7 @@ from idcurv import (
     X_SUP,
     admissible,
     angle_deficits,
-    check_evolution_identity,
+    average_curvature,
     csaszar_torus,
     curvature_field,
     curvature_jacobian,
@@ -34,7 +34,9 @@ from idcurv import (
     euler_characteristic,
     face_angles,
     find_second_root,
+    flow_rhs,
     gauss_bonnet_residual,
+    grid_torus,
     newton_solve,
     potential_gradient,
     potential_value,
@@ -126,30 +128,38 @@ def test_03_curvature_jacobian_structure():
     _ok(3, f"100 Jacobians symmetric/signed as required, worst FD gap {worst_fd:.2e}")
 
 
-# -- 4: curvature evolution identity -------------------------------------------------
+# -- 4: curvature evolution equation -------------------------------------------------
 
 
 def test_04_curvature_evolution_identity():
+    # R = K / s^alpha evolves like Hamilton's scalar curvature:
+    #   dR/dt = c Delta R + (c alpha / 2) R (R - R_av),   Delta R = -(L R) / s^alpha,
+    # with L = dK/du. The left side is central differences of R along flow_rhs;
+    # only the right side reads L, so a wrong L fails here even with L 1 = 0
     rng = np.random.default_rng(20240803)
-    tri = csaszar_torus()
+    cases = [(FlowKind.NORMALIZED_EUCLIDEAN, 2.0)] + [
+        (FlowKind.ALPHA_NORMALIZED, alpha) for alpha in (-1.0, 0.0, 1.0, 2.0, 3.0)
+    ]
+    step = 1e-5
     worst = 0.0
-    for _ in range(50):
-        r = sample_admissible(tri, rng)
-        worst = max(
-            worst,
-            check_evolution_identity(
-                tri, r, FlowSpec(kind=FlowKind.NORMALIZED_EUCLIDEAN)
-            ),
-        )
-        for alpha in (0.0, 1.0, 2.0, 3.0):
-            worst = max(
-                worst,
-                check_evolution_identity(
-                    tri, r, FlowSpec(kind=FlowKind.ALPHA_NORMALIZED, alpha=alpha)
-                ),
-            )
-    assert worst < 1e-8
-    _ok(4, f"50 packings, alpha in (0, 1, 2, 3), worst residual {worst:.2e}")
+    for tri in (csaszar_torus(), tetrahedron(weight=2.0), grid_torus(6, 6, weight=2.0)):
+        for _ in range(20):
+            r = sample_admissible(tri, rng)
+            L = curvature_jacobian(tri, r).sparse
+            for kind, alpha in cases:
+                spec = FlowSpec(kind=kind, alpha=alpha)
+                c, a = kind.rate, spec.effective_alpha
+                v = flow_rhs(tri, r, spec)
+                dR = (
+                    curvature_field(tri, r + step * v, a).R
+                    - curvature_field(tri, r - step * v, a).R
+                ) / (2.0 * step)
+                R = curvature_field(tri, r, a).R
+                R_av = average_curvature(tri, r, a)
+                predicted = -c * (L @ R) / r**a + 0.5 * c * a * R * (R - R_av)
+                worst = max(worst, float(np.max(np.abs(dR - predicted)) / np.max(np.abs(dR))))
+    assert worst < 1e-7
+    _ok(4, f"3 surfaces x 20 packings, 6 kind/alpha cases, worst relative gap {worst:.2e}")
 
 
 # -- 5 and 6 share the admissible-start flow limit -----------------------------------

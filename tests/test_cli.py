@@ -229,6 +229,21 @@ def test_flow_sweep_parallel(tmp_path, capsys, monkeypatch):
     assert kinds == {"a": "Converged", "b": "EssentialSingularity", "c": "Converged"}
 
 
+def test_flow_sweep_prints_in_start_order(tmp_path, capfd, monkeypatch):
+    # three workers each step one start and hand its line back, so the CLI
+    # prints one line per start in start order, whichever worker ends first;
+    # capfd would also catch lines printed by the workers themselves
+    monkeypatch.setattr(cli, "_FACE_ROWS_PER_WORKER", 1)
+    paths = [radii_file(tmp_path, r, f"{name}.json") for name, r in SWEEP_STARTS.items()]
+    printed = {}
+    for jobs in ("3", "1"):
+        main(["flow", TETRA, "--radii", *paths, "--kind", "normalized-euclidean",
+              "--out", str(tmp_path / jobs), "--jobs", jobs])
+        printed[jobs] = capfd.readouterr().out
+    assert printed["3"] == printed["1"]
+    assert [line.split(": ")[0] for line in printed["1"].splitlines()] == paths
+
+
 def test_flow_sweep_below_a_worker_share_runs_without_a_pool(tmp_path, monkeypatch):
     # 3 starts on the 4-face tetrahedron are 12 face-rows, too few to repay a
     # second worker: --jobs 2 steps them all in this process

@@ -18,7 +18,6 @@ from idcurv import (
     curvature_jacobian,
     gauss_bonnet_residual,
     grid_torus,
-    laplacian_apply,
     laplacian_spectrum,
     load_surface,
     s_of_r,
@@ -362,51 +361,31 @@ def test_jacobian_refuses_near_degenerate_assembly(tetra_euc):
 
 
 # -- Laplacian --------------------------------------------------------------------
+# Delta f = -(L f) / s^alpha, with L the curvature Jacobian in u = ln s^2
 
 
 def test_laplacian_annihilates_constants(csaszar_euc, rng):
     r = sample_admissible(csaszar_euc, rng)
-    out = laplacian_apply(csaszar_euc, r, np.full(7, 4.2))
+    out = curvature_jacobian(csaszar_euc, r).sparse @ np.full(7, 4.2)
     np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
 
-def test_laplacian_linearity(csaszar_euc, rng):
-    r = sample_admissible(csaszar_euc, rng)
-    f = rng.standard_normal(7)
-    g = rng.standard_normal(7)
-    lhs = laplacian_apply(csaszar_euc, r, 2.0 * f - g)
-    rhs = 2.0 * laplacian_apply(csaszar_euc, r, f) - laplacian_apply(csaszar_euc, r, g)
-    np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-
 def test_laplacian_full_sum_equals_difference_form(csaszar_euc, rng):
-    # (Delta f)_i = (1/s_i^2) sum_j (-L_ij) f_j  equals the neighbor-difference
-    # form sum_j (-L_ij)(f_j - f_i) because the rows of L sum to zero
+    # sum_j (-L_ij) f_j equals the neighbour-difference form sum_j (-L_ij)(f_j - f_i)
+    # because the rows of L sum to zero
     r = sample_admissible(csaszar_euc, rng)
     f = rng.standard_normal(7)
     L = curvature_jacobian(csaszar_euc, r).matrix
-    s = s_of_r(r, Geometry.EUCLIDEAN)
-    diff_form = np.array(
-        [np.sum(-L[i] * (f - f[i])) / s[i] ** 2 for i in range(7)]
-    )
-    np.testing.assert_allclose(
-        laplacian_apply(csaszar_euc, r, f), diff_form, atol=1e-10
-    )
+    diff_form = np.array([np.sum(-L[i] * (f - f[i])) for i in range(7)])
+    np.testing.assert_allclose(-(L @ f), diff_form, atol=1e-10)
 
 
 def test_laplacian_against_finite_differences(tetra_euc):
     # equal radii tetrahedron, f = e_0: differentiate the deficits directly
     r = np.ones(4)
     f = np.array([1.0, 0.0, 0.0, 0.0])
-    L = fd_jacobian(tetra_euc, r)
-    expect = -(L @ f) / r**2
-    got = laplacian_apply(tetra_euc, r, f)
-    np.testing.assert_allclose(got, expect, atol=1e-9)
-
-
-def test_laplacian_requires_euclidean(csaszar_hyp):
-    with pytest.raises(ValueError):
-        laplacian_apply(csaszar_hyp, np.full(7, 0.5), np.ones(7))
+    got = curvature_jacobian(tetra_euc, r).sparse @ f
+    np.testing.assert_allclose(got, fd_jacobian(tetra_euc, r) @ f, atol=1e-9)
 
 
 # -- spectrum ---------------------------------------------------------------------
