@@ -83,16 +83,19 @@ def _load_target(spec, vertex_count):
         data = json.loads(Path(spec).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise MeshFormatError(f"{spec}: {exc}") from exc
-    if isinstance(data, dict) and "uniform" in data:
-        return float(data["uniform"])
-    if isinstance(data, dict) and "target" in data:
+    if not isinstance(data, dict) or ("uniform" not in data and "target" not in data):
+        raise MeshFormatError(f"{spec}: expected a 'target' or 'uniform' key")
+    try:
+        if "uniform" in data:
+            return float(data["uniform"])
         target = np.asarray(data["target"], dtype=float)
-        if target.shape != (vertex_count,):
-            raise MeshFormatError(
-                f"target has {target.size} entries for {vertex_count} vertices"
-            )
-        return target
-    raise MeshFormatError(f"{spec}: expected a 'target' or 'uniform' key")
+    except (ValueError, TypeError) as exc:
+        raise MeshFormatError(f"{spec}: target must be a number or a list of them ({exc})") from exc
+    if target.shape != (vertex_count,):
+        raise MeshFormatError(
+            f"{spec}: target has {target.size} entries for {vertex_count} vertices"
+        )
+    return target
 
 
 def cmd_validate(args) -> int:

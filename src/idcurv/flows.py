@@ -63,20 +63,19 @@ removable one (genuine kinds only).
 
 run_flow also takes a stack of starts and steps them in lockstep, a sweep
 being many starts of one flow. Each pass makes one attempt for every start
-still running, with the start's own step, and every stage (and the
-evaluation of the candidates that passed the error test) is one evaluation
-of all of them: one call of the angle kernel on the disjoint union of as many
-copies of the surface (WeightedTriangulation.copies). On small surfaces the
-per-call overhead dominates an evaluation, so a pass costs little more than
+still running (a start that stops leaves the stack), with the start's own
+step. Every stage, and the evaluation of the candidates that passed the error
+test, is one call of the angle kernel on the disjoint union of one copy of the
+surface per start it evaluates (WeightedTriangulation.copies), so on small
+surfaces, where the per-call overhead dominates, a pass costs little more than
 one start's attempt. Everything per start stays its own: step, clock,
-stiffness estimate, statistics, events, trace, and a failure, which is
-attributed to its own start: when the union's evaluation fails on faces past a
-triangle inequality, one admissibility pass over the union names the starts
-that hold them, and the others are evaluated together. Each start's results
-are bit for bit those of its own run.
-A start that stops leaves the stack. Each start's stats["evaluations"]
-counts its own evaluations, as if it had run alone, while the kernel calls
-of a stack number about those of its start with the most attempts.
+stiffness estimate, statistics, events, trace, and a failure. When the union's
+evaluation fails on faces past a triangle inequality, one admissibility pass
+over the union names the starts that hold them, and the others are evaluated
+together; a start whose stage fails leaves that attempt's later stages. Each
+start's results, stats["evaluations"] among them, are bit for bit those of its
+own run, while the kernel calls of a stack number about those of its start
+with the most attempts.
 """
 
 from __future__ import annotations
@@ -386,136 +385,112 @@ def _velocity(tri, r, dev, spec, out=None):
 # -- driver ------------------------------------------------------------------------
 
 
-def _apart(tri, r, spec, degenerate, error):
-    """_deviation of the rows of r, a stack whose joint evaluation raised
-    `error`. Returns (dev, failed), failed marking the rows whose own
-    evaluation fails (for genuine kinds, a face past a triangle inequality);
-    those rows read 0. A given (b, F) `degenerate` receives the other rows'
-    face masks. A single row is not evaluated again.
-
-    An AdmissibilityError comes from faces past a triangle inequality: one
-    admissibility pass over the union names them, and the rows that hold none
-    are evaluated together. A FloatingPointError names no face, so each row is
-    evaluated on its own.
+def _evaluate(tri, y, spec, ok=None, degenerate=None):
+    """_deviation of the rows of y, a (b, N) stack, that the (b,) bool array
+    `ok` marks (all if None), in one evaluation; their face masks go to a given
+    C-contiguous (b, F) `degenerate`. Returns (dev, ok): ok marks the rows
+    evaluated, None if all were, and dev reads 0 in the others. When a genuine
+    kind's evaluation fails on faces past a triangle inequality, one
+    geometry.admissible pass over the union names the rows that hold them, and
+    the others are evaluated together; a single row is not tried again.
     """
-    dev = np.zeros_like(r)
-    failed = np.ones(len(r), dtype=bool)
-    if len(r) == 1:
-        return dev, failed
-    if isinstance(error, AdmissibilityError):
-        _, faces = geometry.admissible(tri.copies(len(r)), r.ravel())
-        failed[:] = False
-        failed[np.array(faces, dtype=int) // tri.face_count] = True
-        rest = np.flatnonzero(~failed)
-        if len(rest):
-            masks = None if degenerate is None else degenerate[rest]
-            dev[rest] = _deviation(tri, r[rest], spec, masks)
-            if degenerate is not None:
-                degenerate[rest] = masks
-        return dev, failed
-    for j in range(len(r)):
-        try:
-            mask = None if degenerate is None else degenerate[j : j + 1]
-            dev[j] = _deviation(tri, r[j : j + 1], spec, mask)[0]
-            failed[j] = False
-        except (AdmissibilityError, FloatingPointError):
-            pass
-    return dev, failed
+    if ok is None:
+        index, tried, masks = slice(None), y, degenerate
+    else:
+        index = np.flatnonzero(ok)
+        tried, masks = y[index], None if degenerate is None else degenerate[index]
+    try:
+        # an empty stack has no union to evaluate on
+        dev = _deviation(tri, tried, spec, masks) if len(tried) else tried
+    except AdmissibilityError:
+        # the rows tried that hold none of the faces named are tried again
+        ok = np.zeros(len(y), dtype=bool)
+        if len(tried) > 1:
+            _, faces = geometry.admissible(tri.copies(len(tried)), tried.ravel())
+            ok[index] = True
+            ok[np.flatnonzero(ok)[np.array(faces, dtype=int) // tri.face_count]] = False
+        return _evaluate(tri, y, spec, ok, degenerate)
+    if ok is None:
+        return dev, None
+    out = np.zeros_like(y)
+    out[index] = dev
+    if degenerate is not None:
+        degenerate[index] = masks
+    return out, ok
 
 
-def _legal(tri, r, spec, dev, degenerate=None, tally=None, legal=None):
-    """Whether the candidates tried are all legal. r is one (N,) candidate
-    or a (b, N) stack of them; a given (b,) bool array `legal` selects the
-    rows to try and receives every row's verdict. Each legal row's deviation
-    is written to its row of dev, and its face mask to a given (b, F)
-    `degenerate`. A given (b,) int array `tally` counts each row's evaluation.
-
-    A row is legal when it is finite, within [EPS_RADIUS, RADIUS_CAP] and, for
-    genuine kinds, admissible. Admissibility comes from the candidate's own
-    curvature evaluation, which fails on exactly the faces geometry.admissible
-    flags, so a legal candidate is evaluated only once. The rows tried are
-    evaluated together, and apart if that fails (see _apart).
+def _legal(tri, r, spec, dev, degenerate, tally, legal):
+    """Whether the candidates tried are all legal: r is a (b, N) stack, and
+    the (b,) bool array `legal` marks the rows to try and receives each row's
+    verdict. A legal row's deviation goes to its row of dev, its face mask to
+    a given (b, F) `degenerate`; `tally`, a (b,) int array, counts each row's
+    evaluation. A row is legal when it is finite, within [EPS_RADIUS,
+    RADIUS_CAP] and, for genuine kinds, admissible by its own curvature
+    evaluation (see _evaluate), so a legal candidate is evaluated only once.
     """
-    rows = r.reshape(-1, r.shape[-1])
-    tried = len(rows) if legal is None else np.count_nonzero(legal)
+    tried = np.count_nonzero(legal)
     # on almost every pass every row is tried and within bounds (NaN fails
     # both tests), and no per-row verdict is needed unless the evaluation fails
-    if tried == len(rows) and rows.min() >= EPS_RADIUS and rows.max() <= RADIUS_CAP:
-        index = slice(None)
+    if tried == len(r) and r.min() >= EPS_RADIUS and r.max() <= RADIUS_CAP:
+        ok = None
     else:
-        ok = (rows >= EPS_RADIUS).all(axis=1) & (rows <= RADIUS_CAP).all(axis=1)
-        index = np.flatnonzero(ok if legal is None else ok & legal)
-    if tally is not None:
-        tally[index] += 1
-    found = len(rows) if isinstance(index, slice) else len(index)
-    if found:
-        masks = None if degenerate is None else degenerate.reshape(len(rows), -1)[index]
-        try:
-            values = _deviation(tri, rows[index], spec, masks)
-        except (AdmissibilityError, FloatingPointError) as error:
-            values, failed = _apart(tri, rows[index], spec, masks, error)
-            index = np.arange(len(rows))[index][~failed]  # the rows legal
-            found = len(index)
-            values, masks = values[~failed], None if masks is None else masks[~failed]
-        dev.reshape(rows.shape)[index] = values
-        if degenerate is not None:
-            degenerate.reshape(len(rows), -1)[index] = masks
-    if legal is not None and found < tried:
-        legal[:] = False
-        legal[index] = True
-    return bool(found == tried)
+        ok = legal & (r >= EPS_RADIUS).all(axis=1) & (r <= RADIUS_CAP).all(axis=1)
+    tally += 1 if ok is None else ok
+    values, ok = _evaluate(tri, r, spec, ok, degenerate)
+    if ok is None:
+        dev[:] = values
+        return True
+    dev[ok] = values[ok]
+    legal[:] = ok
+    return bool(np.count_nonzero(ok) == tried)
 
 
 def _propose(tri, r, k1, h, spec, tally):
     """One DOP853 attempt for each row of r, a (b, N) stack of states with
     velocities k1 and steps h, a (b,) array: the eleven stages after k1, none
-    at the candidate, each one curvature evaluation of all rows. Returns
-    (candidate, err, end_state), one row or entry per state.
+    at the candidate, each one curvature evaluation of the rows still in the
+    attempt. Returns (candidate, err, end_state), one row or entry per state.
 
     err is the local error estimate in units of the requested local tolerance
     (the step passes when err <= 1): the 5th- and 3rd-order estimates, each in
     the max norm, combined as err5^2 / sqrt(err5^2 + 0.01 err3^2), as DOP853
     does; it reads like err5 on long steps and falls like h^8 on short ones,
     the order of the solution the step advances with. A row whose stage
-    radii left the positive cone, or whose stage evaluation failed, comes back
-    as a NaN candidate with a NaN error, which no test passes. end_state is
-    the 12th stage as (y, dr/dt at y), states at the end of the steps. The
-    (b,) int array `tally` counts each row's stage evaluations.
+    radii leave the positive cone, or whose stage evaluation fails, leaves
+    the attempt's later stages and comes back as a NaN candidate with a NaN
+    error, which no test passes. end_state is the 12th stage as (y, dr/dt at
+    y), states at the end of the steps. `tally`, a (b,) int array, counts each
+    row's stage evaluations.
     """
-    b = len(r)
     # k[j] holds the stages of row j; a weight vector times the stack k is one
     # vector-matrix product per row, the product a single row gets, whereas a
     # product over all rows' columns at once may round a column differently
     # depending on where it falls in the BLAS kernel's vector lanes
-    k = np.empty((b, len(_B), r.shape[1]))
+    k = np.zeros((len(r), len(_B), r.shape[1]))
     k[:, 0] = k1
     steps = h[:, None]  # each row's step, broadcast along its row
-    # a row fails when its stage radii leave the positive cone or its stage
-    # evaluation fails; `failed` stays None until one does, then masks them.
-    # `evaluated` counts the stages at which every row was evaluated.
-    failed, evaluated = None, 0
+    # `ok` marks the rows still in the attempt (None: all): a row leaves when
+    # its stage radii leave the positive cone or its evaluation fails, and its
+    # later stages stay 0. `evaluated` counts the stages that evaluated all rows.
+    ok, evaluated = None, 0
     for i in range(1, len(_B)):
         y = r + steps * (_A[i, :i] @ k[:, :i])
         # y - y is 0 where y is finite and NaN elsewhere, so one reduction
         # tells whether every stage radius is positive and finite
-        if failed is None and np.minimum.reduce(y + (y - y), axis=None) > 0.0:
+        if ok is None and np.minimum.reduce(y + (y - y), axis=None) > 0.0:
             evaluated += 1
         else:
-            outside = ~((y > 0.0).all(axis=1) & (y < math.inf).all(axis=1))
-            failed = outside if failed is None else failed | outside
-            if failed.all():  # nothing left to evaluate
+            inside = (y > 0.0).all(axis=1) & (y < math.inf).all(axis=1)
+            ok = inside if ok is None else ok & inside
+            if not ok.any():  # nothing left to evaluate
                 tally += evaluated
-                return np.full_like(r, np.nan), np.full(b, np.nan), (y, y)
-            tally += ~failed
-            # a failed row is evaluated at its step's start, which is legal
-            y = np.where(failed[:, None], r, y)
-        try:
-            dev = _deviation(tri, y, spec)
-        except (AdmissibilityError, FloatingPointError) as error:
-            dev, bad = _apart(tri, y, spec, None, error)  # the rows in bad read 0
-            failed = bad if failed is None else failed | bad
-            y = np.where(failed[:, None], r, y)
-        _velocity(tri, y, dev, spec, k[:, i])
+                return np.full_like(r, np.nan), np.full(len(r), np.nan), (y, y)
+            tally += ok
+        dev, ok = _evaluate(tri, y, spec, ok)
+        if ok is None:
+            _velocity(tri, y, dev, spec, k[:, i])
+        else:
+            k[ok, i] = _velocity(tri, y[ok], dev[ok], spec)
     tally += evaluated
     candidate = r + steps * (_B @ k)
     scale = (LOCAL_TOL * spec.tol) * (1.0 + np.maximum(r, np.abs(candidate)))
@@ -527,9 +502,9 @@ def _propose(tri, r, k1, h, spec, tally):
         root = math.sqrt(a * a + 0.01 * c * c)
         err.append(a * a / root if root else 0.0)  # a NaN root stays NaN
     err = np.array(err)
-    if failed is not None:
-        candidate[failed] = np.nan
-        err[failed] = np.nan
+    if ok is not None:
+        candidate[~ok] = np.nan
+        err[~ok] = np.nan
     return candidate, err, (y, k[:, -1])  # the last stage is at c = 1
 
 

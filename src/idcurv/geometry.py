@@ -152,8 +152,12 @@ def _hyp_length_stable(r_i, r_j, weight):
 
 
 def edge_lengths(tri, r):
-    """Lengths of all edges of the surface, aligned with tri.edges."""
+    """Lengths of all edges of the surface, aligned with tri.edges, from one
+    radius per vertex. Every per-face evaluation gathers its radii here, so
+    this is where a radii vector of the wrong length is refused."""
     r = np.asarray(r, dtype=float)
+    if r.shape != (tri.vertex_count,):
+        raise ValueError(f"radii of shape {r.shape} for {tri.vertex_count} vertices")
     return _lengths(r[tri.edges[:, 0]], r[tri.edges[:, 1]], tri.weights, tri.geometry)
 
 

@@ -214,7 +214,7 @@ class WeightedTriangulation:
         Copy b holds vertices N*b .. N*b + N - 1, edges E*b .. and faces F*b ..
         in this surface's order, so the radii of copy b are row b of a
         (count, N) stack, raveled, and every per-face evaluation of the union
-        (geometry.edge_lengths, face_lengths, corner_angles,
+        (geometry.edge_lengths, face_lengths, corner_angles, admissible,
         curvature.angle_deficits) gives each row the values it gets alone.
         The union is disconnected, so it is not a WeightedTriangulation; it
         carries only the attributes those evaluations read. Fewer copies are a
@@ -344,26 +344,33 @@ def load_surface(path) -> WeightedTriangulation:
     try:
         geometry = Geometry(data["geometry"])
         vertex_count = data["vertex_count"]
-        faces = data["faces"]
+        faces = np.asarray(data["faces"])  # a ragged list raises ValueError
         weights_spec = data["weights"]
     except (KeyError, ValueError, TypeError) as exc:
         raise MeshFormatError(f"{path}: {exc}") from exc
     if type(vertex_count) is not int:  # not isinstance: JSON true loads as a bool
         raise MeshFormatError(f"{path}: vertex_count must be an integer, not {vertex_count!r}")
+    if faces.dtype.kind not in "iuf":  # strings, objects, bools
+        raise MeshFormatError(f"{path}: faces must be lists of vertex indices")
 
     if isinstance(weights_spec, dict):
         if "uniform" not in weights_spec:
             raise MeshFormatError(f"{path}: weight object must have a 'uniform' key")
-        weights = float(weights_spec["uniform"])
+        try:
+            weights = float(weights_spec["uniform"])
+        except (ValueError, TypeError) as exc:
+            raise MeshFormatError(
+                f"{path}: uniform weight must be a number, not {weights_spec['uniform']!r}"
+            ) from exc
     elif isinstance(weights_spec, list):
         weights = {}
         for entry in weights_spec:
             try:
                 i, j = entry["edge"]
                 value = float(entry["value"])
+                key = (min(int(i), int(j)), max(int(i), int(j)))
             except (KeyError, ValueError, TypeError) as exc:
                 raise MeshFormatError(f"{path}: bad weight entry {entry!r}") from exc
-            key = (min(int(i), int(j)), max(int(i), int(j)))
             if key in weights:
                 raise WeightError(f"duplicate weight for edge {key}")
             weights[key] = value
@@ -384,7 +391,10 @@ def load_radii(path, vertex_count=None) -> np.ndarray:
     data = _load_json(path)
     if not isinstance(data, dict) or "radii" not in data:
         raise MeshFormatError(f"{path}: expected an object with a 'radii' key")
-    radii = np.asarray(data["radii"], dtype=float)
+    try:
+        radii = np.asarray(data["radii"], dtype=float)
+    except (ValueError, TypeError) as exc:
+        raise MeshFormatError(f"{path}: radii must be a list of numbers ({exc})") from exc
     if radii.ndim != 1:
         raise MeshFormatError(f"{path}: radii must be a flat list")
     if vertex_count is not None and len(radii) != vertex_count:

@@ -74,6 +74,43 @@ def test_validate_bad_topology(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, malformed, payload",
+    [
+        ("validate", "mesh", {"weights": {"uniform": [1, 2]}}),
+        ("validate", "mesh", {"weights": [{"edge": [None, 1], "value": 1.0}]}),
+        ("validate", "mesh", {"faces": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, "a"]]}),
+        ("curvature", "radii", {"radii": {"a": 1}}),
+        ("curvature", "radii", {"radii": [1, "x", 1, 1]}),
+        ("flow", "target", {"uniform": [0, 1]}),
+        ("solve", "target", {"uniform": [0, 1]}),
+        ("solve", "target", {"target": {"a": 1}}),
+    ],
+    ids=["uniform-weight-list", "weight-edge-null", "face-string", "radii-object",
+         "radii-string", "flow-uniform-list", "solve-uniform-list", "solve-target-object"],
+)
+def test_malformed_value_is_a_format_error(tmp_path, capsys, command, malformed, payload):
+    # a value of the wrong type in a mesh, radii or target file is a format
+    # error that names the file: exit 1 and one error line, no traceback
+    files = {name: tmp_path / f"{name}.json" for name in ("mesh", "radii", "target")}
+    mesh = json.loads(Path(TETRA).read_text())
+    files["mesh"].write_text(json.dumps({**mesh, **payload} if malformed == "mesh" else mesh))
+    radii = payload if malformed == "radii" else {"radii": [1.0, 1.1, 0.9, 1.0]}
+    files["radii"].write_text(json.dumps(radii))
+    files["target"].write_text(json.dumps(payload))
+    argv = [command, str(files["mesh"])]
+    if command != "validate":
+        argv += ["--radii", str(files["radii"])]
+    if command == "flow":
+        argv += ["--kind", "modified-euclidean", "--out", str(tmp_path / "out")]
+    if malformed == "target":
+        argv += ["--target", str(files["target"])]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {files[malformed]}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 # -- curvature -----------------------------------------------------------------------
 
 

@@ -20,6 +20,7 @@ from idcurv import (
     grid_torus,
     laplacian_spectrum,
     load_surface,
+    newton_solve,
     s_of_r,
     tetrahedron,
     total_area,
@@ -119,6 +120,21 @@ def test_angle_deficits_overwrite_the_given_face_mask(csaszar_euc, tetra_euc):
     corner_angles(tetra_euc, r, extended=True, degenerate=expect)
     assert mask.tolist() == expect.tolist()
     assert mask.sum() == 3
+
+
+@pytest.mark.parametrize("count", [6, 8])
+@pytest.mark.parametrize("solver", ["curvature_field", "newton_solve", "laplacian_spectrum"])
+def test_wrong_radii_count_is_refused(csaszar_euc, solver, count):
+    # every per-face evaluation gathers radii through edge_lengths, which
+    # refuses one radius too few or too many on the 7-vertex torus, instead of
+    # an IndexError or a spectrum of the wrong length
+    call = {
+        "curvature_field": lambda r: curvature_field(csaszar_euc, r),
+        "newton_solve": lambda r: newton_solve(csaszar_euc, r, 0.0),
+        "laplacian_spectrum": lambda r: laplacian_spectrum(csaszar_euc, r),
+    }[solver]
+    with pytest.raises(ValueError, match=rf"radii of shape \({count},\) for 7 vertices"):
+        call(np.ones(count))
 
 
 def test_gauss_bonnet_euclidean(tetra_euc, csaszar_euc, rng):

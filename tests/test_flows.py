@@ -639,17 +639,21 @@ def test_extended_region_flag_comes_from_its_evaluation(csaszar_i2, monkeypatch)
 
 def test_inadmissible_candidate_is_illegal(tetra_euc):
     flows = importlib.import_module("idcurv.flows")
-    outside = np.array([1.0, 10.0, 10.0, 10.0])
-    assert not geometry.admissible(tetra_euc, outside)[0]
+    outside = np.array([[1.0, 10.0, 10.0, 10.0]])
+    assert not geometry.admissible(tetra_euc, outside[0])[0]
     genuine = FlowSpec(kind=FlowKind.MODIFIED_EUCLIDEAN, target=np.zeros(4))
-    dev = np.full(4, 7.0)
-    assert not flows._legal(tetra_euc, outside, genuine, dev)
-    assert np.array_equal(dev, np.full(4, 7.0))
+    dev, tally, legal = np.full((1, 4), 7.0), np.zeros(1, dtype=np.int64), np.ones(1, dtype=bool)
+    assert flows._legal(tetra_euc, outside, genuine, dev, None, tally, legal) is False
+    assert legal.tolist() == [False] and tally.tolist() == [1]
+    assert np.array_equal(dev, np.full((1, 4), 7.0))
     # the extended kind takes the same radii, and its deviation is the flow's
     extended = FlowSpec(kind=FlowKind.EXTENDED_EUCLIDEAN, target=np.zeros(4))
-    assert flows._legal(tetra_euc, outside, extended, dev)
-    assert np.array_equal(flows._velocity(tetra_euc, outside, dev, extended),
-                          flow_rhs(tetra_euc, outside, extended))
+    legal[:], mask = True, np.zeros((1, 4), dtype=bool)
+    assert flows._legal(tetra_euc, outside, extended, dev, mask, tally, legal) is True
+    assert legal.tolist() == [True] and tally.tolist() == [2]
+    assert mask.any()
+    assert np.array_equal(flows._velocity(tetra_euc, outside[0], dev[0], extended),
+                          flow_rhs(tetra_euc, outside[0], extended))
 
 
 def test_legal_writes_each_candidates_verdict(tetra_euc):
@@ -668,7 +672,42 @@ def test_legal_writes_each_candidates_verdict(tetra_euc):
     assert tally.tolist() == [1, 1, 0, 0]
     assert np.array_equal(dev[0], flows._deviation(tetra_euc, rows[:1], spec)[0])
     assert np.all(dev[1:] == 7.0)
-    assert flows._legal(tetra_euc, rows[:1], spec, dev[:1]) is True
+    legal = np.ones(1, dtype=bool)
+    assert flows._legal(tetra_euc, rows[:1], spec, dev[:1], None, tally[:1], legal) is True
+    assert legal.tolist() == [True] and tally.tolist() == [2, 1, 0, 0]
+
+
+@pytest.mark.parametrize("failure", ["cone", "admissibility"])
+def test_failed_stage_row_leaves_the_attempt(tetra_euc, monkeypatch, failure):
+    # a row whose first stage leaves the positive cone, or has a face past a
+    # triangle inequality, is not evaluated at the attempt's later stages: the
+    # kernel sees only the other row there, and that row's attempt is the one
+    # it makes alone
+    flows = importlib.import_module("idcurv.flows")
+    spec = FlowSpec(kind=FlowKind.MODIFIED_EUCLIDEAN, target=np.zeros(4))
+    r = np.array([[1.0, 1.1, 0.9, 1.0], [1.0, 1.0, 1.0, 1.0]])
+    h = np.array([0.01, 1.0])
+    k1 = flows._velocity(tetra_euc, r, flows._deviation(tetra_euc, r, spec), spec)
+    # the second row's first stage, r + h a k1 (a = _A[1, 0]), lands on `stage`
+    stage = [-1.0, 1.0, 1.0, 1.0] if failure == "cone" else [1.0, 10.0, 10.0, 10.0]
+    k1[1] = (np.array(stage) - r[1]) / (h[1] * flows._A[1, 0])
+    solo = flows._propose(tetra_euc, r[:1], k1[:1], h[:1], spec, np.zeros(1, dtype=np.int64))
+    rows = []
+    deficits = flows.angle_deficits
+
+    def counting_deficits(tri, *args, **kwargs):
+        rows.append(tri.vertex_count // 4)
+        return deficits(tri, *args, **kwargs)
+
+    monkeypatch.setattr(flows, "angle_deficits", counting_deficits)
+    tally = np.zeros(2, dtype=np.int64)
+    candidate, err, _ = flows._propose(tetra_euc, r, k1, h, spec, tally)
+    # the admissibility failure costs the union's call and the other row's
+    first = [1] if failure == "cone" else [2, 1]
+    assert rows == first + [1] * 10
+    assert tally.tolist() == [11, 0 if failure == "cone" else 1]
+    assert candidate[0].tobytes() == solo[0][0].tobytes() and err[0] == solo[1][0]
+    assert np.isnan(candidate[1]).all() and np.isnan(err[1])
 
 
 def test_failed_union_is_split_by_one_admissibility_pass(tetra_euc, monkeypatch):
