@@ -67,6 +67,7 @@ from .surface import (
     grid_torus,
     load_radii,
     load_surface,
+    load_target,
     save_radii,
     surface_regime,
     tetrahedron,

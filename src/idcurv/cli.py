@@ -25,14 +25,10 @@ from .curvature import (
     laplacian_spectrum,
 )
 from .errors import (
-    AdmissibilityError,
     ConditioningError,
-    DomainError,
     IntegrationError,
     MeshFormatError,
     SolverError,
-    TopologyError,
-    WeightError,
 )
 from .flows import EventKind, FlowKind, FlowSpec, run_flow
 from .potential import newton_solve, potential_gradient
@@ -41,6 +37,7 @@ from .surface import (
     euler_characteristic,
     load_radii,
     load_surface,
+    load_target,
     save_radii,
     surface_regime,
     validate_weights,
@@ -71,33 +68,6 @@ def _emit(text, out):
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _load_target(spec, vertex_count):
-    """A target is either a number or a path to {"target": [...]} / {"uniform": c}."""
-    if spec is None:
-        return None
-    try:
-        return float(spec)
-    except ValueError:
-        pass
-    try:
-        data = json.loads(Path(spec).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise MeshFormatError(f"{spec}: {exc}") from exc
-    if not isinstance(data, dict) or ("uniform" not in data and "target" not in data):
-        raise MeshFormatError(f"{spec}: expected a 'target' or 'uniform' key")
-    try:
-        if "uniform" in data:
-            return float(data["uniform"])
-        target = np.asarray(data["target"], dtype=float)
-    except (ValueError, TypeError) as exc:
-        raise MeshFormatError(f"{spec}: target must be a number or a list of them ({exc})") from exc
-    if target.shape != (vertex_count,):
-        raise MeshFormatError(
-            f"{spec}: target has {target.size} entries for {vertex_count} vertices"
-        )
-    return target
-
-
 def cmd_validate(args) -> int:
     tri = load_surface(args.mesh)
     regime = WeightRegime(args.regime) if args.regime else surface_regime(args.mesh)
@@ -126,11 +96,10 @@ def cmd_curvature(args) -> int:
 
 
 def _build_flow_spec(args, tri):
-    target = _load_target(args.target, tri.vertex_count)
     return FlowSpec(
         kind=FlowKind(args.kind),
         alpha=args.alpha,
-        target=target,
+        target=load_target(args.target, tri.vertex_count),
         step=args.dt,
         t_max=args.tmax,
         tol=args.tol,
@@ -220,7 +189,7 @@ def cmd_flow(args) -> int:
 def cmd_solve(args) -> int:
     tri = load_surface(args.mesh)
     r0 = load_radii(args.radii, tri.vertex_count)
-    target = _load_target(args.target, tri.vertex_count)
+    target = load_target(args.target, tri.vertex_count)
     if target is None:
         # natural default for Euclidean solves; hyperbolic needs --target
         target = average_curvature(tri, r0, alpha=args.alpha)
@@ -343,7 +312,7 @@ def main(argv=None) -> int:
     except (OSError, MeshFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (TopologyError, WeightError, AdmissibilityError, DomainError, ValueError) as exc:
+    except ValueError as exc:  # TopologyError, WeightError, AdmissibilityError, DomainError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (SolverError, IntegrationError, ConditioningError) as exc:

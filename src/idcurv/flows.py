@@ -475,9 +475,10 @@ def _propose(tri, r, k1, h, spec, tally):
     ok, evaluated = None, 0
     for i in range(1, len(_B)):
         y = r + steps * (_A[i, :i] @ k[:, :i])
-        # y - y is 0 where y is finite and NaN elsewhere, so one reduction
-        # tells whether every stage radius is positive and finite
-        if ok is None and np.minimum.reduce(y + (y - y), axis=None) > 0.0:
+        # two reductions, no arithmetic (inf - inf would warn): every stage
+        # radius is positive, which NaN fails, and finite
+        if (ok is None and np.minimum.reduce(y, axis=None) > 0.0
+                and np.maximum.reduce(y, axis=None) < math.inf):
             evaluated += 1
         else:
             inside = (y > 0.0).all(axis=1) & (y < math.inf).all(axis=1)
@@ -486,6 +487,9 @@ def _propose(tri, r, k1, h, spec, tally):
                 tally += evaluated
                 return np.full_like(r, np.nan), np.full(len(r), np.nan), (y, y)
             tally += ok
+            # a row that left may hold inf stages, which the products below
+            # and the error estimate would turn into NaN with a warning
+            k[~ok] = 0.0
         dev, ok = _evaluate(tri, y, spec, ok)
         if ok is None:
             _velocity(tri, y, dev, spec, k[:, i])

@@ -3,7 +3,9 @@
 A surface is a closed triangulated 2-manifold given purely combinatorially
 (faces as vertex triples), a finite inversive distance per edge, and a
 background geometry tag. Edges are derived from faces, never listed by the
-caller, as one sorted array of keys min(i, j) * N + max(i, j).
+caller, as one sorted array of keys min(i, j) * N + max(i, j). The readers of
+mesh, radii and target files raise MeshFormatError, naming the file, for a
+top level that is not an object or a non-number in a number field.
 """
 
 from __future__ import annotations
@@ -56,6 +58,8 @@ class WeightedTriangulation:
     Validation happens at construction: faces must be integer vertex triples
     that repeat neither a vertex nor each other, every edge must lie in exactly
     two faces, the surface must be connected, and every weight must be finite.
+    `weights` is one number for all edges, or a mapping {(i, j): w} or a
+    sequence of ((i, j), w) pairs with one entry per edge, i and j integers.
     Edge (i, j), i < j, has the key i * N + j; `edges` is the sorted key array
     split back into pairs, and edge lookups search that array.
 
@@ -81,9 +85,7 @@ class WeightedTriangulation:
             raise TopologyError("vertex_count must be positive")
         if faces.ndim != 2 or faces.shape[1] != 3 or len(faces) == 0:
             raise TopologyError("faces must be a nonempty list of vertex triples")
-        if faces.dtype.kind == "f" and not np.all(np.isfinite(faces) & (faces == np.trunc(faces))):
-            raise TopologyError("face vertex indices must be integers")
-        self.faces = np.asarray(faces, dtype=np.int64)
+        self.faces = _vertex_ids(faces, TopologyError, "face vertex indices")
         if self.faces.min() < 0 or self.faces.max() >= self.vertex_count:
             raise TopologyError("face vertex index out of range")
         if self.vertex_count > self.faces.size:  # more vertices than corners hold
@@ -139,8 +141,9 @@ class WeightedTriangulation:
         if np.isscalar(weights):
             w = np.full(len(self.edges), float(weights))
         else:
-            weights = dict(weights)
-            pairs = np.array(list(weights), dtype=np.int64).reshape(-1, 2)
+            weights = list(weights.items() if hasattr(weights, "items") else weights)
+            pairs = np.reshape([edge for edge, _ in weights], (len(weights), 2))
+            pairs = _vertex_ids(pairs, WeightError, "weight key vertex indices")
             ids = self._edge_ids(pairs[:, 0], pairs[:, 1])
             _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
             bad = np.flatnonzero((ids < 0) | (first[inverse] != np.arange(len(ids))))
@@ -154,7 +157,7 @@ class WeightedTriangulation:
                 e = tuple(self.edges[missing[0]].tolist())
                 raise WeightError(f"missing weight for edge {e}")
             w = np.empty(len(self.edges))
-            w[ids] = np.array(list(weights.values()), dtype=float)
+            w[ids] = [value for _, value in weights]
         if not np.isfinite(w).all():
             e = np.argmin(np.isfinite(w))
             i, j = self.edges[e].tolist()
@@ -239,6 +242,13 @@ class WeightedTriangulation:
         )
 
 
+def _vertex_ids(values, error, name):
+    """An array of vertex indices as int64; `error` unless all are integers."""
+    if values.dtype.kind == "f" and not np.all(np.isfinite(values) & (values == np.trunc(values))):
+        raise error(f"{name} must be integers")
+    return np.asarray(values, dtype=np.int64)
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class _Copies:
     """Disjoint copies of a triangulation; see WeightedTriangulation.copies."""
@@ -320,11 +330,34 @@ def validate_weights(tri: WeightedTriangulation, regime=WeightRegime.NONNEGATIVE
 
 
 def _load_json(path):
+    """The top-level object of a JSON file."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise MeshFormatError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(data, dict):
+        raise MeshFormatError(f"{path}: top level must be an object")
+    return data
+
+
+def _numbers(path, name, value, ndim=None, size=None):
+    """A file's field as a float array with `ndim` axes and `size` entries (None:
+    any); strings, booleans, nulls, ragged lists and other shapes are errors."""
+    try:
+        array = np.asarray(value)  # a ragged list raises ValueError
+    except ValueError:
+        array = np.asarray(None)
+    # NumPy reads a boolean among numbers as 0 or 1, so each entry's type is looked at
+    if (array.dtype.kind in "iuf" and ndim in (None, array.ndim) and size in (None, array.size)
+            and bool not in map(type, np.asarray(value, dtype=object).flat)):
+        return array.astype(float)
+    form = {0: "a number", 1: f"{size or 'a list of'} numbers"}.get(ndim, "numbers")
+    raise MeshFormatError(f"{path}: {name} must be {form}")
+
+
+def _uniform(path, data):
+    """c of a {"uniform": c} object."""
+    return float(_numbers(path, "'uniform'", data["uniform"], ndim=0))
 
 
 def load_surface(path) -> WeightedTriangulation:
@@ -338,72 +371,60 @@ def load_surface(path) -> WeightedTriangulation:
     Indices are zero-based. An optional "regime" key names the default weight
     regime for validation tools.
     """
-    data = _load_json(path)
-    if not isinstance(data, dict):
-        raise MeshFormatError(f"{path}: top level must be an object")
+    data = _load_json(path)  # a missing key reads as null
     try:
-        geometry = Geometry(data["geometry"])
-        vertex_count = data["vertex_count"]
-        faces = np.asarray(data["faces"])  # a ragged list raises ValueError
-        weights_spec = data["weights"]
-    except (KeyError, ValueError, TypeError) as exc:
+        geometry = Geometry(data.get("geometry"))
+    except ValueError as exc:
         raise MeshFormatError(f"{path}: {exc}") from exc
+    vertex_count, weights = data.get("vertex_count"), data.get("weights")
     if type(vertex_count) is not int:  # not isinstance: JSON true loads as a bool
         raise MeshFormatError(f"{path}: vertex_count must be an integer, not {vertex_count!r}")
-    if faces.dtype.kind not in "iuf":  # strings, objects, bools
-        raise MeshFormatError(f"{path}: faces must be lists of vertex indices")
-
-    if isinstance(weights_spec, dict):
-        if "uniform" not in weights_spec:
-            raise MeshFormatError(f"{path}: weight object must have a 'uniform' key")
+    faces = _numbers(path, "faces", data.get("faces"))
+    if isinstance(weights, dict) and "uniform" in weights:
+        weights = _uniform(path, weights)
+    elif isinstance(weights, list):
         try:
-            weights = float(weights_spec["uniform"])
-        except (ValueError, TypeError) as exc:
-            raise MeshFormatError(
-                f"{path}: uniform weight must be a number, not {weights_spec['uniform']!r}"
-            ) from exc
-    elif isinstance(weights_spec, list):
-        weights = {}
-        for entry in weights_spec:
-            try:
-                i, j = entry["edge"]
-                value = float(entry["value"])
-                key = (min(int(i), int(j)), max(int(i), int(j)))
-            except (KeyError, ValueError, TypeError) as exc:
-                raise MeshFormatError(f"{path}: bad weight entry {entry!r}") from exc
-            if key in weights:
-                raise WeightError(f"duplicate weight for edge {key}")
-            weights[key] = value
+            weights = [(entry["edge"], entry["value"]) for entry in weights]
+        except (KeyError, TypeError) as exc:
+            raise MeshFormatError(f"{path}: weight entries must be 'edge'/'value' objects") from exc
+        _numbers(path, "weight edges", [edge for edge, _ in weights])
+        _numbers(path, "weight values", [value for _, value in weights], ndim=1)
     else:
-        raise MeshFormatError(f"{path}: 'weights' must be a list or a uniform object")
-
+        raise MeshFormatError(f"{path}: 'weights' must be a list or a 'uniform' object")
     return WeightedTriangulation(vertex_count, faces, weights, geometry)
 
 
 def surface_regime(path_or_data) -> WeightRegime:
     """Read the optional 'regime' key of a mesh file (default NONNEGATIVE)."""
     data = _load_json(path_or_data) if not isinstance(path_or_data, dict) else path_or_data
-    return WeightRegime(data.get("regime", "nonnegative"))
+    try:
+        return WeightRegime(data.get("regime", "nonnegative"))
+    except ValueError as exc:
+        raise MeshFormatError(f"{path_or_data}: {exc}") from exc
 
 
 def load_radii(path, vertex_count=None) -> np.ndarray:
     """Load a radii file { "radii": [r_0, ..., r_{N-1}] }."""
     data = _load_json(path)
-    if not isinstance(data, dict) or "radii" not in data:
-        raise MeshFormatError(f"{path}: expected an object with a 'radii' key")
-    try:
-        radii = np.asarray(data["radii"], dtype=float)
-    except (ValueError, TypeError) as exc:
-        raise MeshFormatError(f"{path}: radii must be a list of numbers ({exc})") from exc
-    if radii.ndim != 1:
-        raise MeshFormatError(f"{path}: radii must be a flat list")
-    if vertex_count is not None and len(radii) != vertex_count:
-        raise MeshFormatError(
-            f"{path}: {len(radii)} radii for a surface with {vertex_count} vertices"
-        )
+    radii = _numbers(path, "'radii'", data.get("radii"), ndim=1, size=vertex_count)
     if not np.all(np.isfinite(radii)) or np.any(radii <= 0.0):
         raise MeshFormatError(f"{path}: radii must be finite and positive")
     return radii
+
+
+def load_target(spec, vertex_count):
+    """A prescribed curvature target: None, a number (or its text), or the path
+    of a file {"target": [T_0, ..., T_{N-1}]} or {"uniform": c}."""
+    if spec is None:
+        return None
+    try:
+        return float(spec)
+    except (TypeError, ValueError):
+        pass
+    data = _load_json(spec)
+    if "uniform" in data:
+        return _uniform(spec, data)
+    return _numbers(spec, "'target'", data.get("target"), ndim=1, size=vertex_count)
 
 
 def save_radii(path, radii):

@@ -33,6 +33,7 @@ from idcurv import (
     edge_length,
     euler_characteristic,
     face_angles,
+    face_lengths,
     find_second_root,
     flow_rhs,
     gauss_bonnet_residual,
@@ -91,16 +92,29 @@ def test_02_gauss_bonnet_on_random_packings():
         (csaszar_torus(), 1e-10),
         (csaszar_torus(geometry=HYP), 1e-9),
     ]
-    worst = 0.0
+    worst = worst_angle = 0.0
     for tri, tol in cases:
         for _ in range(100):
             r = sample_admissible(tri, rng)
             resid = abs(gauss_bonnet_residual(tri, r))
             assert resid <= tol
             worst = max(worst, resid)
+            if tri.geometry is HYP:
+                continue
+            # Euclidean angles sum to pi in every face, so sum K = 2 pi chi holds
+            # face by face and the residual only sees roundoff; K itself is
+            # checked against angles from the law of cosines, corner by corner
+            a = face_lengths(tri, r)
+            b, c = np.roll(a, -1, axis=1), np.roll(a, 1, axis=1)
+            angles = np.arccos((b * b + c * c - a * a) / (2.0 * b * c))
+            incident = np.bincount(tri.faces.ravel(), angles.ravel(), tri.vertex_count)
+            gap = np.abs(angle_deficits(tri, r) - (2.0 * np.pi - incident)).max()
+            assert gap <= 1e-12
+            worst_angle = max(worst_angle, gap)
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
-    _ok(2, f"400 packings, worst residual {worst:.2e}, {elapsed:.2f}s")
+    _ok(2, f"400 packings, worst residual {worst:.2e}, worst Euclidean K gap "
+           f"{worst_angle:.2e}, {elapsed:.2f}s")
 
 
 # -- 3: curvature Jacobian structure -------------------------------------------------

@@ -111,6 +111,47 @@ def test_malformed_value_is_a_format_error(tmp_path, capsys, command, malformed,
     assert "Traceback" not in err
 
 
+TETRA_ENTRIES = [{"edge": [i, j], "value": 2.0} for i in range(4) for j in range(i + 1, 4)]
+
+
+@pytest.mark.parametrize(
+    "command, malformed, payload, code, message",
+    [
+        ("validate", "mesh", {"weights": {"uniform": "2"}}, 1, None),
+        ("validate", "mesh", {"weights": {"uniform": True}}, 1, None),
+        ("curvature", "radii", {"radii": [1.0, "1.0", 1.0, 1.0]}, 1, None),
+        ("solve", "target", {"uniform": "0"}, 1, None),
+        ("validate", "mesh", {"weights": [{"edge": [0.7, 1], "value": 2.0}] + TETRA_ENTRIES[1:]},
+         2, "weight key vertex indices must be integers"),
+        ("validate", "mesh", {"regime": "bogus"}, 1, None),
+        ("validate", "mesh", {"weights": TETRA_ENTRIES + [{"edge": [1, 0], "value": 2.0}]},
+         2, "duplicate weight for edge (0, 1)"),
+    ],
+    ids=["uniform-weight-string", "uniform-weight-bool", "radii-string-entry",
+         "target-uniform-string", "weight-edge-fractional", "regime-unknown",
+         "weight-edge-duplicate"],
+)
+def test_input_file_rules(tmp_path, capsys, command, malformed, payload, code, message):
+    # a string or boolean where a number belongs, or an unknown regime, is a
+    # format error that names the file (exit 1); a weight entry's vertex
+    # indices face the checks a face's do (exit 2)
+    files = {name: tmp_path / f"{name}.json" for name in ("mesh", "radii", "target")}
+    mesh = json.loads(Path(TETRA).read_text())
+    files["mesh"].write_text(json.dumps({**mesh, **payload} if malformed == "mesh" else mesh))
+    radii = payload if malformed == "radii" else {"radii": [1.0, 1.1, 0.9, 1.0]}
+    files["radii"].write_text(json.dumps(radii))
+    files["target"].write_text(json.dumps(payload))
+    argv = [command, str(files["mesh"])]
+    if command != "validate":
+        argv += ["--radii", str(files["radii"])]
+    if malformed == "target":
+        argv += ["--target", str(files["target"])]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message or files[malformed]}") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 # -- curvature -----------------------------------------------------------------------
 
 

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -706,6 +707,27 @@ def test_failed_stage_row_leaves_the_attempt(tetra_euc, monkeypatch, failure):
     first = [1] if failure == "cone" else [2, 1]
     assert rows == first + [1] * 10
     assert tally.tolist() == [11, 0 if failure == "cone" else 1]
+    assert candidate[0].tobytes() == solo[0][0].tobytes() and err[0] == solo[1][0]
+    assert np.isnan(candidate[1]).all() and np.isnan(err[1])
+
+
+def test_infinite_stage_row_leaves_the_attempt_without_a_warning(tetra_euc):
+    # a row whose velocity holds inf has an inf first-stage radius: it leaves
+    # the attempt as a NaN candidate and error, and neither the stage test nor
+    # the error estimate does arithmetic on its inf (inf - inf and inf / inf
+    # warn); the other row's attempt is the one it makes alone
+    flows = importlib.import_module("idcurv.flows")
+    spec = FlowSpec(kind=FlowKind.MODIFIED_EUCLIDEAN, target=np.zeros(4))
+    r = np.array([[1.0, 1.1, 0.9, 1.0], [1.0, 1.0, 1.0, 1.0]])
+    h = np.array([0.01, 0.01])
+    k1 = flows._velocity(tetra_euc, r, flows._deviation(tetra_euc, r, spec), spec)
+    k1[1, 1] = math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solo = flows._propose(tetra_euc, r[:1], k1[:1], h[:1], spec, np.zeros(1, dtype=np.int64))
+        tally = np.zeros(2, dtype=np.int64)
+        candidate, err, _ = flows._propose(tetra_euc, r, k1, h, spec, tally)
+    assert tally.tolist() == [11, 0]
     assert candidate[0].tobytes() == solo[0][0].tobytes() and err[0] == solo[1][0]
     assert np.isnan(candidate[1]).all() and np.isnan(err[1])
 

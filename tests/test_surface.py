@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from idcurv import (
     grid_torus,
     load_radii,
     load_surface,
+    load_target,
     save_radii,
     surface_regime,
     tetrahedron,
@@ -450,6 +452,35 @@ def test_construction_error_messages(vertex_count, faces, weights, error, messag
     with pytest.raises(error) as info:
         WeightedTriangulation(vertex_count, faces, weights)
     assert str(info.value) == message
+
+
+def test_weights_as_pairs_and_fractional_keys():
+    # a sequence of (edge, weight) pairs reads as the mapping does, and a
+    # weight key's vertex indices must be integers, as a face's must
+    pairs = [((j, i), 1.0 + i + j) for i, j in TETRA_WEIGHTS]
+    tri = WeightedTriangulation(4, idcurv.TETRA_FACES, pairs)
+    np.testing.assert_array_equal(
+        tri.weights, WeightedTriangulation(4, idcurv.TETRA_FACES, dict(pairs)).weights
+    )
+    assert tri.weight_of(2, 3) == 6.0
+    weights = {**TETRA_WEIGHTS}
+    del weights[(0, 1)]
+    with pytest.raises(WeightError, match="weight key vertex indices must be integers"):
+        WeightedTriangulation(4, idcurv.TETRA_FACES, {**weights, (0.7, 1): 1.0})
+
+
+def test_target_file_forms(tmp_path):
+    path = tmp_path / "target.json"
+    assert load_target(None, 4) is None and load_target("-1.5", 4) == -1.5
+    path.write_text(json.dumps({"uniform": -1}))
+    assert load_target(str(path), 4) == -1.0
+    path.write_text(json.dumps({"target": [0, 1, 2, 3]}))
+    np.testing.assert_array_equal(load_target(str(path), 4), [0.0, 1.0, 2.0, 3.0])
+    for payload in ({"target": [0, 1, 2]}, {"target": [0, 1, 2, True]}, {"uniform": "0"},
+                    {"values": [0, 1, 2, 3]}, [0, 1, 2, 3]):
+        path.write_text(json.dumps(payload))
+        with pytest.raises(MeshFormatError, match=f"^{re.escape(str(path))}: "):
+            load_target(str(path), 4)
 
 
 def tetra_mesh_data(weights):
