@@ -34,6 +34,7 @@ from .flows import EventKind, FlowKind, FlowSpec, run_flow
 from .potential import newton_solve, potential_gradient
 from .surface import (
     WeightRegime,
+    _read_mesh,
     euler_characteristic,
     load_radii,
     load_surface,
@@ -69,8 +70,8 @@ def _emit(text, out):
 
 
 def cmd_validate(args) -> int:
-    tri = load_surface(args.mesh)
-    regime = WeightRegime(args.regime) if args.regime else surface_regime(args.mesh)
+    tri, data = _read_mesh(args.mesh)  # parsed once, for the surface and its regime
+    regime = WeightRegime(args.regime) if args.regime else surface_regime(args.mesh, data)
     report = validate_weights(tri, regime)
     verdict = "pass" if report.passed else "fail"
     print(
@@ -106,7 +107,7 @@ def _build_flow_spec(args, tri):
     )
 
 
-# A stage of a lockstep stack costs 61, 91 and 149 us at 32, 256 and 2304
+# A stage of a lockstep stack costs 32, 49 and 142 us at 32, 256 and 2304
 # face-rows (starts x faces), so a worker must carry enough face-rows to repay
 # its fixed cost and the pool's start-up. Median `idcurv flow` wall times in s,
 # one worker against a forced pool of two, 8 snapped-face starts on n x n grid

@@ -64,8 +64,8 @@ def angle_deficits(tri, r, extended=False, degenerate=None):
     fails (only possible with `extended`) and False elsewhere.
     """
     angles = geometry.corner_angles(tri, r, extended, degenerate)
-    incident = np.bincount(tri.faces.ravel(), weights=angles.ravel(), minlength=tri.vertex_count)
-    return TWO_PI - incident
+    K = np.bincount(tri.faces.ravel(), weights=angles.ravel(), minlength=tri.vertex_count)
+    return np.subtract(TWO_PI, K, out=K)
 
 
 def curvature_field(tri, r, alpha=2.0, extended=False) -> CurvatureField:

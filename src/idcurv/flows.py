@@ -94,7 +94,7 @@ from . import geometry
 from .curvature import TWO_PI, angle_deficits
 from .errors import AdmissibilityError, IntegrationError
 from .geometry import PackingMetric
-from .surface import Geometry, euler_characteristic
+from .surface import Geometry
 
 log = logging.getLogger("idcurv.flows")
 
@@ -348,19 +348,22 @@ def _deviation(tri, r, spec, degenerate=None):
     b, n = r.shape
     alpha = spec.effective_alpha
     mask = None if degenerate is None else degenerate.reshape(-1)
-    K = angle_deficits(tri.copies(b), r.ravel(), spec.kind.extended, mask).reshape(b, n)
-    power = geometry.s_of_r(r, tri.geometry) ** alpha
-    R = K / power
+    R = angle_deficits(tri.copies(b), r.ravel(), spec.kind.extended, mask).reshape(b, n)
+    # s^alpha, s being r or tanh(r/2) as in geometry.s_of_r; R = K / s^alpha in place
+    power = (r if tri.geometry is Geometry.EUCLIDEAN else np.tanh(r / 2.0)) ** alpha
+    R /= power
     if spec.target is not None:
-        return spec.target - R
+        return np.subtract(spec.target, R, out=R)
     # each row's running average, 2 pi chi / sum(r^alpha) as in average_curvature;
     # it exists on Euclidean surfaces only, where s is r, so power is r^alpha
-    chi = euler_characteristic(tri)
+    two_pi_chi = TWO_PI * (tri.vertex_count - len(tri.edges) + len(tri.faces))
     if alpha == 0.0:
-        return TWO_PI * chi / n - R
-    sums = np.add.reduce(power, axis=1, keepdims=True)
-    # a single row's sum as a float: the same division, without array overhead
-    return TWO_PI * chi / (sums if b > 1 else float(sums[0, 0])) - R
+        average = two_pi_chi / n
+    else:
+        sums = np.add.reduce(power, axis=1, keepdims=True)
+        # a single row's sum as a float: the same division, without array overhead
+        average = two_pi_chi / (sums if b > 1 else float(sums[0, 0]))
+    return np.subtract(average, R, out=R)
 
 
 def flow_rhs(tri, r, spec: FlowSpec):

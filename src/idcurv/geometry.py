@@ -3,15 +3,19 @@
 Radii induce edge lengths through the background geometry; faces carry inner
 angles through the tangent half-angle law on the gaps p - l, p the
 semi-perimeter (Kahan, "Miscalculating Area and Angles of a Needle-like
-Triangle"). Everything here is a pure function of its arguments, apart from
-the face-mask buffer a caller may pass to be filled. Angles admit
-a constant extension past triangle-inequality failure: pi at the vertex
-opposite the dominating edge, zero at the other two.
+Triangle"). The gaps are computed and kept doubled, 2 (p - l), which is
+exact, so their signs and ratios are those of the gaps; the angle and area
+formulas read them as such. Everything here is a pure function of its
+arguments, apart from the face-mask buffer a caller may pass to be filled.
+Angles admit a constant extension past triangle-inequality failure: pi at the
+vertex opposite the dominating edge, zero at the other two.
 
 Coordinates: s_i = r_i (Euclidean) or tanh(r_i/2) (hyperbolic); g_i = s_i^2;
 u_i = ln s_i^2. These are always derived from radii, never stored.
 
-The gaps of a face corner c take three lengths, l_c, l_{c+1} and l_{c-1}.
+Edge lengths come from one gather of the radii by the triangulation's (2, E)
+`edge_ends`, one length rule for every caller, edge_length included. The
+gaps of a face corner c take three lengths, l_c, l_{c+1} and l_{c-1}.
 `corner_angles` computes the edge lengths from radii and gathers all three
 (F, 3) columns at once by the triangulation's `gap_plan`, built once by
 WeightedTriangulation; `face_angles`, for rows a caller gives, cycles the
@@ -107,32 +111,38 @@ def edge_length(r_i, r_j, weight, geometry):
     in a log-sum-exp form once either radius exceeds BIG_RADIUS.
     """
     r_i, r_j, weight = (np.asarray(x, dtype=float) for x in (r_i, r_j, weight))
-    if geometry is Geometry.HYPERBOLIC and (np.maximum(r_i, r_j) > BIG_RADIUS).any():
-        # _lengths selects the big radii by a mask, which needs one shape
-        r_i, r_j, weight = np.broadcast_arrays(r_i, r_j, weight, subok=False)
-    out = _lengths(r_i, r_j, weight, geometry)
-    return float(out) if out.ndim == 0 else out
+    r_i, r_j, weight = np.broadcast_arrays(r_i, r_j, weight)
+    out = _lengths(np.stack([r_i.ravel(), r_j.ravel()]), weight.ravel(), geometry)
+    return float(out[0]) if r_i.ndim == 0 else out.reshape(r_i.shape)
 
 
-def _lengths(r_i, r_j, weight, geometry):
-    """edge_length of end radii and weights already aligned: arrays of one
-    shape, or ones that need no big-radius form."""
+def _lengths(ends, weight, geometry):
+    """edge_length of the end radii `ends`, a (2, E) array that this may
+    overwrite, and the (E,) weights."""
+    r_i, r_j = ends[0], ends[1]  # indexing makes views faster than unpacking does
     if geometry is Geometry.EUCLIDEAN:
-        return np.sqrt(r_i**2 + r_j**2 + 2.0 * r_i * r_j * weight)
+        cross = r_i * r_j
+        cross *= weight
+        cross += cross  # doubling is exact: the bits of 2.0 * r_i * r_j * I
+        ends *= ends
+        out = r_i + r_j
+        out += cross
+        return np.sqrt(out, out=out)
     big = np.maximum(r_i, r_j) > BIG_RADIUS
     if not big.any():
-        return _hyp_length_direct(r_i, r_j, weight)
+        return _hyp_length_direct(ends, weight)
     out = np.empty(big.shape, dtype=float)
     small = ~big
     if small.any():
-        out[small] = _hyp_length_direct(r_i[small], r_j[small], weight[small])
+        out[small] = _hyp_length_direct(ends[:, small], weight[small])
     out[big] = _hyp_length_stable(r_i[big], r_j[big], weight[big])
     return out
 
 
-def _hyp_length_direct(r_i, r_j, weight):
+def _hyp_length_direct(ends, weight):
     # both terms of sinh^2(l/2) are >= 0 whenever I >= -1, so nothing cancels
-    half = np.sinh((r_i - r_j) / 2.0) ** 2 + (0.5 + 0.5 * weight) * np.sinh(r_i) * np.sinh(r_j)
+    sh = np.sinh(ends)
+    half = np.sinh((ends[0] - ends[1]) / 2.0) ** 2 + (0.5 + 0.5 * weight) * sh[0] * sh[1]
     if (half < 0.0).any():
         raise DomainError("weights below -1 cannot induce a hyperbolic length")
     return 2.0 * np.arcsinh(np.sqrt(half))
@@ -153,12 +163,13 @@ def _hyp_length_stable(r_i, r_j, weight):
 
 def edge_lengths(tri, r):
     """Lengths of all edges of the surface, aligned with tri.edges, from one
-    radius per vertex. Every per-face evaluation gathers its radii here, so
-    this is where a radii vector of the wrong length is refused."""
+    radius per vertex, gathered by tri.edge_ends. Every per-face evaluation
+    gathers its radii here, so this is where a radii vector of the wrong
+    length is refused."""
     r = np.asarray(r, dtype=float)
     if r.shape != (tri.vertex_count,):
         raise ValueError(f"radii of shape {r.shape} for {tri.vertex_count} vertices")
-    return _lengths(r[tri.edges[:, 0]], r[tri.edges[:, 1]], tri.weights, tri.geometry)
+    return _lengths(r[tri.edge_ends], tri.weights, tri.geometry)
 
 
 def face_lengths(tri, r):
@@ -170,11 +181,23 @@ def face_lengths(tri, r):
 
 
 def _gaps(la, lb, lc):
-    """(F, 3) gaps p - l_c from the columns la = l_c, lb = l_{c+1} and
-    lc = l_{c-1}, each to a few ulps and with the exact sign of its triangle
-    inequality: when a gap can be small, the larger other length is within a
-    factor 2 of l_c, so their difference is exact (Sterbenz)."""
-    return 0.5 * (np.minimum(lb, lc) + (np.maximum(lb, lc) - la))
+    """(F, 3) doubled gaps 2 (p - l_c) = min(l_{c+1}, l_{c-1}) + (max(l_{c+1},
+    l_{c-1}) - l_c) from the columns la = l_c, lb = l_{c+1} and lc = l_{c-1},
+    each to a few ulps and with the exact sign of its triangle inequality:
+    when a gap can be small, the larger other length is within a factor 2 of
+    l_c, so their difference is exact (Sterbenz). The gaps are kept doubled,
+    since halving them would only be undone by the angle and area formulas."""
+    g = np.maximum(lb, lc)
+    g -= la
+    g += np.minimum(lb, lc)  # addition commutes: the bits of min + (max - l_c)
+    return g
+
+
+def _surface_gaps(tri, r):
+    """(F, 3) doubled gaps of every face corner of the surface at radii r: the
+    edge lengths, gathered by tri.gap_plan into the three columns at once."""
+    columns = edge_lengths(tri, r)[tri.gap_plan]
+    return _gaps(columns[0], columns[1], columns[2])
 
 
 def _degenerate_mask(g):
@@ -206,7 +229,7 @@ def admissible(tri, r):
 
     Returns (ok, violating_face_indices).
     """
-    g = _gaps(*edge_lengths(tri, r)[tri.gap_plan])
+    g = _surface_gaps(tri, r)
     if g.min() > 0.0:
         return True, []
     return False, np.nonzero(_degenerate_mask(g))[0].tolist()
@@ -216,19 +239,28 @@ def admissible(tri, r):
 
 
 def _half_angle_law(g, hyperbolic):
-    """Corner angles of strictly admissible rows from their gaps g (others
-    come out NaN or arbitrary): tan(theta_a/2) = rho / g_a with inradius
-    rho^2 = g0 g1 g2 / p (Euclidean), or tanh(rho) / sinh(g_a) with tanh^2 rho
-    = prod sinh(g) / sinh(p) (hyperbolic), here divided through by e^{g_a};
-    the exponents cancel since sum(g) = p, so no length overflows it."""
+    """Corner angles of strictly admissible rows from their doubled gaps g
+    (others come out NaN or arbitrary): tan(theta_a/2) = rho / h_a with
+    gaps h = g/2 and inradius rho^2 = h0 h1 h2 / p (Euclidean), or
+    tanh(rho) / sinh(h_a) with tanh^2 rho = prod sinh(h) / sinh(p)
+    (hyperbolic), here divided through by e^{h_a}; the exponents cancel since
+    sum(h) = p, so no length overflows it. Euclidean rho and h are both
+    doubled here, which leaves their ratio, and so the angle, as it is."""
     g0, g1, g2 = g[:, 0], g[:, 1], g[:, 2]
-    p = g0 + g1 + g2  # the summation order of g.sum(axis=1)
+    p = g0 + g1  # 2p, in the summation order of g.sum(axis=1)
+    p += g2
     if hyperbolic:
-        q = -np.expm1(-2.0 * g)
-        rho = np.sqrt(q[:, 0] * q[:, 1] * q[:, 2] / -np.expm1(-2.0 * p))
-        return 2.0 * np.arctan2(rho[:, None] * np.exp(-g), q)
-    rho = np.sqrt(g0 / p * g1 * g2)
-    return 2.0 * np.arctan2(rho[:, None], g)
+        q = -np.expm1(-g)
+        rho = np.sqrt(q[:, 0] * q[:, 1] * q[:, 2] / -np.expm1(-p))
+        angles = np.arctan2(rho[:, None] * np.exp(-0.5 * g), q)
+    else:
+        rho = np.divide(g0, p, out=p)
+        rho *= g1
+        rho *= g2
+        np.sqrt(rho, out=rho)
+        angles = np.arctan2(rho[:, None], g)
+    angles += angles
+    return angles
 
 
 def _extension_constants(g, rows):
@@ -278,9 +310,7 @@ def face_angles(lengths, geometry, extended=False, degenerate=None):
 def corner_angles(tri, r, extended=False, degenerate=None):
     """(F, 3) array of all corner angles of the surface at radii r (see
     face_angles)."""
-    columns = edge_lengths(tri, r)[tri.gap_plan]
-    g = _gaps(columns[0], columns[1], columns[2])
-    return _gap_angles(g, tri.geometry, extended, degenerate)
+    return _gap_angles(_surface_gaps(tri, r), tri.geometry, extended, degenerate)
 
 
 # -- areas ------------------------------------------------------------------------
@@ -292,9 +322,10 @@ def total_area(tri, r, extended=False):
     pi - sum(theta); degenerate faces contribute zero under the extension."""
     if tri.geometry is not Geometry.HYPERBOLIC:
         raise ValueError("area is defined for hyperbolic surfaces")
-    g = _gaps(*edge_lengths(tri, r)[tri.gap_plan])
+    g = _surface_gaps(tri, r)
     _gap_angles(g, tri.geometry, extended)  # raises for faces the extension cannot take
     g = np.maximum(g, 0.0)
-    t = np.tanh(g / 2.0)
-    tp = np.tanh(g.sum(axis=1) / 2.0)
+    # g is doubled, so g/4 is the gap's half and the row sum over 4 is p/2
+    t = np.tanh(g / 4.0)
+    tp = np.tanh(g.sum(axis=1) / 4.0)
     return float(np.sum(4.0 * np.arctan(np.sqrt(tp * t[:, 0] * t[:, 1] * t[:, 2]))))

@@ -61,7 +61,9 @@ class WeightedTriangulation:
     `weights` is one number for all edges, or a mapping {(i, j): w} or a
     sequence of ((i, j), w) pairs with one entry per edge, i and j integers.
     Edge (i, j), i < j, has the key i * N + j; `edges` is the sorted key array
-    split back into pairs, and edge lookups search that array.
+    split back into pairs, and edge lookups search that array. `edge_ends` is
+    its transpose, kept contiguous, so that the edge lengths gather the end
+    radii of all edges in one step.
 
     `gap_plan` is the gather plan of every angle evaluation, built here once:
     gap_plan[k, f, c] is the edge opposite corner c + k (mod 3) of face f, so
@@ -92,6 +94,7 @@ class WeightedTriangulation:
             raise TopologyError("surface is disconnected (or has isolated vertices)")
 
         self._edge_keys, self.edges, face_edges = self._derive_edges()
+        self.edge_ends = np.ascontiguousarray(self.edges.T)
         # face_edges[:, _CORNER_CYCLE][f, k, c] is face_edges[f, c + k]; stored as [k, f, c]
         # so that each of the three columns a gather yields is contiguous
         self.gap_plan = np.ascontiguousarray(face_edges[:, _CORNER_CYCLE].transpose(1, 0, 2))
@@ -139,7 +142,10 @@ class WeightedTriangulation:
 
     def _resolve_weights(self, weights):
         if np.isscalar(weights):
-            w = np.full(len(self.edges), float(weights))
+            w = _number_array(weights, ndim=0)
+            if w is None:
+                raise WeightError(f"weight {weights!r} is not a number")
+            w = np.full(len(self.edges), float(w))
         else:
             weights = list(weights.items() if hasattr(weights, "items") else weights)
             pairs = np.reshape([edge for edge, _ in weights], (len(weights), 2))
@@ -156,8 +162,12 @@ class WeightedTriangulation:
             if len(missing):
                 e = tuple(self.edges[missing[0]].tolist())
                 raise WeightError(f"missing weight for edge {e}")
+            values = _number_array([value for _, value in weights], ndim=1)
+            if values is None:
+                edge, value = next((e, v) for e, v in weights if _number_array(v, ndim=0) is None)
+                raise WeightError(f"weight {value!r} for edge {tuple(edge)} is not a number")
             w = np.empty(len(self.edges))
-            w[ids] = [value for _, value in weights]
+            w[ids] = values
         if not np.isfinite(w).all():
             e = np.argmin(np.isfinite(w))
             i, j = self.edges[e].tolist()
@@ -242,6 +252,26 @@ class WeightedTriangulation:
         )
 
 
+def _number_array(value, ndim=None, size=None):
+    """value as a float array with `ndim` axes and `size` entries (None: any),
+    or None if it holds a string, a boolean or a null, is ragged or has
+    another shape."""
+    try:
+        array = np.asarray(value)  # a ragged list raises ValueError
+    except ValueError:
+        return None
+    if (array.dtype.kind not in "iuf" or ndim not in (None, array.ndim)
+            or size not in (None, array.size)):
+        return None
+    # NumPy reads a boolean among numbers as 0 or 1, so the entries of a list
+    # are looked at; a scalar's or an array's dtype already tells
+    if array.ndim and not isinstance(value, np.ndarray):
+        types = set(map(type, np.asarray(value, dtype=object).flat))
+        if bool in types or np.bool_ in types:
+            return None
+    return array.astype(float)
+
+
 def _vertex_ids(values, error, name):
     """An array of vertex indices as int64; `error` unless all are integers."""
     if values.dtype.kind == "f" and not np.all(np.isfinite(values) & (values == np.trunc(values))):
@@ -257,7 +287,7 @@ class _Copies:
     vertex_count: int
     geometry: Geometry
     faces: np.ndarray
-    edges: np.ndarray
+    edge_ends: np.ndarray
     weights: np.ndarray
     gap_plan: np.ndarray
 
@@ -270,20 +300,21 @@ class _Copies:
             vertex_count=count * n,
             geometry=tri.geometry,
             faces=(tri.faces + n * offsets).reshape(-1, 3),
-            edges=(tri.edges + n * offsets).reshape(-1, 2),
+            edge_ends=(tri.edge_ends[:, None] + n * np.arange(count)[:, None]).reshape(2, -1),
             weights=np.tile(tri.weights, count),
             gap_plan=(tri.gap_plan[:, None] + e * offsets).reshape(3, -1, 3),
         )
 
     def prefix(self, count):
         """The first `count` copies, as views."""
-        faces, edges = len(self.faces) * count // self.count, len(self.edges) * count // self.count
+        faces = len(self.faces) * count // self.count
+        edges = len(self.weights) * count // self.count
         return _Copies(
             count=count,
             vertex_count=self.vertex_count * count // self.count,
             geometry=self.geometry,
             faces=self.faces[:faces],
-            edges=self.edges[:edges],
+            edge_ends=self.edge_ends[:, :edges],
             weights=self.weights[:edges],
             gap_plan=self.gap_plan[:, :faces],
         )
@@ -341,18 +372,13 @@ def _load_json(path):
 
 
 def _numbers(path, name, value, ndim=None, size=None):
-    """A file's field as a float array with `ndim` axes and `size` entries (None:
-    any); strings, booleans, nulls, ragged lists and other shapes are errors."""
-    try:
-        array = np.asarray(value)  # a ragged list raises ValueError
-    except ValueError:
-        array = np.asarray(None)
-    # NumPy reads a boolean among numbers as 0 or 1, so each entry's type is looked at
-    if (array.dtype.kind in "iuf" and ndim in (None, array.ndim) and size in (None, array.size)
-            and bool not in map(type, np.asarray(value, dtype=object).flat)):
-        return array.astype(float)
-    form = {0: "a number", 1: f"{size or 'a list of'} numbers"}.get(ndim, "numbers")
-    raise MeshFormatError(f"{path}: {name} must be {form}")
+    """A file's field as a float array (see _number_array); anything else is a
+    MeshFormatError that names the file."""
+    array = _number_array(value, ndim, size)
+    if array is None:
+        form = {0: "a number", 1: f"{size or 'a list of'} numbers"}.get(ndim, "numbers")
+        raise MeshFormatError(f"{path}: {name} must be {form}")
+    return array
 
 
 def _uniform(path, data):
@@ -369,8 +395,14 @@ def load_surface(path) -> WeightedTriangulation:
         "faces": [[i, j, k], ...],
         "weights": [{"edge": [i, j], "value": w}, ...]  or  {"uniform": c} }
     Indices are zero-based. An optional "regime" key names the default weight
-    regime for validation tools.
+    regime for validation tools (see surface_regime).
     """
+    return _read_mesh(path)[0]
+
+
+def _read_mesh(path):
+    """The surface of a mesh file (see load_surface) and the file's parsed
+    object, so that its other keys are read without parsing it again."""
     data = _load_json(path)  # a missing key reads as null
     try:
         geometry = Geometry(data.get("geometry"))
@@ -391,16 +423,17 @@ def load_surface(path) -> WeightedTriangulation:
         _numbers(path, "weight values", [value for _, value in weights], ndim=1)
     else:
         raise MeshFormatError(f"{path}: 'weights' must be a list or a 'uniform' object")
-    return WeightedTriangulation(vertex_count, faces, weights, geometry)
+    return WeightedTriangulation(vertex_count, faces, weights, geometry), data
 
 
-def surface_regime(path_or_data) -> WeightRegime:
-    """Read the optional 'regime' key of a mesh file (default NONNEGATIVE)."""
-    data = _load_json(path_or_data) if not isinstance(path_or_data, dict) else path_or_data
+def surface_regime(path, data=None) -> WeightRegime:
+    """The optional 'regime' key of the mesh file at `path` (default
+    NONNEGATIVE), read from `data`, the file's parsed object, when given."""
+    data = _load_json(path) if data is None else data
     try:
         return WeightRegime(data.get("regime", "nonnegative"))
     except ValueError as exc:
-        raise MeshFormatError(f"{path_or_data}: {exc}") from exc
+        raise MeshFormatError(f"{path}: {exc}") from exc
 
 
 def load_radii(path, vertex_count=None) -> np.ndarray:

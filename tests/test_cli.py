@@ -37,6 +37,25 @@ def test_validate_csaszar(capsys):
     assert capsys.readouterr().out == "V=7 E=21 F=14 chi=0 weights:pass\n"
 
 
+@pytest.mark.parametrize("regime", [None, "signed", "bogus"])
+def test_validate_parses_the_mesh_once(tmp_path, capsys, monkeypatch, regime):
+    # the surface and the file's regime key come from one parse of the file
+    from idcurv import surface
+
+    data = json.loads(Path(TETRA).read_text())
+    if regime is not None:
+        data["regime"] = regime
+    mesh = tmp_path / "mesh.json"
+    mesh.write_text(json.dumps(data))
+    parsed = []
+    load_json = surface._load_json
+    monkeypatch.setattr(surface, "_load_json", lambda path: parsed.append(path) or load_json(path))
+    assert main(["validate", str(mesh)]) == (1 if regime == "bogus" else 0)
+    assert parsed == [str(mesh)]
+    if regime == "bogus":
+        assert capsys.readouterr().err.startswith(f"error: {mesh}: ")
+
+
 def test_validate_missing_file(capsys):
     assert main(["validate", "no_such_mesh.json"]) == 1
     assert "error:" in capsys.readouterr().err

@@ -129,7 +129,7 @@ def test_edge_lengths_match_scalar_edge_length(geom, copies):
     got = geometry_module.edge_lengths(union, r)
     expect = [
         edge_length(r[i], r[j], w, geom)
-        for (i, j), w in zip(union.edges.tolist(), union.weights.tolist())
+        for (i, j), w in zip(union.edge_ends.T.tolist(), union.weights.tolist())
     ]
     assert got.tobytes() == np.array(expect).tobytes()
 
@@ -186,9 +186,9 @@ def test_nan_radius_is_not_admissible(csaszar_euc):
         angle_deficits(csaszar_euc, r, extended=True)
 
 
-# axis-reduction forms of the face kernels, kept as the reference for the
-# column forms in idcurv.geometry (same arithmetic, so results must be equal bit
-# for bit)
+# axis-reduction forms of the face kernels on the gaps p - l, kept as the
+# reference for the column forms in idcurv.geometry, which keep the gaps
+# doubled: doubling and halving are exact, so results must be equal bit for bit
 def reference_gaps(fl):
     lb, lc = np.roll(fl, -1, axis=1), np.roll(fl, -2, axis=1)
     return 0.5 * (np.minimum(lb, lc) + (np.maximum(lb, lc) - fl))
@@ -243,7 +243,7 @@ def face_row(draw):
 def test_column_face_kernels_match_axis_reductions(rows, geom):
     fl = np.array(rows, dtype=float)
     g = geometry_module._gaps(fl, fl[:, geometry_module._NEXT], fl[:, geometry_module._PREV])
-    assert np.array_equal(g, reference_gaps(fl), equal_nan=True)
+    assert np.array_equal(g, 2.0 * reference_gaps(fl), equal_nan=True)
     mask = reference_degenerate_mask(g)
     assert np.array_equal(geometry_module._degenerate_mask(g), mask)
     # the one-reduction test that stands in for the mask on admissible input
@@ -251,7 +251,7 @@ def test_column_face_kernels_match_axis_reductions(rows, geom):
     hyperbolic = geom is HYP
     with np.errstate(all="ignore"):
         got = geometry_module._half_angle_law(g, hyperbolic)
-        expect = reference_half_angle_law(g, hyperbolic)
+        expect = reference_half_angle_law(g / 2.0, hyperbolic)
         slack = triangle_slack(fl)
         expect_slack = reference_triangle_slack(fl)
         row_slacks = [triangle_slack(row) for row in fl]  # 1-D triples
@@ -428,6 +428,18 @@ def test_hyperbolic_area_of_equilateral():
     expect = np.pi - 3.0 * math.acos(cos_angle)
     got = np.pi - row_angles(np.full(3, side), HYP).sum()
     assert got == pytest.approx(expect, rel=1e-14)
+
+
+@pytest.mark.parametrize("radius", [1e-7, 0.4, 3.0, 40.0])
+def test_total_area_matches_reference_lhuilier_sum(csaszar_hyp, radius):
+    # L'Huilier's formula on the undoubled gaps, summed as total_area sums it:
+    # the doubled gaps give the same area bit for bit
+    r = radius * np.exp(np.random.default_rng(11).uniform(-0.2, 0.2, 7))
+    g = reference_gaps(face_lengths(csaszar_hyp, r))
+    t = np.tanh(g / 2.0)
+    tp = np.tanh(g.sum(axis=1) / 2.0)
+    expect = float(np.sum(4.0 * np.arctan(np.sqrt(tp * t[:, 0] * t[:, 1] * t[:, 2]))))
+    assert total_area(csaszar_hyp, r) == expect
 
 
 def test_total_area_accumulates_faces(csaszar_hyp):

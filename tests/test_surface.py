@@ -454,6 +454,26 @@ def test_construction_error_messages(vertex_count, faces, weights, error, messag
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ("2", "weight '2' is not a number"),
+        (True, "weight True is not a number"),
+        (np.True_, "weight np.True_ is not a number"),
+        ({**TETRA_WEIGHTS, (0, 1): "1.5"}, "weight '1.5' for edge (0, 1) is not a number"),
+        ([((i, j), w) for (i, j), w in {**TETRA_WEIGHTS, (2, 3): False}.items()],
+         "weight False for edge (2, 3) is not a number"),
+    ],
+    ids=["string", "bool", "numpy-bool", "mapping-string", "pairs-bool"],
+)
+def test_weights_must_be_numbers(weights, message):
+    # the number rule of the file readers: a string or a boolean is not read as
+    # the number it converts to
+    with pytest.raises(WeightError) as info:
+        WeightedTriangulation(4, idcurv.TETRA_FACES, weights)
+    assert str(info.value) == message
+
+
 def test_weights_as_pairs_and_fractional_keys():
     # a sequence of (edge, weight) pairs reads as the mapping does, and a
     # weight key's vertex indices must be integers, as a face's must
