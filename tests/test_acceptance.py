@@ -47,6 +47,7 @@ from idcurv import (
 )
 
 HYP = Geometry.HYPERBOLIC
+EUC = Geometry.EUCLIDEAN
 
 
 def _ok(number, detail):
@@ -92,29 +93,34 @@ def test_02_gauss_bonnet_on_random_packings():
         (csaszar_torus(), 1e-10),
         (csaszar_torus(geometry=HYP), 1e-9),
     ]
-    worst = worst_angle = 0.0
+    worst = 0.0
+    worst_angle = {EUC: 0.0, HYP: 0.0}
     for tri, tol in cases:
         for _ in range(100):
             r = sample_admissible(tri, rng)
             resid = abs(gauss_bonnet_residual(tri, r))
             assert resid <= tol
             worst = max(worst, resid)
-            if tri.geometry is HYP:
-                continue
-            # Euclidean angles sum to pi in every face, so sum K = 2 pi chi holds
-            # face by face and the residual only sees roundoff; K itself is
-            # checked against angles from the law of cosines, corner by corner
+            # the residual is a sum over faces (angle sums, and areas in the
+            # hyperbolic case), so a corner-angle bug that keeps each face's
+            # angle sum would pass it; K itself is checked against angles from
+            # the law of cosines, corner by corner. The hyperbolic law loses
+            # accuracy at large radii, so this stays at the sampled radii
             a = face_lengths(tri, r)
             b, c = np.roll(a, -1, axis=1), np.roll(a, 1, axis=1)
-            angles = np.arccos((b * b + c * c - a * a) / (2.0 * b * c))
-            incident = np.bincount(tri.faces.ravel(), angles.ravel(), tri.vertex_count)
+            if tri.geometry is HYP:
+                cos = (np.cosh(b) * np.cosh(c) - np.cosh(a)) / (np.sinh(b) * np.sinh(c))
+            else:
+                cos = (b * b + c * c - a * a) / (2.0 * b * c)
+            incident = np.bincount(tri.faces.ravel(), np.arccos(cos).ravel(), tri.vertex_count)
             gap = np.abs(angle_deficits(tri, r) - (2.0 * np.pi - incident)).max()
             assert gap <= 1e-12
-            worst_angle = max(worst_angle, gap)
+            worst_angle[tri.geometry] = max(worst_angle[tri.geometry], gap)
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
-    _ok(2, f"400 packings, worst residual {worst:.2e}, worst Euclidean K gap "
-           f"{worst_angle:.2e}, {elapsed:.2f}s")
+    _ok(2, f"400 packings, worst residual {worst:.2e}, worst K gap "
+           f"{worst_angle[EUC]:.2e} Euclidean, {worst_angle[HYP]:.2e} hyperbolic, "
+           f"{elapsed:.2f}s")
 
 
 # -- 3: curvature Jacobian structure -------------------------------------------------

@@ -25,6 +25,7 @@ from idcurv import (
     tetrahedron,
     total_area,
 )
+from idcurv.curvature import _band_order, _half_bandwidth
 from idcurv.geometry import corner_angles, edge_lengths, face_lengths
 
 from conftest import (
@@ -433,17 +434,49 @@ def dense_spectrum_operator(tri, r):
 
 @pytest.mark.parametrize(
     "tri",
-    [grid_torus(6, 6), grid_torus(12, 12), genus_two(), tetrahedron(), csaszar_torus()],
-    ids=["torus6", "torus12", "genus2", "tetrahedron", "csaszar"],
+    [
+        grid_torus(6, 6),
+        grid_torus(12, 12),
+        grid_torus(8, 20),
+        genus_two(),
+        tetrahedron(),
+        csaszar_torus(),
+    ],
+    ids=["torus6", "torus12", "torus8x20", "genus2", "tetrahedron", "csaszar"],
 )
 def test_spectrum_matches_dense_reference(tri, rng):
-    # the tetrahedron and the Csaszar torus are complete graphs: their band is full
+    # the tetrahedron and the Csaszar torus are complete graphs: their band is
+    # full; the grid tori take the loop-seeded ordering
     r = sample_admissible(tri, rng, spread=0.3)
     values = laplacian_spectrum(tri, r)
     expect = np.linalg.eigvalsh(dense_spectrum_operator(tri, r))
     assert values.shape == (tri.vertex_count,)
     assert np.all(np.diff(values) >= 0.0)
     np.testing.assert_allclose(values, expect, rtol=0.0, atol=1e-12 * np.abs(expect).max())
+
+
+@pytest.mark.parametrize("n, m", [(12, 12), (8, 20)])
+def test_band_order_grows_levels_from_a_loop_on_grid_tori(n, m):
+    # levels from a non-contractible loop are two parallel loops, about
+    # 2 min(n, m) wide; RCM's wrap around as hexagons, about 3 min(n, m)
+    tri = grid_torus(n, m)
+    L = curvature_jacobian(tri, np.ones(tri.vertex_count)).sparse
+    perm = _band_order(tri, L)
+    assert np.array_equal(np.sort(perm), np.arange(tri.vertex_count))
+    assert _half_bandwidth(tri, perm) <= 2 * min(n, m) + 2
+
+
+@pytest.mark.parametrize(
+    "tri",
+    [grid_torus(12, 12), grid_torus(8, 20), genus_two(), csaszar_torus(), tetrahedron()],
+    ids=["torus12", "torus8x20", "genus2", "csaszar", "tetrahedron"],
+)
+def test_band_order_is_never_wider_than_rcm(tri):
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    L = curvature_jacobian(tri, np.ones(tri.vertex_count)).sparse
+    rcm = reverse_cuthill_mckee(L, symmetric_mode=True)
+    assert _half_bandwidth(tri, _band_order(tri, L)) <= _half_bandwidth(tri, rcm)
 
 
 def test_spectrum_vectors_on_reordered_torus(rng):
