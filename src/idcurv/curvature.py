@@ -286,8 +286,8 @@ def _loop_levels(tri, L):
     cotree[tri._edge_ids(child, parent[child])] = False
     cotree = np.flatnonzero(cotree)
     length = depth[tri.edge_ends].sum(axis=0) + 1.0
-    # each edge id occurs twice in face_edges, first in its lower face f, then in g
-    f, g = (np.argsort(tri.face_edges, axis=None, kind="stable") // 3).reshape(-1, 2)[cotree].T
+    # the two faces of each edge, lower first
+    f, g = (tri.edge_corners[cotree] // 3).T
     weight = length.max() + 2.0 - length[cotree]
     dual = minimum_spanning_tree(scipy.sparse.csr_array((weight, (f, g)), shape=(F, F))).tocoo()
     # the spanning tree keeps each entry where it was, at (f, g)

@@ -803,7 +803,9 @@ def _classify_stall(tri, r, candidate, k1, h, genuine):
                 ok, bad = geometry.admissible(tri, probe)
                 if not ok:
                     return FlowEvent(0.0, EventKind.REMOVABLE_SINGULARITY, int(bad[0]))
-        slack = geometry.triangle_slack(geometry.face_lengths(tri, r))
+        # the smallest doubled gap of each face relative to their sum, the perimeter
+        g = geometry._surface_gaps(tri, r)
+        slack = g.min(axis=1) / g.sum(axis=1)
         if float(np.min(slack)) < 1e3 * EPS_TRI:
             return FlowEvent(0.0, EventKind.REMOVABLE_SINGULARITY, int(np.argmin(slack)))
     return None

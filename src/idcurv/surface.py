@@ -60,10 +60,19 @@ class WeightedTriangulation:
     two faces, the surface must be connected, and every weight must be finite.
     `weights` is one number for all edges, or a mapping {(i, j): w} or a
     sequence of ((i, j), w) pairs with one entry per edge, i and j integers.
-    Edge (i, j), i < j, has the key i * N + j; `edges` is the sorted key array
-    split back into pairs, and edge lookups search that array. `edge_ends` is
-    its transpose, kept contiguous, so that the edge lengths gather the end
-    radii of all edges in one step.
+    Edge (i, j), i < j, has the key i * N + j; edge lookups search the sorted
+    key array. `edge_ends` holds it split back into the (2, E) rows i and j,
+    contiguous, so that the edge lengths gather the end radii of all edges in
+    one step; `edges` is its (E, 2) transpose, a view.
+
+    One stable sort of the 3F corner keys (corner 3f + c keys the edge
+    opposite it) builds the edge index and decides the faces: they pass when
+    no face repeats a vertex, the sorted keys come in equal pairs, each above
+    the one before, and no edge has one vertex opposite it in both its faces
+    (which is where a face is listed twice). The sort's pairs are kept as
+    `edge_corners[e]`, the two corners opposite edge e, lower first, so
+    `edge_corners // 3` are the two faces of each edge. Which error to raise
+    is worked out only when a test fails, as is each weight entry's.
 
     `gap_plan` is the gather plan of every angle evaluation, built here once:
     gap_plan[k, f, c] is the edge opposite corner c + k (mod 3) of face f, so
@@ -93,8 +102,8 @@ class WeightedTriangulation:
         if self.vertex_count > self.faces.size:  # more vertices than corners hold
             raise TopologyError("surface is disconnected (or has isolated vertices)")
 
-        self._edge_keys, self.edges, face_edges = self._derive_edges()
-        self.edge_ends = np.ascontiguousarray(self.edges.T)
+        self._edge_keys, self.edge_ends, face_edges, self.edge_corners = self._derive_edges()
+        self.edges = self.edge_ends.T
         # face_edges[:, _CORNER_CYCLE][f, k, c] is face_edges[f, c + k]; stored as [k, f, c]
         # so that each of the three columns a gather yields is contiguous
         self.gap_plan = np.ascontiguousarray(face_edges[:, _CORNER_CYCLE].transpose(1, 0, 2))
@@ -106,31 +115,36 @@ class WeightedTriangulation:
     # -- construction helpers -------------------------------------------------
 
     def _derive_edges(self):
+        """Edge keys, edge_ends, face_edges and edge_corners from one stable
+        sort of the 3F corner keys; the error is worked out only on failure."""
         n, faces = self.vertex_count, self.faces
-        ordered = np.sort(faces, axis=1)
-        repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
-        # a face is a duplicate where it is not the first occurrence of its row
-        _, first, inverse = np.unique(ordered, axis=0, return_index=True, return_inverse=True)
-        bad = np.flatnonzero(repeats | (first[inverse.ravel()] != np.arange(len(faces))))
-        if len(bad):
-            if repeats[bad[0]]:
-                raise TopologyError(f"face {bad[0]} repeats a vertex")
-            raise TopologyError(f"duplicate face {tuple(ordered[bad[0]].tolist())}")
-
+        i, j, k = faces[:, 0], faces[:, 1], faces[:, 2]
+        repeats = (i == j) | (j == k) | (i == k)
         # the edge opposite corner c of face (i, j, k): (j, k), (i, k), (i, j)
         a, b = faces[:, [1, 0, 0]], faces[:, [2, 2, 1]]
-        keys, first, inverse, counts = np.unique(
-            (np.minimum(a, b) * n + np.maximum(a, b)).ravel(),
-            return_index=True, return_inverse=True, return_counts=True,
+        corner_keys = (np.minimum(a, b) * n + np.maximum(a, b)).ravel()
+        order = np.argsort(corner_keys, kind="stable")
+        ranked = corner_keys[order]
+        # every edge lies in exactly two faces iff the sorted keys come in equal
+        # pairs, each pair above the one before
+        valid = (
+            not repeats.any()
+            and len(ranked) % 2 == 0
+            and np.all(ranked[0::2] == ranked[1::2])
+            and np.all(ranked[2::2] > ranked[1:-1:2])
         )
-        bad = np.flatnonzero(counts != 2)
-        if len(bad):
-            e = bad[np.argmin(first[bad])]  # first in order of appearance
-            raise TopologyError(
-                f"edge {divmod(int(keys[e]), n)} lies in {counts[e]} face(s); "
-                "a closed surface needs exactly 2"
-            )
-        return keys, np.stack(np.divmod(keys, n), axis=1), inverse.reshape(faces.shape)
+        if valid:
+            corners = order.reshape(-1, 2)
+            # then a face is listed twice iff some edge has the same vertex
+            # opposite it in both its faces
+            opposite = faces.ravel()[corners]
+            valid = not np.any(opposite[:, 0] == opposite[:, 1])
+        if not valid:
+            _topology_error(faces, repeats, ranked, order, n)
+        keys = ranked[0::2].copy()
+        face_edges = np.empty(len(order), dtype=np.int64)
+        face_edges[order] = np.arange(len(order)) // 2
+        return keys, np.stack(np.divmod(keys, n)), face_edges.reshape(faces.shape), corners
 
     def _edge_ids(self, a, b):
         """Index of the edge {a, b} for each pair, or -1 where it is not an edge."""
@@ -151,17 +165,10 @@ class WeightedTriangulation:
             pairs = np.reshape([edge for edge, _ in weights], (len(weights), 2))
             pairs = _vertex_ids(pairs, WeightError, "weight key vertex indices")
             ids = self._edge_ids(pairs[:, 0], pairs[:, 1])
-            _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-            bad = np.flatnonzero((ids < 0) | (first[inverse] != np.arange(len(ids))))
-            if len(bad):
-                e = tuple(sorted(pairs[bad[0]].tolist()))
-                if ids[bad[0]] < 0:
-                    raise WeightError(f"weight given for non-edge {e}")
-                raise WeightError(f"duplicate weight for edge {e}")
-            missing = np.setdiff1d(np.arange(len(self.edges)), ids)
-            if len(missing):
-                e = tuple(self.edges[missing[0]].tolist())
-                raise WeightError(f"missing weight for edge {e}")
+            # count 0 holds the non-edges, count e + 1 the entries for edge e
+            counts = np.bincount(ids + 1, minlength=len(self.edges) + 1)
+            if counts[0] or np.any(counts[1:] != 1):
+                _weight_error(pairs, ids, counts, self.edges)
             values = _number_array([value for _, value in weights], ndim=1)
             if values is None:
                 edge, value = next((e, v) for e, v in weights if _number_array(v, ndim=0) is None)
@@ -277,6 +284,49 @@ def _vertex_ids(values, error, name):
     if values.dtype.kind == "f" and not np.all(np.isfinite(values) & (values == np.trunc(values))):
         raise error(f"{name} must be integers")
     return np.asarray(values, dtype=np.int64)
+
+
+def _repeated(rows):
+    """Mask of the rows of a 2-D array that equal an earlier row."""
+    order = np.lexsort(rows.T[::-1])  # stable: equal rows stay in their order
+    mask = np.zeros(len(rows), dtype=bool)
+    mask[order[1:]] = np.all(rows[order[1:]] == rows[order[:-1]], axis=1)
+    return mask
+
+
+def _topology_error(faces, repeats, ranked, order, n):
+    """Raise the TopologyError of faces that fail _derive_edges' test: the
+    first face, in face order, that repeats a vertex or an earlier face, else
+    the first edge, in order of appearance, not in exactly two faces.
+    `ranked` is the corner keys sorted stably by `order`."""
+    ordered = np.sort(faces, axis=1)
+    bad = np.flatnonzero(repeats | _repeated(ordered))
+    if len(bad):
+        if repeats[bad[0]]:
+            raise TopologyError(f"face {bad[0]} repeats a vertex")
+        raise TopologyError(f"duplicate face {tuple(ordered[bad[0]].tolist())}")
+    starts = np.flatnonzero(np.diff(ranked, prepend=-1))
+    counts = np.diff(starts, append=len(ranked))
+    bad = np.flatnonzero(counts != 2)
+    e = bad[np.argmin(order[starts[bad]])]  # a stable sort puts each key's first corner first
+    raise TopologyError(
+        f"edge {divmod(int(ranked[starts[e]]), n)} lies in {counts[e]} face(s); "
+        "a closed surface needs exactly 2"
+    )
+
+
+def _weight_error(pairs, ids, counts, edges):
+    """Raise the WeightError of weight entries whose edge ids fail the
+    one-per-edge count: the first entry, in entry order, for a non-edge or
+    for an edge named before, else the first edge without an entry."""
+    bad = np.flatnonzero((ids < 0) | _repeated(ids[:, None]))
+    if len(bad):
+        e = tuple(sorted(pairs[bad[0]].tolist()))
+        if ids[bad[0]] < 0:
+            raise WeightError(f"weight given for non-edge {e}")
+        raise WeightError(f"duplicate weight for edge {e}")
+    e = tuple(edges[np.argmin(counts[1:])].tolist())
+    raise WeightError(f"missing weight for edge {e}")
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

@@ -3,6 +3,9 @@ import re
 
 import numpy as np
 import pytest
+from conftest import genus_two
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import idcurv
 from idcurv import (
@@ -412,6 +415,53 @@ def test_edges_match_loop_derivation(case):
     # face_edges is the k = 0 layer of the gather plan, not a second copy
     assert np.shares_memory(tri.face_edges, tri.gap_plan)
     assert tri.face_edges.flags.c_contiguous
+
+
+@given(st.sampled_from(["genus2", "torus7x11"]), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_edges_match_loop_derivation_in_any_listing(surface, seed):
+    # a relabelling of the vertices, a shuffle of the faces and a rotation of
+    # each face's corners list the same surface another way; the sort must
+    # give what the loops give on that listing
+    base = genus_two() if surface == "genus2" else grid_torus(7, 11)
+    rng = np.random.default_rng(seed)
+    faces = rng.permutation(base.vertex_count)[base.faces][rng.permutation(base.face_count)]
+    shift = rng.integers(0, 3, base.face_count)[:, None]
+    faces = np.take_along_axis(faces, (np.arange(3) + shift) % 3, axis=1)
+    faces = [tuple(face) for face in faces.tolist()]
+    weights = per_edge_weights(base.vertex_count, faces)
+    tri = WeightedTriangulation(base.vertex_count, faces, weights)
+    edges, face_edges, w = reference_derivation(base.vertex_count, faces, weights)
+    for got, want in ((tri.edges, edges), (tri.face_edges, face_edges), (tri.weights, w)):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "tri",
+    [tetrahedron(), csaszar_torus(), grid_torus(7, 11), genus_two()],
+    ids=["tetrahedron", "csaszar", "torus7x11", "genus2"],
+)
+def test_edge_corners_pair_the_two_faces_of_each_edge(tri):
+    corners = tri.edge_corners
+    assert corners.shape == (tri.edge_count, 2)
+    # both corners of row e are opposite edge e, the lower corner first
+    edge_ids = np.arange(tri.edge_count)[:, None]
+    np.testing.assert_array_equal(tri.face_edges.ravel()[corners], np.hstack([edge_ids, edge_ids]))
+    assert np.all(corners[:, 0] < corners[:, 1])
+    # the pairing a stable sort of face_edges gives
+    np.testing.assert_array_equal(
+        corners, np.argsort(tri.face_edges, axis=None, kind="stable").reshape(-1, 2)
+    )
+
+
+def test_pinched_pillow_is_a_duplicate_face():
+    # the face (0, 7, 8) listed twice is a pillow pinched onto the torus at
+    # vertex 0: each of its edges lies in two faces and every vertex is
+    # reached, so only the repeated face is wrong
+    faces = list(idcurv.CSASZAR_FACES) + [(0, 7, 8), (8, 0, 7)]
+    with pytest.raises(TopologyError) as info:
+        WeightedTriangulation(9, faces, 1.0)
+    assert str(info.value) == "duplicate face (0, 7, 8)"
 
 
 TETRA_WEIGHTS = {(i, j): 1.0 for i in range(4) for j in range(i + 1, 4)}
