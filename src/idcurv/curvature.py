@@ -6,17 +6,12 @@ given (s = r Euclidean, tanh(r/2) hyperbolic).
 
 The Jacobian L = dK/du is taken in u_i = ln s_i^2 coordinates, in which it is
 symmetric: positive semidefinite with kernel spanned by the all-ones vector in
-the Euclidean case, positive definite in the hyperbolic case. It is assembled
+the Euclidean case, positive definite in the hyperbolic case. It reads the
+faces through the triangulation's gap plan, as the angles do, and is assembled
 as a sparse CSR matrix from one weight per edge and one diagonal term per
-corner, both closed forms shared by the two geometries, so it is exactly
-symmetric (about 7N stored entries); the full Laplacian spectrum is taken from
-its band after a bandwidth-reducing reordering, so no N x N copy of it is made.
-Two orderings are tried and the one with the smaller half-bandwidth is kept:
-reverse Cuthill-McKee, whose levels grow from one vertex, and, on surfaces
-with chi <= 0, breadth-first levels grown from a short non-contractible loop
-found by tree-cotree. On n x m grid tori the loop's levels are two parallel
-loops and b is about 2 min(n, m), against 3 min(n, m) for RCM's wrapped
-hexagons; RCM stays where it is narrower, as on refined genus-2 surfaces.
+corner, each one closed form for both geometries, so it is exactly symmetric
+(about 7N stored entries). The full Laplacian spectrum is taken from its band
+after the narrower of two reorderings (`_band_order`), so no N x N copy is made.
 """
 
 from __future__ import annotations
@@ -88,15 +83,13 @@ curvature = curvature_field
 
 
 def average_curvature(tri, r, alpha=2.0) -> float:
-    """2 pi chi / sum(r^alpha) (alpha != 0) or 2 pi chi / N (alpha = 0).
+    """2 pi chi / sum(r^alpha), which is 2 pi chi / N at alpha = 0.
 
     Defined for Euclidean surfaces only.
     """
     if tri.geometry is not Geometry.EUCLIDEAN:
         raise ValueError("average curvature is defined for Euclidean surfaces only")
     chi = euler_characteristic(tri)
-    if alpha == 0.0:
-        return TWO_PI * chi / tri.vertex_count
     r = np.asarray(r, dtype=float)
     return TWO_PI * chi / float((r**alpha).sum())
 
@@ -116,9 +109,12 @@ def gauss_bonnet_residual(tri, r, extended=False) -> float:
 def curvature_jacobian(tri, r) -> CurvatureJacobian:
     """L = dK/du from two closed forms per face corner (u = ln s^2), as sparse CSR.
 
-    For corner a of a face with neighbours b = a+1 and c = a+2, m(l) = l
-    (Euclidean) or sinh l (hyperbolic), and e_ab = d l_ab / d u_a, the
-    law-of-cosines derivatives and the law of sines give
+    At corner a of a face with neighbours b = a+1 and c = a+2, one gather of
+    the edge lengths by tri.gap_plan gives l_bc, l_ac and l_ab, from which the
+    gaps, the slack and the angles come; its last two layers, the edges ac
+    and ab, give m(l) and I. With (S, C, m) = (r, 1, l) (Euclidean) or (sinh r, cosh r, sinh l)
+    (hyperbolic), e_ab = d l_ab / d u_a = S_a (S_a C_b + I_ab C_a S_b) / (2 m(l_ab))
+    in both geometries, and the law-of-cosines derivatives and the law of sines give
       d theta_a/d u_b = d theta_b/d u_a = (e_ac - e_ab cos theta_a) / (m(l_ab) sin theta_a),
       d theta_a/d u_a = -(e_ab cot theta_b / m(l_ab) + e_ac cot theta_c / m(l_ac)).
     The first is taken once per face edge and serves both (a, b) and (b, a),
@@ -132,46 +128,10 @@ def curvature_jacobian(tri, r) -> CurvatureJacobian:
     # imported here, not at module top: it adds ~20 MB RSS to flow-only CLI runs
     import scipy.sparse
 
-    r = np.asarray(r, dtype=float)
-    fl = geometry.face_lengths(tri, r)
-    slack = geometry.triangle_slack(fl)
-    if np.min(slack) <= JACOBIAN_SLACK:
-        worst = int(np.argmin(slack))
-        raise ConditioningError(
-            f"face {worst} has relative slack {slack[worst]:.3e}; "
-            "angle derivatives are unreliable this close to degeneracy"
-        )
-    theta = geometry.face_angles(fl, tri.geometry)
-    # column c of a face array belongs to corner a = c; fl[:, prv] is l_ab, fl[:, nxt] is l_ac
-    nxt, prv = geometry._NEXT, geometry._PREV
-    fw = tri.face_weights()
-    ra = r[tri.faces]
-    with np.errstate(all="ignore"):
-        if tri.geometry is Geometry.HYPERBOLIC:
-            m = np.sinh(fl)
-            sh, ch = np.sinh(ra), np.cosh(ra)
-            e_ab = sh * (sh * ch[:, nxt] + fw[:, prv] * ch * sh[:, nxt]) / (2.0 * m[:, prv])
-            e_ac = sh * (sh * ch[:, prv] + fw[:, nxt] * ch * sh[:, prv]) / (2.0 * m[:, nxt])
-        else:
-            m = fl
-            e_ab = ra * (ra + fw[:, prv] * ra[:, nxt]) / (2.0 * m[:, prv])
-            e_ac = ra * (ra + fw[:, nxt] * ra[:, prv]) / (2.0 * m[:, nxt])
-        cos, sin = np.cos(theta), np.sin(theta)
-        cot = cos / sin
-        off = (e_ac - e_ab * cos) / (m[:, prv] * sin)
-        diag = -(e_ab * cot[:, nxt] / m[:, prv] + e_ac * cot[:, prv] / m[:, nxt])
-    finite = np.isfinite(off).all(axis=1) & np.isfinite(diag).all(axis=1)
-    if not finite.all():
-        worst = int(np.argmin(finite))
-        raise ConditioningError(
-            f"face {worst} has a non-finite angle derivative; its angles or "
-            "hyperbolic side terms underflow or overflow at these radii"
-        )
-
+    off, diag = _corner_derivatives(tri, np.asarray(r, dtype=float))
     N = tri.vertex_count
     # off[:, c] belongs to edge ab, the edge opposite corner c + 2
-    edge = tri.face_edges[:, prv].ravel()
-    weight = np.bincount(edge, weights=off.ravel(), minlength=len(tri.edges))
+    weight = np.bincount(tri.gap_plan[2].ravel(), weights=off.ravel(), minlength=len(tri.edges))
     i, j, n = tri.edges[:, 0], tri.edges[:, 1], np.arange(N)
     rows, cols = np.concatenate([i, j, n]), np.concatenate([j, i, n])
     data = -np.concatenate(
@@ -179,6 +139,46 @@ def curvature_jacobian(tri, r) -> CurvatureJacobian:
     )
     L = scipy.sparse.coo_array((data, (rows, cols)), shape=(N, N)).tocsr()
     return CurvatureJacobian(sparse=L, geometry=tri.geometry)
+
+
+def _corner_derivatives(tri, r):
+    """(F, 3) d theta_a/d u_b and d theta_a/d u_a of every corner a (see
+    curvature_jacobian); only these two outlive the call."""
+    lengths = geometry.edge_lengths(tri, r)
+    g = geometry._gaps(*lengths[tri.gap_plan])
+    slack = geometry._relative_slack(g)
+    if np.min(slack) <= JACOBIAN_SLACK:
+        worst = int(np.argmin(slack))
+        raise ConditioningError(
+            f"face {worst} has relative slack {slack[worst]:.3e}; "
+            "angle derivatives are unreliable this close to degeneracy"
+        )
+    theta = geometry._gap_angles(g, tri.geometry, False)
+    # column c of a face array belongs to corner a = c, so S[:, nxt] is S_b and S[:, prv]
+    # is S_c; the Euclidean C is one row of ones, and multiplying by it is exact
+    nxt, prv = geometry._NEXT, geometry._PREV
+    if tri.geometry is Geometry.HYPERBOLIC:
+        S, C, m = np.sinh(r)[tri.faces], np.cosh(r)[tri.faces], np.sinh(lengths)
+    else:
+        S, C, m = r[tri.faces], np.ones((1, 3)), lengths
+    # edges ac and ab of corner a; I is gathered where used, so fewer arrays are held
+    ac, ab = tri.gap_plan[1], tri.gap_plan[2]
+    m_ac, m_ab = m[ac], m[ab]
+    with np.errstate(all="ignore"):
+        e_ab = S * (S * C[:, nxt] + tri.weights[ab] * C * S[:, nxt]) / (2.0 * m_ab)
+        e_ac = S * (S * C[:, prv] + tri.weights[ac] * C * S[:, prv]) / (2.0 * m_ac)
+        cos, sin = np.cos(theta), np.sin(theta)
+        cot = cos / sin
+        off = (e_ac - e_ab * cos) / (m_ab * sin)
+        diag = -(e_ab * cot[:, nxt] / m_ab + e_ac * cot[:, prv] / m_ac)
+    finite = np.isfinite(off).all(axis=1) & np.isfinite(diag).all(axis=1)
+    if not finite.all():
+        worst = int(np.argmin(finite))
+        raise ConditioningError(
+            f"face {worst} has a non-finite angle derivative; its angles or "
+            "hyperbolic side terms underflow or overflow at these radii"
+        )
+    return off, diag
 
 
 # -- Laplacian --------------------------------------------------------------------

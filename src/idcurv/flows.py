@@ -357,12 +357,9 @@ def _deviation(tri, r, spec, degenerate=None):
     # each row's running average, 2 pi chi / sum(r^alpha) as in average_curvature;
     # it exists on Euclidean surfaces only, where s is r, so power is r^alpha
     two_pi_chi = TWO_PI * (tri.vertex_count - len(tri.edges) + len(tri.faces))
-    if alpha == 0.0:
-        average = two_pi_chi / n
-    else:
-        sums = np.add.reduce(power, axis=1, keepdims=True)
-        # a single row's sum as a float: the same division, without array overhead
-        average = two_pi_chi / (sums if b > 1 else float(sums[0, 0]))
+    sums = np.add.reduce(power, axis=1, keepdims=True)
+    # a single row's sum as a float: the same division, without array overhead
+    average = two_pi_chi / (sums if b > 1 else float(sums[0, 0]))
     return np.subtract(average, R, out=R)
 
 
@@ -803,9 +800,7 @@ def _classify_stall(tri, r, candidate, k1, h, genuine):
                 ok, bad = geometry.admissible(tri, probe)
                 if not ok:
                     return FlowEvent(0.0, EventKind.REMOVABLE_SINGULARITY, int(bad[0]))
-        # the smallest doubled gap of each face relative to their sum, the perimeter
-        g = geometry._surface_gaps(tri, r)
-        slack = g.min(axis=1) / g.sum(axis=1)
+        slack = geometry._relative_slack(geometry._surface_gaps(tri, r))
         if float(np.min(slack)) < 1e3 * EPS_TRI:
             return FlowEvent(0.0, EventKind.REMOVABLE_SINGULARITY, int(np.argmin(slack)))
     return None

@@ -84,10 +84,7 @@ def s_of_r(r, geometry):
 
 def u_of_r(r, geometry):
     """u_i = ln s_i^2. Euclidean: any real; hyperbolic: always negative."""
-    r = np.asarray(r, dtype=float)
-    if geometry is Geometry.EUCLIDEAN:
-        return 2.0 * np.log(r)
-    return 2.0 * np.log(np.tanh(r / 2.0))
+    return 2.0 * np.log(s_of_r(r, geometry))
 
 
 def r_of_u(u, geometry):
@@ -209,6 +206,12 @@ def _degenerate_mask(g):
     mask only when that fails.
     """
     return ~((g[:, 0] > 0.0) & (g[:, 1] > 0.0) & (g[:, 2] > 0.0))
+
+
+def _relative_slack(g):
+    """(F,) least doubled gap of each row over their sum, the perimeter."""
+    g0, g1, g2 = g[:, 0], g[:, 1], g[:, 2]
+    return np.minimum(np.minimum(g0, g1), g2) / (g0 + g1 + g2)
 
 
 def triangle_slack(lengths):

@@ -91,7 +91,7 @@ class WeightedTriangulation:
             raise TopologyError(f"vertex_count must be an integer, not {vertex_count!r}")
         self.vertex_count = int(vertex_count)
         self.geometry = geometry
-        faces = np.asarray(faces)
+        faces = np.array(faces)  # a copy: the caller may edit its array later
         if self.vertex_count <= 0:
             raise TopologyError("vertex_count must be positive")
         if faces.ndim != 2 or faces.shape[1] != 3 or len(faces) == 0:
@@ -394,9 +394,9 @@ def validate_weights(tri: WeightedTriangulation, regime=WeightRegime.NONNEGATIVE
         failures = [f"edge {edges[e]}: weight {w[e]} < 0" for e in np.flatnonzero(~(w >= 0))]
     elif regime is WeightRegime.SIGNED:
         failures = [f"edge {edges[e]}: weight {w[e]} <= -1" for e in np.flatnonzero(~(w > -1))]
-        fw = tri.face_weights()
         # column c: the weight opposite corner c plus the product of the other two
-        combos = fw + fw[:, [1, 0, 0]] * fw[:, [2, 2, 1]]
+        own, nxt, prv = w[tri.gap_plan]
+        combos = own + nxt * prv
         labels = ("I_jk + I_ik*I_ij", "I_ik + I_jk*I_ij", "I_ij + I_jk*I_ik")
         failures += [
             f"face {tuple(tri.faces[f].tolist())}: {labels[c]} = {combos[f, c]} < 0"

@@ -34,7 +34,7 @@ from idcurv import (
 )
 from conftest import genus_two, rk4_reference
 from idcurv import curvature_jacobian, geometry
-from idcurv.flows import TERMINAL_EVENTS
+from idcurv.flows import EPS_RADIUS, TERMINAL_EVENTS, _classify_stall
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 VANISH_T = math.log((1.0 + math.pi) / math.pi)  # r^2(t) = (1+pi)e^-t - pi from r=1
@@ -343,6 +343,42 @@ def test_essential_singularity_at_known_time(tetra_euc):
 
 def test_removable_singularity_at_degenerating_face(tetra_euc):
     check_removable_singularity(tetra_euc)
+
+
+def test_stall_on_an_admissible_state_at_a_face_edge():
+    # one vertex of a weight-3 torus shrunk onto the admissibility edge,
+    # -3 + sqrt(10): every face is admissible, and its six faces have a
+    # relative slack of ~1e-16. With NaN probes only the slack test can
+    # find the face, and only a genuine flow asks it
+    tri = grid_torus(4, 4, weight=3.0)
+    r = np.ones(tri.vertex_count)
+    v = tri.faces[5][0]
+    inadmissible, admissible = 0.0, 1.0
+    for _ in range(60):
+        r[v] = 0.5 * (inadmissible + admissible)
+        if geometry.admissible(tri, r)[0]:
+            admissible = r[v]
+        else:
+            inadmissible = r[v]
+    r[v] = admissible
+    assert abs(admissible - (math.sqrt(10.0) - 3.0)) < 1e-15
+    assert geometry.admissible(tri, r)[0]
+    slack = geometry._relative_slack(geometry._surface_gaps(tri, r))
+    assert np.flatnonzero(slack < 1e-12).tolist() == [0, 1, 5, 16, 20, 21]
+    nan = np.full(tri.vertex_count, np.nan)
+    event = _classify_stall(tri, r, nan, nan, 1e-12, genuine=True)
+    assert (event.kind, event.index) == (EventKind.REMOVABLE_SINGULARITY, 0)
+    assert _classify_stall(tri, r, nan, nan, 1e-12, genuine=False) is None
+
+
+def test_stall_at_the_radius_floor(tetra_euc):
+    # a radius just above EPS_RADIUS, with NaN probes: the floor names the vertex
+    r = np.ones(4)
+    r[2] = EPS_RADIUS * (1.0 + 1e-7)
+    nan = np.full(4, np.nan)
+    for genuine in (True, False):
+        event = _classify_stall(tetra_euc, r, nan, nan, 1e-12, genuine)
+        assert (event.kind, event.index) == (EventKind.ESSENTIAL_SINGULARITY, 2)
 
 
 def test_extended_flow_recovers_admissibility(csaszar_i2):

@@ -83,6 +83,12 @@ def test_segment_must_stay_admissible_without_extension(tetra_euc):
     assert np.isfinite(val)
 
 
+def test_inadmissible_base_point_is_refused(tetra_euc):
+    u0, u = coords(tetra_euc, np.array([1.0, 10.0, 10.0, 10.0]), np.ones(4))
+    with pytest.raises(AdmissibilityError, match="base point is inadmissible"):
+        potential_value(tetra_euc, u0, u, 0.0)
+
+
 def test_unsettled_quadrature_is_a_quadrature_error(csaszar_euc, monkeypatch):
     # an integrable singularity at tau = 1/pi, off every Gauss-Kronrod node,
     # that QUADPACK cannot resolve to QUAD_TOL within its subdivision limit

@@ -181,6 +181,16 @@ def test_components_are_found_in_any_vertex_order(copies):
     WeightedTriangulation(7, perm[np.asarray(idcurv.CSASZAR_FACES)], 1.0)
 
 
+def test_faces_are_a_copy_of_the_input():
+    # an int64 array needs no conversion, and must still not be kept as it is
+    faces = np.array(idcurv.CSASZAR_FACES, dtype=np.int64)
+    tri = WeightedTriangulation(7, faces, 1.0)
+    assert not np.shares_memory(tri.faces, faces)
+    K = idcurv.angle_deficits(tri, np.ones(7))
+    faces[0] = [0, 0, 0]
+    np.testing.assert_array_equal(idcurv.angle_deficits(tri, np.ones(7)), K)
+
+
 def test_vertex_out_of_range_rejected():
     with pytest.raises(TopologyError):
         WeightedTriangulation(3, [[0, 1, 3], [0, 1, 2]], 1.0)
