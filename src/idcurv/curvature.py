@@ -69,12 +69,19 @@ def angle_deficits(tri, r, extended=False, degenerate=None):
     return np.subtract(TWO_PI, K, out=K)
 
 
+def _finite_alpha(alpha) -> float:
+    """alpha as a float, refused with ValueError unless finite."""
+    if not np.isfinite(alpha := float(alpha)):
+        raise ValueError(f"alpha must be finite, not {alpha}")
+    return alpha
+
+
 def curvature_field(tri, r, alpha=2.0, extended=False) -> CurvatureField:
     """K and the alpha-curvature R = K / s^alpha at radii r."""
-    r = np.asarray(r, dtype=float)
+    alpha = _finite_alpha(alpha)
     K = angle_deficits(tri, r, extended=extended)
     s = geometry.s_of_r(r, tri.geometry)
-    return CurvatureField(K=K, R=K / s**alpha, alpha=float(alpha), extended=bool(extended))
+    return CurvatureField(K=K, R=K / s**alpha, alpha=alpha, extended=bool(extended))
 
 
 # bench/workloads.py calls the field by its former name; drop this alias once it
@@ -89,9 +96,9 @@ def average_curvature(tri, r, alpha=2.0) -> float:
     """
     if tri.geometry is not Geometry.EUCLIDEAN:
         raise ValueError("average curvature is defined for Euclidean surfaces only")
-    chi = euler_characteristic(tri)
-    r = np.asarray(r, dtype=float)
-    return TWO_PI * chi / float((r**alpha).sum())
+    alpha = _finite_alpha(alpha)
+    r = geometry._vertex_radii(tri, r)
+    return TWO_PI * euler_characteristic(tri) / float((r**alpha).sum())
 
 
 def gauss_bonnet_residual(tri, r, extended=False) -> float:

@@ -158,15 +158,19 @@ def _hyp_length_stable(r_i, r_j, weight):
     return r_i + r_j + np.log((1.0 + weight) / 2.0) + np.log1p(c * (x + y) + x * y)
 
 
-def edge_lengths(tri, r):
-    """Lengths of all edges of the surface, aligned with tri.edges, from one
-    radius per vertex, gathered by tri.edge_ends. Every per-face evaluation
-    gathers its radii here, so this is where a radii vector of the wrong
-    length is refused."""
+def _vertex_radii(tri, r):
+    """r as a float array, refused unless it holds one radius per vertex of tri."""
     r = np.asarray(r, dtype=float)
     if r.shape != (tri.vertex_count,):
         raise ValueError(f"radii of shape {r.shape} for {tri.vertex_count} vertices")
-    return _lengths(r[tri.edge_ends], tri.weights, tri.geometry)
+    return r
+
+
+def edge_lengths(tri, r):
+    """Lengths of all edges of the surface, aligned with tri.edges, from one
+    radius per vertex, gathered by tri.edge_ends. Every per-face evaluation
+    gathers its radii here, through the length check of `_vertex_radii`."""
+    return _lengths(_vertex_radii(tri, r)[tri.edge_ends], tri.weights, tri.geometry)
 
 
 def face_lengths(tri, r):

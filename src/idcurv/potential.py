@@ -20,7 +20,7 @@ import warnings
 import numpy as np
 
 from . import geometry
-from .curvature import angle_deficits, average_curvature, curvature_jacobian
+from .curvature import _finite_alpha, angle_deficits, average_curvature, curvature_jacobian
 from .errors import AdmissibilityError, DomainError, QuadratureError, SolverError
 from .geometry import PackingMetric
 from .surface import Geometry, euler_characteristic
@@ -38,6 +38,7 @@ def potential_gradient(tri, u, target, alpha=2.0, extended=False):
     target is a scalar, a per-vertex array, or None for the running Euclidean
     average curvature.
     """
+    alpha = _finite_alpha(alpha)
     r = geometry.r_of_u(np.asarray(u, dtype=float), tri.geometry)
     K = angle_deficits(tri, r, extended=extended)
     s = geometry.s_of_r(r, tri.geometry)
@@ -92,36 +93,38 @@ def potential_value(tri, u0, u, target, alpha=2.0, extended=False, via=()) -> fl
 
 
 def _hessian(tri, r, target, alpha):
-    """Sparse Hessian of the potential at r for a fixed target: L - (alpha/2) diag(T s^alpha)."""
+    """Sparse Hessian L - (alpha/2) diag(T s^alpha) at r, L's diagonal shifted in place.
+    L is exactly symmetric, so its CSR arrays read as CSC are the same matrix."""
     import scipy.sparse  # lazy, as in curvature_jacobian
 
     L = curvature_jacobian(tri, r).sparse
     s = geometry.s_of_r(r, tri.geometry)
-    T = np.broadcast_to(np.asarray(target, dtype=float), (tri.vertex_count,))
-    return L - scipy.sparse.diags_array(0.5 * alpha * T * s**alpha)
+    L.setdiag(L.diagonal() - 0.5 * alpha * target * s**alpha)
+    return scipy.sparse.csc_array((L.data, L.indices, L.indptr), shape=L.shape)
 
 
 def newton_solve(tri, r_init, target, alpha=2.0, tol=GRAD_TOL,
                  max_iterations=MAX_NEWTON_ITERATIONS) -> PackingMetric:
     """Solve K_i = T_i s_i^alpha by damped Newton descent in u-coordinates.
 
-    Each step solves with a sparse LU factorization (`splu`) of the sparse
-    Hessian. The Euclidean problem with alpha * target identically zero has
-    the scale direction in the Hessian kernel; those steps pin u_0, solve the
-    rest, and move along the kernel onto the slice sum(u) = const. A
-    line-search trial is rejected when it leaves the coordinate domain, fails
-    `geometry.admissible` or does not lower |g|^2 enough. Every accepted step
-    is logged at DEBUG level to "idcurv.potential".
+    Each step factors the sparse Hessian H by `splu` and solves once. When
+    the problem is Euclidean with alpha * target identically zero, H = L has
+    the all-ones vector as its kernel; adding 1 to H[0, 0] makes it regular,
+    the solve runs against mean(g) - g, and the step's mean is taken off.
+    Summing the rows of (L + e_0 e_0^T) delta = b gives delta_0 = sum(b) = 0,
+    so this is the step with u_0 pinned, moved along the kernel onto the
+    slice sum(u) = const. The line search tries lam = 2^(1 - trial) down to
+    2^-40 and rejects a trial that leaves the coordinate domain, fails
+    `geometry.admissible` or does not lower |g|^2 by the factor 1 - 1e-4 lam.
+    Each accepted step, with lam and its trial count, is logged at DEBUG
+    level to "idcurv.potential".
 
     Raises AdmissibilityError for an inadmissible start, and ValueError for a
-    target whose signs no radii can meet under Gauss-Bonnet: sum(T s^alpha)
-    = 2 pi chi (Euclidean) or > 2 pi chi (hyperbolic, the excess being the
-    area). Without that refusal such a target drives the radii to zero,
-    where |K - T s^alpha| falls below `tol` and the collapse would pass as a
-    solution. With alpha = 0, s^alpha = 1 and the sum is the target's own,
-    so a target is refused unless sum(T) = 2 pi chi to a relative 1e-9
-    (Euclidean) or sum(T) > 2 pi chi (hyperbolic); otherwise Newton would
-    run to its iteration budget or stall in the line search.
+    target that Gauss-Bonnet rules out at every radius vector, sum(T s^alpha)
+    being 2 pi chi (Euclidean) or above it by the area (hyperbolic): by the
+    signs of T, and at alpha = 0 by sum(T) itself, to a relative 1e-9 when
+    Euclidean. Such a target drives the radii to zero, where the collapse
+    would pass the gradient test, or runs Newton to its iteration budget.
     """
     # imported here, not at module top, as in curvature_jacobian; sparse.linalg
     # adds ~10 MB RSS on top of scipy.sparse
@@ -141,8 +144,7 @@ def newton_solve(tri, r_init, target, alpha=2.0, tol=GRAD_TOL,
     ok, bad = geometry.admissible(tri, r)
     if not ok:
         raise AdmissibilityError(f"initial metric is inadmissible (faces {bad})")
-    # Gauss-Bonnet: sum(T s^alpha) = 2 pi chi (Euclidean) or 2 pi chi + area > 2 pi chi
-    # (hyperbolic) at a solution, and s^alpha > 0, so the signs of T bound the sum's sign
+    # s^alpha > 0, so the signs of T bound the sign of sum(T s^alpha) (see the docstring)
     chi = euler_characteristic(tri)
     pos, neg = bool(np.any(target > 0.0)), bool(np.any(target < 0.0))
     if tri.geometry is Geometry.HYPERBOLIC:
@@ -157,11 +159,9 @@ def newton_solve(tri, r_init, target, alpha=2.0, tol=GRAD_TOL,
         )
     if alpha == 0.0:
         total, gauss_bonnet = float(np.sum(target)), 2.0 * np.pi * chi
-        if tri.geometry is Geometry.HYPERBOLIC:
-            feasible = total > gauss_bonnet
-        else:
-            scale = abs(gauss_bonnet) + float(np.sum(np.abs(target)))
-            feasible = abs(total - gauss_bonnet) <= 1e-9 * scale
+        scale = abs(gauss_bonnet) + float(np.sum(np.abs(target)))
+        feasible = (total > gauss_bonnet if tri.geometry is Geometry.HYPERBOLIC
+                    else abs(total - gauss_bonnet) <= 1e-9 * scale)
         if not feasible:
             raise ValueError(
                 f"the target is infeasible at every radius vector: with alpha = 0 "
@@ -176,50 +176,38 @@ def newton_solve(tri, r_init, target, alpha=2.0, tol=GRAD_TOL,
         norm = float(np.max(np.abs(g)))
         if norm < tol:
             return PackingMetric(geometry.r_of_u(u, tri.geometry), tri.geometry)
-        H = _hessian(tri, geometry.r_of_u(u, tri.geometry), target, alpha).tocsc()
-        rhs = -g
+        H = _hessian(tri, geometry.r_of_u(u, tri.geometry), target, alpha)
         if singular:
-            # the kernel is the all-ones direction: pin u_0. sum(g) vanishes where a
-            # solution exists (Gauss-Bonnet); taking off its mean spreads its rounding
-            # (~N eps) over all vertices instead of piling it up at vertex 0
-            H, rhs = H[1:, 1:], (g.mean() - g)[1:]
+            H[0, 0] += 1.0  # pins the gauge; see the docstring
         try:
             lu = scipy.sparse.linalg.splu(H, permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:  # "Factor is exactly singular"
             raise SolverError(f"singular Hessian: {exc}") from exc
-        delta = lu.solve(rhs)
+        # sum(g) vanishes at a solution (Gauss-Bonnet); taking off its mean spreads its
+        # rounding (~N eps) over all vertices instead of piling it up at vertex 0
+        delta = lu.solve(g.mean() - g if singular else -g)
         if singular:
-            # delta_0 = 0; move along the kernel onto the slice sum(u) = const
-            delta = np.append(0.0, delta)
             delta -= delta.mean()
 
         phi = float(g @ g)
-        lam = 1.0
-        trials = 0
-        accepted = False
-        while lam >= 2.0**-60:
-            trials += 1
+        # below lam = 2^-40, 1 - 1e-4 lam rounds to 1: an unchanged |g|^2 would pass
+        for trials in range(1, 42):
+            lam = 2.0 ** (1 - trials)
             u_try = u + lam * delta
             try:
                 r_try = geometry.r_of_u(u_try, tri.geometry)
             except DomainError:
-                r_try = None
-            if r_try is not None and geometry.admissible(tri, r_try)[0]:
+                continue
+            if geometry.admissible(tri, r_try)[0]:
                 g_try = potential_gradient(tri, u_try, target, alpha)
                 if float(g_try @ g_try) <= (1.0 - 1e-4 * lam) * phi:
-                    u, g = u_try, g_try
-                    accepted = True
                     break
-            lam *= 0.5
-        if not accepted:
-            raise SolverError(
-                f"line search stalled at gradient norm {norm:.3e}; "
-                "the iterate is pinned near the admissibility boundary"
-            )
-        log.debug(
-            "newton iteration %d: max|g| %.3e, step %.3g after %d line-search trials",
-            iteration, norm, lam, trials,
-        )
+        else:
+            raise SolverError(f"line search stalled at gradient norm {norm:.3e}: "
+                              "no trial step down to 2^-40 lowered |g|^2")
+        u, g = u_try, g_try
+        log.debug("newton iteration %d: max|g| %.3e, step %.3g after %d line-search trials",
+                  iteration, norm, lam, trials)
     raise SolverError(
         f"no convergence in {max_iterations} iterations "
         f"(gradient norm {float(np.max(np.abs(g))):.3e})"

@@ -98,6 +98,8 @@ def test_validate_bad_topology(tmp_path, capsys):
     [
         ("validate", "mesh", {"weights": {"uniform": [1, 2]}}),
         ("validate", "mesh", {"weights": [{"edge": [None, 1], "value": 1.0}]}),
+        ("validate", "mesh", {"weights": [{"edge": [0, 1]}]}),
+        ("validate", "mesh", {"weights": "uniform"}),
         ("validate", "mesh", {"faces": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, "a"]]}),
         ("curvature", "radii", {"radii": {"a": 1}}),
         ("curvature", "radii", {"radii": [1, "x", 1, 1]}),
@@ -105,8 +107,9 @@ def test_validate_bad_topology(tmp_path, capsys):
         ("solve", "target", {"uniform": [0, 1]}),
         ("solve", "target", {"target": {"a": 1}}),
     ],
-    ids=["uniform-weight-list", "weight-edge-null", "face-string", "radii-object",
-         "radii-string", "flow-uniform-list", "solve-uniform-list", "solve-target-object"],
+    ids=["uniform-weight-list", "weight-edge-null", "weight-entry-no-value", "weights-string",
+         "face-string", "radii-object", "radii-string", "flow-uniform-list", "solve-uniform-list",
+         "solve-target-object"],
 )
 def test_malformed_value_is_a_format_error(tmp_path, capsys, command, malformed, payload):
     # a value of the wrong type in a mesh, radii or target file is a format
@@ -218,6 +221,12 @@ def test_curvature_requires_extension_outside_cone(tmp_path, capsys):
     assert abs(gb) < 1e-12
     # vertex 0 sits opposite three dominating edges
     assert abs(float(lines[1].split(",")[2]) + math.pi) < 1e-12
+
+
+def test_curvature_non_finite_alpha_is_invalid_input(tmp_path, capsys):
+    radii = radii_file(tmp_path, [1.0, 0.9, 1.1, 1.0])
+    assert main(["curvature", TETRA, "--radii", radii, "--alpha", "nan"]) == 2
+    assert capsys.readouterr().err == "error: alpha must be finite, not nan\n"
 
 
 def test_curvature_radii_length_mismatch(tmp_path, capsys):

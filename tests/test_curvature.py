@@ -22,6 +22,7 @@ from idcurv import (
     laplacian_spectrum,
     load_surface,
     newton_solve,
+    potential_gradient,
     s_of_r,
     tetrahedron,
     total_area,
@@ -125,18 +126,36 @@ def test_angle_deficits_overwrite_the_given_face_mask(csaszar_euc, tetra_euc):
 
 
 @pytest.mark.parametrize("count", [6, 8])
-@pytest.mark.parametrize("solver", ["curvature_field", "newton_solve", "laplacian_spectrum"])
+@pytest.mark.parametrize(
+    "solver", ["curvature_field", "newton_solve", "laplacian_spectrum", "average_curvature"]
+)
 def test_wrong_radii_count_is_refused(csaszar_euc, solver, count):
-    # every per-face evaluation gathers radii through edge_lengths, which
-    # refuses one radius too few or too many on the 7-vertex torus, instead of
-    # an IndexError or a spectrum of the wrong length
+    # every per-face evaluation gathers radii through edge_lengths, and the
+    # average curvature sums them; both refuse one radius too few or too many on
+    # the 7-vertex torus through geometry._vertex_radii, instead of an IndexError,
+    # a spectrum of the wrong length or an average over the wrong radii
     call = {
         "curvature_field": lambda r: curvature_field(csaszar_euc, r),
         "newton_solve": lambda r: newton_solve(csaszar_euc, r, 0.0),
         "laplacian_spectrum": lambda r: laplacian_spectrum(csaszar_euc, r),
+        "average_curvature": lambda r: average_curvature(csaszar_euc, r),
     }[solver]
     with pytest.raises(ValueError, match=rf"radii of shape \({count},\) for 7 vertices"):
         call(np.ones(count))
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf])
+@pytest.mark.parametrize("function", ["curvature_field", "average_curvature", "potential_gradient"])
+def test_non_finite_alpha_is_refused(csaszar_euc, function, alpha):
+    # before the refusal these returned an all-NaN R, an average of 0.0 or NaN
+    r = np.array([1.3, 0.8, 1.1, 1.0, 0.9, 1.2, 0.95])
+    call = {
+        "curvature_field": lambda: curvature_field(csaszar_euc, r, alpha=alpha),
+        "average_curvature": lambda: average_curvature(csaszar_euc, r, alpha=alpha),
+        "potential_gradient": lambda: potential_gradient(csaszar_euc, 2.0 * np.log(r), 0.0, alpha),
+    }[function]
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        call()
 
 
 def test_gauss_bonnet_euclidean(tetra_euc, csaszar_euc, rng):
@@ -426,6 +445,11 @@ def test_spectrum_shape_and_kernel(csaszar_euc, rng):
     assert abs(values[0]) <= 1e-8
     assert np.all(values[1:] > 0.0)
     assert np.all(np.diff(values) >= 0.0)
+
+
+def test_spectrum_refuses_a_hyperbolic_surface(csaszar_hyp):
+    with pytest.raises(ValueError, match="the Laplacian spectrum here is Euclidean only"):
+        laplacian_spectrum(csaszar_hyp, np.full(7, 0.4))
 
 
 def test_spectrum_kernel_vector_is_radii(csaszar_euc, rng):

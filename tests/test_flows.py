@@ -17,6 +17,7 @@ import pytest
 from idcurv import (
     AdmissibilityError,
     EventKind,
+    FlowEvent,
     FlowKind,
     FlowSpec,
     FlowTrace,
@@ -106,6 +107,8 @@ def test_spec_validation(tetra_euc, tetra_hyp):
         )
     with pytest.raises(ValueError, match="must be positive"):
         FlowSpec(kind=FlowKind.NORMALIZED_EUCLIDEAN, step=0.0)
+    with pytest.raises(ValueError, match="target must be finite"):
+        FlowSpec(kind=FlowKind.MODIFIED_EUCLIDEAN, target=np.array([0.0, math.nan, 0.0, 0.0]))
 
 
 @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
@@ -839,6 +842,17 @@ def test_trace_io_roundtrip(tmp_path, csaszar_euc):
     assert json.loads(stats.read_text()) == trace.stats
 
 
+@pytest.mark.parametrize("terminal_count", [0, 2])
+def test_terminal_event_needs_exactly_one(terminal_count):
+    # a trace built by hand may hold no terminal event or more than one
+    events = [FlowEvent(0.0, EventKind.LEFT_ADMISSIBLE, 3)]
+    events += [FlowEvent(float(k), EventKind.CONVERGED, None) for k in range(terminal_count)]
+    trace = FlowTrace(times=np.zeros(1), radii=np.ones((1, 4)), max_err=np.zeros(1),
+                      measure=np.zeros(1), extended_region=np.zeros(1, dtype=bool), events=events)
+    with pytest.raises(RuntimeError, match=f"trace holds {terminal_count} terminal events"):
+        trace.terminal_event()
+
+
 def test_trace_csv_bytes(tmp_path):
     # every float cell is written as %.17g, so it reads back exactly, with
     # inf, nan and -0 spelled as Python spells them; the region flag as 0/1
@@ -861,6 +875,35 @@ def test_trace_csv_bytes(tmp_path):
 
 
 # -- lockstep batches -----------------------------------------------------------------
+
+
+def test_candidate_failing_its_own_evaluation_is_illegal_in_a_stack(csaszar_i2, monkeypatch):
+    # a candidate that passes the error test but fails its own curvature
+    # evaluation, here by a face past a triangle inequality, is rejected as
+    # illegal and its start steps on to convergence; the other start of the
+    # stack takes the steps it takes alone
+    flows = importlib.import_module("idcurv.flows")
+    spec = FlowSpec(kind=FlowKind.NORMALIZED_EUCLIDEAN)
+    starts = np.array([[1.3, 0.8, 1.1, 1.0, 0.9, 1.2, 0.95], [0.9, 1.2, 1.0, 1.1, 0.8, 1.05, 1.0]])
+    solo = [run_flow(csaszar_i2, start, spec) for start in starts]
+    snapped = starts[1].copy()
+    snapped[csaszar_i2.faces[0]] *= (12.0, 3.0, 0.4)
+    assert not geometry.admissible(csaszar_i2, snapped)[0]
+    propose, passes = flows._propose, [0]
+
+    def snapping_propose(*args):
+        candidate, err, end_state = propose(*args)
+        passes[0] += 1
+        if passes[0] == 1:
+            candidate[1], err[1] = snapped, 0.0
+        return candidate, err, end_state
+
+    monkeypatch.setattr(flows, "_propose", snapping_propose)
+    batch = run_flow(csaszar_i2, starts, spec)
+    assert solo[1][0].stats["illegal"] == 0
+    assert batch[1][0].stats["illegal"] == 1
+    assert batch[1][0].terminal_event().kind is EventKind.CONVERGED
+    assert_same_run(solo[0], batch[0])
 
 
 def snapped_starts(tri, count, seed):

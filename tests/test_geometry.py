@@ -493,5 +493,8 @@ def test_packing_metric_validation():
         PackingMetric(np.array([1.0, -1.0]), EUC)
     with pytest.raises(ValueError):
         PackingMetric(np.array([1.0, np.nan]), EUC)
+    for radii in (np.array([]), np.ones((2, 2))):
+        with pytest.raises(ValueError, match="radii must be a nonempty vector"):
+            PackingMetric(radii, EUC)
     back = PackingMetric.from_u(m.u, EUC)
     np.testing.assert_allclose(back.radii, m.radii, rtol=1e-14)

@@ -330,10 +330,27 @@ def test_newton_iteration_budget(csaszar_euc):
         )
 
 
+def test_newton_line_search_stalls_where_its_decrease_test_ends(csaszar_hyp, monkeypatch, caplog):
+    # an uphill step lowers |g|^2 at no lam. Below lam = 2^-40, 1 - 1e-4 lam
+    # rounds to 1, and a search that went on accepted a step leaving |g|^2
+    # unchanged to the bit, 200 iterations over, into "no convergence"
+    potential = importlib.import_module("idcurv.potential")
+    hessian = potential._hessian
+    monkeypatch.setattr(
+        potential, "_hessian", lambda tri, r, target, alpha: -hessian(tri, r, target, alpha)
+    )
+    seen = count_line_search(monkeypatch)
+    with caplog.at_level(logging.DEBUG, logger="idcurv.potential"):
+        with pytest.raises(SolverError, match="stalled at .*no trial step down to 2\\^-40"):
+            newton_solve(csaszar_hyp, np.full(7, 0.5), 0.3, alpha=0.0)
+    assert logged_trials(caplog) == []
+    assert seen["admissible"] + seen["domain"] == 1 + 41
+
+
 def test_newton_singular_hessian_is_a_solver_error(csaszar_hyp, monkeypatch):
     potential = importlib.import_module("idcurv.potential")
     monkeypatch.setattr(
-        potential, "_hessian", lambda tri, r, target, alpha: scipy.sparse.csr_array(np.ones((7, 7)))
+        potential, "_hessian", lambda tri, r, target, alpha: scipy.sparse.csc_array(np.ones((7, 7)))
     )
     target = angle_deficits(csaszar_hyp, np.full(7, 0.4))
     with pytest.raises(SolverError, match="singular Hessian: Factor is exactly singular"):

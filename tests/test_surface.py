@@ -240,6 +240,11 @@ def test_validate_nonnegative_regime():
     assert not report.passed
 
 
+def test_validate_unknown_regime_rejected():
+    with pytest.raises(ValueError, match="unknown regime 'bogus'"):
+        validate_weights(tetrahedron(), "bogus")
+
+
 def test_validate_signed_regime_zero_weights_pass():
     # every face inequality reads 0 >= 0
     tri = WeightedTriangulation(4, idcurv.TETRA_FACES, 0.0)
@@ -506,6 +511,10 @@ DOUBLE_TETRA = list(idcurv.TETRA_FACES) + [(0, 1, 4), (0, 1, 5), (0, 4, 5), (1, 
          "face vertex indices must be integers"),
         (4, [(0, 1, 2), (0, 1, float("nan")), (0, 2, 3), (1, 2, 3)], 1.0, TopologyError,
          "face vertex indices must be integers"),
+        (0, idcurv.TETRA_FACES, 1.0, TopologyError, "vertex_count must be positive"),
+        (4, [], 1.0, TopologyError, "faces must be a nonempty list of vertex triples"),
+        (4, [(0, 1, 2, 3)], 1.0, TopologyError, "faces must be a nonempty list of vertex triples"),
+        (4, [0, 1, 2], 1.0, TopologyError, "faces must be a nonempty list of vertex triples"),
     ],
 )
 def test_construction_error_messages(vertex_count, faces, weights, error, message):

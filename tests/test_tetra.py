@@ -123,3 +123,5 @@ def test_curve_rejects_bad_range():
         f_curve(lo=0.0, hi=8.0)
     with pytest.raises(DomainError):
         f_curve(lo=0.5, hi=X_SUP + 1.0)
+    with pytest.raises(ValueError, match="at least two samples"):
+        f_curve(samples=1)
