@@ -76,7 +76,7 @@ def potential_value(tri, u0, u, target, alpha=2.0, extended=False, via=()) -> fl
     quadrature node leaves the admissible region; extended evaluation only
     needs the coordinates to stay in range.
     """
-    u0 = np.asarray(u0, dtype=float)
+    alpha, u0 = _finite_alpha(alpha), np.asarray(u0, dtype=float)
     if not extended:
         r0 = geometry.r_of_u(u0, tri.geometry)
         ok, bad = geometry.admissible(tri, r0)
@@ -93,31 +93,27 @@ def potential_value(tri, u0, u, target, alpha=2.0, extended=False, via=()) -> fl
 
 
 def _hessian(tri, r, target, alpha):
-    """Sparse Hessian L - (alpha/2) diag(T s^alpha) at r, L's diagonal shifted in place.
-    L is exactly symmetric, so its CSR arrays read as CSC are the same matrix."""
-    import scipy.sparse  # lazy, as in curvature_jacobian
-
+    """Sparse Hessian L - (alpha/2) diag(T s^alpha) at r: the Jacobian's CSR, shifted."""
     L = curvature_jacobian(tri, r).sparse
     s = geometry.s_of_r(r, tri.geometry)
     L.setdiag(L.diagonal() - 0.5 * alpha * target * s**alpha)
-    return scipy.sparse.csc_array((L.data, L.indices, L.indptr), shape=L.shape)
+    return L
 
 
 def newton_solve(tri, r_init, target, alpha=2.0, tol=GRAD_TOL,
                  max_iterations=MAX_NEWTON_ITERATIONS) -> PackingMetric:
     """Solve K_i = T_i s_i^alpha by damped Newton descent in u-coordinates.
 
-    Each step factors the sparse Hessian H by `splu` and solves once. When
-    the problem is Euclidean with alpha * target identically zero, H = L has
-    the all-ones vector as its kernel; adding 1 to H[0, 0] makes it regular,
-    the solve runs against mean(g) - g, and the step's mean is taken off.
-    Summing the rows of (L + e_0 e_0^T) delta = b gives delta_0 = sum(b) = 0,
-    so this is the step with u_0 pinned, moved along the kernel onto the
-    slice sum(u) = const. The line search tries lam = 2^(1 - trial) down to
-    2^-40 and rejects a trial that leaves the coordinate domain, fails
-    `geometry.admissible` or does not lower |g|^2 by the factor 1 - 1e-4 lam.
-    Each accepted step, with lam and its trial count, is logged at DEBUG
-    level to "idcurv.potential".
+    Each step solves H delta = -g by Jacobi-preconditioned CG to the relative
+    residual eta = min(0.1, max|g|) (Eisenstat-Walker forcing); a breakdown,
+    a non-finite step or a missed residual raises SolverError. In the flat
+    case (Euclidean, alpha * target identically 0) H = L has the all-ones
+    kernel: the solve runs against mean(g) - g, in range(L), and the step's
+    mean is taken off, onto the slice sum(u) = const. The line search tries
+    lam = 2^(1 - trial) down to 2^-40 and rejects a trial that leaves the
+    coordinate domain, fails `geometry.admissible` or does not lower |g|^2
+    by the factor 1 - 1e-4 lam. Each accepted step, with lam and its trial
+    and CG iteration counts, is logged at DEBUG to "idcurv.potential".
 
     Raises AdmissibilityError for an inadmissible start, and ValueError for a
     target that Gauss-Bonnet rules out at every radius vector, sum(T s^alpha)
@@ -126,8 +122,7 @@ def newton_solve(tri, r_init, target, alpha=2.0, tol=GRAD_TOL,
     Euclidean. Such a target drives the radii to zero, where the collapse
     would pass the gradient test, or runs Newton to its iteration budget.
     """
-    # imported here, not at module top, as in curvature_jacobian; sparse.linalg
-    # adds ~10 MB RSS on top of scipy.sparse
+    # lazy, as in curvature_jacobian: sparse.linalg adds ~10 MB RSS
     import scipy.sparse.linalg
 
     target = np.broadcast_to(np.asarray(target, dtype=float), (tri.vertex_count,)).copy()
@@ -177,15 +172,15 @@ def newton_solve(tri, r_init, target, alpha=2.0, tol=GRAD_TOL,
         if norm < tol:
             return PackingMetric(geometry.r_of_u(u, tri.geometry), tri.geometry)
         H = _hessian(tri, geometry.r_of_u(u, tri.geometry), target, alpha)
-        if singular:
-            H[0, 0] += 1.0  # pins the gauge; see the docstring
-        try:
-            lu = scipy.sparse.linalg.splu(H, permc_spec="MMD_AT_PLUS_A")
-        except RuntimeError as exc:  # "Factor is exactly singular"
-            raise SolverError(f"singular Hessian: {exc}") from exc
-        # sum(g) vanishes at a solution (Gauss-Bonnet); taking off its mean spreads its
-        # rounding (~N eps) over all vertices instead of piling it up at vertex 0
-        delta = lu.solve(g.mean() - g if singular else -g)
+        # sum(g) vanishes at a solution (Gauss-Bonnet); its rounding (~N eps) is in L's kernel
+        b, eta, cg_steps = (g.mean() - g if singular else -g), min(0.1, norm), []
+        with np.errstate(divide="ignore", invalid="ignore"):  # a breakdown divides by 0
+            M = scipy.sparse.diags_array(1.0 / H.diagonal())
+            delta, info = scipy.sparse.linalg.cg(H, b, rtol=eta, M=M, callback=cg_steps.append)
+            residual, bound = np.linalg.norm(H @ delta - b), eta * np.linalg.norm(b)
+        if not (info == 0 and np.all(np.isfinite(delta)) and residual <= bound):
+            raise SolverError(f"linear solve failed at iteration {iteration}: "
+                              f"CG info {info}, residual {residual:.3e}, bound {bound:.3e}")
         if singular:
             delta -= delta.mean()
 
@@ -206,8 +201,8 @@ def newton_solve(tri, r_init, target, alpha=2.0, tol=GRAD_TOL,
             raise SolverError(f"line search stalled at gradient norm {norm:.3e}: "
                               "no trial step down to 2^-40 lowered |g|^2")
         u, g = u_try, g_try
-        log.debug("newton iteration %d: max|g| %.3e, step %.3g after %d line-search trials",
-                  iteration, norm, lam, trials)
+        log.debug("newton iteration %d: max|g| %.3e, step %.3g after %d line-search trials, "
+                  "%d CG iterations", iteration, norm, lam, trials, len(cg_steps))
     raise SolverError(
         f"no convergence in {max_iterations} iterations "
         f"(gradient norm {float(np.max(np.abs(g))):.3e})"

@@ -20,6 +20,8 @@ from idcurv import (
     Geometry,
     QuadratureError,
     SolverError,
+    WeightedTriangulation,
+    WeightRegime,
     angle_deficits,
     connected_sum,
     csaszar_torus,
@@ -33,6 +35,7 @@ from idcurv import (
     run_flow,
     tetrahedron,
     u_of_r,
+    validate_weights,
 )
 
 
@@ -48,6 +51,16 @@ def test_zero_at_base_point(csaszar_euc):
     r0 = np.full(7, 0.9)
     u0, u = coords(csaszar_euc, r0, r0)
     assert potential_value(csaszar_euc, u0, u, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf])
+def test_zero_length_path_refuses_non_finite_alpha(csaszar_euc, alpha):
+    # a path of no length integrates nothing; before the refusal it returned 0.0
+    u0, = coords(csaszar_euc, np.full(7, 0.9))
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        potential_value(csaszar_euc, u0, u0, 0.0, alpha=alpha)
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        potential_value(csaszar_euc, u0, u0, 0.0, alpha=alpha, via=[u0], extended=True)
 
 
 def test_path_independence(csaszar_euc, rng):
@@ -190,11 +203,12 @@ def test_newton_agrees_with_flow(csaszar_euc, csaszar_hyp):
     assert np.max(np.abs(via_flow.radii - via_newton.radii)) < 1e-7
 
 
-def test_newton_on_a_144_vertex_torus():
+def test_newton_on_a_144_vertex_torus(caplog):
     rng = np.random.default_rng(144)
     tri = grid_torus(12, 12)
     r0 = np.exp(rng.uniform(-0.3, 0.3, tri.vertex_count))
-    flat = newton_solve(tri, r0, target=0.0)
+    with caplog.at_level(logging.DEBUG, logger="idcurv.potential"):
+        flat = newton_solve(tri, r0, target=0.0)
     assert np.max(np.abs(angle_deficits(tri, flat.radii))) < 1e-9
     u0, u1 = u_of_r(r0, tri.geometry), u_of_r(flat.radii, tri.geometry)
     assert abs(u1.sum() - u0.sum()) < 1e-9
@@ -205,8 +219,13 @@ def test_newton_on_a_144_vertex_torus():
     htri = grid_torus(12, 12, geometry=Geometry.HYPERBOLIC)
     packing = 0.5 * np.exp(rng.uniform(-0.3, 0.3, htri.vertex_count))
     target = angle_deficits(htri, packing)
-    hyp = newton_solve(htri, np.full(htri.vertex_count, 0.5), target, alpha=0.0)
+    with caplog.at_level(logging.DEBUG, logger="idcurv.potential"):
+        hyp = newton_solve(htri, np.full(htri.vertex_count, 0.5), target, alpha=0.0)
     assert np.max(np.abs(hyp.radii - packing)) < 1e-8
+    # every step's CG solve, flat and hyperbolic, ends within N iterations
+    records = [rec for rec in caplog.records if rec.name == "idcurv.potential"]
+    assert len(records) >= 4 and all(rec.getMessage().endswith("CG iterations") for rec in records)
+    assert all(1 <= rec.args[-1] <= 144 for rec in records)
 
 
 def test_newton_logs_each_iteration(csaszar_euc, caplog):
@@ -218,9 +237,10 @@ def test_newton_logs_each_iteration(csaszar_euc, caplog):
     norms = []
     for k, rec in enumerate(records):
         assert rec.levelno == logging.DEBUG
-        iteration, norm, step, trials = rec.args
+        iteration, norm, step, trials, cg_iterations = rec.args
         assert iteration == k
         assert 0.0 < step <= 1.0 and trials >= 1
+        assert 1 <= cg_iterations <= 7
         assert step == 2.0 ** (1 - trials)
         norms.append(norm)
         assert f"newton iteration {k}" in rec.getMessage()
@@ -348,13 +368,53 @@ def test_newton_line_search_stalls_where_its_decrease_test_ends(csaszar_hyp, mon
 
 
 def test_newton_singular_hessian_is_a_solver_error(csaszar_hyp, monkeypatch):
+    # the zero matrix: H delta = -g has no solution, so CG breaks down (its
+    # Jacobi preconditioner is 1/0) and the step's residual check fails
     potential = importlib.import_module("idcurv.potential")
     monkeypatch.setattr(
-        potential, "_hessian", lambda tri, r, target, alpha: scipy.sparse.csc_array(np.ones((7, 7)))
+        potential, "_hessian", lambda tri, r, target, alpha: scipy.sparse.csr_array((7, 7))
     )
     target = angle_deficits(csaszar_hyp, np.full(7, 0.4))
-    with pytest.raises(SolverError, match="singular Hessian: Factor is exactly singular"):
+    with pytest.raises(SolverError, match="linear solve failed at iteration 0: CG info"):
         newton_solve(csaszar_hyp, np.full(7, 0.3), target=target, alpha=0.0)
+
+
+def signed_weight_torus(geom):
+    """The 6x6 grid torus with 31 of its 108 edges at weight -0.3, at most one per
+    face (a greedy pass over a seeded edge order), the rest at 1."""
+    tri = grid_torus(6, 6)
+    faces_of = tri.edge_corners // 3
+    taken = np.zeros(len(tri.faces), dtype=bool)
+    weights = np.ones(len(tri.edges))
+    for e in np.random.default_rng(0).permutation(len(tri.edges)):
+        if not taken[faces_of[e]].any():
+            taken[faces_of[e]] = True
+            weights[e] = -0.3
+    return WeightedTriangulation(
+        tri.vertex_count, tri.faces, dict(zip(map(tuple, tri.edges.tolist()), weights)), geom
+    )
+
+
+def test_newton_with_signed_weights():
+    # under the signed regime's face condition the Hessian stays positive
+    # (semi)definite (Xu, Adv. Math. 2018); an indefinite one would break CG here first
+    tri = signed_weight_torus(Geometry.EUCLIDEAN)
+    assert np.sum(tri.weights == -0.3) == 31 and len(tri.weights) == 108
+    assert validate_weights(tri, WeightRegime.SIGNED).passed
+    rng = np.random.default_rng(31)
+    shapes = []
+    for _ in range(5):
+        radii = newton_solve(tri, sample_admissible(tri, rng, spread=0.3), 0.0).radii
+        assert np.max(np.abs(angle_deficits(tri, radii))) < 1e-10
+        shapes.append(radii / np.exp(np.log(radii).mean()))
+    assert max(np.max(np.abs(a - b)) for a in shapes for b in shapes) <= 1e-12
+
+    htri = signed_weight_torus(Geometry.HYPERBOLIC)
+    target = angle_deficits(htri, sample_admissible(htri, rng, spread=0.3, scale=0.5))
+    for _ in range(5):
+        start = sample_admissible(htri, rng, spread=0.3, scale=0.5)
+        radii = newton_solve(htri, start, target, alpha=0.0).radii
+        assert np.max(np.abs(angle_deficits(htri, radii) - target)) <= 1e-12
 
 
 @pytest.mark.parametrize(
