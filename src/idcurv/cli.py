@@ -96,17 +96,6 @@ def cmd_curvature(args) -> int:
     return EXIT_OK
 
 
-def _build_flow_spec(args, tri):
-    return FlowSpec(
-        kind=FlowKind(args.kind),
-        alpha=args.alpha,
-        target=load_target(args.target, tri.vertex_count),
-        step=args.dt,
-        t_max=args.tmax,
-        tol=args.tol,
-    )
-
-
 # A stage of a lockstep stack costs 32, 49 and 142 us at 32, 256 and 2304
 # face-rows (starts x faces), so a worker must carry enough face-rows to repay
 # its fixed cost and the pool's start-up. Median `idcurv flow` wall times in s,
@@ -130,7 +119,14 @@ def _run_flows(tri, runs, flow_args):
     writes each start's files. Returns, per run in order, its exit code, its
     one-line summary and whether that line is an error for stderr."""
     starts = np.stack([load_radii(path, tri.vertex_count) for path, _ in runs])
-    spec = _build_flow_spec(flow_args, tri)
+    spec = FlowSpec(
+        kind=FlowKind(flow_args.kind),
+        alpha=flow_args.alpha,
+        target=load_target(flow_args.target, tri.vertex_count),
+        step=flow_args.dt,
+        t_max=flow_args.tmax,
+        tol=flow_args.tol,
+    )
     summaries = []
     for (radii_path, out_dir), result in zip(runs, run_flow(tri, starts, spec)):
         out = Path(out_dir)
@@ -157,6 +153,11 @@ def cmd_flow(args) -> int:
     start order, do not depend on the worker count."""
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, not {args.jobs}")
+    if FlowKind(args.kind).rate == 1.0 and args.alpha != 2.0:
+        alpha_presets = ", ".join(k.value for k in FlowKind if k.rate == 2.0)
+        raise ValueError(
+            f"--kind {args.kind} runs at alpha = 2; for --alpha {args.alpha:g} use {alpha_presets}"
+        )
     out_root = Path(args.out) if args.out else Path("flow_out")
     if len(args.radii) == 1:
         runs = [(args.radii[0], out_root)]

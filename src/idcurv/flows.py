@@ -1,4 +1,4 @@
-"""Combinatorial Ricci flows: one family of equations, eight kinds.
+"""Combinatorial Ricci flows: one family of equations, eight presets.
 
 Every flow here is
 
@@ -9,23 +9,21 @@ integrated in the radii directly, where it reads
     dr/dt = (c/2) (T - K / s^alpha) r          Euclidean (s = r)
     dr/dt = (c/2) (T - K / s^alpha) sinh(r)    hyperbolic (s = tanh(r/2))
 
-The kind fixes the rest (the attributes of FlowKind):
+A FlowKind is a preset of (family, c, pinned geometry). The family fixes the
+target T: "normalized" takes the running average curvature, recomputed each
+evaluation, "modified" a prescribed one and "extended" either, running
+through admissibility failures on the constant angle extension. The average
+exists only on Euclidean surfaces, so a hyperbolic one needs a prescribed T.
 
-    kind                  target      extended  c  geometry
-    normalized-euclidean  average     no        1  euclidean
-    modified-euclidean    prescribed  no        1  euclidean
-    extended-euclidean    either      yes       1  euclidean
-    modified-hyperbolic   prescribed  no        1  hyperbolic
-    extended-hyperbolic   prescribed  yes       1  hyperbolic
-    alpha-normalized      average     no        2  euclidean
-    alpha-modified        prescribed  no        2  either
-    alpha-extended        either      yes       2  either
+    family      c = 1: R-flows, alpha = 2         c = 2: alpha-flows
+    normalized  normalized-euclidean              alpha-normalized (euclidean)
+    modified    modified-euclidean, -hyperbolic   alpha-modified
+    extended    extended-euclidean, -hyperbolic   alpha-extended
 
-R-flows (c = 1) take alpha = 2; alpha-flows (c = 2) take the spec's alpha.
-The average target is the running average curvature, recomputed each
-evaluation; it exists only on Euclidean surfaces, so every kind needs a
-prescribed target on a hyperbolic one. Extended kinds run through
-admissibility failures using the constant angle extension.
+An R-preset's FlowSpec.alpha is 2, whatever it is given; an alpha-preset runs
+the spec's alpha. So c is only the unit of time: an R-preset run with step h
+is its alpha-preset at alpha = 2 run with step h/2, with the same radii bit
+for bit and every event time doubled.
 
 The stepper is DOP853, Hairer's 12-stage method of order 8
 (Hairer-Norsett-Wanner, Solving ODEs I, II.10): it advances with the 8th-order
@@ -200,31 +198,30 @@ _BETA = 6.3936515228509885
 
 
 class FlowKind(enum.Enum):
-    """A kind of flow; the value is its CLI name.
+    """A preset of the flow family; the value is its CLI name.
 
-    The attributes are the columns of the module docstring's table: `target`
-    is "average", "prescribed" or "either", `extended` turns on the angle
-    extension, `rate` is c (2 marks the alpha-flows) and `geometry` is the
-    geometry the kind is pinned to, or None.
+    `family` is "normalized", "modified" or "extended", `rate` is c (2 marks
+    the alpha-flows) and `geometry` is the geometry the preset is pinned to,
+    or None (see the module docstring).
     """
 
-    NORMALIZED_EUCLIDEAN = ("normalized-euclidean", "average", False, 1.0, Geometry.EUCLIDEAN)
-    MODIFIED_EUCLIDEAN = ("modified-euclidean", "prescribed", False, 1.0, Geometry.EUCLIDEAN)
-    EXTENDED_EUCLIDEAN = ("extended-euclidean", "either", True, 1.0, Geometry.EUCLIDEAN)
-    MODIFIED_HYPERBOLIC = ("modified-hyperbolic", "prescribed", False, 1.0, Geometry.HYPERBOLIC)
-    EXTENDED_HYPERBOLIC = ("extended-hyperbolic", "prescribed", True, 1.0, Geometry.HYPERBOLIC)
-    ALPHA_NORMALIZED = ("alpha-normalized", "average", False, 2.0, Geometry.EUCLIDEAN)
-    ALPHA_MODIFIED = ("alpha-modified", "prescribed", False, 2.0, None)
-    ALPHA_EXTENDED = ("alpha-extended", "either", True, 2.0, None)
+    NORMALIZED_EUCLIDEAN = ("normalized-euclidean", "normalized", 1.0, Geometry.EUCLIDEAN)
+    MODIFIED_EUCLIDEAN = ("modified-euclidean", "modified", 1.0, Geometry.EUCLIDEAN)
+    EXTENDED_EUCLIDEAN = ("extended-euclidean", "extended", 1.0, Geometry.EUCLIDEAN)
+    MODIFIED_HYPERBOLIC = ("modified-hyperbolic", "modified", 1.0, Geometry.HYPERBOLIC)
+    EXTENDED_HYPERBOLIC = ("extended-hyperbolic", "extended", 1.0, Geometry.HYPERBOLIC)
+    ALPHA_NORMALIZED = ("alpha-normalized", "normalized", 2.0, Geometry.EUCLIDEAN)
+    ALPHA_MODIFIED = ("alpha-modified", "modified", 2.0, None)
+    ALPHA_EXTENDED = ("alpha-extended", "extended", 2.0, None)
 
-    def __new__(cls, value, target, extended, rate, geometry):
+    def __new__(cls, value, family, rate, geometry):
         member = object.__new__(cls)
-        member._value_ = value
-        member.target = target
-        member.extended = extended
-        member.rate = rate
-        member.geometry = geometry
+        member._value_, member.family, member.rate, member.geometry = value, family, rate, geometry
         return member
+
+    @property
+    def extended(self):
+        return self.family == "extended"
 
 
 class EventKind(enum.Enum):
@@ -268,15 +265,13 @@ class FlowSpec:
             raise ValueError("step, t_max and tol must be positive and finite")
         if not math.isfinite(self.alpha):
             raise ValueError("alpha must be finite")
+        # the R-flows are the alpha-flows at alpha = 2, in another unit of time
+        self.alpha = 2.0 if self.kind.rate == 1.0 else float(self.alpha)
         if self.target is not None:
             target = np.asarray(self.target, dtype=float)
             if not np.all(np.isfinite(target)):
                 raise ValueError("target must be finite")
             self.target = target
-
-    @property
-    def effective_alpha(self):
-        return float(self.alpha) if self.kind.rate == 2.0 else 2.0
 
 
 @dataclasses.dataclass
@@ -322,17 +317,17 @@ class FlowTrace:
 
 def _check_spec(tri, spec):
     kind = spec.kind
-    if kind.geometry is not None and tri.geometry is not kind.geometry:
+    if kind.geometry not in (None, tri.geometry):
         raise ValueError(
             f"{kind.value} flow needs a {kind.geometry.value} surface, got {tri.geometry.value}"
         )
     if spec.target is None:
         # the running average exists only on Euclidean surfaces
-        if kind.target == "prescribed" or tri.geometry is Geometry.HYPERBOLIC:
+        if kind.family == "modified" or tri.geometry is Geometry.HYPERBOLIC:
             raise ValueError(f"{kind.value} flow requires a target curvature")
-    elif kind.target == "average":
+    elif kind.family == "normalized":
         raise ValueError("normalized flows compute their own average target")
-    if spec.target is not None and spec.target.ndim > 0 and spec.target.shape != (tri.vertex_count,):
+    elif spec.target.ndim and spec.target.shape != (tri.vertex_count,):
         raise ValueError("target length does not match the vertex count")
 
 
@@ -346,11 +341,10 @@ def _deviation(tri, r, spec, degenerate=None):
     triangle inequality.
     """
     b, n = r.shape
-    alpha = spec.effective_alpha
     mask = None if degenerate is None else degenerate.reshape(-1)
     R = angle_deficits(tri.copies(b), r.ravel(), spec.kind.extended, mask).reshape(b, n)
     # s^alpha, s being r or tanh(r/2) as in geometry.s_of_r; R = K / s^alpha in place
-    power = (r if tri.geometry is Geometry.EUCLIDEAN else np.tanh(r / 2.0)) ** alpha
+    power = (r if tri.geometry is Geometry.EUCLIDEAN else np.tanh(r / 2.0)) ** spec.alpha
     R /= power
     if spec.target is not None:
         return np.subtract(spec.target, R, out=R)
@@ -689,12 +683,10 @@ def run_flow(tri, r0, spec: FlowSpec):
     _check_spec(tri, spec)
 
     genuine = not spec.kind.extended
+    positive = np.atleast_1d(0.0 if spec.target is None else spec.alpha * spec.target) > 0.0
     sign_events = []
-    if spec.target is not None:
-        sign = np.atleast_1d(spec.effective_alpha * spec.target)
-        offenders = np.nonzero(sign > 0.0)[0]
-        if len(offenders):
-            sign_events.append(FlowEvent(0.0, EventKind.TARGET_SIGN_WARNING, int(offenders[0])))
+    if positive.any():
+        sign_events.append(FlowEvent(0.0, EventKind.TARGET_SIGN_WARNING, int(np.argmax(positive))))
     runs = []
     for start in r:
         inside, bad = geometry.admissible(tri, start)
@@ -743,10 +735,7 @@ def run_flow(tri, r0, spec: FlowSpec):
             # triangle inequality, or None
             faces = [None] * taken
             if not genuine:
-                outside = degenerate[rows]
-                for a, past in enumerate(outside.any(axis=1).tolist()):
-                    if past:
-                        faces[a] = int(np.argmax(outside[a]))
+                faces = [int(np.argmax(m)) if m.any() else None for m in degenerate[rows]]
 
         a = 0  # the index of the next taken start
         steps, errors = h.tolist(), step_err.tolist()

@@ -105,11 +105,15 @@ def edge_length(r_i, r_j, weight, geometry):
     Euclidean: sqrt(r_i^2 + r_j^2 + 2 r_i r_j I).
     Hyperbolic: cosh l = cosh r_i cosh r_j + I sinh r_i sinh r_j, evaluated as
     l = 2 asinh(sqrt(sinh^2((r_i - r_j)/2) + ((1+I)/2) sinh r_i sinh r_j)), and
-    in a log-sum-exp form once either radius exceeds BIG_RADIUS.
+    in a log-sum-exp form once either radius exceeds BIG_RADIUS. Radii must be
+    finite and positive and weights finite, or ValueError is raised.
     """
     r_i, r_j, weight = (np.asarray(x, dtype=float) for x in (r_i, r_j, weight))
     r_i, r_j, weight = np.broadcast_arrays(r_i, r_j, weight)
-    out = _lengths(np.stack([r_i.ravel(), r_j.ravel()]), weight.ravel(), geometry)
+    ends = np.stack([r_i.ravel(), r_j.ravel()])
+    if not (np.isfinite(ends).all() and (ends > 0.0).all() and np.isfinite(weight).all()):
+        raise ValueError("edge_length takes finite positive radii and a finite weight")
+    out = _lengths(ends, weight.ravel(), geometry)
     return float(out[0]) if r_i.ndim == 0 else out.reshape(r_i.shape)
 
 
@@ -293,6 +297,10 @@ def _gap_angles(g, geometry, extended, degenerate=None):
         return _half_angle_law(g, hyperbolic)
     mask = _degenerate_mask(g)
     if not extended:
+        # the extension cannot take a face of non-finite lengths either
+        nonfinite = np.flatnonzero(~np.isfinite(g).all(axis=1)).tolist()
+        if nonfinite:
+            raise AdmissibilityError(f"faces {nonfinite} have non-finite edge lengths")
         bad = np.nonzero(mask)[0].tolist()
         raise AdmissibilityError(f"inadmissible faces {bad}; pass extended=True")
     # only degenerate rows (NaN rows among them) give invalid values, and

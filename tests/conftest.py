@@ -121,7 +121,7 @@ def rk4_reference(tri, r, spec, h):
     spec.tol at the current state, or until t reaches spec.t_max. Returns
     (t, r, steps).
     """
-    alpha = spec.effective_alpha
+    alpha = spec.alpha
 
     def max_deviation(r):
         R = curvature_field(tri, r, alpha=alpha, extended=spec.kind.extended).R

@@ -168,7 +168,7 @@ def test_04_curvature_evolution_identity():
             L = curvature_jacobian(tri, r).sparse
             for kind, alpha in cases:
                 spec = FlowSpec(kind=kind, alpha=alpha)
-                c, a = kind.rate, spec.effective_alpha
+                c, a = kind.rate, spec.alpha
                 v = flow_rhs(tri, r, spec)
                 dR = (
                     curvature_field(tri, r + step * v, a).R

@@ -423,6 +423,31 @@ def test_flow_sweep_refuses_radii_files_sharing_a_stem(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "kind", ["normalized-euclidean", "modified-euclidean", "extended-euclidean"]
+)
+@pytest.mark.parametrize("alpha", ["1.5", "0", "-2"])
+def test_flow_r_preset_refuses_alpha_other_than_two(tmp_path, capsys, kind, alpha):
+    # an R-preset runs at alpha = 2; another alpha is refused unrun, with the
+    # alpha-presets that take it named
+    radii = radii_file(tmp_path, [1.0] * 7)
+    out = tmp_path / "out"
+    code = main(["flow", CSASZAR, "--radii", radii, "--kind", kind, "--target", "0",
+                 "--alpha", alpha, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"--kind {kind} runs at alpha = 2" in err
+    assert "alpha-normalized, alpha-modified, alpha-extended" in err
+    assert not out.exists()
+
+
+def test_flow_r_preset_takes_alpha_two(tmp_path, capsys):
+    radii = radii_file(tmp_path, [1.0, 2.0, 2.0, 2.0])
+    code = main(["flow", TETRA, "--radii", radii, "--kind", "normalized-euclidean",
+                 "--alpha", "2", "--out", str(tmp_path / "out")])
+    assert code == 0
+
+
 @pytest.mark.parametrize("option", ["--tol", "--dt", "--tmax"])
 def test_flow_non_finite_step_control_is_invalid_input(tmp_path, capsys, option):
     radii = radii_file(tmp_path, [1.0] * 7)

@@ -117,6 +117,16 @@ def test_non_finite_alpha_is_refused(alpha):
         FlowSpec(kind=FlowKind.ALPHA_NORMALIZED, alpha=alpha)
 
 
+def test_spec_alpha_is_the_alpha_that_runs():
+    # an R-preset runs at alpha = 2 whatever it is given; an alpha-preset runs its own
+    assert FlowSpec(kind=FlowKind.NORMALIZED_EUCLIDEAN, alpha=1.5).alpha == 2.0
+    assert FlowSpec(kind=FlowKind.ALPHA_NORMALIZED, alpha=1.5).alpha == 1.5
+    assert {k.family for k in FlowKind} == {"normalized", "modified", "extended"}
+    assert [k for k in FlowKind if k.extended] == [
+        FlowKind.EXTENDED_EUCLIDEAN, FlowKind.EXTENDED_HYPERBOLIC, FlowKind.ALPHA_EXTENDED
+    ]
+
+
 # NaN passes a plain `x <= 0` check: tol=nan never converges, step=nan dies in
 # math.floor, t_max=inf never stops
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -182,6 +192,50 @@ def test_flow_kind_contract(kind, geom, target_id):
     factor = r if geom is Geometry.EUCLIDEAN else np.sinh(r)
     expected = 0.5 * c * (T - angle_deficits(tri, r) / s**alpha) * factor
     np.testing.assert_allclose(flow_rhs(tri, r, spec), expected, rtol=1e-13, atol=1e-15)
+
+
+# each R-preset (c = 1), the alpha-preset (c = 2) of its family, and the geometry
+R_PRESET_TWINS = [
+    ("normalized-euclidean", "alpha-normalized", Geometry.EUCLIDEAN),
+    ("modified-euclidean", "alpha-modified", Geometry.EUCLIDEAN),
+    ("extended-euclidean", "alpha-extended", Geometry.EUCLIDEAN),
+    ("modified-hyperbolic", "alpha-modified", Geometry.HYPERBOLIC),
+    ("extended-hyperbolic", "alpha-extended", Geometry.HYPERBOLIC),
+]
+
+
+@pytest.mark.parametrize("preset, twin, geom", R_PRESET_TWINS, ids=[p for p, _, _ in R_PRESET_TWINS])
+def test_r_preset_is_alpha_preset_in_double_time(preset, twin, geom):
+    # c is only the unit of time: the R-preset with step h and its alpha-preset
+    # at alpha = 2 with step h/2 take the same steps, every velocity doubled and
+    # every step halved, which are exact in binary arithmetic
+    tri = csaszar_torus(weight=2.0, geometry=geom)
+    scale = 0.5 if geom is Geometry.HYPERBOLIC else 1.0
+    rng = np.random.default_rng(31)
+    r0 = scale * np.exp(rng.uniform(-0.2, 0.2, 7))
+    if preset.startswith("extended"):
+        # a start with faces past the triangle inequality, which the flow leaves
+        r0 = np.array([1.0, 10, 10, 10, 10, 10, 10])
+        r0 *= scale * math.sqrt(7.0 / (r0 @ r0))
+    target = None
+    if geom is Geometry.HYPERBOLIC or preset.startswith("modified"):
+        # a feasible target: the curvature of a packing
+        target = curvature_field(tri, scale * np.exp(rng.uniform(-0.2, 0.2, 7))).R
+    t_max = 0.25 if geom is Geometry.HYPERBOLIC else 20.0
+    slow, r_slow = run_flow(
+        tri, r0, FlowSpec(kind=FlowKind(preset), target=target, step=0.02, t_max=t_max, tol=1e-9)
+    )
+    fast, r_fast = run_flow(
+        tri, r0,
+        FlowSpec(kind=FlowKind(twin), alpha=2.0, target=target, step=0.01, t_max=t_max / 2,
+                 tol=1e-9),
+    )
+    assert np.array_equal(r_slow.radii, r_fast.radii)
+    for key in ("evaluations", "accepted", "rejected_on_error", "illegal", "capped"):
+        assert slow.stats[key] == fast.stats[key], key
+    assert event_kinds(slow) == event_kinds(fast)
+    assert [e.t for e in slow.events] == [2.0 * e.t for e in fast.events]
+    assert slow.stats["accepted"] > 0
 
 
 def test_initial_radii_validation(tetra_euc):
@@ -1104,7 +1158,7 @@ def test_curvature_derivative_matches_flow(csaszar_euc, rng, kind, alpha):
     # against finite differences of R along the flow direction
     r = np.exp(rng.uniform(-0.2, 0.2, 7))
     spec = FlowSpec(kind=FlowKind(kind), alpha=alpha)
-    c, a = spec.kind.rate, spec.effective_alpha
+    c, a = spec.kind.rate, spec.alpha
     rhs = flow_rhs(csaszar_euc, r, spec)
     eps = 1e-6
 

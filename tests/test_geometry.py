@@ -48,6 +48,24 @@ def test_euclidean_length_oracles():
     assert edge_length(2.0, 5.0, 1.0, EUC) == pytest.approx(7.0, abs=1e-14)
 
 
+@pytest.mark.parametrize(
+    "r_i, r_j, weight",
+    [
+        (-1.0, 1.0, 1.0),
+        (0.0, 1.0, 1.0),
+        (1.0, math.nan, 1.0),
+        (math.inf, 1.0, 1.0),
+        (1.0, 1.0, math.nan),
+        (1.0, 1.0, -math.inf),
+        (np.array([1.0, -2.0]), 1.0, 1.0),
+    ],
+)
+@pytest.mark.parametrize("geom", [EUC, HYP], ids=lambda g: g.value)
+def test_edge_length_refuses_bad_radii_and_weights(r_i, r_j, weight, geom):
+    with pytest.raises(ValueError, match="finite positive radii and a finite weight"):
+        edge_length(r_i, r_j, weight, geom)
+
+
 def test_hyperbolic_tangent_circles_add_radii():
     for a, b in ((1.0, 1.0), (0.3, 2.4), (5.0, 0.01), (1e-5, 3e-5)):
         assert edge_length(a, b, 1.0, HYP) == pytest.approx(a + b, rel=1e-14, abs=0.0)
@@ -184,6 +202,17 @@ def test_nan_radius_is_not_admissible(csaszar_euc):
         angle_deficits(csaszar_euc, r)
     with pytest.raises(DomainError):
         angle_deficits(csaszar_euc, r, extended=True)
+
+
+@pytest.mark.parametrize("evaluate", [corner_angles, angle_deficits])
+def test_non_finite_radius_names_its_faces(csaszar_euc, evaluate):
+    # the faces at vertex 0 have NaN lengths, which the extension cannot take
+    # either, so the error names them instead of pointing to extended=True
+    r = np.array([np.nan, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+    at_vertex = np.flatnonzero((csaszar_euc.faces == 0).any(axis=1)).tolist()
+    with pytest.raises(AdmissibilityError) as raised:
+        evaluate(csaszar_euc, r)
+    assert str(raised.value) == f"faces {at_vertex} have non-finite edge lengths"
 
 
 # axis-reduction forms of the face kernels on the gaps p - l, kept as the
