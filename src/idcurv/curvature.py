@@ -92,12 +92,12 @@ curvature = curvature_field
 def average_curvature(tri, r, alpha=2.0) -> float:
     """2 pi chi / sum(r^alpha), which is 2 pi chi / N at alpha = 0.
 
-    Defined for Euclidean surfaces only.
+    Defined for Euclidean surfaces only, at finite positive radii.
     """
     if tri.geometry is not Geometry.EUCLIDEAN:
         raise ValueError("average curvature is defined for Euclidean surfaces only")
     alpha = _finite_alpha(alpha)
-    r = geometry._vertex_radii(tri, r)
+    r = geometry._finite_positive(geometry._vertex_radii(tri, r))
     return TWO_PI * euler_characteristic(tri) / float((r**alpha).sum())
 
 

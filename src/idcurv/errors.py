@@ -14,7 +14,16 @@ class WeightError(ValueError):
 
 
 class AdmissibilityError(ValueError):
-    """Radii are outside the admissible cone where admissibility is required."""
+    """Radii are outside the admissible cone where admissibility is required.
+
+    `faces` lists the faces past a triangle inequality, as
+    geometry.admissible names them, when the angle evaluation that failed
+    found them; it is empty otherwise.
+    """
+
+    def __init__(self, message, faces=()):
+        super().__init__(message)
+        self.faces = faces
 
 
 class DomainError(ValueError):

@@ -42,15 +42,18 @@ beta the negative-real-axis stability boundary of the 8th-order weights
 (about 6.39), and at t_max - t. Trace rows are recorded every SAMPLE_DT of
 flow time, and at every event. When the run ends, FlowTrace.stats and one
 DEBUG record on the "idcurv.flows" logger give its step statistics.
-Curvature is evaluated once per flow state: a candidate's own evaluation
-decides whether it is legal (for genuine kinds the angle computation fails on
-exactly the faces that fail a triangle inequality, for extended kinds its face
-mask gives the region flag), and its deviation gives the accepted state's
-error and seeds the next step's first stage. An accepted step therefore costs
-twelve curvature evaluations (eleven stages and the candidate's own). A step
-rejected on error costs its eleven stages; a candidate rejected as illegal
-costs the stages it ran, plus one evaluation when it passed the error test
-and its radii are finite and within bounds. These are the counts of
+Curvature is evaluated once per flow state, and every admissibility verdict
+comes from the evaluation that computed it: for genuine kinds the angle
+computation fails on exactly the faces that fail a triangle inequality, and
+its AdmissibilityError carries them; for extended kinds the face mask gives
+the region flag. So a start's own evaluation refuses it (genuine kinds) or
+gives its LeftAdmissible index (extended kinds), and a candidate's decides
+whether it is legal; its deviation gives the accepted state's error and seeds
+the next step's first stage. An accepted step therefore costs twelve curvature
+evaluations (eleven stages and the candidate's own). A step rejected on error
+costs its eleven stages; a candidate rejected as illegal costs the stages it
+ran, plus one evaluation when it passed the error test and its radii are
+finite and within bounds. These are the counts of
 FlowTrace.stats["evaluations"], per start.
 When a candidate would leave the legal region the step h halves, with no
 budget, until a legal candidate is found or h would fall below MIN_STEP (as
@@ -66,10 +69,12 @@ step. Every stage, and the evaluation of the candidates that passed the error
 test, is one call of the angle kernel on the disjoint union of one copy of the
 surface per start it evaluates (WeightedTriangulation.copies), so on small
 surfaces, where the per-call overhead dominates, a pass costs little more than
-one start's attempt. Everything per start stays its own: step, clock,
-stiffness estimate, statistics, events, trace, and a failure. When the union's
-evaluation fails on faces past a triangle inequality, one admissibility pass
-over the union names the starts that hold them, and the others are evaluated
+one start's attempt. The starts are evaluated together as well, so an
+inadmissible start of a genuine kind refuses the call, with the faces of the
+first such start, before any step. Everything per start stays its own: step,
+clock, stiffness estimate, statistics, events, trace, and a failure. When the
+union's evaluation fails on faces past a triangle inequality, the faces its
+error carries name the starts that hold them, and the others are evaluated
 together; a start whose stage fails leaves that attempt's later stages. Each
 start's results, stats["evaluations"] among them, are bit for bit those of its
 own run, while the kernel calls of a stack number about those of its start
@@ -384,9 +389,9 @@ def _evaluate(tri, y, spec, ok=None, degenerate=None):
     `ok` marks (all if None), in one evaluation; their face masks go to a given
     C-contiguous (b, F) `degenerate`. Returns (dev, ok): ok marks the rows
     evaluated, None if all were, and dev reads 0 in the others. When a genuine
-    kind's evaluation fails on faces past a triangle inequality, one
-    geometry.admissible pass over the union names the rows that hold them, and
-    the others are evaluated together; a single row is not tried again.
+    kind's evaluation fails on faces past a triangle inequality, the faces its
+    AdmissibilityError carries name the rows that hold them, and the others
+    are evaluated together; a single row is not tried again.
     """
     if ok is None:
         index, tried, masks = slice(None), y, degenerate
@@ -396,13 +401,12 @@ def _evaluate(tri, y, spec, ok=None, degenerate=None):
     try:
         # an empty stack has no union to evaluate on
         dev = _deviation(tri, tried, spec, masks) if len(tried) else tried
-    except AdmissibilityError:
-        # the rows tried that hold none of the faces named are tried again
+    except AdmissibilityError as error:
+        # the rows tried that hold none of the faces it names are tried again
         ok = np.zeros(len(y), dtype=bool)
         if len(tried) > 1:
-            _, faces = geometry.admissible(tri.copies(len(tried)), tried.ravel())
             ok[index] = True
-            ok[np.flatnonzero(ok)[np.array(faces, dtype=int) // tri.face_count]] = False
+            ok[np.flatnonzero(ok)[np.array(error.faces, dtype=int) // tri.face_count]] = False
         return _evaluate(tri, y, spec, ok, degenerate)
     if ok is None:
         return dev, None
@@ -683,24 +687,30 @@ def run_flow(tri, r0, spec: FlowSpec):
     _check_spec(tri, spec)
 
     genuine = not spec.kind.extended
+    # the starts' face masks, then a pass's candidates' in the first rows
+    masks = np.empty((len(r), tri.face_count), dtype=bool)
+    try:
+        dev = _deviation(tri, r, spec, None if genuine else masks)
+    except AdmissibilityError as error:
+        # the faces of the first start that holds any, numbered as in that start
+        which, bad = divmod(np.array(error.faces, dtype=int), tri.face_count)
+        bad = bad[which == which[0]].tolist()
+        raise AdmissibilityError(
+            f"genuine flow started outside the admissible cone (faces {bad})", bad
+        ) from None
     positive = np.atleast_1d(0.0 if spec.target is None else spec.alpha * spec.target) > 0.0
     sign_events = []
     if positive.any():
         sign_events.append(FlowEvent(0.0, EventKind.TARGET_SIGN_WARNING, int(np.argmax(positive))))
+    # per start of an extended kind, its first face past a triangle inequality, or None
+    faces = [None] * len(r) if genuine else [int(np.argmax(m)) if m.any() else None for m in masks]
     runs = []
-    for start in r:
-        inside, bad = geometry.admissible(tri, start)
-        if genuine and not inside:
-            raise AdmissibilityError(
-                f"genuine flow started outside the admissible cone (faces {bad})"
-            )
+    for start, err, face in zip(r, np.max(np.abs(dev), axis=1).tolist(), faces):
         events = list(sign_events)
-        if not inside:
-            events.append(FlowEvent(0.0, EventKind.LEFT_ADMISSIBLE, int(bad[0])))
-        runs.append(_Run(tri, spec, inside, events))
-
-    dev = _deviation(tri, r, spec)
-    for run, start, err in zip(runs, r, np.max(np.abs(dev), axis=1).tolist()):
+        if face is not None:
+            events.append(FlowEvent(0.0, EventKind.LEFT_ADMISSIBLE, face))
+        run = _Run(tri, spec, face is None, events)
+        runs.append(run)
         run.err = err
         if err < spec.tol:
             run.stop(start, FlowEvent(0.0, EventKind.CONVERGED, None))
@@ -710,8 +720,8 @@ def run_flow(tri, r0, spec: FlowSpec):
     active = [runs[j] for j in live]
     r, k1 = r[live], _velocity(tri, r[live], dev[live], spec)
 
-    # a pass's candidate deviations and face masks fill the first rows of these
-    devs, masks = np.empty_like(r), np.empty((len(r), tri.face_count), dtype=bool)
+    # a pass's candidate deviations fill the first rows of this
+    devs = np.empty_like(r)
     # one pass makes one attempt for every active start; the candidates that
     # pass the error test are evaluated together, then each start takes or
     # rejects its own step, and the starts that stopped leave the stack

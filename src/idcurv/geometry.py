@@ -22,7 +22,10 @@ WeightedTriangulation; `face_angles`, for rows a caller gives, cycles the
 row's columns. Both return a bare (F, 3) array from one angle core, which
 tests admissibility with a single reduction over the gaps and builds the
 per-face degeneracy mask only when that test fails, into a (F,) bool buffer
-a caller may pass as `degenerate` (all False on admissible input).
+a caller may pass as `degenerate` (all False on admissible input). That test
+and its errors are one face check, which `total_area` runs on its own gaps;
+an AdmissibilityError it raises carries the failing faces, so a caller need
+not find them again.
 """
 
 from __future__ import annotations
@@ -52,8 +55,7 @@ class PackingMetric:
         object.__setattr__(self, "radii", r)
         if r.ndim != 1 or len(r) == 0:
             raise ValueError("radii must be a nonempty vector")
-        if not np.all(np.isfinite(r)) or np.any(r <= 0.0):
-            raise ValueError("radii must be finite and positive")
+        _finite_positive(r)
 
     @property
     def s(self):
@@ -75,25 +77,47 @@ class PackingMetric:
 # -- coordinates ------------------------------------------------------------------
 
 
-def s_of_r(r, geometry):
+def _finite_positive(r):
+    """r as a float array, refused with ValueError unless every entry is
+    finite and positive."""
     r = np.asarray(r, dtype=float)
+    # NaN fails the first test and inf the second
+    if not ((r > 0.0).all() and (r < np.inf).all()):
+        raise ValueError("radii must be finite and positive")
+    return r
+
+
+def s_of_r(r, geometry):
+    """s_i = r_i (Euclidean) or tanh(r_i/2) (hyperbolic). Radii must be
+    finite and positive, or ValueError is raised."""
+    r = _finite_positive(r)
     if geometry is Geometry.EUCLIDEAN:
         return r
     return np.tanh(r / 2.0)
 
 
 def u_of_r(r, geometry):
-    """u_i = ln s_i^2. Euclidean: any real; hyperbolic: always negative."""
+    """u_i = ln s_i^2 (see s_of_r). Euclidean: any real; hyperbolic: always negative."""
     return 2.0 * np.log(s_of_r(r, geometry))
 
 
 def r_of_u(u, geometry):
+    """The radii of u-coordinates. DomainError is raised for hyperbolic
+    coordinates that are not negative, and whenever a radius would not be
+    finite and positive: Euclidean u beyond about 1419 overflows, u far
+    below 0 underflows to r = 0, and NaN gives NaN."""
     u = np.asarray(u, dtype=float)
-    if geometry is Geometry.EUCLIDEAN:
-        return np.exp(u / 2.0)
-    if np.any(u >= 0.0):
-        raise DomainError("hyperbolic u-coordinates must be negative")
-    return 2.0 * np.arctanh(np.exp(u / 2.0))
+    # an overflow, and arctanh(1) at u just below 0, are refused below
+    with np.errstate(over="ignore", divide="ignore"):
+        if geometry is Geometry.EUCLIDEAN:
+            r = np.exp(u / 2.0)
+        elif np.any(u >= 0.0):
+            raise DomainError("hyperbolic u-coordinates must be negative")
+        else:
+            r = 2.0 * np.arctanh(np.exp(u / 2.0))
+    if not ((r > 0.0).all() and (r < np.inf).all()):
+        raise DomainError("u-coordinates give radii that are not finite and positive")
+    return r
 
 
 # -- edge lengths -----------------------------------------------------------------
@@ -172,9 +196,11 @@ def _vertex_radii(tri, r):
 
 def edge_lengths(tri, r):
     """Lengths of all edges of the surface, aligned with tri.edges, from one
-    radius per vertex, gathered by tri.edge_ends. Every per-face evaluation
-    gathers its radii here, through the length check of `_vertex_radii`."""
-    return _lengths(_vertex_radii(tri, r)[tri.edge_ends], tri.weights, tri.geometry)
+    radius per vertex, gathered by tri.edge_ends. Radii must be finite and
+    positive, one per vertex, or ValueError is raised. The angle path
+    (`corner_angles`, `admissible`, `total_area`) checks only their count."""
+    r = _finite_positive(_vertex_radii(tri, r))
+    return _lengths(r[tri.edge_ends], tri.weights, tri.geometry)
 
 
 def face_lengths(tri, r):
@@ -200,8 +226,10 @@ def _gaps(la, lb, lc):
 
 def _surface_gaps(tri, r):
     """(F, 3) doubled gaps of every face corner of the surface at radii r: the
-    edge lengths, gathered by tri.gap_plan into the three columns at once."""
-    columns = edge_lengths(tri, r)[tri.gap_plan]
+    edge lengths, gathered by tri.gap_plan into the three columns at once.
+    Only the count of the radii is checked, so a zero or inf radius passes."""
+    lengths = _lengths(_vertex_radii(tri, r)[tri.edge_ends], tri.weights, tri.geometry)
+    columns = lengths[tri.gap_plan]
     return _gaps(columns[0], columns[1], columns[2])
 
 
@@ -274,40 +302,49 @@ def _half_angle_law(g, hyperbolic):
     return angles
 
 
-def _extension_constants(g, rows):
-    """Extended angles (pi at the corner opposite the dominating edge) for the
-    selected degenerate rows of a (F, 3) gap array."""
-    dominating = g[rows] <= 0.0
+def _checked_faces(g, extended):
+    """The face check of the angles and the area on a (F, 3) gap array: None
+    when every row is strictly admissible, else the (F,) mask of the
+    degenerate rows and the (k, 3) mask of the corners opposite their
+    dominating edges. Without `extended` a degenerate row raises
+    AdmissibilityError, whose `faces` are the degenerate rows; with it, one
+    that no single edge dominates raises DomainError."""
+    # every row strictly admissible; NaN fails this, as it fails the mask, and
+    # `initial` lets a zero-row array through
+    if np.minimum.reduce(g, axis=None, initial=np.inf) > 0.0:
+        return None
+    mask = _degenerate_mask(g)
+    if not extended:
+        bad = np.flatnonzero(mask).tolist()
+        # the extension cannot take a face of non-finite lengths either
+        nonfinite = np.flatnonzero(~np.isfinite(g).all(axis=1)).tolist()
+        if nonfinite:
+            raise AdmissibilityError(f"faces {nonfinite} have non-finite edge lengths", bad)
+        raise AdmissibilityError(f"inadmissible faces {bad}; pass extended=True", bad)
+    dominating = g[mask] <= 0.0
     if np.any(dominating.sum(axis=1) != 1):
         raise DomainError(
             "no single edge dominates a degenerate face; lengths are not positive and finite"
         )
-    return np.where(dominating, np.pi, 0.0)
+    return mask, dominating
 
 
 def _gap_angles(g, geometry, extended, degenerate=None):
     """Corner angles from a (F, 3) gap array (see face_angles). A given (F,)
     bool array `degenerate` receives the per-face mask."""
     hyperbolic = geometry is Geometry.HYPERBOLIC
-    # every row strictly admissible; NaN fails this, as it fails the mask, and
-    # `initial` lets a zero-row array through
-    if np.minimum.reduce(g, axis=None, initial=np.inf) > 0.0:
+    verdict = _checked_faces(g, extended)
+    if verdict is None:
         if degenerate is not None:
             degenerate.fill(False)
         return _half_angle_law(g, hyperbolic)
-    mask = _degenerate_mask(g)
-    if not extended:
-        # the extension cannot take a face of non-finite lengths either
-        nonfinite = np.flatnonzero(~np.isfinite(g).all(axis=1)).tolist()
-        if nonfinite:
-            raise AdmissibilityError(f"faces {nonfinite} have non-finite edge lengths")
-        bad = np.nonzero(mask)[0].tolist()
-        raise AdmissibilityError(f"inadmissible faces {bad}; pass extended=True")
+    mask, dominating = verdict
     # only degenerate rows (NaN rows among them) give invalid values, and
-    # their angles are overwritten by the extension
+    # their angles are overwritten by the extension: pi at the corner
+    # opposite the dominating edge
     with np.errstate(invalid="ignore"):
         angles = _half_angle_law(g, hyperbolic)
-    angles[mask] = _extension_constants(g, mask)
+    angles[mask] = np.where(dominating, np.pi, 0.0)
     if degenerate is not None:
         degenerate[:] = mask
     return angles
@@ -334,11 +371,13 @@ def corner_angles(tri, r, extended=False, degenerate=None):
 def total_area(tri, r, extended=False):
     """Total hyperbolic area by L'Huilier's formula on the gaps,
     tan(A/4)^2 = tanh(p/2) prod tanh(g/2), free of the cancellation in
-    pi - sum(theta); degenerate faces contribute zero under the extension."""
+    pi - sum(theta); degenerate faces contribute zero under the extension.
+    The faces pass the angles' own check, so the area raises what
+    corner_angles raises at the same radii, and computes no angle."""
     if tri.geometry is not Geometry.HYPERBOLIC:
         raise ValueError("area is defined for hyperbolic surfaces")
     g = _surface_gaps(tri, r)
-    _gap_angles(g, tri.geometry, extended)  # raises for faces the extension cannot take
+    _checked_faces(g, extended)
     g = np.maximum(g, 0.0)
     # g is doubled, so g/4 is the gap's half and the row sum over 4 is p/2
     t = np.tanh(g / 4.0)

@@ -36,13 +36,17 @@ def potential_gradient(tri, u, target, alpha=2.0, extended=False):
     """Gradient of the potential at u, the 1-form coefficients K_i - T_i s_i^alpha.
 
     target is a scalar, a per-vertex array, or None for the running Euclidean
-    average curvature.
+    average curvature; a target that is not finite raises ValueError.
     """
     alpha = _finite_alpha(alpha)
+    if target is not None:
+        target = np.asarray(target, dtype=float)
+        if not np.isfinite(target).all():
+            raise ValueError("target must be finite")
     r = geometry.r_of_u(np.asarray(u, dtype=float), tri.geometry)
     K = angle_deficits(tri, r, extended=extended)
     s = geometry.s_of_r(r, tri.geometry)
-    T = average_curvature(tri, r, alpha) if target is None else np.asarray(target, dtype=float)
+    T = average_curvature(tri, r, alpha) if target is None else target
     return K - T * s**alpha
 
 

@@ -130,9 +130,9 @@ def test_angle_deficits_overwrite_the_given_face_mask(csaszar_euc, tetra_euc):
     "solver", ["curvature_field", "newton_solve", "laplacian_spectrum", "average_curvature"]
 )
 def test_wrong_radii_count_is_refused(csaszar_euc, solver, count):
-    # every per-face evaluation gathers radii through edge_lengths, and the
-    # average curvature sums them; both refuse one radius too few or too many on
-    # the 7-vertex torus through geometry._vertex_radii, instead of an IndexError,
+    # every per-face evaluation gathers radii, and the average curvature sums
+    # them; both refuse one radius too few or too many on the 7-vertex torus
+    # through geometry._vertex_radii, instead of an IndexError,
     # a spectrum of the wrong length or an average over the wrong radii
     call = {
         "curvature_field": lambda r: curvature_field(csaszar_euc, r),

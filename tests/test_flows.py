@@ -191,7 +191,8 @@ def test_flow_kind_contract(kind, geom, target_id):
     T = average_curvature(tri, r, alpha) if target is None else target
     factor = r if geom is Geometry.EUCLIDEAN else np.sinh(r)
     expected = 0.5 * c * (T - angle_deficits(tri, r) / s**alpha) * factor
-    np.testing.assert_allclose(flow_rhs(tri, r, spec), expected, rtol=1e-13, atol=1e-15)
+    # bit for bit: flow_rhs takes the same operations in the same order
+    np.testing.assert_array_equal(flow_rhs(tri, r, spec), expected)
 
 
 # each R-preset (c = 1), the alpha-preset (c = 2) of its family, and the geometry
@@ -674,10 +675,10 @@ def test_trace_stats_are_the_run_summary(csaszar_euc, monkeypatch, caplog):
 
 
 def test_candidate_admissibility_comes_from_its_evaluation(csaszar_euc, monkeypatch):
-    # a genuine flow checks admissibility with geometry.admissible only at the
-    # start; each accepted candidate is legal by its own curvature evaluation,
-    # which reads the edge lengths directly, so no face-length rows are built
-    # and no triangle slack is taken
+    # a genuine flow never runs geometry.admissible: the start, and each
+    # accepted candidate, is legal by its own curvature evaluation, which
+    # reads the edge lengths directly, so no face-length rows are built and no
+    # triangle slack is taken
     flows = importlib.import_module("idcurv.flows")
     counts = dict.fromkeys(
         ["admissible", "face_lengths", "triangle_slack", "angle_deficits", "_legal"], 0
@@ -702,13 +703,13 @@ def test_candidate_admissibility_comes_from_its_evaluation(csaszar_euc, monkeypa
     spec = FlowSpec(kind=FlowKind.NORMALIZED_EUCLIDEAN, t_max=2.0)
     run_flow(csaszar_euc, r0, spec)
     assert counts["_legal"] > 0
-    assert counts["admissible"] == 1
+    assert counts["admissible"] == 0
     assert counts["face_lengths"] == counts["triangle_slack"] == 0 < counts["angle_deficits"]
 
 
 def test_extended_region_flag_comes_from_its_evaluation(csaszar_i2, monkeypatch):
-    # an extended flow takes its region flag from the accepted candidate's own
-    # face mask; geometry.admissible runs once, for the start
+    # an extended flow takes its region flag, at the start as at each accepted
+    # candidate, from that state's own face mask; geometry.admissible never runs
     flows = importlib.import_module("idcurv.flows")
     calls = [0]
     admissible = geometry.admissible
@@ -722,7 +723,7 @@ def test_extended_region_flag_comes_from_its_evaluation(csaszar_i2, monkeypatch)
     r0 *= math.sqrt(7.0 / (r0 @ r0))
     spec = FlowSpec(kind=FlowKind.EXTENDED_EUCLIDEAN)
     trace, _ = flows.run_flow(csaszar_i2, r0, spec)
-    assert calls[0] == 1
+    assert calls[0] == 0
     left, back, _ = trace.events
     assert (left.kind, back.kind) == (EventKind.LEFT_ADMISSIBLE, EventKind.REENTERED_ADMISSIBLE)
     monkeypatch.undo()
@@ -825,10 +826,11 @@ def test_infinite_stage_row_leaves_the_attempt_without_a_warning(tetra_euc):
     assert np.isnan(candidate[1]).all() and np.isnan(err[1])
 
 
-def test_failed_union_is_split_by_one_admissibility_pass(tetra_euc, monkeypatch):
-    # when the union's evaluation fails on one row's faces, one admissibility
-    # pass over the union names that row and the other rows are evaluated
-    # together: two kernel calls, where evaluating each row alone makes b + 1
+def test_failed_union_is_split_by_the_faces_its_error_names(tetra_euc, monkeypatch):
+    # when the union's evaluation fails on one row's faces, the faces its
+    # AdmissibilityError carries name that row, with no admissibility pass, and
+    # the other rows are evaluated together: two kernel calls, where
+    # evaluating each row alone makes b + 1
     flows = importlib.import_module("idcurv.flows")
     spec = FlowSpec(kind=FlowKind.MODIFIED_EUCLIDEAN, target=np.zeros(4))
     rows = np.array([[1.0, 1.1, 0.9, 1.0], [1.0, 10.0, 10.0, 10.0], [0.9, 1.0, 1.1, 1.0]])
@@ -848,7 +850,7 @@ def test_failed_union_is_split_by_one_admissibility_pass(tetra_euc, monkeypatch)
     counting(geometry, "admissible")
     dev, tally, legal = np.full((3, 4), 7.0), np.zeros(3, dtype=np.int64), np.ones(3, dtype=bool)
     assert flows._legal(tetra_euc, rows, spec, dev, None, tally, legal) is False
-    assert counts == {"angle_deficits": 2, "admissible": 1}
+    assert counts == {"angle_deficits": 2, "admissible": 0}
     assert legal.tolist() == [True, False, True]
     assert tally.tolist() == [1, 1, 1]
     for j, expect in solo.items():
@@ -1101,26 +1103,38 @@ def test_batch_keeps_a_step_size_underflow_to_its_start(csaszar_hyp, monkeypatch
 
 
 def test_batch_start_validation_raises_before_any_step(tetra_euc, monkeypatch):
-    # an invalid start refuses the whole call before the first evaluation
+    # an invalid start refuses the whole call before the first step: an
+    # inadmissible one by the stack's start evaluation, one kernel call that
+    # names the first failing start's faces, numbered as in that start, and
+    # the others before any evaluation
     flows = importlib.import_module("idcurv.flows")
-    calls = [0]
-    deficits = flows.angle_deficits
+    calls = {"angle_deficits": 0, "_propose": 0}
 
-    def counting_deficits(*args, **kwargs):
-        calls[0] += 1
-        return deficits(*args, **kwargs)
+    def counting(name):
+        original = getattr(flows, name)
 
-    monkeypatch.setattr(flows, "angle_deficits", counting_deficits)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(flows, name, wrapper)
+
+    counting("angle_deficits")
+    counting("_propose")
     spec = FlowSpec(kind=FlowKind.NORMALIZED_EUCLIDEAN)
-    with pytest.raises(AdmissibilityError, match="genuine flow started outside"):
-        run_flow(tetra_euc, np.array([np.ones(4), [1.0, 10.0, 10.0, 10.0]]), spec)
+    outside = [1.0, 10.0, 10.0, 10.0]
+    bad = geometry.admissible(tetra_euc, outside)[1]
+    with pytest.raises(AdmissibilityError, match="genuine flow started outside") as error:
+        run_flow(tetra_euc, np.array([np.ones(4), outside, outside[::-1]]), spec)
+    assert str(error.value).endswith(f"(faces {bad})") and error.value.faces == bad
+    assert calls == {"angle_deficits": 1, "_propose": 0}
     with pytest.raises(ValueError, match="positive"):
         run_flow(tetra_euc, np.array([np.ones(4), [1.0, -1.0, 1.0, 1.0]]), spec)
     with pytest.raises(ValueError, match="length"):
         run_flow(tetra_euc, np.ones((2, 5)), spec)
     with pytest.raises(ValueError, match="no initial radii"):
         run_flow(tetra_euc, np.ones((0, 4)), spec)
-    assert calls[0] == 0
+    assert calls == {"angle_deficits": 1, "_propose": 0}
 
 
 def test_union_of_copies_evaluates_each_row_as_alone(csaszar_i2):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,10 +14,13 @@ from idcurv import (
     PackingMetric,
     admissible,
     angle_deficits,
+    average_curvature,
     corner_angles,
     edge_length,
+    edge_lengths,
     face_angles,
     face_lengths,
+    potential_gradient,
     r_of_u,
     s_of_r,
     tetrahedron,
@@ -513,6 +517,56 @@ def test_hyperbolic_u_range():
         r_of_u(np.array([0.0]), HYP)
     with pytest.raises(DomainError):
         r_of_u(np.array([0.5]), HYP)
+
+
+_TET, _TET_HYP = tetrahedron(), tetrahedron(geometry=HYP)
+_RADII = "radii must be finite and positive"
+_U = "u-coordinates give radii that are not finite and positive"
+_TARGET = "target must be finite"
+BAD_INPUT_CALLS = {
+    "edge_lengths": lambda r: edge_lengths(_TET, r),
+    "edge_lengths-hyperbolic": lambda r: edge_lengths(_TET_HYP, r),
+    "r_of_u": lambda u: r_of_u(u, EUC),
+    "r_of_u-hyperbolic": lambda u: r_of_u(u, HYP),
+    "u_of_r": lambda r: u_of_r(r, EUC),
+    "u_of_r-hyperbolic": lambda r: u_of_r(r, HYP),
+    "s_of_r": lambda r: s_of_r(r, EUC),
+    "s_of_r-hyperbolic": lambda r: s_of_r(r, HYP),
+    "average_curvature": lambda r: average_curvature(_TET, r),
+    "potential_gradient": lambda target: potential_gradient(_TET, np.zeros(4), target),
+}
+# (call, bad input, typed error, message): radii that are not finite and
+# positive, u-coordinates whose radii would not be, and non-finite targets
+BAD_INPUT = [
+    ("edge_lengths", [0.0, 1.0, 1.0, 1.0], ValueError, _RADII),
+    ("edge_lengths", [1.0, math.nan, 1.0, 1.0], ValueError, _RADII),
+    ("edge_lengths-hyperbolic", [1.0, 1.0, math.inf, 1.0], ValueError, _RADII),
+    ("r_of_u", [0.0, 1500.0], DomainError, _U),
+    ("r_of_u", [0.0, -1500.0], DomainError, _U),
+    ("r_of_u", [math.nan], DomainError, _U),
+    ("r_of_u-hyperbolic", [-1.0, math.nan], DomainError, _U),
+    ("r_of_u-hyperbolic", [-1.0, -1500.0], DomainError, _U),
+    ("u_of_r", 0.0, ValueError, _RADII),
+    ("u_of_r-hyperbolic", [1.0, -1.0], ValueError, _RADII),
+    ("s_of_r", [math.inf], ValueError, _RADII),
+    ("s_of_r-hyperbolic", math.nan, ValueError, _RADII),
+    ("average_curvature", [1.0, math.nan, 1.0, 1.0], ValueError, _RADII),
+    ("average_curvature", [1.0, 0.0, 1.0, 1.0], ValueError, _RADII),
+    ("potential_gradient", math.nan, ValueError, _TARGET),
+    ("potential_gradient", [0.0, math.inf, 0.0, 0.0], ValueError, _TARGET),
+]
+
+
+@pytest.mark.parametrize(
+    "call, bad, error, message", BAD_INPUT, ids=[f"{row[0]}-{row[1]}" for row in BAD_INPUT]
+)
+def test_bad_input_raises_its_typed_error(call, bad, error, message):
+    # the error is raised, as this type exactly, before any warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=message) as raised:
+            BAD_INPUT_CALLS[call](np.asarray(bad, dtype=float))
+    assert type(raised.value) is error
 
 
 def test_packing_metric_validation():
