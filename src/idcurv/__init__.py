@@ -43,7 +43,6 @@ from .geometry import (
     corner_angles,
     edge_length,
     edge_lengths,
-    face_angles,
     face_lengths,
     r_of_u,
     s_of_r,

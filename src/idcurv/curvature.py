@@ -76,9 +76,22 @@ def _finite_alpha(alpha) -> float:
     return alpha
 
 
+def _finite_target(target, n=None):
+    """None, or target as a float array, refused with ValueError unless
+    finite and, given a vertex count n, a scalar or one value per vertex."""
+    if target is not None:
+        target = np.asarray(target, dtype=float)
+        if not np.isfinite(target).all():
+            raise ValueError("target must be finite")
+        if n is not None and target.ndim and target.shape != (n,):
+            raise ValueError("target length does not match the vertex count")
+    return target
+
+
 def curvature_field(tri, r, alpha=2.0, extended=False) -> CurvatureField:
     """K and the alpha-curvature R = K / s^alpha at radii r."""
     alpha = _finite_alpha(alpha)
+    r = geometry._vertex_radii(tri, r)
     K = angle_deficits(tri, r, extended=extended)
     s = geometry.s_of_r(r, tri.geometry)
     return CurvatureField(K=K, R=K / s**alpha, alpha=alpha, extended=bool(extended))
@@ -97,12 +110,13 @@ def average_curvature(tri, r, alpha=2.0) -> float:
     if tri.geometry is not Geometry.EUCLIDEAN:
         raise ValueError("average curvature is defined for Euclidean surfaces only")
     alpha = _finite_alpha(alpha)
-    r = geometry._finite_positive(geometry._vertex_radii(tri, r))
+    r = geometry._vertex_radii(tri, r)
     return TWO_PI * euler_characteristic(tri) / float((r**alpha).sum())
 
 
 def gauss_bonnet_residual(tri, r, extended=False) -> float:
     """sum K - 2 pi chi, minus the total area in the hyperbolic case."""
+    r = geometry._vertex_radii(tri, r)
     K = angle_deficits(tri, r, extended=extended)
     residual = float(np.sum(K)) - TWO_PI * euler_characteristic(tri)
     if tri.geometry is Geometry.HYPERBOLIC:

@@ -94,7 +94,7 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry
-from .curvature import TWO_PI, angle_deficits
+from .curvature import TWO_PI, _finite_alpha, _finite_target, angle_deficits
 from .errors import AdmissibilityError, IntegrationError
 from .geometry import PackingMetric
 from .surface import Geometry
@@ -268,15 +268,10 @@ class FlowSpec:
     def __post_init__(self):
         if not all(math.isfinite(x) and x > 0.0 for x in (self.step, self.t_max, self.tol)):
             raise ValueError("step, t_max and tol must be positive and finite")
-        if not math.isfinite(self.alpha):
-            raise ValueError("alpha must be finite")
+        alpha = _finite_alpha(self.alpha)
         # the R-flows are the alpha-flows at alpha = 2, in another unit of time
-        self.alpha = 2.0 if self.kind.rate == 1.0 else float(self.alpha)
-        if self.target is not None:
-            target = np.asarray(self.target, dtype=float)
-            if not np.all(np.isfinite(target)):
-                raise ValueError("target must be finite")
-            self.target = target
+        self.alpha = 2.0 if self.kind.rate == 1.0 else alpha
+        self.target = _finite_target(self.target)
 
 
 @dataclasses.dataclass
@@ -332,8 +327,7 @@ def _check_spec(tri, spec):
             raise ValueError(f"{kind.value} flow requires a target curvature")
     elif kind.family == "normalized":
         raise ValueError("normalized flows compute their own average target")
-    elif spec.target.ndim and spec.target.shape != (tri.vertex_count,):
-        raise ValueError("target length does not match the vertex count")
+    _finite_target(spec.target, tri.vertex_count)
 
 
 def _deviation(tri, r, spec, degenerate=None):
@@ -364,7 +358,7 @@ def _deviation(tri, r, spec, degenerate=None):
 
 def flow_rhs(tri, r, spec: FlowSpec):
     """Time derivative of the radii under the requested flow."""
-    r = np.asarray(r, dtype=float)
+    r = geometry._vertex_radii(tri, r)
     _check_spec(tri, spec)
     return _velocity(tri, r, _deviation(tri, r[None], spec)[0], spec)
 
@@ -682,8 +676,7 @@ def run_flow(tri, r0, spec: FlowSpec):
         raise ValueError("radii length does not match the vertex count")
     if not len(r):
         raise ValueError("no initial radii given")
-    if np.any(r <= 0.0) or not np.all(np.isfinite(r)):
-        raise ValueError("initial radii must be positive and finite")
+    geometry._finite_positive(r)
     _check_spec(tri, spec)
 
     genuine = not spec.kind.extended

@@ -18,14 +18,13 @@ Edge lengths come from one gather of the radii by the triangulation's (2, E)
 gaps of a face corner c take three lengths, l_c, l_{c+1} and l_{c-1}.
 `corner_angles` computes the edge lengths from radii and gathers all three
 (F, 3) columns at once by the triangulation's `gap_plan`, built once by
-WeightedTriangulation; `face_angles`, for rows a caller gives, cycles the
-row's columns. Both return a bare (F, 3) array from one angle core, which
-tests admissibility with a single reduction over the gaps and builds the
-per-face degeneracy mask only when that test fails, into a (F,) bool buffer
-a caller may pass as `degenerate` (all False on admissible input). That test
-and its errors are one face check, which `total_area` runs on its own gaps;
-an AdmissibilityError it raises carries the failing faces, so a caller need
-not find them again.
+WeightedTriangulation. It returns a bare (F, 3) array from one angle core,
+which tests admissibility with a single reduction over the gaps and builds
+the per-face degeneracy mask only when that test fails, into a (F,) bool
+buffer a caller may pass as `degenerate` (all False on admissible input).
+That test and its errors are one face check, which `total_area` runs on its
+own gaps; an AdmissibilityError it raises carries the failing faces, so a
+caller need not find them again.
 """
 
 from __future__ import annotations
@@ -96,9 +95,16 @@ def s_of_r(r, geometry):
     return np.tanh(r / 2.0)
 
 
+def _log_coth_half(x):
+    """ln coth(x/2) for x > 0, to a few ulps; the function is its own inverse."""
+    return np.log1p(2.0 * np.exp(-x) / -np.expm1(-x))
+
+
 def u_of_r(r, geometry):
-    """u_i = ln s_i^2 (see s_of_r). Euclidean: any real; hyperbolic: always negative."""
-    return 2.0 * np.log(s_of_r(r, geometry))
+    """u_i = ln s_i^2 (see s_of_r). Euclidean: any real; hyperbolic: -2 ln coth(r/2),
+    always negative, also where tanh(r/2) rounds to 1 (r beyond about 38)."""
+    r = _finite_positive(r)
+    return 2.0 * np.log(r) if geometry is Geometry.EUCLIDEAN else -2.0 * _log_coth_half(r)
 
 
 def r_of_u(u, geometry):
@@ -107,14 +113,14 @@ def r_of_u(u, geometry):
     finite and positive: Euclidean u beyond about 1419 overflows, u far
     below 0 underflows to r = 0, and NaN gives NaN."""
     u = np.asarray(u, dtype=float)
-    # an overflow, and arctanh(1) at u just below 0, are refused below
+    # an overflow, and the division by 0 at u just below 0, are refused below
     with np.errstate(over="ignore", divide="ignore"):
         if geometry is Geometry.EUCLIDEAN:
             r = np.exp(u / 2.0)
         elif np.any(u >= 0.0):
             raise DomainError("hyperbolic u-coordinates must be negative")
         else:
-            r = 2.0 * np.arctanh(np.exp(u / 2.0))
+            r = _log_coth_half(-u / 2.0)
     if not ((r > 0.0).all() and (r < np.inf).all()):
         raise DomainError("u-coordinates give radii that are not finite and positive")
     return r
@@ -134,9 +140,9 @@ def edge_length(r_i, r_j, weight, geometry):
     """
     r_i, r_j, weight = (np.asarray(x, dtype=float) for x in (r_i, r_j, weight))
     r_i, r_j, weight = np.broadcast_arrays(r_i, r_j, weight)
-    ends = np.stack([r_i.ravel(), r_j.ravel()])
-    if not (np.isfinite(ends).all() and (ends > 0.0).all() and np.isfinite(weight).all()):
-        raise ValueError("edge_length takes finite positive radii and a finite weight")
+    ends = _finite_positive(np.stack([r_i.ravel(), r_j.ravel()]))
+    if not np.isfinite(weight).all():
+        raise ValueError("weights must be finite")
     out = _lengths(ends, weight.ravel(), geometry)
     return float(out[0]) if r_i.ndim == 0 else out.reshape(r_i.shape)
 
@@ -186,21 +192,19 @@ def _hyp_length_stable(r_i, r_j, weight):
     return r_i + r_j + np.log((1.0 + weight) / 2.0) + np.log1p(c * (x + y) + x * y)
 
 
-def _vertex_radii(tri, r):
-    """r as a float array, refused unless it holds one radius per vertex of tri."""
+def _vertex_radii(tri, r, count_only=False):
+    """r as a float array, refused with ValueError unless it holds one radius
+    per vertex of tri, each finite and positive unless `count_only`."""
     r = np.asarray(r, dtype=float)
     if r.shape != (tri.vertex_count,):
         raise ValueError(f"radii of shape {r.shape} for {tri.vertex_count} vertices")
-    return r
+    return r if count_only else _finite_positive(r)
 
 
 def edge_lengths(tri, r):
-    """Lengths of all edges of the surface, aligned with tri.edges, from one
-    radius per vertex, gathered by tri.edge_ends. Radii must be finite and
-    positive, one per vertex, or ValueError is raised. The angle path
-    (`corner_angles`, `admissible`, `total_area`) checks only their count."""
-    r = _finite_positive(_vertex_radii(tri, r))
-    return _lengths(r[tri.edge_ends], tri.weights, tri.geometry)
+    """Lengths of all edges, aligned with tri.edges, from one finite positive
+    radius per vertex (else ValueError), gathered by tri.edge_ends."""
+    return _lengths(_vertex_radii(tri, r)[tri.edge_ends], tri.weights, tri.geometry)
 
 
 def face_lengths(tri, r):
@@ -225,10 +229,9 @@ def _gaps(la, lb, lc):
 
 
 def _surface_gaps(tri, r):
-    """(F, 3) doubled gaps of every face corner of the surface at radii r: the
-    edge lengths, gathered by tri.gap_plan into the three columns at once.
-    Only the count of the radii is checked, so a zero or inf radius passes."""
-    lengths = _lengths(_vertex_radii(tri, r)[tri.edge_ends], tri.weights, tri.geometry)
+    """(F, 3) doubled gaps of every face corner at radii r, which the caller
+    checks: the edge lengths, gathered by tri.gap_plan into the three columns."""
+    lengths = _lengths(r[tri.edge_ends], tri.weights, tri.geometry)
     columns = lengths[tri.gap_plan]
     return _gaps(columns[0], columns[1], columns[2])
 
@@ -268,7 +271,7 @@ def admissible(tri, r):
 
     Returns (ok, violating_face_indices).
     """
-    g = _surface_gaps(tri, r)
+    g = _surface_gaps(tri, _vertex_radii(tri, r))
     if g.min() > 0.0:
         return True, []
     return False, np.nonzero(_degenerate_mask(g))[0].tolist()
@@ -330,8 +333,10 @@ def _checked_faces(g, extended):
 
 
 def _gap_angles(g, geometry, extended, degenerate=None):
-    """Corner angles from a (F, 3) gap array (see face_angles). A given (F,)
-    bool array `degenerate` receives the per-face mask."""
+    """(F, 3) corner angles from a (F, 3) gap array, angle c of a row at the
+    corner opposite length c. Without `extended`, every row must be strictly
+    admissible; with it, degenerate rows receive the constant extension. A
+    given (F,) bool array `degenerate` receives the per-face mask."""
     hyperbolic = geometry is Geometry.HYPERBOLIC
     verdict = _checked_faces(g, extended)
     if verdict is None:
@@ -350,19 +355,11 @@ def _gap_angles(g, geometry, extended, degenerate=None):
     return angles
 
 
-def face_angles(lengths, geometry, extended=False, degenerate=None):
-    """(F, 3) corner angles of a (F, 3) length array, angle c of a row at the
-    corner opposite length c. Without `extended`, every row must be strictly
-    admissible; with it, degenerate rows receive the constant extension. A
-    given (F,) bool array `degenerate` receives the per-face mask."""
-    fl = np.asarray(lengths, dtype=float)
-    return _gap_angles(_gaps(fl, fl[:, _NEXT], fl[:, _PREV]), geometry, extended, degenerate)
-
-
 def corner_angles(tri, r, extended=False, degenerate=None):
     """(F, 3) array of all corner angles of the surface at radii r (see
-    face_angles)."""
-    return _gap_angles(_surface_gaps(tri, r), tri.geometry, extended, degenerate)
+    _gap_angles). Only the count of the radii is checked."""
+    g = _surface_gaps(tri, _vertex_radii(tri, r, count_only=True))
+    return _gap_angles(g, tri.geometry, extended, degenerate)
 
 
 # -- areas ------------------------------------------------------------------------
@@ -376,7 +373,7 @@ def total_area(tri, r, extended=False):
     corner_angles raises at the same radii, and computes no angle."""
     if tri.geometry is not Geometry.HYPERBOLIC:
         raise ValueError("area is defined for hyperbolic surfaces")
-    g = _surface_gaps(tri, r)
+    g = _surface_gaps(tri, _vertex_radii(tri, r))
     _checked_faces(g, extended)
     g = np.maximum(g, 0.0)
     # g is doubled, so g/4 is the gap's half and the row sum over 4 is p/2

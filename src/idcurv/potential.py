@@ -20,7 +20,8 @@ import warnings
 import numpy as np
 
 from . import geometry
-from .curvature import _finite_alpha, angle_deficits, average_curvature, curvature_jacobian
+from .curvature import _finite_alpha, _finite_target, angle_deficits, average_curvature
+from .curvature import curvature_jacobian
 from .errors import AdmissibilityError, DomainError, QuadratureError, SolverError
 from .geometry import PackingMetric
 from .surface import Geometry, euler_characteristic
@@ -36,13 +37,10 @@ def potential_gradient(tri, u, target, alpha=2.0, extended=False):
     """Gradient of the potential at u, the 1-form coefficients K_i - T_i s_i^alpha.
 
     target is a scalar, a per-vertex array, or None for the running Euclidean
-    average curvature; a target that is not finite raises ValueError.
+    average curvature; a target that is not finite, or of the wrong length,
+    raises ValueError.
     """
-    alpha = _finite_alpha(alpha)
-    if target is not None:
-        target = np.asarray(target, dtype=float)
-        if not np.isfinite(target).all():
-            raise ValueError("target must be finite")
+    alpha, target = _finite_alpha(alpha), _finite_target(target, tri.vertex_count)
     r = geometry.r_of_u(np.asarray(u, dtype=float), tri.geometry)
     K = angle_deficits(tri, r, extended=extended)
     s = geometry.s_of_r(r, tri.geometry)
@@ -81,6 +79,7 @@ def potential_value(tri, u0, u, target, alpha=2.0, extended=False, via=()) -> fl
     needs the coordinates to stay in range.
     """
     alpha, u0 = _finite_alpha(alpha), np.asarray(u0, dtype=float)
+    target = _finite_target(target, tri.vertex_count)
     if not extended:
         r0 = geometry.r_of_u(u0, tri.geometry)
         ok, bad = geometry.admissible(tri, r0)
@@ -104,8 +103,7 @@ def _hessian(tri, r, target, alpha):
     return L
 
 
-def newton_solve(tri, r_init, target, alpha=2.0, tol=GRAD_TOL,
-                 max_iterations=MAX_NEWTON_ITERATIONS) -> PackingMetric:
+def newton_solve(tri, r_init, target, alpha=2.0, tol=GRAD_TOL) -> PackingMetric:
     """Solve K_i = T_i s_i^alpha by damped Newton descent in u-coordinates.
 
     Each step solves H delta = -g by Jacobi-preconditioned CG to the relative
@@ -119,27 +117,25 @@ def newton_solve(tri, r_init, target, alpha=2.0, tol=GRAD_TOL,
     by the factor 1 - 1e-4 lam. Each accepted step, with lam and its trial
     and CG iteration counts, is logged at DEBUG to "idcurv.potential".
 
-    Raises AdmissibilityError for an inadmissible start, and ValueError for a
-    target that Gauss-Bonnet rules out at every radius vector, sum(T s^alpha)
-    being 2 pi chi (Euclidean) or above it by the area (hyperbolic): by the
-    signs of T, and at alpha = 0 by sum(T) itself, to a relative 1e-9 when
+    Raises ValueError for radii, alpha or a target that break the input rules,
+    AdmissibilityError for an inadmissible start, and ValueError for a target
+    that Gauss-Bonnet rules out at every radius vector, sum(T s^alpha) being
+    2 pi chi (Euclidean) or above it by the area (hyperbolic): by the signs
+    of T, and at alpha = 0 by sum(T) itself, to a relative 1e-9 when
     Euclidean. Such a target drives the radii to zero, where the collapse
-    would pass the gradient test, or runs Newton to its iteration budget.
+    would pass the gradient test, or runs Newton to MAX_NEWTON_ITERATIONS.
     """
     # lazy, as in curvature_jacobian: sparse.linalg adds ~10 MB RSS
     import scipy.sparse.linalg
 
-    target = np.broadcast_to(np.asarray(target, dtype=float), (tri.vertex_count,)).copy()
-    alpha = float(alpha)
-    if not (np.all(np.isfinite(target)) and np.isfinite(alpha)):
-        raise ValueError("target and alpha must be finite")
+    alpha, r = _finite_alpha(alpha), geometry._vertex_radii(tri, r_init)
+    target = np.broadcast_to(_finite_target(target, tri.vertex_count), r.shape).copy()
     if np.any(alpha * target > 0.0):
         warnings.warn(
             "alpha * target is positive somewhere; the potential need not be convex "
             "and the solve may find a saddle or fail",
             stacklevel=2,
         )
-    r = np.asarray(r_init, dtype=float)
     ok, bad = geometry.admissible(tri, r)
     if not ok:
         raise AdmissibilityError(f"initial metric is inadmissible (faces {bad})")
@@ -171,7 +167,7 @@ def newton_solve(tri, r_init, target, alpha=2.0, tol=GRAD_TOL,
     singular = tri.geometry is Geometry.EUCLIDEAN and not np.any(alpha * target != 0.0)
 
     g = potential_gradient(tri, u, target, alpha)
-    for iteration in range(max_iterations):
+    for iteration in range(MAX_NEWTON_ITERATIONS):
         norm = float(np.max(np.abs(g)))
         if norm < tol:
             return PackingMetric(geometry.r_of_u(u, tri.geometry), tri.geometry)
@@ -208,6 +204,6 @@ def newton_solve(tri, r_init, target, alpha=2.0, tol=GRAD_TOL,
         log.debug("newton iteration %d: max|g| %.3e, step %.3g after %d line-search trials, "
                   "%d CG iterations", iteration, norm, lam, trials, len(cg_steps))
     raise SolverError(
-        f"no convergence in {max_iterations} iterations "
+        f"no convergence in {MAX_NEWTON_ITERATIONS} iterations "
         f"(gradient norm {float(np.max(np.abs(g))):.3e})"
     )

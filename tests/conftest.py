@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from idcurv import geometry as geometry_module
 from idcurv import (
     Geometry,
     csaszar_torus,
@@ -47,6 +48,15 @@ def csaszar_hyp():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def angles_of_lengths(lengths, geom, extended=False, degenerate=None):
+    """(F, 3) corner angles of a (F, 3) length array, angle c of a row at the
+    corner opposite length c: the gaps of each row's cycled columns, through
+    the angle core that corner_angles runs on the gap plan's columns."""
+    fl = np.asarray(lengths, dtype=float)
+    g = geometry_module._gaps(fl, fl[:, geometry_module._NEXT], fl[:, geometry_module._PREV])
+    return geometry_module._gap_angles(g, geom, extended, degenerate)
 
 
 def sample_admissible(tri, rng, spread=0.4, scale=1.0, tries=500):

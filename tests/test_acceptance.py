@@ -1,12 +1,14 @@
-"""Acceptance gate: eleven end-to-end checks with pinned tolerances.
+"""Acceptance gate: end-to-end checks with pinned tolerances.
 
 Each check prints one "ACCEPTANCE n: PASS" line on success (run with -s to
 stream them); a pytest failure is the corresponding fail line. Together they
 exercise the package the way it is meant to be used: the two-metric
 tetrahedron family, curvature identities on random packings, Jacobian
 structure, flow convergence and recovery from degenerate starts, potential
-calculus, Newton rigidity, the hyperbolic limit lemmas, and the flow
-theorem for chi < 0 on a genus-2 surface.
+calculus, Newton rigidity, the hyperbolic limit lemmas, the flow theorem
+for chi < 0 on a genus-2 surface, global rigidity of the alpha-curvature,
+and the converse of the flow theorem: with chi <= 0 the flow converges
+exactly when the target is attained.
 """
 
 import time
@@ -15,12 +17,14 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import fd_jacobian, genus_two, rk4_reference, sample_admissible
+from conftest import angles_of_lengths, fd_jacobian, genus_two, rk4_reference, sample_admissible
 from idcurv import (
+    ConditioningError,
     EventKind,
     FlowKind,
     FlowSpec,
     Geometry,
+    SolverError,
     TetraFamily,
     X_SUP,
     admissible,
@@ -32,7 +36,6 @@ from idcurv import (
     curvature_residual,
     edge_length,
     euler_characteristic,
-    face_angles,
     face_lengths,
     find_second_root,
     flow_rhs,
@@ -347,8 +350,8 @@ def test_09_hyperbolic_length_and_angle_limits():
             edge_length(50.0, r_j, w, HYP),
         ]
     )
-    theta = face_angles(lengths[None], HYP)[0, 0]
-    theta_ext = face_angles(lengths[None], HYP, extended=True)[0, 0]
+    theta = angles_of_lengths(lengths[None], HYP)[0, 0]
+    theta_ext = angles_of_lengths(lengths[None], HYP, extended=True)[0, 0]
     assert 0.0 <= theta < 1e-3
     assert 0.0 <= theta_ext < 1e-3
     _ok(9, f"20 triples pass the threshold test, far-vertex angle {theta:.1e}")
@@ -466,3 +469,90 @@ def test_11_genus_two_flows_converge_to_unique_limits():
         f"convergence time within {worst_time:.1%} of RK4, Newton gap {worst_newton:.1e}, "
         f"Gauss-Bonnet {worst_gb:.1e}, {elapsed:.2f}s",
     )
+
+
+# -- 12: alpha-rigidity where the potential is strictly convex -------------------------
+
+
+def test_12_alpha_curvature_is_globally_rigid():
+    # where alpha * R_alpha <= 0 the potential is strictly convex, so a
+    # prescribed alpha-curvature has at most one solution: Newton from every
+    # start lands on the same radii (Ge-Xu, Calc. Var. 2016)
+    t0 = time.perf_counter()
+    rng = np.random.default_rng(12)
+    worst_recovery = 0.0
+    for weight in (2.0, 0.5):
+        tri = tetrahedron(weight=weight)
+        for alpha in (-1.0, -3.0):
+            r_hat = sample_admissible(tri, rng, spread=0.3)
+            target = curvature_field(tri, r_hat, alpha=alpha).R
+            assert np.all(alpha * target <= 0.0)
+            for _ in range(5):
+                start = sample_admissible(tri, rng, spread=0.3)
+                radii = newton_solve(tri, start, target, alpha).radii
+                worst_recovery = max(worst_recovery, np.max(np.abs(radii / r_hat - 1.0)))
+    assert worst_recovery < 1e-11
+
+    spreads = []
+    for geom, alpha in ((EUC, 1.0), (EUC, 2.0), (HYP, 1.0)):
+        tri = genus_two(geom)
+        target = -np.exp(rng.uniform(-0.5, 0.5, tri.vertex_count))
+        solutions = [
+            newton_solve(tri, sample_admissible(tri, rng, spread=0.3), target, alpha).radii
+            for _ in range(3)
+        ]
+        spreads.append(max(np.max(np.abs(a / b - 1.0)) for a in solutions for b in solutions))
+    assert max(spreads) < 1e-11
+    _ok(
+        12,
+        f"tetrahedron R_alpha recovered from 20 starts to {worst_recovery:.1e}; genus-2 "
+        f"Newton spreads {spreads[0]:.1e}, {spreads[1]:.1e} (Euclidean alpha 1, 2), "
+        f"{spreads[2]:.1e} (hyperbolic alpha 1), {time.perf_counter() - t0:.2f}s",
+    )
+
+
+# -- 14: the converse half of the chi <= 0 theorem -------------------------------------
+
+# (vertex set A, its target, the target elsewhere, whether the Chow-Luo
+# condition holds); with weight 1 the curvature K is attained iff, for every
+# nonempty vertex set A, sum_A K > -pi |Lk(A)| + 2 pi chi(F_A): -4 pi for a
+# vertex of the degree-6 Csaszar torus, -6 pi for an adjacent pair
+CHOW_LUO_ROWS = [
+    ((0,), -3.5, 0.9, True),
+    ((0,), -3.9, 0.9, True),
+    ((0, 1), -2.9, 1.3, True),
+    ((0,), -4.1, 0.9, False),
+    ((0, 1), -3.2, 1.3, False),
+]
+CHOW_LUO_BOUND = {1: -4.0 * np.pi, 2: -6.0 * np.pi}
+
+
+@pytest.mark.parametrize(
+    "vertices, low, rest, feasible",
+    CHOW_LUO_ROWS,
+    ids=[f"A{'+'.join(map(str, row[0]))}-at-{row[1]}pi" for row in CHOW_LUO_ROWS],
+)
+def test_14_flow_converges_exactly_when_the_target_is_attained(vertices, low, rest, feasible):
+    # the flow converges, to Newton's solution, where Chow-Luo's condition
+    # holds; where it fails at A, a radius of A collapses while the curvature
+    # summed over A reaches the bound, and Newton fails. The pair row passes
+    # every single-vertex bound, so the pair's own bound is what fails
+    tri = csaszar_torus(weight=1.0, geometry=HYP)
+    target = np.full(tri.vertex_count, rest * np.pi)
+    target[list(vertices)] = low * np.pi
+    r0 = 0.5 * np.exp(np.random.default_rng(14).uniform(-0.3, 0.3, tri.vertex_count))
+    spec = FlowSpec(kind=FlowKind.ALPHA_MODIFIED, alpha=0.0, target=target, t_max=400.0)
+    trace, final = run_flow(tri, r0, spec)
+    event = trace.terminal_event()
+    if feasible:
+        assert event.kind is EventKind.CONVERGED
+        gap = np.max(np.abs(newton_solve(tri, r0, target, alpha=0.0).radii - final.radii))
+        assert gap < 1e-8
+        _ok(14, f"A = {vertices}: Converged at t = {event.t:.1f}, Newton gap {gap:.1e}")
+        return
+    assert event.kind is EventKind.ESSENTIAL_SINGULARITY and event.index in vertices
+    total = float(np.sum(angle_deficits(tri, final.radii)[list(vertices)]))
+    assert abs(total - CHOW_LUO_BOUND[len(vertices)]) < 1e-2
+    with pytest.raises((ConditioningError, SolverError)):
+        newton_solve(tri, r0, target, alpha=0.0)
+    _ok(14, f"A = {vertices}: EssentialSingularity at v{event.index}, sum K {total / np.pi:.4f} pi")

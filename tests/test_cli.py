@@ -542,7 +542,7 @@ def test_near_degenerate_face_is_a_solver_failure(tmp_path, capsys, argv, values
 def test_solve_nan_target_is_invalid_input(tmp_path, capsys):
     radii = radii_file(tmp_path, [1.0] * 7)
     assert main(["solve", CSASZAR, "--radii", radii, "--target", "nan"]) == 2
-    assert "target and alpha must be finite" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: target must be finite\n"
 
 
 # -- spectrum ------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from idcurv import (
     corner_angles,
     edge_length,
     edge_lengths,
-    face_angles,
     face_lengths,
     potential_gradient,
     r_of_u,
@@ -28,6 +27,7 @@ from idcurv import (
     triangle_slack,
     u_of_r,
 )
+from conftest import angles_of_lengths
 from idcurv.errors import AdmissibilityError
 
 EUC = Geometry.EUCLIDEAN
@@ -39,7 +39,7 @@ weight_st = st.floats(min_value=0.0, max_value=5.0, allow_nan=False)
 
 def row_angles(lengths, geometry, extended=False):
     """Angles of a single face through the (F, 3) path."""
-    return face_angles(np.asarray(lengths, dtype=float)[None], geometry, extended)[0]
+    return angles_of_lengths(np.asarray(lengths, dtype=float)[None], geometry, extended)[0]
 
 
 # -- edge lengths ---------------------------------------------------------------
@@ -66,7 +66,9 @@ def test_euclidean_length_oracles():
 )
 @pytest.mark.parametrize("geom", [EUC, HYP], ids=lambda g: g.value)
 def test_edge_length_refuses_bad_radii_and_weights(r_i, r_j, weight, geom):
-    with pytest.raises(ValueError, match="finite positive radii and a finite weight"):
+    # each row breaks either the radii rule or, with good radii, the weight's
+    message = "weights must be finite" if not np.isfinite(weight) else "radii must be finite"
+    with pytest.raises(ValueError, match=message):
         edge_length(r_i, r_j, weight, geom)
 
 
@@ -197,11 +199,12 @@ def test_corner_angles_raise_outside_admissible_cone():
 
 
 def test_nan_radius_is_not_admissible(csaszar_euc):
-    # a NaN length satisfies no strict inequality, so its faces are degenerate
-    # and no single edge dominates them for the extension
+    # admissible refuses a NaN radius by the radii rule; the angles check only
+    # the count, and a NaN length satisfies no strict inequality, so its faces
+    # are degenerate and no single edge dominates them for the extension
     r = np.array([np.nan, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
-    ok, bad = admissible(csaszar_euc, r)
-    assert not ok and bad
+    with pytest.raises(ValueError, match="radii must be finite and positive"):
+        admissible(csaszar_euc, r)
     with pytest.raises(AdmissibilityError):
         angle_deficits(csaszar_euc, r)
     with pytest.raises(DomainError):
@@ -296,10 +299,11 @@ def test_column_face_kernels_match_axis_reductions(rows, geom):
 @pytest.mark.parametrize("geom", [EUC, HYP])
 @pytest.mark.parametrize("start", ["admissible", "snapped"])
 def test_corner_angles_match_face_angles_of_face_lengths(geom, start):
-    # corner_angles gathers its gaps by the triangulation's gap plan, face_angles
-    # cycles the columns of the rows it is given: the same arithmetic, so the
-    # two agree bit for bit, degenerate faces and refusals included; each
-    # overwrites the whole mask buffer it is given, whatever it held
+    # corner_angles gathers its gaps by the triangulation's gap plan,
+    # angles_of_lengths cycles the columns of the face lengths it is given:
+    # the same arithmetic, so the two agree bit for bit, degenerate faces and
+    # refusals included; each overwrites the whole mask buffer it is given,
+    # whatever it held
     tri = idcurv.grid_torus(4, 4, weight=2.0, geometry=geom)
     r = np.exp(np.random.default_rng(7).uniform(-0.01, 0.01, tri.vertex_count))
     if start == "snapped":  # one face's corners scaled apart, past its triangle inequality
@@ -311,13 +315,13 @@ def test_corner_angles_match_face_angles_of_face_lengths(geom, start):
         with pytest.raises(AdmissibilityError) as via_plan:
             corner_angles(tri, r)
         with pytest.raises(AdmissibilityError) as via_rows:
-            face_angles(fl, geom)
+            angles_of_lengths(fl, geom)
         assert str(via_plan.value) == str(via_rows.value)
     for extended in (False, True) if start == "admissible" else (True,):
         got_mask = np.ones(tri.face_count, dtype=bool)
         expect_mask = np.zeros(tri.face_count, dtype=bool)
         got = corner_angles(tri, r, extended, got_mask)
-        expect = face_angles(fl, geom, extended, expect_mask)
+        expect = angles_of_lengths(fl, geom, extended, expect_mask)
         assert got.dtype == float and got.shape == (tri.face_count, 3)
         assert np.array_equal(got, expect)
         assert np.array_equal(got_mask, expect_mask)
@@ -330,7 +334,7 @@ def test_face_angles_of_no_faces(geom, extended):
     # a zero-row length array has no angles and fills a zero-length face mask,
     # as it has no triangle slacks
     assert len(triangle_slack(np.empty((0, 3)))) == 0
-    angles = face_angles(np.empty((0, 3)), geom, extended, np.empty(0, dtype=bool))
+    angles = angles_of_lengths(np.empty((0, 3)), geom, extended, np.empty(0, dtype=bool))
     assert angles.shape == (0, 3) and angles.dtype == float
 
 
@@ -511,6 +515,18 @@ def test_coordinate_roundtrip_hyperbolic():
     np.testing.assert_allclose(s_of_r(r, HYP), np.tanh(r / 2.0), rtol=1e-15)
 
 
+def test_hyperbolic_chart_keeps_large_radii():
+    # u = -2 ln coth(r/2) keeps its digits where tanh(r/2) rounds to 1, for r
+    # beyond about 38, so r -> u -> r round-trips over the whole range
+    r = np.geomspace(1e-8, 300.0, 401)
+    np.testing.assert_allclose(r_of_u(u_of_r(r, HYP), HYP), r, rtol=4e-15, atol=0.0)
+    assert u_of_r(40.0, HYP) < 0.0
+    # u = 2 ln tanh(r/2) where tanh has its digits, -4 e^-r (1 + O(e^-2r)) far out
+    near, far = r[r < 1.0], r[r > 40.0]
+    np.testing.assert_allclose(u_of_r(near, HYP), 2.0 * np.log(np.tanh(near / 2.0)), rtol=1e-15)
+    np.testing.assert_allclose(u_of_r(far, HYP), -4.0 * np.exp(-far), rtol=1e-15)
+
+
 def test_hyperbolic_u_range():
     # tanh(r/2) < 1 forces u < 0; nonnegative u is out of range
     with pytest.raises(DomainError):
@@ -520,10 +536,14 @@ def test_hyperbolic_u_range():
 
 
 _TET, _TET_HYP = tetrahedron(), tetrahedron(geometry=HYP)
+_CSASZAR = idcurv.csaszar_torus()
 _RADII = "radii must be finite and positive"
 _U = "u-coordinates give radii that are not finite and positive"
 _TARGET = "target must be finite"
+_TARGET_LENGTH = "target length does not match the vertex count"
+_NORMALIZED = idcurv.FlowSpec(kind=idcurv.FlowKind.NORMALIZED_EUCLIDEAN)
 BAD_INPUT_CALLS = {
+    "edge_length": lambda r: edge_length(r, 1.0, 1.0, EUC),
     "edge_lengths": lambda r: edge_lengths(_TET, r),
     "edge_lengths-hyperbolic": lambda r: edge_lengths(_TET_HYP, r),
     "r_of_u": lambda u: r_of_u(u, EUC),
@@ -532,12 +552,28 @@ BAD_INPUT_CALLS = {
     "u_of_r-hyperbolic": lambda r: u_of_r(r, HYP),
     "s_of_r": lambda r: s_of_r(r, EUC),
     "s_of_r-hyperbolic": lambda r: s_of_r(r, HYP),
+    "admissible": lambda r: admissible(_TET, r),
+    "total_area": lambda r: total_area(_TET_HYP, r),
     "average_curvature": lambda r: average_curvature(_TET, r),
+    "curvature_field": lambda r: idcurv.curvature_field(_TET, r),
+    "gauss_bonnet_residual": lambda r: idcurv.gauss_bonnet_residual(_TET, r),
+    "gauss_bonnet_residual-hyperbolic": lambda r: idcurv.gauss_bonnet_residual(_TET_HYP, r),
     "potential_gradient": lambda target: potential_gradient(_TET, np.zeros(4), target),
+    # a path of zero length integrates nothing, but still reads its target
+    "potential_value": lambda t: idcurv.potential_value(_TET, np.zeros(4), np.zeros(4), t),
+    "newton_solve": lambda r: idcurv.newton_solve(_CSASZAR, r, 0.0),
+    "newton_solve-target": lambda target: idcurv.newton_solve(_CSASZAR, np.ones(7), target),
+    "flow_rhs": lambda r: idcurv.flow_rhs(_TET, r, _NORMALIZED),
+    "run_flow": lambda r: idcurv.run_flow(_TET, r, _NORMALIZED),
+    "FlowSpec": lambda alpha: idcurv.FlowSpec(kind=idcurv.FlowKind.ALPHA_NORMALIZED, alpha=alpha),
 }
 # (call, bad input, typed error, message): radii that are not finite and
-# positive, u-coordinates whose radii would not be, and non-finite targets
+# positive, u-coordinates whose radii would not be, and targets that are not
+# finite or not one per vertex; every public call that takes radii, an
+# exponent or a target checks them before any work, except corner_angles and
+# angle_deficits, which check only the count of the radii
 BAD_INPUT = [
+    ("edge_length", math.inf, ValueError, _RADII),
     ("edge_lengths", [0.0, 1.0, 1.0, 1.0], ValueError, _RADII),
     ("edge_lengths", [1.0, math.nan, 1.0, 1.0], ValueError, _RADII),
     ("edge_lengths-hyperbolic", [1.0, 1.0, math.inf, 1.0], ValueError, _RADII),
@@ -550,10 +586,24 @@ BAD_INPUT = [
     ("u_of_r-hyperbolic", [1.0, -1.0], ValueError, _RADII),
     ("s_of_r", [math.inf], ValueError, _RADII),
     ("s_of_r-hyperbolic", math.nan, ValueError, _RADII),
+    ("admissible", [1.0, math.inf, 1.0, 1.0], ValueError, _RADII),
+    ("admissible", [1.0, math.nan, 1.0, 1.0], ValueError, _RADII),
+    ("total_area", [1.0, 1.0, math.inf, 1.0], ValueError, _RADII),
     ("average_curvature", [1.0, math.nan, 1.0, 1.0], ValueError, _RADII),
     ("average_curvature", [1.0, 0.0, 1.0, 1.0], ValueError, _RADII),
+    ("curvature_field", [math.inf, 1.0, 1.0, 1.0], ValueError, _RADII),
+    ("gauss_bonnet_residual", [1.0, math.inf, 1.0, 1.0], ValueError, _RADII),
+    ("gauss_bonnet_residual-hyperbolic", [1.0, math.inf, 1.0, 1.0], ValueError, _RADII),
     ("potential_gradient", math.nan, ValueError, _TARGET),
     ("potential_gradient", [0.0, math.inf, 0.0, 0.0], ValueError, _TARGET),
+    ("potential_value", math.nan, ValueError, _TARGET),
+    ("newton_solve", [math.nan, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0], ValueError, _RADII),
+    ("newton_solve", [1.0, 1.0, math.inf, 1.0, 1.0, 1.0, 1.0], ValueError, _RADII),
+    ("newton_solve", [1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 1.0], ValueError, _RADII),
+    ("newton_solve-target", [0.0, 0.0, 0.0], ValueError, _TARGET_LENGTH),
+    ("flow_rhs", [1.0, 1.0, 1.0, math.inf], ValueError, _RADII),
+    ("run_flow", [1.0, math.nan, 1.0, 1.0], ValueError, _RADII),
+    ("FlowSpec", math.nan, ValueError, "alpha must be finite"),
 ]
 
 
