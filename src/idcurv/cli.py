@@ -96,7 +96,7 @@ def cmd_curvature(args) -> int:
     return EXIT_OK
 
 
-# A stage of a lockstep stack costs 32, 49 and 142 us at 32, 256 and 2304
+# A stage of a lockstep stack costs 29, 52 and 136 us at 32, 256 and 2304
 # face-rows (starts x faces), so a worker must carry enough face-rows to repay
 # its fixed cost and the pool's start-up. Median `idcurv flow` wall times in s,
 # one worker against a forced pool of two, 8 snapped-face starts on n x n grid

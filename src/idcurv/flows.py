@@ -42,48 +42,38 @@ beta the negative-real-axis stability boundary of the 8th-order weights
 (about 6.39), and at t_max - t. Trace rows are recorded every SAMPLE_DT of
 flow time, and at every event. When the run ends, FlowTrace.stats and one
 DEBUG record on the "idcurv.flows" logger give its step statistics.
-Curvature is evaluated once per flow state, and every admissibility verdict
-comes from the evaluation that computed it: for genuine kinds the angle
-computation fails on exactly the faces that fail a triangle inequality, and
-its AdmissibilityError carries them; for extended kinds the face mask gives
-the region flag. So a start's own evaluation refuses it (genuine kinds) or
-gives its LeftAdmissible index (extended kinds), and a candidate's decides
-whether it is legal; its deviation gives the accepted state's error and seeds
-the next step's first stage. An accepted step therefore costs twelve curvature
-evaluations (eleven stages and the candidate's own). A step rejected on error
-costs its eleven stages; a candidate rejected as illegal costs the stages it
-ran, plus one evaluation when it passed the error test and its radii are
-finite and within bounds. These are the counts of
-FlowTrace.stats["evaluations"], per start.
-When a candidate would leave the legal region the step h halves, with no
-budget, until a legal candidate is found or h would fall below MIN_STEP (as
-would an error rejection's shrink).
-Then a stall classifier decides what stopped the flow: a radius collapsing to
-zero is an essential singularity, a face degenerating at bounded radii is a
-removable one (genuine kinds only).
+Curvature is evaluated once per flow state, by one call of the velocity field
+that _rates reads from the spec once per run: angle_deficits on the states,
+then dr/dt written straight into its stage row. Every admissibility verdict
+comes from that call: a genuine kind's angles fail on exactly the faces past a
+triangle inequality, named by its AdmissibilityError; an extended kind's face
+mask gives the region flag. So a start's own evaluation refuses it (genuine
+kinds) or gives its LeftAdmissible index (extended kinds), and a candidate's
+decides whether it is legal and gives the accepted state's error and the next
+step's first stage. An accepted step costs twelve evaluations (eleven stages
+and the candidate's); a step rejected on error its eleven stages; an illegal
+candidate the stages it ran, plus one when it passed the error test within
+bounds. These are FlowTrace.stats["evaluations"]. When a candidate would
+leave the legal region, h halves until a legal candidate is found or h would
+fall below MIN_STEP (as would an error rejection's shrink). Then a stall
+classifier decides what stopped the flow: a radius collapsing to zero is an
+essential singularity, a face degenerating at bounded radii a removable one
+(genuine kinds only).
 
-run_flow also takes a stack of starts and steps them in lockstep, a sweep
-being many starts of one flow. Each pass makes one attempt for every start
-still running (a start that stops leaves the stack), with the start's own
-step. Every stage, and the evaluation of the candidates that passed the error
-test, is one call of the angle kernel on the disjoint union of one copy of the
-surface per start it evaluates (WeightedTriangulation.copies), so on small
-surfaces, where the per-call overhead dominates, a pass costs little more than
-one start's attempt. The starts are evaluated together as well, so an
-inadmissible start of a genuine kind refuses the call, with the faces of the
-first such start, before any step. Everything per start stays its own: step,
-clock, stiffness estimate, statistics, events, trace, and a failure. When the
-union's evaluation fails on faces past a triangle inequality, the faces its
-error carries name the starts that hold them, and the others are evaluated
-together; a start whose stage fails leaves that attempt's later stages. Each
-start's results, stats["evaluations"] among them, are bit for bit those of its
-own run, while the kernel calls of a stack number about those of its start
-with the most attempts.
+run_flow also takes a stack of starts, a sweep, and steps them in lockstep:
+each pass makes one attempt for every start still running, with its own step.
+Each stage, and the evaluation of the candidates that passed the error test,
+is one kernel call on the disjoint union of one copy of the surface per start
+(WeightedTriangulation.copies), so on small surfaces a pass costs little more
+than one start's attempt. An inadmissible start of a genuine kind refuses the
+call with its faces. When a union's evaluation fails, the faces its error
+names give the starts that hold them, and the others are evaluated together.
+Step, clock, stiffness estimate, statistics, events, trace and failure stay
+per start, and each start's results are bit for bit those of its own run.
 """
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 import enum
 import json
@@ -97,7 +87,7 @@ from . import geometry
 from .curvature import TWO_PI, _finite_alpha, _finite_target, angle_deficits
 from .errors import AdmissibilityError, IntegrationError
 from .geometry import PackingMetric
-from .surface import Geometry
+from .surface import Geometry, euler_characteristic
 
 log = logging.getLogger("idcurv.flows")
 
@@ -222,11 +212,8 @@ class FlowKind(enum.Enum):
     def __new__(cls, value, family, rate, geometry):
         member = object.__new__(cls)
         member._value_, member.family, member.rate, member.geometry = value, family, rate, geometry
+        member.extended = family == "extended"
         return member
-
-    @property
-    def extended(self):
-        return self.family == "extended"
 
 
 class EventKind(enum.Enum):
@@ -330,118 +317,128 @@ def _check_spec(tri, spec):
     _finite_target(spec.target, tri.vertex_count)
 
 
-def _deviation(tri, r, spec, degenerate=None):
-    """T - K / s^alpha for each row of r, a (b, N) stack of radii, with
-    extended angles for extended kinds.
-
-    All rows are one angle evaluation, on tri.copies(b). A given C-contiguous
-    (b, F) bool array `degenerate` receives the face masks. For genuine kinds
-    the evaluation raises AdmissibilityError if any row has a face past a
-    triangle inequality.
+def _rates(tri, spec):
+    """The flow's velocity field, read from the spec once per run, as
+    rate(y, out, degenerate=None): dr/dt at each row of y, a (b, N) stack of
+    radii, into `out`; it returns K / s^alpha - T per row, the deviation
+    negated, with extended angles for extended kinds. The rows are one angle
+    evaluation, on tri.copies(b), whose face masks go to a given C-contiguous
+    (b, F) bool array `degenerate`. For genuine kinds it raises
+    AdmissibilityError, writing nothing, if a row has a face past a triangle
+    inequality.
     """
-    b, n = r.shape
-    mask = None if degenerate is None else degenerate.reshape(-1)
-    R = angle_deficits(tri.copies(b), r.ravel(), spec.kind.extended, mask).reshape(b, n)
-    # s^alpha, s being r or tanh(r/2) as in geometry.s_of_r; R = K / s^alpha in place
-    power = (r if tri.geometry is Geometry.EUCLIDEAN else np.tanh(r / 2.0)) ** spec.alpha
-    R /= power
-    if spec.target is not None:
-        return np.subtract(spec.target, R, out=R)
-    # each row's running average, 2 pi chi / sum(r^alpha) as in average_curvature;
-    # it exists on Euclidean surfaces only, where s is r, so power is r^alpha
-    two_pi_chi = TWO_PI * (tri.vertex_count - len(tri.edges) + len(tri.faces))
-    sums = np.add.reduce(power, axis=1, keepdims=True)
-    # a single row's sum as a float: the same division, without array overhead
-    average = two_pi_chi / (sums if b > 1 else float(sums[0, 0]))
-    return np.subtract(average, R, out=R)
+    extended, alpha, target = spec.kind.extended, spec.alpha, spec.target
+    euclidean = tri.geometry is Geometry.EUCLIDEAN
+    # for the average 2 pi chi / sum(r^alpha) (Euclidean only, where s is r)
+    two_pi_chi = TWO_PI * euler_characteristic(tri)
+    # -(c/2) (K / s^alpha - T) is (c/2) (T - K / s^alpha) bit for bit, up to
+    # the sign of an exact zero: a row at its target may hold -0.0
+    scale = -0.5 * spec.kind.rate
+
+    def rate(y, out, degenerate=None):
+        flat = y.reshape(-1)
+        mask = None if degenerate is None else degenerate.reshape(-1)
+        dev = angle_deficits(tri.copies(len(y)), flat, extended, mask)
+        # s^alpha, and the factor of dr/dt = (c/2) (T - K / s^alpha) factor
+        if euclidean:
+            power = flat**alpha
+            factor = y
+        else:
+            power = np.tanh(flat / 2.0) ** alpha
+            # sinh overflows past r ~ 710; the inf makes the candidate illegal
+            # and run_flow halts with a step-size report, which is the intent
+            with np.errstate(over="ignore"):
+                factor = np.sinh(y)
+        dev /= power
+        dev = dev.reshape(y.shape)
+        if target is not None:
+            dev -= target
+        elif len(y) == 1:  # a single row's average is a scalar, without array overhead
+            dev -= two_pi_chi / np.add.reduce(power)
+        else:
+            dev -= two_pi_chi / np.add.reduce(power.reshape(y.shape), axis=1, keepdims=True)
+        np.multiply(dev, scale, out)
+        out *= factor
+        return dev
+
+    return rate
 
 
 def flow_rhs(tri, r, spec: FlowSpec):
     """Time derivative of the radii under the requested flow."""
     r = geometry._vertex_radii(tri, r)
     _check_spec(tri, spec)
-    return _velocity(tri, r, _deviation(tri, r[None], spec)[0], spec)
+    out = np.empty((1, len(r)))
+    _rates(tri, spec)(r[None], out)
+    return out[0]
 
 
-def _velocity(tri, r, dev, spec, out=None):
-    """dr/dt from the deviation dev = T - K / s^alpha at r, into `out` if given."""
-    if tri.geometry is Geometry.EUCLIDEAN:
-        factor = r
-    else:
-        # sinh overflows past r ~ 710; the inf makes the candidate illegal
-        # and the driver halts with a step-size report, which is the intent
-        with np.errstate(over="ignore"):
-            factor = np.sinh(r)
-    return np.multiply(0.5 * spec.kind.rate * dev, factor, out=out)
+def _rate_rows(tri, rate, y, out, ok, degenerate=None, error=None):
+    """rate (see _rates) of the rows of y that the (b,) bool array `ok`
+    marks, into their rows of `out` and of a given `degenerate`; returns
+    their negated deviations. `error`, the AdmissibilityError of a failed
+    evaluation of exactly those rows, names by its faces the rows that hold
+    them: they leave `ok`, and the others are evaluated together.
+    """
+    while True:
+        index = np.flatnonzero(ok)
+        if error is not None:  # a single row is not tried again
+            named = np.array(error.faces, dtype=int) // tri.face_count
+            ok[index[named] if len(index) > 1 else index] = False
+            index = np.flatnonzero(ok)
+        tried, masks = y[index], None if degenerate is None else degenerate[index]
+        if not len(index):  # an empty stack has no union to evaluate on
+            return tried
+        rates = np.empty_like(tried)
+        try:
+            dev = rate(tried, rates, masks)
+        except AdmissibilityError as failure:
+            error = failure
+            continue
+        out[index] = rates
+        if masks is not None:
+            degenerate[index] = masks
+        return dev
 
 
 # -- driver ------------------------------------------------------------------------
 
 
-def _evaluate(tri, y, spec, ok=None, degenerate=None):
-    """_deviation of the rows of y, a (b, N) stack, that the (b,) bool array
-    `ok` marks (all if None), in one evaluation; their face masks go to a given
-    C-contiguous (b, F) `degenerate`. Returns (dev, ok): ok marks the rows
-    evaluated, None if all were, and dev reads 0 in the others. When a genuine
-    kind's evaluation fails on faces past a triangle inequality, the faces its
-    AdmissibilityError carries name the rows that hold them, and the others
-    are evaluated together; a single row is not tried again.
-    """
-    if ok is None:
-        index, tried, masks = slice(None), y, degenerate
-    else:
-        index = np.flatnonzero(ok)
-        tried, masks = y[index], None if degenerate is None else degenerate[index]
-    try:
-        # an empty stack has no union to evaluate on
-        dev = _deviation(tri, tried, spec, masks) if len(tried) else tried
-    except AdmissibilityError as error:
-        # the rows tried that hold none of the faces it names are tried again
-        ok = np.zeros(len(y), dtype=bool)
-        if len(tried) > 1:
-            ok[index] = True
-            ok[np.flatnonzero(ok)[np.array(error.faces, dtype=int) // tri.face_count]] = False
-        return _evaluate(tri, y, spec, ok, degenerate)
-    if ok is None:
-        return dev, None
-    out = np.zeros_like(y)
-    out[index] = dev
-    if degenerate is not None:
-        degenerate[index] = masks
-    return out, ok
-
-
-def _legal(tri, r, spec, dev, degenerate, tally, legal):
+def _legal(tri, rate, r, k1, err, degenerate, tally, legal):
     """Whether the candidates tried are all legal: r is a (b, N) stack, and
     the (b,) bool array `legal` marks the rows to try and receives each row's
-    verdict. A legal row's deviation goes to its row of dev, its face mask to
-    a given (b, F) `degenerate`; `tally`, a (b,) int array, counts each row's
-    evaluation. A row is legal when it is finite, within [EPS_RADIUS,
-    RADIUS_CAP] and, for genuine kinds, admissible by its own curvature
-    evaluation (see _evaluate), so a legal candidate is evaluated only once.
+    verdict. A legal row's dr/dt (see _rates) goes to its row of k1, its
+    max|T - K/s^alpha| to `err` and its face mask to a given `degenerate`;
+    `tally`, a (b,) int array, counts each row's evaluation. A row is legal
+    when it is finite, within [EPS_RADIUS, RADIUS_CAP] and, for genuine
+    kinds, admissible by its own evaluation, so it is evaluated only once.
     """
-    tried = np.count_nonzero(legal)
-    # on almost every pass every row is tried and within bounds (NaN fails
-    # both tests), and no per-row verdict is needed unless the evaluation fails
-    if tried == len(r) and r.min() >= EPS_RADIUS and r.max() <= RADIUS_CAP:
-        ok = None
+    tried, error = np.count_nonzero(legal), None
+    # almost always every row is tried and within bounds (NaN fails both
+    # tests), and all are evaluated together
+    if (tried == len(r) and np.minimum.reduce(r, None) >= EPS_RADIUS
+            and np.maximum.reduce(r, None) <= RADIUS_CAP):
+        tally += 1
+        try:
+            dev = rate(r, k1, degenerate)
+            np.maximum.reduce(np.abs(dev, out=dev), axis=1, out=err)
+            return True
+        except AdmissibilityError as failure:
+            error = failure
     else:
-        ok = legal & (r >= EPS_RADIUS).all(axis=1) & (r <= RADIUS_CAP).all(axis=1)
-    tally += 1 if ok is None else ok
-    values, ok = _evaluate(tri, r, spec, ok, degenerate)
-    if ok is None:
-        dev[:] = values
-        return True
-    dev[ok] = values[ok]
-    legal[:] = ok
-    return bool(np.count_nonzero(ok) == tried)
+        legal &= (r >= EPS_RADIUS).all(axis=1) & (r <= RADIUS_CAP).all(axis=1)
+        tally += legal
+    dev = _rate_rows(tri, rate, r, k1, legal, degenerate, error)
+    err[legal] = np.maximum.reduce(np.abs(dev), axis=1)
+    return bool(np.count_nonzero(legal) == tried)
 
 
-def _propose(tri, r, k1, h, spec, tally):
+def _propose(tri, rate, r, k1, h, tol, tally):
     """One DOP853 attempt for each row of r, a (b, N) stack of states with
-    velocities k1 and steps h, a (b,) array: the eleven stages after k1, none
-    at the candidate, each one curvature evaluation of the rows still in the
-    attempt. Returns (candidate, err, end_state), one row or entry per state.
+    velocities k1 and steps h, a (b,) array, of the flow `rate` (see _rates)
+    at tolerance tol: the eleven stages after k1, none at the candidate, each
+    one rate call on the rows still in the attempt. Returns (candidate, err,
+    end_state), one row or entry per state.
 
     err is the local error estimate in units of the requested local tolerance
     (the step passes when err <= 1): the 5th- and 3rd-order estimates, each in
@@ -458,43 +455,61 @@ def _propose(tri, r, k1, h, spec, tally):
     # vector-matrix product per row, the product a single row gets, whereas a
     # product over all rows' columns at once may round a column differently
     # depending on where it falls in the BLAS kernel's vector lanes
-    k = np.zeros((len(r), len(_B), r.shape[1]))
+    k = np.empty((len(r), len(_B), r.shape[1]))
     k[:, 0] = k1
-    steps = h[:, None]  # each row's step, broadcast along its row
+    # each row's step along its row: a (b, 1) broadcast gives the same
+    # products at a higher cost
+    steps = np.empty_like(r)
+    steps[:] = h[:, None]
     # `ok` marks the rows still in the attempt (None: all): a row leaves when
     # its stage radii leave the positive cone or its evaluation fails, and its
-    # later stages stay 0. `evaluated` counts the stages that evaluated all rows.
+    # stages read 0. `evaluated` counts the stages that evaluated all rows.
     ok, evaluated = None, 0
     for i in range(1, len(_B)):
-        y = r + steps * (_A[i, :i] @ k[:, :i])
+        y = _A[i, :i] @ k[:, :i]  # r + h (a @ k), in place
+        y *= steps
+        y += r
         # two reductions, no arithmetic (inf - inf would warn): every stage
         # radius is positive, which NaN fails, and finite
-        if (ok is None and np.minimum.reduce(y, axis=None) > 0.0
-                and np.maximum.reduce(y, axis=None) < math.inf):
+        if (ok is None and np.minimum.reduce(y, None) > 0.0
+                and np.maximum.reduce(y, None) < math.inf):
             evaluated += 1
+            try:
+                rate(y, k[:, i])
+                continue
+            except AdmissibilityError as error:
+                ok = np.ones(len(r), dtype=bool)
+                _rate_rows(tri, rate, y, k[:, i], ok, error=error)
         else:
             inside = (y > 0.0).all(axis=1) & (y < math.inf).all(axis=1)
             ok = inside if ok is None else ok & inside
-            if not ok.any():  # nothing left to evaluate
-                tally += evaluated
-                return np.full_like(r, np.nan), np.full(len(r), np.nan), (y, y)
             tally += ok
-            # a row that left may hold inf stages, which the products below
-            # and the error estimate would turn into NaN with a warning
-            k[~ok] = 0.0
-        dev, ok = _evaluate(tri, y, spec, ok)
-        if ok is None:
-            _velocity(tri, y, dev, spec, k[:, i])
-        else:
-            k[ok, i] = _velocity(tri, y[ok], dev[ok], spec)
+            _rate_rows(tri, rate, y, k[:, i], ok)
+        if not ok.any():  # nothing left to evaluate
+            tally += evaluated
+            return np.full_like(r, np.nan), np.full(len(r), np.nan), (y, y)
+        # a row that left may hold inf stages, which the products below and
+        # the error estimate would turn into NaN with a warning
+        k[~ok] = 0.0
     tally += evaluated
-    candidate = r + steps * (_B @ k)
-    scale = (LOCAL_TOL * spec.tol) * (1.0 + np.maximum(r, np.abs(candidate)))
+    candidate = _B @ k
+    candidate *= steps
+    candidate += r
+    scale = np.abs(candidate)  # LOCAL_TOL tol (1 + max(r, |candidate|)), in place
+    np.maximum(r, scale, out=scale)
+    scale += 1.0
+    scale *= LOCAL_TOL * tol
     # one vector product per rule: a (2, 12) matrix product would reach BLAS
     # gemm, whose work buffer adds to the process's peak memory
-    e5, e3 = ((np.abs(steps * (e @ k)) / scale).max(axis=1) for e in (_E5, _E3))
+    norms = []
+    for rule in (_E5, _E3):
+        e = rule @ k
+        e *= steps
+        np.abs(e, out=e)
+        e /= scale
+        norms.append(np.maximum.reduce(e, axis=1).tolist())
     err = []
-    for a, c in zip(e5.tolist(), e3.tolist()):
+    for a, c in zip(*norms):
         root = math.sqrt(a * a + 0.01 * c * c)
         err.append(a * a / root if root else 0.0)  # a NaN root stays NaN
     err = np.array(err)
@@ -542,20 +557,21 @@ class _Run:
         self.tri, self.spec, self.inside, self.events = tri, spec, inside, events
         self.t = 0.0
         self.h = min(spec.step, spec.t_max)  # the step of the next attempt
-        self.steps = 0
         self.rho = 0.0  # the last stiffness estimate; 0 before the first
-        self.err = math.inf  # max|T - K/s^alpha| at the current state
-        self.tally = collections.Counter(evaluations=1)
+        # its curvature evaluations, accepted steps, steps rejected on error,
+        # illegal candidates and steps shortened by the stability cap
+        self.evaluations = 1
+        self.accepted = self.on_error = self.illegal = self.capped = 0
         self.times, self.radii, self.errs, self.measures, self.ext_flags = [], [], [], [], []
         self.result = None  # (trace, final metric) or the IntegrationError, once stopped
 
-    def record(self, r):
+    def record(self, r, err):
         if self.times and self.times[-1] == self.t:
             return
         r = r.copy()
         self.times.append(self.t)
         self.radii.append(r)
-        self.errs.append(self.err)
+        self.errs.append(err)
         if self.tri.geometry is Geometry.EUCLIDEAN:
             self.measures.append(float(r @ r))
         else:
@@ -565,14 +581,9 @@ class _Run:
         self.ext_flags.append(not self.inside)
 
     def trace(self):
-        stats = {
-            "evaluations": self.tally["evaluations"],
-            "accepted": self.steps,
-            "rejected_on_error": self.tally["error"],
-            "illegal": self.tally["illegal"],
-            "capped": self.tally["capped"],
-            "rho": self.rho,
-        }
+        stats = dict(evaluations=self.evaluations, accepted=self.accepted,
+                     rejected_on_error=self.on_error, illegal=self.illegal,
+                     capped=self.capped, rho=self.rho)
         log.debug(
             "run_flow ended at t=%.6g: %d curvature evaluations, %d accepted steps, "
             "%d rejected on error, %d illegal candidates, %d steps shortened by the "
@@ -589,66 +600,68 @@ class _Run:
             stats=stats,
         )
 
-    def take(self, state, h, step_err, estimate, err, face):
-        """Advance by the accepted step h, of error estimate step_err, to
+    def take(self, state, step_err, estimate, err, mask):
+        """Advance by the accepted step self.h, of error estimate step_err, to
         state, whose max|T - K/s^alpha| is err; estimate is the step's
-        stiffness estimate (0 for none). face is, for extended kinds, the
-        first face of state past a triangle inequality, or None.
-        """
+        stiffness estimate (0 for none), mask the face mask of state (None for
+        genuine kinds)."""
+        h = self.h
         h_next = h * _error_factor(step_err)
         self.rho = estimate or self.rho
         if self.rho > 0.0 and SAFETY * _BETA / self.rho < h_next:
             h_next = SAFETY * _BETA / self.rho
-            self.tally["capped"] += 1
+            self.capped += 1
         self.t += h
-        self.steps += 1
-        self.err = err
+        self.accepted += 1
         spec = self.spec
-        if spec.kind.extended:
-            if (face is None) != self.inside:
-                self.inside = face is None
-                kind = EventKind.REENTERED_ADMISSIBLE if self.inside else EventKind.LEFT_ADMISSIBLE
-                self.events.append(FlowEvent(self.t, kind, face))
-                self.record(state)
+        if mask is not None and mask.any() == self.inside:
+            self.inside = not self.inside
+            # the first face of state past a triangle inequality, or None
+            face = None if self.inside else int(np.argmax(mask))
+            kind = EventKind.REENTERED_ADMISSIBLE if self.inside else EventKind.LEFT_ADMISSIBLE
+            self.events.append(FlowEvent(self.t, kind, face))
+            self.record(state, err)
         if err < spec.tol:
-            self.stop(state, FlowEvent(self.t, EventKind.CONVERGED, None))
+            self.stop(state, err, FlowEvent(self.t, EventKind.CONVERGED, None))
         elif self.t < spec.t_max * (1.0 - 1e-15):
             if self.t - self.times[-1] >= SAMPLE_DT:
-                self.record(state)
+                self.record(state, err)
             self.h = min(h_next, spec.t_max - self.t)
         else:
-            self.stop(state, FlowEvent(self.t, EventKind.HORIZON_REACHED, None))
+            self.stop(state, err, FlowEvent(self.t, EventKind.HORIZON_REACHED, None))
 
-    def reject(self, r, candidate, k1, h, step_err):
-        """Shrink the step h, whose attempt from r (velocity k1) gave candidate
-        with error estimate step_err, for the next attempt; stop if the
-        shrunken step would fall below MIN_STEP."""
+    def reject(self, r, err, candidate, k1, step_err):
+        """Shrink the step self.h, whose attempt from r (velocity k1, max|T -
+        K/s^alpha| err) gave candidate with error estimate step_err, for the
+        next attempt; stop if the shrunken step would fall below MIN_STEP."""
         # an error rejection shrinks h by the estimate's own factor, an
         # illegal candidate (or a NaN estimate) halves it
-        rejection = "error" if step_err > 1.0 else "illegal"
-        self.tally[rejection] += 1
-        shrink = _error_factor(step_err) if rejection == "error" else 0.5
+        if step_err > 1.0:
+            self.on_error += 1
+            shrink = _error_factor(step_err)
+        else:
+            self.illegal += 1
+            shrink = 0.5
+        h = self.h
         if h * shrink >= MIN_STEP:
             self.h = h * shrink
             return
         genuine = not self.spec.kind.extended
         event = _classify_stall(self.tri, r, candidate, k1, h, genuine)
+        self.stop(r, err, event and dataclasses.replace(event, t=self.t))
+
+    def stop(self, r, err, event):
+        """Record r and stop with `event`, or, if it is None, with a step size
+        underflow."""
+        self.record(r, err)
         if event is None:
-            self.fail(r)
+            self.result = IntegrationError(
+                f"step size underflow at t={self.t:.6g} without a singularity signature",
+                trace=self.trace(),
+            )
         else:
-            self.stop(r, dataclasses.replace(event, t=self.t))
-
-    def stop(self, r, event):
-        self.record(r)
-        self.events.append(event)
-        self.result = self.trace(), PackingMetric(r.copy(), self.tri.geometry)
-
-    def fail(self, r):
-        self.record(r)
-        self.result = IntegrationError(
-            f"step size underflow at t={self.t:.6g} without a singularity signature",
-            trace=self.trace(),
-        )
+            self.events.append(event)
+            self.result = self.trace(), PackingMetric(r.copy(), self.tri.geometry)
 
 
 def run_flow(tri, r0, spec: FlowSpec):
@@ -679,11 +692,12 @@ def run_flow(tri, r0, spec: FlowSpec):
     geometry._finite_positive(r)
     _check_spec(tri, spec)
 
-    genuine = not spec.kind.extended
+    genuine, rate = not spec.kind.extended, _rates(tri, spec)
     # the starts' face masks, then a pass's candidates' in the first rows
-    masks = np.empty((len(r), tri.face_count), dtype=bool)
+    masks = None if genuine else np.empty((len(r), tri.face_count), dtype=bool)
+    k1 = np.empty_like(r)  # dr/dt at each start, then at its current state
     try:
-        dev = _deviation(tri, r, spec, None if genuine else masks)
+        dev = rate(r, k1, masks)
     except AdmissibilityError as error:
         # the faces of the first start that holds any, numbered as in that start
         which, bad = divmod(np.array(error.faces, dtype=int), tri.face_count)
@@ -695,69 +709,55 @@ def run_flow(tri, r0, spec: FlowSpec):
     sign_events = []
     if positive.any():
         sign_events.append(FlowEvent(0.0, EventKind.TARGET_SIGN_WARNING, int(np.argmax(positive))))
-    # per start of an extended kind, its first face past a triangle inequality, or None
-    faces = [None] * len(r) if genuine else [int(np.argmax(m)) if m.any() else None for m in masks]
+    # max|T - K/s^alpha| at each row's state
+    err = np.maximum.reduce(np.abs(dev, out=dev), axis=1)
     runs = []
-    for start, err, face in zip(r, np.max(np.abs(dev), axis=1).tolist(), faces):
+    for start, e, mask in zip(r, err.tolist(), [None] * len(r) if genuine else masks):
         events = list(sign_events)
-        if face is not None:
-            events.append(FlowEvent(0.0, EventKind.LEFT_ADMISSIBLE, face))
-        run = _Run(tri, spec, face is None, events)
+        if mask is not None and mask.any():
+            events.append(FlowEvent(0.0, EventKind.LEFT_ADMISSIBLE, int(np.argmax(mask))))
+        run = _Run(tri, spec, mask is None or not mask.any(), events)
         runs.append(run)
-        run.err = err
-        if err < spec.tol:
-            run.stop(start, FlowEvent(0.0, EventKind.CONVERGED, None))
+        if e < spec.tol:
+            run.stop(start, e, FlowEvent(0.0, EventKind.CONVERGED, None))
         else:
-            run.record(start)
+            run.record(start, e)
     live = [j for j, run in enumerate(runs) if run.result is None]
     active = [runs[j] for j in live]
-    r, k1 = r[live], _velocity(tri, r[live], dev[live], spec)
+    r, k1, err = r[live], k1[live], err[live]
+    tally = np.ones(len(active), dtype=np.int64)  # each row's curvature evaluations
 
-    # a pass's candidate deviations fill the first rows of this
-    devs = np.empty_like(r)
     # one pass makes one attempt for every active start; the candidates that
     # pass the error test are evaluated together, then each start takes or
     # rejects its own step, and the starts that stopped leave the stack
     while active:
-        h = np.array([run.h for run in active])
-        tally = np.zeros(len(active), dtype=np.int64)
-        candidate, step_err, (y, ky) = _propose(tri, r, k1, h, spec, tally)
-        legal = step_err <= 1.0
-        dev = devs[: len(active)]
         degenerate = None if genuine else masks[: len(active)]
+        h = np.array([run.h for run in active])
+        candidate, step_err, end_state = _propose(tri, rate, r, k1, h, spec.tol, tally)
+        legal = step_err <= 1.0
         taken = np.count_nonzero(legal)
-        if taken and not _legal(tri, candidate, spec, dev, degenerate, tally, legal):
+        if taken and not _legal(tri, rate, candidate, k1, err, degenerate, tally, legal):
             taken = np.count_nonzero(legal)
-        rows = slice(None) if taken == len(active) else np.flatnonzero(legal)
-        state = candidate[rows]
-        k_state = _velocity(tri, state, dev[rows], spec)
-        if taken:
-            estimates = _stiffness(state, k_state, (y[rows], ky[rows]))
-            errs = np.abs(dev[rows]).max(axis=1).tolist()
-            # per taken start of an extended kind, its first face past a
-            # triangle inequality, or None
-            faces = [None] * taken
-            if not genuine:
-                faces = [int(np.argmax(m)) if m.any() else None for m in degenerate[rows]]
-
-        a = 0  # the index of the next taken start
-        steps, errors = h.tolist(), step_err.tolist()
-        for j, (run, count, ok) in enumerate(zip(active, tally.tolist(), legal.tolist())):
-            run.tally["evaluations"] += count
+        # the taken candidates' stiffness estimates, in row order; a taken row's
+        # velocity and error are already those of its candidate
+        estimates = iter(_stiffness(candidate, k1, end_state) if taken == len(active) else
+                         _stiffness(candidate[legal], k1[legal], [a[legal] for a in end_state]))
+        rows = zip(active, tally.tolist(), legal.tolist(), step_err.tolist(), err.tolist())
+        for j, (run, count, ok, e, row_err) in enumerate(rows):
+            run.evaluations = count
             if ok:
-                run.take(state[a], steps[j], errors[j], estimates[a], errs[a], faces[a])
-                a += 1
+                mask = None if genuine else degenerate[j]
+                run.take(candidate[j], e, next(estimates), row_err, mask)
             else:
-                run.reject(r[j], candidate[j], k1[j], steps[j], errors[j])
-
+                run.reject(r[j], row_err, candidate[j], k1[j], e)
         if taken == len(active):
-            r, k1 = state, k_state
+            r = candidate
         else:
-            r[rows], k1[rows] = state, k_state
+            r[legal] = candidate[legal]
         live = [j for j, run in enumerate(active) if run.result is None]
         if len(live) < len(active):
             active = [active[j] for j in live]
-            r, k1 = r[live], k1[live]
+            r, k1, err, tally = r[live], k1[live], err[live], tally[live]
 
     if not single:
         return [run.result for run in runs]

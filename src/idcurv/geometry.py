@@ -96,8 +96,20 @@ def s_of_r(r, geometry):
 
 
 def _log_coth_half(x):
-    """ln coth(x/2) for x > 0, to a few ulps; the function is its own inverse."""
-    return np.log1p(2.0 * np.exp(-x) / -np.expm1(-x))
+    """ln coth(x/2) for x > 0, to a few ulps; the function is its own inverse.
+
+    Below x = 1 it is log1p(e^-x) - log(-expm1(-x)), whose second term takes
+    x down to the smallest subnormal; from 1 on, log1p(2 e^-x / -expm1(-x)),
+    which keeps the bits the first form loses to cancellation (half of them
+    by x = 40). A scalar gives a scalar.
+    """
+    x = np.asarray(x, dtype=float)
+    small = x < 1.0
+    out = np.empty_like(x)
+    a, b = x[small], x[~small]
+    out[small] = np.log1p(np.exp(-a)) - np.log(-np.expm1(-a))
+    out[~small] = np.log1p(2.0 * np.exp(-b) / -np.expm1(-b))
+    return out[()]
 
 
 def u_of_r(r, geometry):

@@ -506,8 +506,12 @@ def load_target(spec, vertex_count):
         pass
     data = _load_json(spec)
     if "uniform" in data:
-        return _uniform(spec, data)
-    return _numbers(spec, "'target'", data.get("target"), ndim=1, size=vertex_count)
+        target = _uniform(spec, data)
+    else:
+        target = _numbers(spec, "'target'", data.get("target"), ndim=1, size=vertex_count)
+    if not np.all(np.isfinite(target)):
+        raise MeshFormatError(f"{spec}: target must be finite")
+    return target
 
 
 def save_radii(path, radii):

@@ -479,6 +479,52 @@ def test_flow_target_file_forms(tmp_path, capsys):
     assert code == 1  # three entries for four vertices
 
 
+def _json_file(tmp_path, name, payload):
+    """A JSON file of `payload`, NaN and Infinity spelled as json.dumps does."""
+    path = tmp_path / name
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "option, payload",
+    [
+        ("--radii", {"radii": [math.nan, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]}),
+        ("--radii", {"radii": [1.0, 1.0, math.inf, 1.0, 1.0, 1.0, 1.0]}),
+        ("--radii", {"radii": [1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0]}),
+        ("--radii", {"radii": [1.0] * 6}),
+        ("--target", {"target": [math.nan, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]}),
+        ("--target", {"target": [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -math.inf]}),
+        ("--target", {"uniform": math.inf}),
+        ("--target", {"target": [0.0] * 8}),
+    ],
+    ids=["radii-nan", "radii-inf", "radii-zero", "radii-length", "target-nan", "target-inf",
+         "target-uniform-inf", "target-length"],
+)
+def test_flow_refuses_a_bad_input_file_by_name(tmp_path, capsys, option, payload):
+    # a radii or target file that is not finite (radii: and positive), or not
+    # one entry per vertex, is a format error of that file: exit 1 and one
+    # error line that names it, no traceback
+    bad = _json_file(tmp_path, "bad.json", payload)
+    files = {"--radii": radii_file(tmp_path, [1.0] * 7), "--target": None}
+    files[option] = bad
+    argv = ["flow", CSASZAR, "--radii", files["--radii"], "--kind", "modified-euclidean",
+            "--target", files["--target"] or "0", "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_flow_nan_target_number_is_invalid_input(tmp_path, capsys):
+    # a target given as a number is no file: NaN is invalid input, exit 2
+    radii = radii_file(tmp_path, [1.0] * 7)
+    argv = ["flow", CSASZAR, "--radii", radii, "--kind", "modified-euclidean",
+            "--target", "nan", "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: target must be finite\n"
+
+
 # -- solve ---------------------------------------------------------------------------
 
 

@@ -737,18 +737,22 @@ def test_inadmissible_candidate_is_illegal(tetra_euc):
     outside = np.array([[1.0, 10.0, 10.0, 10.0]])
     assert not geometry.admissible(tetra_euc, outside[0])[0]
     genuine = FlowSpec(kind=FlowKind.MODIFIED_EUCLIDEAN, target=np.zeros(4))
-    dev, tally, legal = np.full((1, 4), 7.0), np.zeros(1, dtype=np.int64), np.ones(1, dtype=bool)
-    assert flows._legal(tetra_euc, outside, genuine, dev, None, tally, legal) is False
+    k1, err = np.full((1, 4), 7.0), np.full(1, 7.0)
+    tally, legal = np.zeros(1, dtype=np.int64), np.ones(1, dtype=bool)
+    rate = flows._rates(tetra_euc, genuine)
+    assert flows._legal(tetra_euc, rate, outside, k1, err, None, tally, legal) is False
     assert legal.tolist() == [False] and tally.tolist() == [1]
-    assert np.array_equal(dev, np.full((1, 4), 7.0))
-    # the extended kind takes the same radii, and its deviation is the flow's
+    assert np.array_equal(k1, np.full((1, 4), 7.0)) and err.tolist() == [7.0]
+    # the extended kind takes the same radii, and its velocity is the flow's
     extended = FlowSpec(kind=FlowKind.EXTENDED_EUCLIDEAN, target=np.zeros(4))
     legal[:], mask = True, np.zeros((1, 4), dtype=bool)
-    assert flows._legal(tetra_euc, outside, extended, dev, mask, tally, legal) is True
+    rate = flows._rates(tetra_euc, extended)
+    assert flows._legal(tetra_euc, rate, outside, k1, err, mask, tally, legal) is True
     assert legal.tolist() == [True] and tally.tolist() == [2]
     assert mask.any()
-    assert np.array_equal(flows._velocity(tetra_euc, outside[0], dev[0], extended),
-                          flow_rhs(tetra_euc, outside[0], extended))
+    assert np.array_equal(k1[0], flow_rhs(tetra_euc, outside[0], extended))
+    dev = rate(outside, np.empty((1, 4)))
+    assert err[0] == np.max(np.abs(dev))
 
 
 def test_legal_writes_each_candidates_verdict(tetra_euc):
@@ -759,16 +763,19 @@ def test_legal_writes_each_candidates_verdict(tetra_euc):
     spec = FlowSpec(kind=FlowKind.MODIFIED_EUCLIDEAN, target=np.zeros(4))
     rows = np.array([[1.0, 1.1, 0.9, 1.0], [1.0, 10.0, 10.0, 10.0], [1e-9, 1.0, 1.0, 1.0],
                      [1.0, 1.0, 1.0, 1.0]])
-    dev, tally = np.full((4, 4), 7.0), np.zeros(4, dtype=np.int64)
+    k1, err, tally = np.full((4, 4), 7.0), np.full(4, 7.0), np.zeros(4, dtype=np.int64)
     legal = np.array([True, True, True, False])
-    verdict = flows._legal(tetra_euc, rows, spec, dev, None, tally, legal)
+    rate = flows._rates(tetra_euc, spec)
+    verdict = flows._legal(tetra_euc, rate, rows, k1, err, None, tally, legal)
     assert verdict is False
     assert legal.tolist() == [True, False, False, False]
     assert tally.tolist() == [1, 1, 0, 0]
-    assert np.array_equal(dev[0], flows._deviation(tetra_euc, rows[:1], spec)[0])
-    assert np.all(dev[1:] == 7.0)
+    alone = np.empty((1, 4))
+    dev = rate(rows[:1], alone)
+    assert np.array_equal(k1[0], alone[0]) and err[0] == np.max(np.abs(dev))
+    assert np.all(k1[1:] == 7.0) and np.all(err[1:] == 7.0)
     legal = np.ones(1, dtype=bool)
-    assert flows._legal(tetra_euc, rows[:1], spec, dev[:1], None, tally[:1], legal) is True
+    assert flows._legal(tetra_euc, rate, rows[:1], k1[:1], err[:1], None, tally[:1], legal) is True
     assert legal.tolist() == [True] and tally.tolist() == [2, 1, 0, 0]
 
 
@@ -782,11 +789,12 @@ def test_failed_stage_row_leaves_the_attempt(tetra_euc, monkeypatch, failure):
     spec = FlowSpec(kind=FlowKind.MODIFIED_EUCLIDEAN, target=np.zeros(4))
     r = np.array([[1.0, 1.1, 0.9, 1.0], [1.0, 1.0, 1.0, 1.0]])
     h = np.array([0.01, 1.0])
-    k1 = flows._velocity(tetra_euc, r, flows._deviation(tetra_euc, r, spec), spec)
+    k1, rate = np.empty_like(r), flows._rates(tetra_euc, spec)
+    rate(r, k1)
     # the second row's first stage, r + h a k1 (a = _A[1, 0]), lands on `stage`
     stage = [-1.0, 1.0, 1.0, 1.0] if failure == "cone" else [1.0, 10.0, 10.0, 10.0]
     k1[1] = (np.array(stage) - r[1]) / (h[1] * flows._A[1, 0])
-    solo = flows._propose(tetra_euc, r[:1], k1[:1], h[:1], spec, np.zeros(1, dtype=np.int64))
+    solo = flows._propose(tetra_euc, rate, r[:1], k1[:1], h[:1], spec.tol, np.zeros(1, dtype=np.int64))
     rows = []
     deficits = flows.angle_deficits
 
@@ -796,7 +804,7 @@ def test_failed_stage_row_leaves_the_attempt(tetra_euc, monkeypatch, failure):
 
     monkeypatch.setattr(flows, "angle_deficits", counting_deficits)
     tally = np.zeros(2, dtype=np.int64)
-    candidate, err, _ = flows._propose(tetra_euc, r, k1, h, spec, tally)
+    candidate, err, _ = flows._propose(tetra_euc, rate, r, k1, h, spec.tol, tally)
     # the admissibility failure costs the union's call and the other row's
     first = [1] if failure == "cone" else [2, 1]
     assert rows == first + [1] * 10
@@ -814,13 +822,14 @@ def test_infinite_stage_row_leaves_the_attempt_without_a_warning(tetra_euc):
     spec = FlowSpec(kind=FlowKind.MODIFIED_EUCLIDEAN, target=np.zeros(4))
     r = np.array([[1.0, 1.1, 0.9, 1.0], [1.0, 1.0, 1.0, 1.0]])
     h = np.array([0.01, 0.01])
-    k1 = flows._velocity(tetra_euc, r, flows._deviation(tetra_euc, r, spec), spec)
+    k1, rate = np.empty_like(r), flows._rates(tetra_euc, spec)
+    rate(r, k1)
     k1[1, 1] = math.inf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        solo = flows._propose(tetra_euc, r[:1], k1[:1], h[:1], spec, np.zeros(1, dtype=np.int64))
+        solo = flows._propose(tetra_euc, rate, r[:1], k1[:1], h[:1], spec.tol, np.zeros(1, dtype=np.int64))
         tally = np.zeros(2, dtype=np.int64)
-        candidate, err, _ = flows._propose(tetra_euc, r, k1, h, spec, tally)
+        candidate, err, _ = flows._propose(tetra_euc, rate, r, k1, h, spec.tol, tally)
     assert tally.tolist() == [11, 0]
     assert candidate[0].tobytes() == solo[0][0].tobytes() and err[0] == solo[1][0]
     assert np.isnan(candidate[1]).all() and np.isnan(err[1])
@@ -834,7 +843,10 @@ def test_failed_union_is_split_by_the_faces_its_error_names(tetra_euc, monkeypat
     flows = importlib.import_module("idcurv.flows")
     spec = FlowSpec(kind=FlowKind.MODIFIED_EUCLIDEAN, target=np.zeros(4))
     rows = np.array([[1.0, 1.1, 0.9, 1.0], [1.0, 10.0, 10.0, 10.0], [0.9, 1.0, 1.1, 1.0]])
-    solo = {j: flows._deviation(tetra_euc, rows[j : j + 1], spec)[0] for j in (0, 2)}
+    rate, solo = flows._rates(tetra_euc, spec), {}
+    for j in (0, 2):
+        alone = np.empty((1, 4))
+        solo[j] = (alone, rate(rows[j : j + 1], alone))
     counts = {"angle_deficits": 0, "admissible": 0}
 
     def counting(module, name):
@@ -848,14 +860,16 @@ def test_failed_union_is_split_by_the_faces_its_error_names(tetra_euc, monkeypat
 
     counting(flows, "angle_deficits")
     counting(geometry, "admissible")
-    dev, tally, legal = np.full((3, 4), 7.0), np.zeros(3, dtype=np.int64), np.ones(3, dtype=bool)
-    assert flows._legal(tetra_euc, rows, spec, dev, None, tally, legal) is False
+    k1, err = np.full((3, 4), 7.0), np.full(3, 7.0)
+    tally, legal = np.zeros(3, dtype=np.int64), np.ones(3, dtype=bool)
+    assert flows._legal(tetra_euc, rate, rows, k1, err, None, tally, legal) is False
     assert counts == {"angle_deficits": 2, "admissible": 0}
     assert legal.tolist() == [True, False, True]
     assert tally.tolist() == [1, 1, 1]
-    for j, expect in solo.items():
-        assert dev[j].tobytes() == expect.tobytes()
-    assert np.all(dev[1] == 7.0)
+    for j, (alone, dev) in solo.items():
+        assert k1[j].tobytes() == alone[0].tobytes()
+        assert err[j] == np.max(np.abs(dev))
+    assert np.all(k1[1] == 7.0) and err[1] == 7.0
 
 
 def test_packing_metric_input(tetra_euc):
@@ -1082,6 +1096,47 @@ def test_batch_matches_solo_runs(case, monkeypatch):
         for result in batch:
             assert EventKind.TARGET_SIGN_WARNING in event_kinds(result[0])
     assert calls < sum(trace_of(result).stats["evaluations"] for result in solo)
+
+
+@pytest.mark.parametrize("case", ["single-start", "normalized-euclidean", "extended-euclidean"])
+def test_each_evaluation_is_one_kernel_call(case, csaszar_euc, monkeypatch):
+    # run_flow reaches the angle kernel only through flows.angle_deficits, and
+    # each of its calls makes one geometry.corner_angles call, so the traced
+    # corner_angles count is the run's evaluation count: a single start's
+    # stats["evaluations"], a stack's kernel calls, which number at least
+    # those of its start with the most and fewer than all its starts' together
+    flows = importlib.import_module("idcurv.flows")
+    calls = dict.fromkeys(["angle_deficits", "corner_angles", "inside_angle_deficits"], 0)
+    deficits, corners, depth = flows.angle_deficits, geometry.corner_angles, [0]
+
+    def counting_deficits(*args, **kwargs):
+        calls["angle_deficits"] += 1
+        depth[0] += 1
+        try:
+            return deficits(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def counting_corners(*args, **kwargs):
+        calls["corner_angles"] += 1
+        calls["inside_angle_deficits"] += depth[0] == 1
+        return corners(*args, **kwargs)
+
+    if case == "single-start":
+        tri, starts = csaszar_euc, np.array([1.3, 0.8, 1.1, 1.0, 0.9, 1.2, 0.95])
+        spec = FlowSpec(kind=FlowKind.NORMALIZED_EUCLIDEAN)
+    else:
+        tri, starts, spec, _ = batch_cases()[case]
+    monkeypatch.setattr(flows, "angle_deficits", counting_deficits)
+    monkeypatch.setattr(geometry, "corner_angles", counting_corners)
+    result = run_flow(tri, starts, spec)
+    monkeypatch.undo()
+    assert calls["angle_deficits"] == calls["corner_angles"] == calls["inside_angle_deficits"]
+    if case == "single-start":
+        assert calls["angle_deficits"] == result[0].stats["evaluations"]
+    else:
+        evaluations = [trace_of(one).stats["evaluations"] for one in result]
+        assert max(evaluations) <= calls["angle_deficits"] < sum(evaluations)
 
 
 def test_batch_keeps_a_step_size_underflow_to_its_start(csaszar_hyp, monkeypatch):

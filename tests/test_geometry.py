@@ -28,7 +28,8 @@ from idcurv import (
     u_of_r,
 )
 from conftest import angles_of_lengths
-from idcurv.errors import AdmissibilityError
+from idcurv.errors import AdmissibilityError, WeightError
+from idcurv.surface import TETRA_FACES
 
 EUC = Geometry.EUCLIDEAN
 HYP = Geometry.HYPERBOLIC
@@ -527,6 +528,21 @@ def test_hyperbolic_chart_keeps_large_radii():
     np.testing.assert_allclose(u_of_r(far, HYP), -4.0 * np.exp(-far), rtol=1e-15)
 
 
+@pytest.mark.filterwarnings("error")
+def test_hyperbolic_chart_reaches_subnormal_radii():
+    # ln coth(r/2) takes its small-r form below 1, so u_of_r(1e-310) is
+    # -2 (ln 2 - ln 1e-310) to a few ulps instead of an overflow to -inf; a
+    # scalar stays a scalar, and r -> u -> r round-trips to the conditioning
+    # of r_of_u, |u| ulps of r
+    assert u_of_r(1e-310, HYP) == pytest.approx(-2.0 * (math.log(2.0) - math.log(1e-310)), rel=1e-15)
+    for r in (1e-310, 1e-300, 1e-8, 1.0, 30.0):
+        u = u_of_r(r, HYP)
+        assert np.ndim(u) == 0 and np.isfinite(u) and u < 0.0
+        back = r_of_u(u, HYP)
+        assert np.ndim(back) == 0
+        assert abs(back - r) <= 4.0 * np.finfo(float).eps * max(1.0, abs(u)) * r
+
+
 def test_hyperbolic_u_range():
     # tanh(r/2) < 1 forces u < 0; nonnegative u is out of range
     with pytest.raises(DomainError):
@@ -566,12 +582,20 @@ BAD_INPUT_CALLS = {
     "flow_rhs": lambda r: idcurv.flow_rhs(_TET, r, _NORMALIZED),
     "run_flow": lambda r: idcurv.run_flow(_TET, r, _NORMALIZED),
     "FlowSpec": lambda alpha: idcurv.FlowSpec(kind=idcurv.FlowKind.ALPHA_NORMALIZED, alpha=alpha),
+    "WeightedTriangulation": lambda w: idcurv.WeightedTriangulation(4, TETRA_FACES, float(w)),
+    # one weight per edge of the tetrahedron, keyed by its vertex pair
+    "WeightedTriangulation-edges": lambda w: idcurv.WeightedTriangulation(
+        4, TETRA_FACES, dict(zip([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], w.tolist()))
+    ),
+    "edge_length-weight": lambda w: edge_length(1.0, 1.0, w, EUC),
+    "edge_length-weight-hyperbolic": lambda w: edge_length(1.0, 1.0, w, HYP),
 }
 # (call, bad input, typed error, message): radii that are not finite and
-# positive, u-coordinates whose radii would not be, and targets that are not
-# finite or not one per vertex; every public call that takes radii, an
-# exponent or a target checks them before any work, except corner_angles and
-# angle_deficits, which check only the count of the radii
+# positive, u-coordinates whose radii would not be, targets that are not
+# finite or not one per vertex, and weights that are not finite; every public
+# call that takes radii, an exponent, a target or weights checks them before
+# any work, except corner_angles and angle_deficits, which check only the
+# count of the radii
 BAD_INPUT = [
     ("edge_length", math.inf, ValueError, _RADII),
     ("edge_lengths", [0.0, 1.0, 1.0, 1.0], ValueError, _RADII),
@@ -604,6 +628,12 @@ BAD_INPUT = [
     ("flow_rhs", [1.0, 1.0, 1.0, math.inf], ValueError, _RADII),
     ("run_flow", [1.0, math.nan, 1.0, 1.0], ValueError, _RADII),
     ("FlowSpec", math.nan, ValueError, "alpha must be finite"),
+    ("WeightedTriangulation", math.nan, WeightError, "is not finite"),
+    ("WeightedTriangulation", -math.inf, WeightError, "is not finite"),
+    ("WeightedTriangulation-edges", [1.0, 1.0, math.inf, 1.0, 1.0, 1.0], WeightError,
+     r"weight inf for edge \(0, 3\) is not finite"),
+    ("edge_length-weight", math.nan, ValueError, "weights must be finite"),
+    ("edge_length-weight-hyperbolic", math.inf, ValueError, "weights must be finite"),
 ]
 
 
