@@ -97,10 +97,13 @@ def cmd_curvature(args) -> int:
 
 
 # A stage of a lockstep stack costs 29, 52 and 136 us at 32, 256 and 2304
-# face-rows (starts x faces), so a worker must carry enough face-rows to repay
-# its fixed cost and the pool's start-up. Median `idcurv flow` wall times in s,
-# one worker against a forced pool of two, 8 snapped-face starts on n x n grid
-# tori, 2-vCPU host:
+# face-rows (starts x faces; mean wall time per curvature evaluation of
+# snapped-face extended-euclidean runs), so a worker must carry enough
+# face-rows to repay its fixed cost and the pool's start-up. Median `idcurv
+# flow` wall times in s, one worker against a forced pool of two, 8
+# snapped-face starts on n x n grid tori (weight 2, extended-euclidean, --tmax
+# 400; 8 alternating runs each, 5 on 16x16), 2-vCPU host; the pool wins from
+# 12x12 on:
 #   n x n, face-rows   6x6, 576   8x8, 1024   10x10, 1600   12x12, 2304   16x16, 4096
 #   1 worker           0.377      0.445       0.596         0.724         1.75
 #   2 workers          0.486      0.595       0.724         0.612         0.901

@@ -76,6 +76,22 @@ def _finite_alpha(alpha) -> float:
     return alpha
 
 
+def _step_control(name, value) -> float:
+    """value as a float, refused with ValueError unless finite and positive:
+    the rule of a step, a horizon or a tolerance."""
+    if not (np.isfinite(value := float(value)) and value > 0.0):
+        raise ValueError(f"{name} must be positive and finite")
+    return value
+
+
+def _first_positive(alpha, target):
+    """The first vertex where alpha * target > 0 (0 for a scalar target), the
+    sign at which the potential need not be convex, or None; the running
+    average (target None) has none."""
+    positive = np.atleast_1d(0.0 if target is None else alpha * target) > 0.0
+    return int(np.argmax(positive)) if positive.any() else None
+
+
 def _finite_target(target, n=None):
     """None, or target as a float array, refused with ValueError unless
     finite and, given a vertex count n, a scalar or one value per vertex."""

@@ -84,7 +84,8 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry
-from .curvature import TWO_PI, _finite_alpha, _finite_target, angle_deficits
+from .curvature import TWO_PI, _finite_alpha, _finite_target, _first_positive, _step_control
+from .curvature import angle_deficits
 from .errors import AdmissibilityError, IntegrationError
 from .geometry import PackingMetric
 from .surface import Geometry, euler_characteristic
@@ -253,8 +254,9 @@ class FlowSpec:
     tol: float = 1e-8
 
     def __post_init__(self):
-        if not all(math.isfinite(x) and x > 0.0 for x in (self.step, self.t_max, self.tol)):
-            raise ValueError("step, t_max and tol must be positive and finite")
+        self.step, self.t_max, self.tol = (
+            _step_control(name, getattr(self, name)) for name in ("step", "t_max", "tol")
+        )
         alpha = _finite_alpha(self.alpha)
         # the R-flows are the alpha-flows at alpha = 2, in another unit of time
         self.alpha = 2.0 if self.kind.rate == 1.0 else alpha
@@ -553,8 +555,9 @@ def _stiffness(candidate, k1, end_state):
 class _Run:
     """One start of run_flow: its clock, step control, statistics and trace."""
 
-    def __init__(self, tri, spec, inside, events):
-        self.tri, self.spec, self.inside, self.events = tri, spec, inside, events
+    def __init__(self, tri, spec, events):
+        self.tri, self.spec, self.events = tri, spec, events
+        self.inside = True  # whether the last state was admissible
         self.t = 0.0
         self.h = min(spec.step, spec.t_max)  # the step of the next attempt
         self.rho = 0.0  # the last stiffness estimate; 0 before the first
@@ -613,6 +616,14 @@ class _Run:
             self.capped += 1
         self.t += h
         self.accepted += 1
+        self.h = min(h_next, self.spec.t_max - self.t)
+        self.arrive(state, err, mask)
+
+    def arrive(self, state, err, mask):
+        """Arrive at state at time self.t, the start or an accepted step's end:
+        log its change of region, if any, and stop on Converged or at the
+        horizon, or record a trace row when one is due. err is its max|T -
+        K/s^alpha|, mask its face mask (None for genuine kinds)."""
         spec = self.spec
         if mask is not None and mask.any() == self.inside:
             self.inside = not self.inside
@@ -623,12 +634,10 @@ class _Run:
             self.record(state, err)
         if err < spec.tol:
             self.stop(state, err, FlowEvent(self.t, EventKind.CONVERGED, None))
-        elif self.t < spec.t_max * (1.0 - 1e-15):
-            if self.t - self.times[-1] >= SAMPLE_DT:
-                self.record(state, err)
-            self.h = min(h_next, spec.t_max - self.t)
-        else:
+        elif self.t >= spec.t_max * (1.0 - 1e-15):
             self.stop(state, err, FlowEvent(self.t, EventKind.HORIZON_REACHED, None))
+        elif not self.times or self.t - self.times[-1] >= SAMPLE_DT:
+            self.record(state, err)
 
     def reject(self, r, err, candidate, k1, step_err):
         """Shrink the step self.h, whose attempt from r (velocity k1, max|T -
@@ -705,32 +714,23 @@ def run_flow(tri, r0, spec: FlowSpec):
         raise AdmissibilityError(
             f"genuine flow started outside the admissible cone (faces {bad})", bad
         ) from None
-    positive = np.atleast_1d(0.0 if spec.target is None else spec.alpha * spec.target) > 0.0
-    sign_events = []
-    if positive.any():
-        sign_events.append(FlowEvent(0.0, EventKind.TARGET_SIGN_WARNING, int(np.argmax(positive))))
+    sign = _first_positive(spec.alpha, spec.target)
+    sign = [] if sign is None else [FlowEvent(0.0, EventKind.TARGET_SIGN_WARNING, sign)]
     # max|T - K/s^alpha| at each row's state
     err = np.maximum.reduce(np.abs(dev, out=dev), axis=1)
-    runs = []
-    for start, e, mask in zip(r, err.tolist(), [None] * len(r) if genuine else masks):
-        events = list(sign_events)
-        if mask is not None and mask.any():
-            events.append(FlowEvent(0.0, EventKind.LEFT_ADMISSIBLE, int(np.argmax(mask))))
-        run = _Run(tri, spec, mask is None or not mask.any(), events)
-        runs.append(run)
-        if e < spec.tol:
-            run.stop(start, e, FlowEvent(0.0, EventKind.CONVERGED, None))
-        else:
-            run.record(start, e)
-    live = [j for j, run in enumerate(runs) if run.result is None]
-    active = [runs[j] for j in live]
-    r, k1, err = r[live], k1[live], err[live]
-    tally = np.ones(len(active), dtype=np.int64)  # each row's curvature evaluations
+    runs = [_Run(tri, spec, list(sign)) for _ in r]
+    for run, start, e, mask in zip(runs, r, err.tolist(), [None] * len(r) if genuine else masks):
+        run.arrive(start, e, mask)
+    active, tally = runs, np.ones(len(r), dtype=np.int64)  # tally: each row's evaluations
 
-    # one pass makes one attempt for every active start; the candidates that
-    # pass the error test are evaluated together, then each start takes or
-    # rejects its own step, and the starts that stopped leave the stack
-    while active:
+    # the starts that stopped, at t = 0 or in the last pass, leave the stack;
+    # then one pass makes one attempt for every active start: the candidates
+    # that pass the error test are evaluated together, and each start takes
+    # or rejects its own step
+    while live := [j for j, run in enumerate(active) if run.result is None]:
+        if len(live) < len(active):
+            active = [active[j] for j in live]
+            r, k1, err, tally = r[live], k1[live], err[live], tally[live]
         degenerate = None if genuine else masks[: len(active)]
         h = np.array([run.h for run in active])
         candidate, step_err, end_state = _propose(tri, rate, r, k1, h, spec.tol, tally)
@@ -754,10 +754,6 @@ def run_flow(tri, r0, spec: FlowSpec):
             r = candidate
         else:
             r[legal] = candidate[legal]
-        live = [j for j, run in enumerate(active) if run.result is None]
-        if len(live) < len(active):
-            active = [active[j] for j in live]
-            r, k1, err, tally = r[live], k1[live], err[live], tally[live]
 
     if not single:
         return [run.result for run in runs]

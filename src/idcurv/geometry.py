@@ -148,15 +148,34 @@ def edge_length(r_i, r_j, weight, geometry):
     Hyperbolic: cosh l = cosh r_i cosh r_j + I sinh r_i sinh r_j, evaluated as
     l = 2 asinh(sqrt(sinh^2((r_i - r_j)/2) + ((1+I)/2) sinh r_i sinh r_j)), and
     in a log-sum-exp form once either radius exceeds BIG_RADIUS. Radii must be
-    finite and positive and weights finite, or ValueError is raised.
+    finite and positive and weights finite, or ValueError is raised; a weight
+    below -1 that gives its end radii no length raises DomainError, as does
+    any weight at or below -1 in the log-sum-exp form.
     """
     r_i, r_j, weight = (np.asarray(x, dtype=float) for x in (r_i, r_j, weight))
     r_i, r_j, weight = np.broadcast_arrays(r_i, r_j, weight)
     ends = _finite_positive(np.stack([r_i.ravel(), r_j.ravel()]))
     if not np.isfinite(weight).all():
         raise ValueError("weights must be finite")
-    out = _lengths(ends, weight.ravel(), geometry)
+    out = _checked_lengths(ends, weight.ravel(), geometry)
     return float(out[0]) if r_i.ndim == 0 else out.reshape(r_i.shape)
+
+
+def _no_length():
+    """The DomainError every length form raises for radii no length can join."""
+    return DomainError("weights at or below -1 give these radii no edge length")
+
+
+def _checked_lengths(ends, weight, geometry):
+    """_lengths for the public forms: a Euclidean weight that leaves a squared
+    length negative raises DomainError in place of NumPy's warning and NaN
+    (the hyperbolic forms raise it themselves). Radii and weights are finite,
+    so a NaN length has no other cause."""
+    with np.errstate(invalid="ignore"):
+        out = _lengths(ends, weight, geometry)
+    if np.isnan(out).any():
+        raise _no_length()
+    return out
 
 
 def _lengths(ends, weight, geometry):
@@ -187,17 +206,20 @@ def _hyp_length_direct(ends, weight):
     sh = np.sinh(ends)
     half = np.sinh((ends[0] - ends[1]) / 2.0) ** 2 + (0.5 + 0.5 * weight) * sh[0] * sh[1]
     if (half < 0.0).any():
-        raise DomainError("weights below -1 cannot induce a hyperbolic length")
+        raise _no_length()
     return 2.0 * np.arcsinh(np.sqrt(half))
 
 
 def _hyp_length_stable(r_i, r_j, weight):
+    """The hyperbolic length past BIG_RADIUS. Its domain is stricter than the
+    direct form's: it refuses every weight at or below -1, also where the
+    length exists, since its log((1 + I)/2) needs 1 + I > 0."""
     # cosh r_i cosh r_j + I sinh r_i sinh r_j
     #   = ((1+I)/4) e^{r_i+r_j} (1 + c (e^{-2 r_i} + e^{-2 r_j}) + e^{-2(r_i+r_j)})
     # with c = (1-I)/(1+I); the bracket is >= (1-e^{-2 r_i})(1-e^{-2 r_j}) > 0.
     # At these magnitudes acosh(A) = ln(2A) to double precision.
     if np.any(weight <= -1.0):
-        raise DomainError("weights must exceed -1 for hyperbolic lengths")
+        raise _no_length()
     c = (1.0 - weight) / (1.0 + weight)
     x = np.exp(-2.0 * r_i)
     y = np.exp(-2.0 * r_j)
@@ -215,8 +237,9 @@ def _vertex_radii(tri, r, count_only=False):
 
 def edge_lengths(tri, r):
     """Lengths of all edges, aligned with tri.edges, from one finite positive
-    radius per vertex (else ValueError), gathered by tri.edge_ends."""
-    return _lengths(_vertex_radii(tri, r)[tri.edge_ends], tri.weights, tri.geometry)
+    radius per vertex (else ValueError), gathered by tri.edge_ends; a weight
+    that gives its end radii no length raises DomainError (see edge_length)."""
+    return _checked_lengths(_vertex_radii(tri, r)[tri.edge_ends], tri.weights, tri.geometry)
 
 
 def face_lengths(tri, r):

@@ -20,8 +20,8 @@ import warnings
 import numpy as np
 
 from . import geometry
-from .curvature import _finite_alpha, _finite_target, angle_deficits, average_curvature
-from .curvature import curvature_jacobian
+from .curvature import _finite_alpha, _finite_target, _first_positive, _step_control
+from .curvature import angle_deficits, average_curvature, curvature_jacobian
 from .errors import AdmissibilityError, DomainError, QuadratureError, SolverError
 from .geometry import PackingMetric
 from .surface import Geometry, euler_characteristic
@@ -117,7 +117,8 @@ def newton_solve(tri, r_init, target, alpha=2.0, tol=GRAD_TOL) -> PackingMetric:
     by the factor 1 - 1e-4 lam. Each accepted step, with lam and its trial
     and CG iteration counts, is logged at DEBUG to "idcurv.potential".
 
-    Raises ValueError for radii, alpha or a target that break the input rules,
+    Raises ValueError for radii, alpha, a target or tol that break the input
+    rules (the target is required, and tol must be positive and finite),
     AdmissibilityError for an inadmissible start, and ValueError for a target
     that Gauss-Bonnet rules out at every radius vector, sum(T s^alpha) being
     2 pi chi (Euclidean) or above it by the area (hyperbolic): by the signs
@@ -129,8 +130,11 @@ def newton_solve(tri, r_init, target, alpha=2.0, tol=GRAD_TOL) -> PackingMetric:
     import scipy.sparse.linalg
 
     alpha, r = _finite_alpha(alpha), geometry._vertex_radii(tri, r_init)
+    tol = _step_control("tol", tol)
+    if target is None:
+        raise ValueError("newton_solve requires a target curvature")
     target = np.broadcast_to(_finite_target(target, tri.vertex_count), r.shape).copy()
-    if np.any(alpha * target > 0.0):
+    if _first_positive(alpha, target) is not None:
         warnings.warn(
             "alpha * target is positive somewhere; the potential need not be convex "
             "and the solve may find a saddle or fail",

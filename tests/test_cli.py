@@ -591,6 +591,14 @@ def test_solve_nan_target_is_invalid_input(tmp_path, capsys):
     assert capsys.readouterr().err == "error: target must be finite\n"
 
 
+def test_solve_zero_tol_is_invalid_input(tmp_path, capsys):
+    # the start is already a solution at target 0, and a gradient test
+    # against tol 0 read it as a stalled line search (exit 3)
+    radii = radii_file(tmp_path, [1.0] * 7)
+    assert main(["solve", CSASZAR, "--radii", radii, "--target", "0", "--tol", "0"]) == 2
+    assert capsys.readouterr().err == "error: tol must be positive and finite\n"
+
+
 # -- spectrum ------------------------------------------------------------------------
 
 

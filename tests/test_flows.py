@@ -1033,6 +1033,12 @@ def batch_cases():
                      t_max=5.0),
             [essential, EventKind.REMOVABLE_SINGULARITY, essential],
         ),
+        # the middle start is the fixed point: it stops at t = 0, before the
+        # first pass, while the others run on
+        "converged-at-start": (
+            tetra, np.array([[1.0, 1.1, 1.1, 1.1], np.ones(4), [1.0, 1.3, 1.3, 1.3]]),
+            FlowSpec(kind=FlowKind.NORMALIZED_EUCLIDEAN), [converged] * 3,
+        ),
     }
 
 
@@ -1095,6 +1101,10 @@ def test_batch_matches_solo_runs(case, monkeypatch):
     if case == "modified-hyperbolic":
         for result in batch:
             assert EventKind.TARGET_SIGN_WARNING in event_kinds(result[0])
+    if case == "converged-at-start":
+        fixed = batch[1][0]
+        assert fixed.events == [FlowEvent(0.0, EventKind.CONVERGED)]
+        assert fixed.times.tolist() == [0.0] and fixed.stats["evaluations"] == 1
     assert calls < sum(trace_of(result).stats["evaluations"] for result in solo)
 
 

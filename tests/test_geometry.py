@@ -557,6 +557,8 @@ _RADII = "radii must be finite and positive"
 _U = "u-coordinates give radii that are not finite and positive"
 _TARGET = "target must be finite"
 _TARGET_LENGTH = "target length does not match the vertex count"
+_TOL = "tol must be positive and finite"
+_NO_LENGTH = "weights at or below -1 give these radii no edge length"
 _NORMALIZED = idcurv.FlowSpec(kind=idcurv.FlowKind.NORMALIZED_EUCLIDEAN)
 BAD_INPUT_CALLS = {
     "edge_length": lambda r: edge_length(r, 1.0, 1.0, EUC),
@@ -579,6 +581,9 @@ BAD_INPUT_CALLS = {
     "potential_value": lambda t: idcurv.potential_value(_TET, np.zeros(4), np.zeros(4), t),
     "newton_solve": lambda r: idcurv.newton_solve(_CSASZAR, r, 0.0),
     "newton_solve-target": lambda target: idcurv.newton_solve(_CSASZAR, np.ones(7), target),
+    "newton_solve-tol": lambda tol: idcurv.newton_solve(_CSASZAR, np.ones(7), 0.0, tol=tol),
+    # the target is required: None would be the running average elsewhere
+    "newton_solve-no-target": lambda _: idcurv.newton_solve(_CSASZAR, np.ones(7), None),
     "flow_rhs": lambda r: idcurv.flow_rhs(_TET, r, _NORMALIZED),
     "run_flow": lambda r: idcurv.run_flow(_TET, r, _NORMALIZED),
     "FlowSpec": lambda alpha: idcurv.FlowSpec(kind=idcurv.FlowKind.ALPHA_NORMALIZED, alpha=alpha),
@@ -589,10 +594,12 @@ BAD_INPUT_CALLS = {
     ),
     "edge_length-weight": lambda w: edge_length(1.0, 1.0, w, EUC),
     "edge_length-weight-hyperbolic": lambda w: edge_length(1.0, 1.0, w, HYP),
+    "edge_lengths-weight": lambda w: edge_lengths(tetrahedron(weight=float(w)), np.ones(4)),
 }
 # (call, bad input, typed error, message): radii that are not finite and
 # positive, u-coordinates whose radii would not be, targets that are not
-# finite or not one per vertex, and weights that are not finite; every public
+# finite or not one per vertex, tolerances that are not finite and positive,
+# weights that are not finite, and weights that give no length; every public
 # call that takes radii, an exponent, a target or weights checks them before
 # any work, except corner_angles and angle_deficits, which check only the
 # count of the radii
@@ -625,6 +632,13 @@ BAD_INPUT = [
     ("newton_solve", [1.0, 1.0, math.inf, 1.0, 1.0, 1.0, 1.0], ValueError, _RADII),
     ("newton_solve", [1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 1.0], ValueError, _RADII),
     ("newton_solve-target", [0.0, 0.0, 0.0], ValueError, _TARGET_LENGTH),
+    # an already converged solve of the Csaszar torus at target 0 read as a
+    # stalled line search under these
+    ("newton_solve-tol", math.nan, ValueError, _TOL),
+    ("newton_solve-tol", math.inf, ValueError, _TOL),
+    ("newton_solve-tol", 0.0, ValueError, _TOL),
+    ("newton_solve-tol", -1.0, ValueError, _TOL),
+    ("newton_solve-no-target", None, ValueError, "newton_solve requires a target curvature"),
     ("flow_rhs", [1.0, 1.0, 1.0, math.inf], ValueError, _RADII),
     ("run_flow", [1.0, math.nan, 1.0, 1.0], ValueError, _RADII),
     ("FlowSpec", math.nan, ValueError, "alpha must be finite"),
@@ -634,6 +648,9 @@ BAD_INPUT = [
      r"weight inf for edge \(0, 3\) is not finite"),
     ("edge_length-weight", math.nan, ValueError, "weights must be finite"),
     ("edge_length-weight-hyperbolic", math.inf, ValueError, "weights must be finite"),
+    # 1 + 1 + 2 (-2) < 0: no Euclidean length, where NumPy warned and gave NaN
+    ("edge_length-weight", -2.0, DomainError, _NO_LENGTH),
+    ("edge_lengths-weight", -2.0, DomainError, _NO_LENGTH),
 ]
 
 
