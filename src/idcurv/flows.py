@@ -14,6 +14,9 @@ target T: "normalized" takes the running average curvature, recomputed each
 evaluation, "modified" a prescribed one and "extended" either, running
 through admissibility failures on the constant angle extension. The average
 exists only on Euclidean surfaces, so a hyperbolic one needs a prescribed T.
+On a chi = 0 surface the average 2 pi chi / sum(s^alpha) is identically zero;
+_rates drops it, deciding so once per run, so there a target-free flow is its
+twin with target 0, bit for bit.
 
     family      c = 1: R-flows, alpha = 2         c = 2: alpha-flows
     normalized  normalized-euclidean              alpha-normalized (euclidean)
@@ -161,6 +164,7 @@ _A_ROWS = (
     ],
 )
 _A = np.array([row + [0.0] * (12 - len(row)) for row in [[], *_A_ROWS]])
+_STAGES = [_A[i, :i] for i in range(1, 12)]  # stage i's row of _A over stages 0..i-1
 _B = np.array(
     [
         5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
@@ -327,11 +331,16 @@ def _rates(tri, spec):
     evaluation, on tri.copies(b), whose face masks go to a given C-contiguous
     (b, F) bool array `degenerate`. For genuine kinds it raises
     AdmissibilityError, writing nothing, if a row has a face past a triangle
-    inequality.
+    inequality. Without a target, T is the running average, except on a
+    chi = 0 surface, where it is identically zero and no row computes it: the
+    field is then that of target 0, bit for bit.
     """
     extended, alpha, target = spec.kind.extended, spec.alpha, spec.target
     euclidean = tri.geometry is Geometry.EUCLIDEAN
-    # for the average 2 pi chi / sum(r^alpha) (Euclidean only, where s is r)
+    # for the average 2 pi chi / sum(r^alpha) (Euclidean only, where s is r);
+    # on a chi = 0 surface it is +0.0, and x - (+0.0) is x, signed zeros
+    # included, so it is dropped. A prescribed zero is not: x - (-0.0) turns
+    # -0.0 into +0.0.
     two_pi_chi = TWO_PI * euler_characteristic(tri)
     # -(c/2) (K / s^alpha - T) is (c/2) (T - K / s^alpha) bit for bit, up to
     # the sign of an exact zero: a row at its target may hold -0.0
@@ -355,6 +364,8 @@ def _rates(tri, spec):
         dev = dev.reshape(y.shape)
         if target is not None:
             dev -= target
+        elif not two_pi_chi:
+            pass  # chi = 0: the average is +0.0 (see above)
         elif len(y) == 1:  # a single row's average is a scalar, without array overhead
             dev -= two_pi_chi / np.add.reduce(power)
         else:
@@ -467,8 +478,8 @@ def _propose(tri, rate, r, k1, h, tol, tally):
     # its stage radii leave the positive cone or its evaluation fails, and its
     # stages read 0. `evaluated` counts the stages that evaluated all rows.
     ok, evaluated = None, 0
-    for i in range(1, len(_B)):
-        y = _A[i, :i] @ k[:, :i]  # r + h (a @ k), in place
+    for i, a in enumerate(_STAGES, 1):
+        y = a @ k[:, :i]  # r + h (a @ k), in place
         y *= steps
         y += r
         # two reductions, no arithmetic (inf - inf would warn): every stage

@@ -20,7 +20,7 @@ import warnings
 import numpy as np
 
 from . import geometry
-from .curvature import _finite_alpha, _finite_target, _first_positive, _step_control
+from .curvature import TWO_PI, _finite_alpha, _finite_target, _first_positive, _step_control
 from .curvature import angle_deficits, average_curvature, curvature_jacobian
 from .errors import AdmissibilityError, DomainError, QuadratureError, SolverError
 from .geometry import PackingMetric
@@ -115,7 +115,12 @@ def newton_solve(tri, r_init, target, alpha=2.0, tol=GRAD_TOL) -> PackingMetric:
     lam = 2^(1 - trial) down to 2^-40 and rejects a trial that leaves the
     coordinate domain, fails `geometry.admissible` or does not lower |g|^2
     by the factor 1 - 1e-4 lam. Each accepted step, with lam and its trial
-    and CG iteration counts, is logged at DEBUG to "idcurv.potential".
+    and CG iteration counts, is logged at DEBUG to "idcurv.potential". A
+    line search that stalls raises SolverError, unless max|g| is already
+    within the gradient's rounding floor, 8 ulp(max(2 pi, max|T s^alpha|)),
+    the accuracy K = 2 pi - (angle sum) and T s^alpha are computed to: a tol
+    below it cannot be met, so the metric is returned with one WARNING
+    naming tol and the floor.
 
     Raises ValueError for radii, alpha, a target or tol that break the input
     rules (the target is required, and tol must be positive and finite),
@@ -172,10 +177,10 @@ def newton_solve(tri, r_init, target, alpha=2.0, tol=GRAD_TOL) -> PackingMetric:
 
     g = potential_gradient(tri, u, target, alpha)
     for iteration in range(MAX_NEWTON_ITERATIONS):
-        norm = float(np.max(np.abs(g)))
+        norm, r = float(np.max(np.abs(g))), geometry.r_of_u(u, tri.geometry)
         if norm < tol:
-            return PackingMetric(geometry.r_of_u(u, tri.geometry), tri.geometry)
-        H = _hessian(tri, geometry.r_of_u(u, tri.geometry), target, alpha)
+            return PackingMetric(r, tri.geometry)
+        H = _hessian(tri, r, target, alpha)
         # sum(g) vanishes at a solution (Gauss-Bonnet); its rounding (~N eps) is in L's kernel
         b, eta, cg_steps = (g.mean() - g if singular else -g), min(0.1, norm), []
         with np.errstate(divide="ignore", invalid="ignore"):  # a breakdown divides by 0
@@ -202,8 +207,14 @@ def newton_solve(tri, r_init, target, alpha=2.0, tol=GRAD_TOL) -> PackingMetric:
                 if float(g_try @ g_try) <= (1.0 - 1e-4 * lam) * phi:
                     break
         else:
-            raise SolverError(f"line search stalled at gradient norm {norm:.3e}: "
-                              "no trial step down to 2^-40 lowered |g|^2")
+            s_alpha = geometry.s_of_r(r, tri.geometry) ** alpha
+            floor = 8.0 * float(np.spacing(np.max(np.abs(target * s_alpha), initial=TWO_PI)))
+            if norm > floor:
+                raise SolverError(f"line search stalled at gradient norm {norm:.3e}: "
+                                  "no trial step down to 2^-40 lowered |g|^2")
+            log.warning("newton_solve stopped at gradient norm %.3e, within the gradient's "
+                        "rounding floor %.3e: tol %.3e is below it", norm, floor, tol)
+            return PackingMetric(r, tri.geometry)
         u, g = u_try, g_try
         log.debug("newton iteration %d: max|g| %.3e, step %.3g after %d line-search trials, "
                   "%d CG iterations", iteration, norm, lam, trials, len(cg_steps))

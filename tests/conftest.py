@@ -17,6 +17,7 @@ from idcurv import (
     average_curvature,
     curvature_field,
     flow_rhs,
+    WeightedTriangulation,
 )
 
 
@@ -66,6 +67,22 @@ def sample_admissible(tri, rng, spread=0.4, scale=1.0, tries=500):
         if admissible(tri, r)[0]:
             return r
     raise AssertionError("could not sample an admissible metric")
+
+
+def signed_weight_torus(geom):
+    """The 6x6 grid torus with 31 of its 108 edges at weight -0.3, at most one per
+    face (a greedy pass over a seeded edge order), the rest at 1."""
+    tri = grid_torus(6, 6)
+    faces_of = tri.edge_corners // 3
+    taken = np.zeros(len(tri.faces), dtype=bool)
+    weights = np.ones(len(tri.edges))
+    for e in np.random.default_rng(0).permutation(len(tri.edges)):
+        if not taken[faces_of[e]].any():
+            taken[faces_of[e]] = True
+            weights[e] = -0.3
+    return WeightedTriangulation(
+        tri.vertex_count, tri.faces, dict(zip(map(tuple, tri.edges.tolist()), weights)), geom
+    )
 
 
 def fd_jacobian(tri, r, step=1e-6):

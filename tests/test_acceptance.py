@@ -7,8 +7,9 @@ tetrahedron family, curvature identities on random packings, Jacobian
 structure, flow convergence and recovery from degenerate starts, potential
 calculus, Newton rigidity, the hyperbolic limit lemmas, the flow theorem
 for chi < 0 on a genus-2 surface, global rigidity of the alpha-curvature,
-and the converse of the flow theorem: with chi <= 0 the flow converges
-exactly when the target is attained.
+convergence at the rate of the spectral gap, the converse of the flow
+theorem (with chi <= 0 the flow converges exactly when the target is
+attained), and where alpha-rigidity ends on the tetrahedron.
 """
 
 import time
@@ -16,8 +17,16 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.optimize
 
-from conftest import angles_of_lengths, fd_jacobian, genus_two, rk4_reference, sample_admissible
+from conftest import (
+    angles_of_lengths,
+    fd_jacobian,
+    genus_two,
+    rk4_reference,
+    sample_admissible,
+    signed_weight_torus,
+)
 from idcurv import (
     ConditioningError,
     EventKind,
@@ -41,6 +50,7 @@ from idcurv import (
     flow_rhs,
     gauss_bonnet_residual,
     grid_torus,
+    laplacian_spectrum,
     newton_solve,
     potential_gradient,
     potential_value,
@@ -503,12 +513,60 @@ def test_12_alpha_curvature_is_globally_rigid():
         ]
         spreads.append(max(np.max(np.abs(a / b - 1.0)) for a in solutions for b in solutions))
     assert max(spreads) < 1e-11
+
+    # a flow with negative weights: 31 of the 108 edges at -0.3, under the
+    # signed regime's face condition (Xu, Adv. Math. 2018); the normalized
+    # flow reaches Newton's flat shape from every start
+    tri = signed_weight_torus(EUC)
+    rng = np.random.default_rng(31)
+    starts = np.array([sample_admissible(tri, rng, spread=0.3) for _ in range(3)])
+    results, signed_gap = run_flow(tri, starts, FlowSpec(kind=FlowKind.NORMALIZED_EUCLIDEAN)), 0.0
+    for start, (trace, final) in zip(starts, results):
+        assert trace.terminal_event().kind is EventKind.CONVERGED
+        flat = newton_solve(tri, start, 0.0).radii
+        unit = [r / np.sqrt(r @ r) for r in (final.radii, flat)]
+        signed_gap = max(signed_gap, np.max(np.abs(unit[0] - unit[1])))
+    assert signed_gap < 1e-8
     _ok(
         12,
         f"tetrahedron R_alpha recovered from 20 starts to {worst_recovery:.1e}; genus-2 "
         f"Newton spreads {spreads[0]:.1e}, {spreads[1]:.1e} (Euclidean alpha 1, 2), "
-        f"{spreads[2]:.1e} (hyperbolic alpha 1), {time.perf_counter() - t0:.2f}s",
+        f"{spreads[2]:.1e} (hyperbolic alpha 1); signed-weight flow to Newton "
+        f"{signed_gap:.1e}, {time.perf_counter() - t0:.2f}s",
     )
+
+
+# -- 13: the flows converge at the spectral gap ---------------------------------------
+
+# (surface, kind) at alpha = 2: the normalized flows linearized at their limit
+# decay like exp(-c lambda_1 t), lambda_1 the least positive eigenvalue of
+# Sigma^(-1/2) L Sigma^(-1/2), laplacian_spectrum's
+SPECTRAL_GAP_ROWS = {
+    "normalized-8x8": (lambda: grid_torus(8, 8), FlowKind.NORMALIZED_EUCLIDEAN),
+    "normalized-12x12-weight-2": (
+        lambda: grid_torus(12, 12, weight=2.0), FlowKind.NORMALIZED_EUCLIDEAN,
+    ),
+    "alpha-normalized-8x8": (lambda: grid_torus(8, 8), FlowKind.ALPHA_NORMALIZED),
+}
+
+
+@pytest.mark.parametrize("case", list(SPECTRAL_GAP_ROWS))
+def test_13_flows_converge_at_the_spectral_gap(case):
+    # ln max_err falls at the rate c lambda_1 over the rows above the
+    # tolerance's reach and below the nonlinear transient
+    make, kind = SPECTRAL_GAP_ROWS[case]
+    tri = make()
+    r0 = np.exp(np.random.default_rng(1).uniform(-0.3, 0.3, tri.vertex_count))
+    spec = FlowSpec(kind=kind, tol=1e-10)
+    trace, final = run_flow(tri, r0, spec)
+    assert trace.terminal_event().kind is EventKind.CONVERGED
+    tail = (trace.max_err > 10.0 * spec.tol) & (trace.max_err < 1e-5)
+    assert np.count_nonzero(tail) >= 8
+    rate = -np.polyfit(trace.times[tail], np.log(trace.max_err[tail]), 1)[0]
+    gap = kind.rate * laplacian_spectrum(tri, final.radii)[1]
+    assert abs(rate / gap - 1.0) < 1e-3
+    _ok(13, f"{case}: rate {rate:.6f} against c lambda_1 = {gap:.6f} "
+            f"over {np.count_nonzero(tail)} rows")
 
 
 # -- 14: the converse half of the chi <= 0 theorem -------------------------------------
@@ -556,3 +614,46 @@ def test_14_flow_converges_exactly_when_the_target_is_attained(vertices, low, re
     with pytest.raises((ConditioningError, SolverError)):
         newton_solve(tri, r0, target, alpha=0.0)
     _ok(14, f"A = {vertices}: EssentialSingularity at v{event.index}, sum K {total / np.pi:.4f} pi")
+
+
+# -- 15: where alpha-rigidity ends on the tetrahedron ----------------------------------
+
+# alpha -> roots of R_0 - R_1 on the I = 2 tetrahedron's family (1, x, x, x)
+# in [0.05, X_SUP): x = 1 alone for alpha <= 0.25, and a second root that
+# crosses x = 1 where H's triple eigenvalue 2/sqrt(3) - alpha pi/2 does
+ALPHA_ROOT_COUNTS = {-1.0: 1, -0.5: 1, 0.0: 1, 0.25: 1, 0.5: 2, 0.7: 2, 0.75: 2, 1.0: 2, 2.0: 2}
+
+
+def test_15_alpha_rigidity_ends_on_the_tetrahedron():
+    t0 = time.perf_counter()
+    tri = tetrahedron(weight=2.0)
+
+    def gap(x, alpha):
+        R = curvature_field(tri, np.array([1.0, x, x, x]), alpha=alpha).R
+        return R[0] - R[1]
+
+    grid = np.geomspace(0.05, X_SUP, 301)[:-1]
+    second = {}
+    for alpha, count in ALPHA_ROOT_COUNTS.items():
+        values = np.array([gap(x, alpha) for x in grid])
+        assert np.all(values != 0.0)
+        brackets = np.flatnonzero(np.sign(values[:-1]) != np.sign(values[1:]))
+        roots = [
+            scipy.optimize.brentq(gap, grid[i], grid[i + 1], args=(alpha,), xtol=1e-14)
+            for i in brackets
+        ]
+        assert len(roots) == count, (alpha, roots)
+        assert min(abs(x - 1.0) for x in roots) < 1e-12
+        if count == 2:
+            second[alpha] = max(roots, key=lambda x: abs(x - 1.0))
+    # the second root passes x = 1 between alpha 0.7 and 0.75, at the linear
+    # interpolation's estimate of alpha* = 4 / (sqrt(3) pi)
+    alpha_star = 4.0 / (np.sqrt(3.0) * np.pi)
+    below, above = second[0.7] - 1.0, second[0.75] - 1.0
+    assert below < 0.0 < above
+    assert abs(0.7 + 0.05 * below / (below - above) - alpha_star) < 1e-3
+    assert [second[a] for a in (0.5, 0.7, 0.75, 1.0, 2.0)] == sorted(second.values())
+    assert abs(second[2.0] - find_second_root().x0) < 1e-10
+    _ok(15, f"second root x = {second[0.5]:.6f}, {second[0.7]:.6f}, {second[0.75]:.6f}, "
+            f"{second[1.0]:.6f}, {second[2.0]:.6f} at alpha 0.5, 0.7, 0.75, 1, 2; "
+            f"none for alpha <= 0.25, {time.perf_counter() - t0:.2f}s")

@@ -599,6 +599,15 @@ def test_solve_zero_tol_is_invalid_input(tmp_path, capsys):
     assert capsys.readouterr().err == "error: tol must be positive and finite\n"
 
 
+def test_solve_tol_below_the_rounding_floor_succeeds(tmp_path, capsys):
+    # the solve stalls at its gradient's rounding floor, below which no tol can
+    # be met: the solution is written, with a warning, and the exit is 0
+    radii = radii_file(tmp_path, [1.3, 0.8, 1.1, 1.0, 0.9, 1.2, 0.95])
+    assert main(["solve", CSASZAR, "--radii", radii, "--target", "0", "--tol", "1e-15"]) == 0
+    out = capsys.readouterr().out
+    assert float(out.split("grad_norm = ")[1]) <= 8.0 * np.spacing(2.0 * np.pi)
+
+
 # -- spectrum ------------------------------------------------------------------------
 
 

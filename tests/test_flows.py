@@ -28,6 +28,7 @@ from idcurv import (
     average_curvature,
     csaszar_torus,
     curvature_field,
+    euler_characteristic,
     flow_rhs,
     grid_torus,
     run_flow,
@@ -1106,6 +1107,44 @@ def test_batch_matches_solo_runs(case, monkeypatch):
         assert fixed.events == [FlowEvent(0.0, EventKind.CONVERGED)]
         assert fixed.times.tolist() == [0.0] and fixed.stats["evaluations"] == 1
     assert calls < sum(trace_of(result).stats["evaluations"] for result in solo)
+
+
+def zero_average_twins():
+    """id -> (chi = 0 surface, a start or a stack of starts, a target-free spec,
+    its twin with target 0)."""
+    grid, snapped = grid_torus(6, 6), grid_torus(4, 4, weight=2.0)
+    csaszar_start = np.array([1.3, 0.8, 1.1, 1.0, 0.9, 1.2, 0.95])
+    grid_starts = np.exp(np.random.default_rng(36).uniform(-0.3, 0.3, (3, grid.vertex_count)))
+    normalized = (FlowSpec(kind=FlowKind.NORMALIZED_EUCLIDEAN),
+                  FlowSpec(kind=FlowKind.MODIFIED_EUCLIDEAN, target=0.0))
+    alpha_one = (FlowSpec(kind=FlowKind.ALPHA_NORMALIZED, alpha=1.0),
+                 FlowSpec(kind=FlowKind.ALPHA_MODIFIED, alpha=1.0, target=0.0))
+    return {
+        "normalized-csaszar": (csaszar_torus(), csaszar_start, *normalized),
+        "alpha-normalized-csaszar": (csaszar_torus(), csaszar_start, *alpha_one),
+        "normalized-grid-stack": (grid, grid_starts, *normalized),
+        "alpha-normalized-grid-stack": (grid, grid_starts, *alpha_one),
+        "extended-snapped": (
+            snapped, snapped_starts(snapped, 3, seed=36),
+            FlowSpec(kind=FlowKind.EXTENDED_EUCLIDEAN),
+            FlowSpec(kind=FlowKind.EXTENDED_EUCLIDEAN, target=0.0),
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", list(zero_average_twins()))
+def test_zero_average_flow_is_its_zero_target_twin(case):
+    # on a chi = 0 surface the running average 2 pi chi / sum(s^alpha) is
+    # identically zero, so a target-free flow ends bit for bit on its twin
+    # with target 0, one start or a stack of them
+    tri, starts, free, twin = zero_average_twins()[case]
+    assert euler_characteristic(tri) == 0
+    results, twins = run_flow(tri, starts, free), run_flow(tri, starts, twin)
+    if starts.ndim == 1:
+        results, twins = [results], [twins]
+    for result, other in zip(results, twins):
+        assert_same_run(result, other)
+        assert terminal(result[0]).kind is EventKind.CONVERGED
 
 
 @pytest.mark.parametrize("case", ["single-start", "normalized-euclidean", "extended-euclidean"])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from conftest import genus_two, sample_admissible
+from conftest import genus_two, sample_admissible, signed_weight_torus
 
 from idcurv import (
     AdmissibilityError,
@@ -20,7 +20,6 @@ from idcurv import (
     Geometry,
     QuadratureError,
     SolverError,
-    WeightedTriangulation,
     WeightRegime,
     angle_deficits,
     connected_sum,
@@ -372,6 +371,22 @@ def test_newton_line_search_stalls_where_its_decrease_test_ends(csaszar_hyp, mon
     assert seen["admissible"] + seen["domain"] == 1 + 41
 
 
+@pytest.mark.parametrize("tol", [1e-15, 1e-20])
+def test_newton_stall_within_the_rounding_floor_returns(csaszar_euc, caplog, tol):
+    # the Csaszar solve at target 0 stalls at max|g| = 1.776e-15, 2 ulp(2 pi):
+    # no step lowers |g|^2 further, and a tol below that floor is reported,
+    # not raised as a stalled line search
+    r0, floor = np.array([1.3, 0.8, 1.1, 1.0, 0.9, 1.2, 0.95]), 8.0 * np.spacing(2.0 * np.pi)
+    with caplog.at_level(logging.WARNING, logger="idcurv.potential"):
+        sol = newton_solve(csaszar_euc, r0, target=0.0, tol=tol)
+    assert np.max(np.abs(angle_deficits(csaszar_euc, sol.radii))) <= floor
+    assert np.max(np.abs(sol.radii - newton_solve(csaszar_euc, r0, target=0.0).radii)) < 1e-12
+    [record] = [r for r in caplog.records if r.name == "idcurv.potential"]
+    assert record.levelno == logging.WARNING
+    assert f"rounding floor {floor:.3e}" in record.getMessage()
+    assert f"tol {tol:.3e}" in record.getMessage()
+
+
 def test_newton_singular_hessian_is_a_solver_error(csaszar_hyp, monkeypatch):
     # the zero matrix: H delta = -g has no solution, so CG breaks down (its
     # Jacobi preconditioner is 1/0) and the step's residual check fails
@@ -382,22 +397,6 @@ def test_newton_singular_hessian_is_a_solver_error(csaszar_hyp, monkeypatch):
     target = angle_deficits(csaszar_hyp, np.full(7, 0.4))
     with pytest.raises(SolverError, match="linear solve failed at iteration 0: CG info"):
         newton_solve(csaszar_hyp, np.full(7, 0.3), target=target, alpha=0.0)
-
-
-def signed_weight_torus(geom):
-    """The 6x6 grid torus with 31 of its 108 edges at weight -0.3, at most one per
-    face (a greedy pass over a seeded edge order), the rest at 1."""
-    tri = grid_torus(6, 6)
-    faces_of = tri.edge_corners // 3
-    taken = np.zeros(len(tri.faces), dtype=bool)
-    weights = np.ones(len(tri.edges))
-    for e in np.random.default_rng(0).permutation(len(tri.edges)):
-        if not taken[faces_of[e]].any():
-            taken[faces_of[e]] = True
-            weights[e] = -0.3
-    return WeightedTriangulation(
-        tri.vertex_count, tri.faces, dict(zip(map(tuple, tri.edges.tolist()), weights)), geom
-    )
 
 
 def test_newton_with_signed_weights():
