@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import logging
 import sys
 from pathlib import Path
 
@@ -312,6 +313,13 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    # the package's warnings (a Newton solve stopped at its rounding floor) go to
+    # stderr as "warning: ..." lines, like the "error: ..." lines below
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setLevel(logging.WARNING)
+    handler.setFormatter(logging.Formatter("warning: %(message)s"))
+    logger = logging.getLogger("idcurv")
+    logger.addHandler(handler)
     try:
         return args.func(args)
     except (OSError, MeshFormatError) as exc:
@@ -323,6 +331,8 @@ def main(argv=None) -> int:
     except (SolverError, IntegrationError, ConditioningError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
+    finally:
+        logger.removeHandler(handler)
 
 
 if __name__ == "__main__":

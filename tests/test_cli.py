@@ -608,6 +608,16 @@ def test_solve_tol_below_the_rounding_floor_succeeds(tmp_path, capsys):
     assert float(out.split("grad_norm = ")[1]) <= 8.0 * np.spacing(2.0 * np.pi)
 
 
+def test_solve_warning_is_one_prefixed_stderr_line(tmp_path, capsys):
+    # the floor's warning reaches stderr as one "warning: " line, like the CLI's
+    # "error: " lines, not as the bare line of Python's last-resort handler
+    radii = radii_file(tmp_path, [1.3, 0.8, 1.1, 1.0, 0.9, 1.2, 0.95])
+    assert main(["solve", CSASZAR, "--radii", radii, "--target", "0", "--tol", "1e-15"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("warning: newton_solve stopped at gradient norm")
+
+
 # -- spectrum ------------------------------------------------------------------------
 
 

@@ -27,7 +27,14 @@ from idcurv import (
     tetrahedron,
     total_area,
 )
-from idcurv.curvature import _band_order, _half_bandwidth
+from idcurv import curvature
+from idcurv.curvature import (
+    _band_order,
+    _eigvals_two_stage,
+    _half_bandwidth,
+    _spectrum_band,
+    _two_stage,
+)
 from idcurv.geometry import corner_angles, edge_lengths, face_lengths
 
 from conftest import (
@@ -36,6 +43,7 @@ from conftest import (
     fd_jacobian_in_r,
     genus_two,
     sample_admissible,
+    signed_weight_torus,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -488,6 +496,78 @@ def test_spectrum_matches_dense_reference(tri, rng):
     assert values.shape == (tri.vertex_count,)
     assert np.all(np.diff(values) >= 0.0)
     np.testing.assert_allclose(values, expect, rtol=0.0, atol=1e-12 * np.abs(expect).max())
+
+
+@pytest.mark.parametrize(
+    "tri",
+    [
+        tetrahedron(weight=2.0),
+        csaszar_torus(),
+        csaszar_torus(weight=2.0),
+        genus_two(),
+        signed_weight_torus(Geometry.EUCLIDEAN),
+        grid_torus(8, 20),
+    ],
+    ids=["tetrahedron", "csaszar", "csaszar-w2", "genus2", "signed-torus", "torus8x20"],
+)
+def test_two_stage_spectrum_agrees_with_one_stage_and_dense(tri, rng):
+    # the tetrahedron's band is full (kd = N - 1 = 3); the values of
+    # laplacian_spectrum are the two-stage solver's, bit for bit, and agree with
+    # the one-stage solver on the same band, with the dense operator and with
+    # the values that come with the eigenvectors
+    import scipy.linalg
+
+    solve = _two_stage()
+    if solve is None:
+        pytest.skip("SciPy's LAPACK exports no dsbevd_2stage")
+    r = sample_admissible(tri, rng, spread=0.3)
+    values = laplacian_spectrum(tri, r)
+    band, _ = _spectrum_band(tri, r)
+    assert np.array_equal(values, _eigvals_two_stage(solve, band.copy(order="F")))
+    one_stage = scipy.linalg.eigvals_banded(band, lower=True)
+    dense = np.linalg.eigvalsh(dense_spectrum_operator(tri, r))
+    with_vectors, _ = laplacian_spectrum(tri, r, return_vectors=True)
+    bound = 1e-12 * np.abs(one_stage).max()
+    for other in (one_stage, dense, with_vectors):
+        np.testing.assert_allclose(values, other, rtol=0.0, atol=bound)
+
+
+def test_spectrum_without_two_stage_is_one_stage_bit_for_bit(rng, monkeypatch):
+    # where SciPy's LAPACK lacks the symbol, the values are eigvals_banded's
+    import scipy.linalg
+
+    tri = grid_torus(8, 20)
+    r = sample_admissible(tri, rng, spread=0.3)
+    band, _ = _spectrum_band(tri, r)
+    expect = scipy.linalg.eigvals_banded(band, lower=True)
+    monkeypatch.setattr(curvature, "_two_stage", lambda: None)
+    assert np.array_equal(laplacian_spectrum(tri, r), expect)
+
+
+def test_failed_two_stage_solve_raises(csaszar_euc, rng, monkeypatch):
+    # a solver that reports no convergence (info > 0) leaves its output
+    # unfilled: the spectrum raises LinAlgError, as eigvals_banded does
+    from scipy.linalg import LinAlgError
+
+    calls = []
+    monkeypatch.setattr(curvature, "_two_stage", lambda: lambda *args: calls.append(args) or 3)
+    with pytest.raises(LinAlgError, match="info 3"):
+        laplacian_spectrum(csaszar_euc, sample_admissible(csaszar_euc, rng))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("route", ["two-stage", "one-stage"])
+def test_spectrum_refuses_a_non_finite_band_on_either_route(csaszar_euc, monkeypatch, route):
+    # at radii 1e-160, s_p s_q underflows and the band holds infinities: the
+    # two-stage route refuses them with eigvals_banded's ValueError
+    if route == "one-stage":
+        monkeypatch.setattr(curvature, "_two_stage", lambda: None)
+    elif _two_stage() is None:
+        pytest.skip("SciPy's LAPACK exports no dsbevd_2stage")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+            laplacian_spectrum(csaszar_euc, np.full(7, 1e-160))
 
 
 @pytest.mark.parametrize("n, m", [(12, 12), (8, 20)])
